@@ -4,11 +4,10 @@ Subcommands: verify, search, build-set, interlace, torus-set, density,
 gowers, spectrum, converge, extract, pipeline.  Reports go to stdout as JSON
 with sorted keys, embedding {seed, budget, version} where meaningful, so runs
 are byte-identical for identical arguments.  Exit codes: 0 success / property
-holds, 1 property violated (a witness is reported), 2 usage, I/O or format
-errors.
+holds, 1 property violated (a witness is reported), 2 usage, I/O, format or
+budget errors, including a failed pipeline stage.
 
-Budget environment overrides: APLAB_CELL_BUDGET (interlacing cells),
-APLAB_EXACT_WORK (exact decomposition work), APLAB_MC_BATCH (sampling batch).
+Budget environment override: APLAB_CELL_BUDGET (interlacing cells).
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ from pathlib import Path
 from . import __version__
 from .colorings import (
     CYCLIC,
-    Coloring,
     coloring_from_text,
     coloring_to_text,
     search_coloring,
-    tensor_power,
     verify_abab_abba_free,
     verify_binomial_pattern_free,
     verify_mono_pattern_free,
@@ -35,17 +32,17 @@ from .colorings import (
     verify_symmetric_ap_free,
 )
 from .errors import BudgetExceededError, FormatError
-from .patterns import PatternSpec, a_binomial_system, k_binomial_system
-from .pipelines import run_pipeline
+from .patterns import PatternSpec, a_binomial_system
+from .pipelines import StageError, run_pipeline
 from .sets import (
     base9_set,
     behrend_set,
     greedy_solution_free_set,
     residue_set_from_text,
     residue_set_to_text,
-    verify_solution_free,
 )
 from .torus import (
+    INTERLACE_CELL_CAP,
     build_torus_set,
     interlace_k,
     interlace_m,
@@ -60,13 +57,13 @@ from .torus import (
     ConstantField,
     DiagonalStrip,
     SlabIndicator,
+    _rat,
 )
 from .uniformity import (
     extract_coloring,
     convergence_experiment,
     gowers_norm,
     grid_from_text,
-    grid_to_text,
     lambda_exact,
     spectrum,
 )
@@ -85,11 +82,6 @@ def _emit(payload: dict):
     payload = dict(payload)
     payload["version"] = __version__
     print(json.dumps(payload, sort_keys=True))
-
-
-def _rat(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _read(path: str) -> str:
@@ -131,9 +123,14 @@ def _witness_dict(w):
     return out
 
 
+def _spec_arg(args):
+    """Pattern from --spec, else the plain --k progression."""
+    return PatternSpec.from_string(args.spec) if args.spec else PatternSpec.ap(args.k)
+
+
 def _field_arg(args):
     """Torus function from --torus-set / --slab / --diag / --const flags."""
-    chosen = [x for x in (args.torus_set, args.slab, args.diag, getattr(args, "const", None)) if x]
+    chosen = [x for x in (args.torus_set, args.slab, args.diag, args.const) if x]
     if len(chosen) != 1:
         raise FormatError("choose exactly one of --torus-set/--slab/--diag/--const")
     if args.torus_set:
@@ -143,6 +140,22 @@ def _field_arg(args):
     if args.diag:
         return DiagonalStrip(Fraction(args.diag))
     return ConstantField(Fraction(args.const))
+
+
+def _mc_report(est, kind, **extra) -> dict:
+    return {
+        "mean": est.mean,
+        "stderr": est.stderr,
+        "samples": est.samples,
+        "seed": est.seed,
+        "exact": False,
+        "kind": kind,
+        **extra,
+    }
+
+
+def _exact_report(val, kind, **extra) -> dict:
+    return {"value": float(val), "value_rational": _rat(val), "exact": True, "kind": kind, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +213,7 @@ def cmd_build_set(args) -> int:
         s = base9_set(args.r, args.m)
         extra = {}
     else:
-        system = (
-            a_binomial_system(PatternSpec.from_string(args.spec))
-            if args.spec
-            else k_binomial_system(args.k)
-        )
+        system = a_binomial_system(_spec_arg(args))
         res = greedy_solution_free_set(system, args.m, args.r)
         s = res.set
         extra = {"complete": res.complete, "scanned": res.scanned}
@@ -218,7 +227,7 @@ def cmd_build_set(args) -> int:
 
 def cmd_interlace(args) -> int:
     phi = _load_coloring(args.input)
-    cap = _env_int("APLAB_CELL_BUDGET", 100_000)
+    cap = _env_int("APLAB_CELL_BUDGET", INTERLACE_CELL_CAP)
     if args.m is not None:
         tc = interlace_m(phi, args.m, cap)
     else:
@@ -246,77 +255,32 @@ def cmd_torus_set(args) -> int:
 
 
 def cmd_density(args) -> int:
-    spec = (
-        PatternSpec.from_string(args.spec) if args.spec else PatternSpec.ap(args.k)
-    )
+    spec = _spec_arg(args)
     if args.lambda_exact:
         grids = [grid_from_text(_read(p)) for p in args.grid.split(",")]
         fs = grids[0] if len(grids) == 1 else grids
         val = lambda_exact(fs, spec)
-        exact = isinstance(val, Fraction)
-        report = {"value": float(val), "exact": exact, "kind": "lambda-exact"}
-        if exact:
-            report["value_rational"] = _rat(val)
-        _emit(report)
-        return EXIT_OK
-    if args.lambda_mc:
-        F = _field_arg(args)
-        est = lambda_tilde_mc(F, spec, args.samples, args.seed)
-        _emit(
-            {
-                "mean": est.mean,
-                "stderr": est.stderr,
-                "samples": est.samples,
-                "seed": est.seed,
-                "exact": False,
-                "kind": "lambda-mc",
-            }
-        )
-        return EXIT_OK
-    if args.pattern_exact or args.pattern_mc:
-        Phi = _load_torus_coloring(args.torus_coloring)
-        if args.pattern_exact:
-            val = pattern_probability_exact(
-                Phi, spec, args.predicate, work_cap=_env_int("APLAB_EXACT_WORK", 300_000_000)
-            )
-            _emit(
-                {
-                    "value": float(val),
-                    "value_rational": _rat(val),
-                    "exact": True,
-                    "kind": "pattern-exact",
-                    "predicate": args.predicate,
-                }
-            )
+        if isinstance(val, Fraction):
+            _emit(_exact_report(val, "lambda-exact"))
         else:
-            est = pattern_probability_mc(Phi, spec, args.predicate, args.samples, args.seed)
-            _emit(
-                {
-                    "mean": est.mean,
-                    "stderr": est.stderr,
-                    "samples": est.samples,
-                    "seed": est.seed,
-                    "exact": False,
-                    "kind": "pattern-mc",
-                    "predicate": args.predicate,
-                }
-            )
-        return EXIT_OK
-    if args.certificate:
+            _emit({"value": float(val), "exact": False, "kind": "lambda-exact"})
+    elif args.lambda_mc:
+        est = lambda_tilde_mc(_field_arg(args), spec, args.samples, args.seed)
+        _emit(_mc_report(est, "lambda-mc"))
+    elif args.pattern_exact:
+        Phi = _load_torus_coloring(args.torus_coloring)
+        val = pattern_probability_exact(Phi, spec, args.predicate)
+        _emit(_exact_report(val, "pattern-exact", predicate=args.predicate))
+    elif args.pattern_mc:
+        Phi = _load_torus_coloring(args.torus_coloring)
+        est = pattern_probability_mc(Phi, spec, args.predicate, args.samples, args.seed)
+        _emit(_mc_report(est, "pattern-mc", predicate=args.predicate))
+    else:
         Phi = _load_torus_coloring(args.torus_coloring)
         S = residue_set_from_text(_read(args.set))
         width = Fraction(args.width) if args.width else None
-        val = lambda_tilde_certificate(Phi, S, spec, width)
-        _emit(
-            {
-                "value": float(val),
-                "value_rational": _rat(val),
-                "exact": True,
-                "kind": "certificate",
-            }
-        )
-        return EXIT_OK
-    raise FormatError("choose a density mode flag")
+        _emit(_exact_report(lambda_tilde_certificate(Phi, S, spec, width), "certificate"))
+    return EXIT_OK
 
 
 def cmd_gowers(args) -> int:
@@ -334,7 +298,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    spec = PatternSpec.from_string(args.spec) if args.spec else PatternSpec.ap(args.k)
+    spec = _spec_arg(args)
     F = _field_arg(args)
     ns = [int(tok) for tok in args.N_list.replace(",", " ").split()]
     reference = float(args.reference) if args.reference else None
@@ -404,6 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
+    # torus function flags shared by density, converge and extract; exactly
+    # one is chosen (checked by _field_arg)
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--torus-set", help="torus-set file")
+    field.add_argument("--slab", help="slab indicator of this width")
+    field.add_argument("--diag", help="diagonal strip of this width")
+    field.add_argument("--const", help="constant field of this value")
+
     p = sub.add_parser("verify", help="check a coloring file against a pattern family")
     p.add_argument("input")
     p.add_argument("--pattern", required=True,
@@ -450,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_torus_set)
 
-    p = sub.add_parser("density", help="progression densities and certificates")
+    p = sub.add_parser("density", parents=[field], help="progression densities and certificates")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--lambda-exact", action="store_true")
     mode.add_argument("--lambda-mc", action="store_true")
@@ -459,11 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--certificate", action="store_true")
     p.add_argument("--grid", help="grid file (comma-separate for multilinear)")
     p.add_argument("--torus-coloring")
-    p.add_argument("--torus-set")
     p.add_argument("--set")
-    p.add_argument("--slab", help="slab indicator of this width")
-    p.add_argument("--diag", help="diagonal strip of this width")
-    p.add_argument("--const", help="constant field of this value")
     p.add_argument("--width")
     p.add_argument("--predicate", default="binomial",
                    choices=["binomial", "symmetric", "mono"])
@@ -483,11 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("converge", help="density/uniformity table over a list of N")
-    p.add_argument("--torus-set")
-    p.add_argument("--slab")
-    p.add_argument("--diag")
-    p.add_argument("--const")
+    p = sub.add_parser(
+        "converge", parents=[field], help="density/uniformity table over a list of N"
+    )
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--spec")
     p.add_argument("--N-list", required=True)
@@ -496,11 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_converge)
 
-    p = sub.add_parser("extract", help="randomized extraction of an interval coloring")
-    p.add_argument("--torus-set")
-    p.add_argument("--slab")
-    p.add_argument("--diag")
-    p.add_argument("--const")
+    p = sub.add_parser(
+        "extract", parents=[field], help="randomized extraction of an interval coloring"
+    )
     p.add_argument("--alpha", required=True)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--r", type=int, required=True)
@@ -535,7 +499,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (FormatError, BudgetExceededError, ValueError, OSError) as exc:
+    except (FormatError, BudgetExceededError, ValueError, OSError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

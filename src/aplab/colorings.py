@@ -299,61 +299,57 @@ def verify_binomial_pattern_free(coloring: Coloring, spec: PatternSpec) -> Witne
     return _witness_at(coloring, offsets, best[0], best[1], "binomial-pattern", best_detail)
 
 
+def _least_k_pattern(members: np.ndarray, in_class: np.ndarray, k: int, cyclic: bool):
+    """Lexicographically least (n1, n2, n3, a, b) with n1, n2, n3 in the
+    sorted int64 array ``members``, not all equal, and a*n1 + b*n2 =
+    (a+b)*n3 for positive a, b with a+b <= k-1; the equation holds modulo
+    N = len(in_class) when ``cyclic`` and over the integers otherwise.
+    ``in_class`` is the membership mask of ``members`` in [0, N).  None when
+    no such triple exists."""
+    n_amb = len(in_class)
+    s1 = members[:, None]
+    s2 = members[None, :]
+    best = None
+    for a in range(1, k - 1):
+        for b in range(1, k - a):
+            s = a + b
+            t = a * s1 + b * s2
+            if cyclic:
+                # s*n3 = t (mod N) has gcd(s, N) roots in [0, N) when solvable
+                g = math.gcd(s, n_amb)
+                ng = n_amb // g
+                t %= n_amb
+                solvable = t % g == 0
+                base = ((t // g) * pow(s // g, -1, ng)) % ng
+                roots = [base + u * ng for u in range(g)]
+            else:
+                # a weighted mean of members lies in [0, N)
+                solvable = t % s == 0
+                roots = [t // s]
+            for n3 in roots:
+                hits = solvable & in_class[n3] & ~((s1 == s2) & (n3 == s1))
+                if hits.any():
+                    # members are sorted, so row-major order is lexicographic
+                    i, j = np.argwhere(hits)[0]
+                    cand = (int(members[i]), int(members[j]), int(n3[i, j]), a, b)
+                    if best is None or cand < best:
+                        best = cand
+    return best
+
+
 def verify_mono_pattern_free(coloring: Coloring, k: int) -> Witness | None:
     """No monochromatic triple (n1, n2, n3), not all equal, with
     a*n1 + b*n2 = (a+b)*n3 for positive a, b, a+b <= k-1."""
     if k < 3:
         raise ValueError("k must be at least 3")
     col = coloring.as_array
-    n_amb = coloring.n
-    cyclic = coloring.ambient == CYCLIC
     best = None
     for color in range(1, coloring.r + 1):
-        members = np.flatnonzero(col == color).astype(np.int64)
-        if len(members) == 0:
-            continue
-        in_class = np.zeros(n_amb, dtype=bool)
-        in_class[members] = True
-        s1 = members[:, None]
-        s2 = members[None, :]
-        for a in range(1, k - 1):
-            for b in range(1, k - a):
-                s = a + b
-                t = a * s1 + b * s2
-                if cyclic:
-                    g = math.gcd(s, n_amb)
-                    ng = n_amb // g
-                    inv = pow(s // g, -1, ng)
-                    tm = t % n_amb
-                    solvable = tm % g == 0
-                    base = ((tm // g) * inv) % ng
-                    for u in range(g):
-                        n3 = base + u * ng
-                        hits = solvable & in_class[n3 % n_amb]
-                        hits &= ~((s1 == s2) & (n3 % n_amb == s1))
-                        if hits.any():
-                            ii, jj = np.nonzero(hits)
-                            for i, j in zip(ii.tolist(), jj.tolist()):
-                                cand = (
-                                    int(members[i]),
-                                    int(members[j]),
-                                    int((base[i, j] + u * ng) % n_amb),
-                                    a,
-                                    b,
-                                )
-                                if best is None or cand < best:
-                                    best = cand
-                else:
-                    solvable = t % s == 0
-                    n3 = t // s
-                    hits = solvable & in_class[np.clip(n3, 0, n_amb - 1)] & (n3 < n_amb)
-                    hits &= ~((s1 == s2) & (n3 == s1))
-                    if hits.any():
-                        ii, jj = np.nonzero(hits)
-                        for i, j in zip(ii.tolist(), jj.tolist()):
-                            cand = (int(members[i]), int(members[j]), int(n3[i, j]), a, b)
-                            if best is None or cand < best:
-                                best = cand
+        in_class = col == color
+        members = np.flatnonzero(in_class).astype(np.int64)
+        cand = _least_k_pattern(members, in_class, k, coloring.ambient == CYCLIC)
+        if cand is not None and (best is None or cand < best):
+            best = cand
     if best is None:
         return None
     n1, n2, n3, a, b = best

@@ -14,7 +14,7 @@ integer/rational arithmetic; coefficients grow factorially, so no floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 __all__ = [
@@ -86,13 +86,10 @@ class BinomialSystem:
     """Canonical integer equation ``sum_i e_i n_i = 0``.
 
     Canonical means: all e_i nonzero, sum zero, gcd of |e_i| equal to 1, and
-    e_1 > 0.  ``source`` records how the system arose and is ignored by
-    equality so that the length-k progression system compares equal to the
-    one derived from offsets (0, ..., k-1).
+    e_1 > 0.
     """
 
     e: tuple[int, ...]
-    source: str = field(default="k-binomial", compare=False)
 
     def __post_init__(self):
         e = tuple(int(x) for x in self.e)
@@ -113,24 +110,16 @@ class BinomialSystem:
         return len(self.e)
 
 
-def _canonicalize(e, source):
-    g = math.gcd(*(abs(x) for x in e))
-    e = tuple(x // g for x in e)
-    if e[0] < 0:
-        e = tuple(-x for x in e)
-    return BinomialSystem(e, source)
-
-
 def k_binomial_system(k: int) -> BinomialSystem:
     """Alternating binomial row for the k-term progression, e.g. (1, -3, 3, -1).
 
-    These are the coefficients annihilated by (k-2)-nd powers of a
-    progression; see ``a_binomial_system`` for the general identity.
+    This is ``a_binomial_system(PatternSpec.ap(k))``: for offsets 0..k-1,
+    c_i = (-1)^(k-1-i) i! (k-1-i)!, and clearing denominators leaves the
+    signed binomial coefficients of row k-1.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
-    e = tuple((-1) ** i * math.comb(k - 1, i) for i in range(k))
-    return BinomialSystem(e, "k-binomial")
+    return a_binomial_system(PatternSpec.ap(k))
 
 
 def a_coefficients(spec: PatternSpec) -> tuple[int, ...]:
@@ -149,15 +138,16 @@ def a_coefficients(spec: PatternSpec) -> tuple[int, ...]:
 def a_binomial_system(spec: PatternSpec) -> BinomialSystem:
     """Clear denominators in ``sum_i n_i / c_i = 0`` and canonicalize.
 
-    For offsets (0, 1, ..., k-1) the result equals ``k_binomial_system(k)``.
+    The reciprocals of the c_i sum to zero, which ``BinomialSystem`` checks.
     """
     c = a_coefficients(spec)
     lcm = 1
     for ci in c:
         lcm = math.lcm(lcm, abs(ci))
     e = tuple(lcm // ci for ci in c)
-    assert sum(e) == 0  # reciprocal-sum identity
-    return _canonicalize(e, "a-binomial")
+    g = math.gcd(*e)
+    sign = 1 if e[0] > 0 else -1
+    return BinomialSystem(tuple(sign * x // g for x in e))
 
 
 def is_trivial_solution(system: BinomialSystem, values) -> bool:
@@ -399,5 +389,6 @@ def recover_ap(values, p: int, a: int, modulus: int | None = None):
                 break
     if not clause:
         return None
-    assert uniform, "congruence certificate violated"
+    if not uniform:
+        raise AssertionError("congruence certificate violated")
     return diffs[0]

@@ -24,7 +24,7 @@ from .colorings import (
     verify_binomial_pattern_free,
     verify_symmetric_ap_free,
 )
-from .patterns import PatternSpec, a_binomial_system, enumerate_pairings, is_symmetric
+from .patterns import PatternSpec, a_binomial_system
 from .sets import (
     ResidueSet,
     base9_set,
@@ -39,8 +39,10 @@ from .torus import (
     build_torus_set,
     interlace_k,
     interlace_m,
+    lambda_tilde_certificate,
     lambda_tilde_mc,
-    pattern_probability_exact,
+    sound_width,
+    _rat,
 )
 
 __all__ = ["PipelineResult", "StageError", "run_pipeline", "PIPELINES", "z22_coloring"]
@@ -76,20 +78,15 @@ class PipelineResult:
 
     def certificate(self) -> dict:
         """JSON-ready certificate; exact rationals as 'p/q' strings."""
-
-        def rat(x):
-            f = Fraction(x)
-            return f"{f.numerator}/{f.denominator}"
-
         random_count = self.marginal ** self.spec.k
         return {
             "pipeline": self.name,
             "spec": str(self.spec),
-            "marginal": rat(self.marginal),
+            "marginal": _rat(self.marginal),
             "marginal_float": float(self.marginal),
-            "epsilon": rat(self.epsilon),
+            "epsilon": _rat(self.epsilon),
             "epsilon_float": float(self.epsilon),
-            "bound": rat(self.bound),
+            "bound": _rat(self.bound),
             "bound_float": float(self.bound),
             "bound_over_random": float(self.bound / random_count),
             "mc_mean": self.mc_mean,
@@ -106,16 +103,33 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
+def _verified(name, message, verifier, *args):
+    """Run a verifier as stage ``name``; a witness fails the stage."""
+    if _stage(name, verifier, *args) is not None:
+        raise StageError(name, ValueError(message))
+
+
+def _greedy_set(system, r, m=None):
+    """Greedy solution-free set of size r, re-verified; the modulus starts at
+    m (default max(64, 4 r^2)) and doubles until the scan completes."""
+    m = m or max(64, 4 * r * r)
+    while True:
+        res = _stage("greedy-set", greedy_solution_free_set, system, m, r)
+        if res.complete:
+            break
+        m *= 2
+    _verified(
+        "verify-set", "greedy set failed verification",
+        verify_solution_free, res.set, system, "all_nontrivial",
+    )
+    return res.set
+
+
 def _finish(name, spec, base, Phi, S, samples, seed, width=None):
     A = _stage("torus-set", build_torus_set, Phi, S, spec.k, width)
-    assert A.first_marginal == A.width
-    eps = _stage("exact-probability", pattern_probability_exact, Phi, spec, "binomial")
-    system = a_binomial_system(spec)
-    # positive and negative coefficient masses agree since the sum is zero
-    pos = sum(x for x in system.e if x > 0)
-    if A.width * S.modulus * pos > Fraction(1, 2):
-        raise StageError("certificate", ValueError("width unsound for this system"))
-    bound = eps * A.width ** (spec.k - 1)
+    # bound = epsilon * width^(k-1) exactly, so epsilon is recovered below
+    # rather than paying for the exact pattern probability a second time
+    bound = _stage("exact-probability", lambda_tilde_certificate, Phi, S, spec, A.width)
     est = _stage("mc-estimate", lambda_tilde_mc, A, spec, samples, seed)
     return PipelineResult(
         name=name,
@@ -124,7 +138,7 @@ def _finish(name, spec, base, Phi, S, samples, seed, width=None):
         residues=S,
         torus_set=A,
         spec=spec,
-        epsilon=eps,
+        epsilon=bound / A.width ** (spec.k - 1),
         bound=bound,
         marginal=A.first_marginal,
         mc_mean=est.mean,
@@ -143,16 +157,18 @@ def run_thm2_6(ell: int = 1, base: Coloring | None = None, samples: int = DEFAUL
     """
     spec = PatternSpec.ap(4)
     base = base or z22_coloring()
-    if _stage("verify-base", verify_symmetric_ap_free, base, 4) is not None:
-        raise StageError("verify-base", ValueError("base coloring has a symmetric 4-AP"))
+    _verified(
+        "verify-base", "base coloring has a symmetric 4-AP", verify_symmetric_ap_free, base, 4
+    )
     psi = _stage("tensor-power", tensor_power, base, ell)
-    if _stage("verify-tensor", verify_symmetric_ap_free, psi, 4) is not None:
-        raise StageError("verify-tensor", ValueError("tensor power lost freeness"))
+    _verified("verify-tensor", "tensor power lost freeness", verify_symmetric_ap_free, psi, 4)
     Phi = _stage("interlace", interlace_k, psi, 4)
     m = 36 * Phi.r * Phi.r + 1
     S = _stage("residue-set", base9_set, Phi.r, m)
-    if _stage("verify-set", verify_solution_free, S, a_binomial_system(spec), "abba_only") is not None:
-        raise StageError("verify-set", ValueError("base-9 set failed verification"))
+    _verified(
+        "verify-set", "base-9 set failed verification",
+        verify_solution_free, S, a_binomial_system(spec), "abba_only",
+    )
     return _finish("thm2_6", spec, base, Phi, S, samples, seed)
 
 
@@ -177,8 +193,9 @@ def run_thm2_7(
         raise ValueError("k must be even and at least 4")
     spec = PatternSpec.ap(k)
     base = base or z22_coloring()
-    if _stage("verify-base", verify_symmetric_ap_free, base, k) is not None:
-        raise StageError("verify-base", ValueError(f"base coloring has a symmetric {k}-AP"))
+    _verified(
+        "verify-base", f"base coloring has a symmetric {k}-AP", verify_symmetric_ap_free, base, k
+    )
     phi = _stage("tensor-power", tensor_power, base, ell)
     if k > 4:
         chi = _stage(
@@ -187,16 +204,7 @@ def run_thm2_7(
         )
         phi = _stage("product", product_coloring, phi, chi)
     Phi = _stage("interlace", interlace_k, phi, k)
-    system = a_binomial_system(spec)
-    m = greedy_m or max(64, 4 * Phi.r * Phi.r)
-    while True:
-        res = _stage("greedy-set", greedy_solution_free_set, system, m, Phi.r)
-        if res.complete:
-            break
-        m *= 2
-    S = res.set
-    if _stage("verify-set", verify_solution_free, S, system, "all_nontrivial") is not None:
-        raise StageError("verify-set", ValueError("greedy set failed verification"))
+    S = _greedy_set(a_binomial_system(spec), Phi.r, greedy_m)
     return _finish("thm2_7", spec, base, Phi, S, samples, seed)
 
 
@@ -224,16 +232,7 @@ def run_thm2_5(
             lambda: covering_coloring(behrend_set(base_n, k), seed=seed),
         )
     Phi = _stage("interlace", interlace_k, base, k)
-    system = a_binomial_system(spec)
-    m = greedy_m or max(64, 4 * Phi.r * Phi.r)
-    while True:
-        res = _stage("greedy-set", greedy_solution_free_set, system, m, Phi.r)
-        if res.complete:
-            break
-        m *= 2
-    S = res.set
-    if _stage("verify-set", verify_solution_free, S, system, "all_nontrivial") is not None:
-        raise StageError("verify-set", ValueError("greedy set failed verification"))
+    S = _greedy_set(a_binomial_system(spec), Phi.r, greedy_m)
     return _finish("thm2_5", spec, base, Phi, S, samples, seed)
 
 
@@ -256,30 +255,18 @@ def run_lemma7_10(
     base = base or z22_coloring()
     if base.ambient != CYCLIC:
         raise ValueError("base must be cyclic")
-    if _stage("verify-base", verify_binomial_pattern_free, base, spec) is not None:
-        raise StageError(
-            "verify-base", ValueError("base coloring has a binomial pattern for this spec")
-        )
+    _verified(
+        "verify-base", "base coloring has a binomial pattern for this spec",
+        verify_binomial_pattern_free, base, spec,
+    )
     span = spec.a[-1] - spec.a[0] + 1
     m_phase = math.factorial(span)
     Phi = _stage("interlace", interlace_m, base, m_phase)
     system = a_binomial_system(spec)
-    m = max(64, 4 * Phi.r * Phi.r)
-    while True:
-        res = _stage("greedy-set", greedy_solution_free_set, system, m, Phi.r)
-        if res.complete:
-            break
-        m *= 2
-    S = res.set
-    if _stage("verify-set", verify_solution_free, S, system, "all_nontrivial") is not None:
-        raise StageError("verify-set", ValueError("greedy set failed verification"))
-    # default slab width 1/(2^k m) is only sound when coefficient mass allows;
-    # shrink to the sound width otherwise
-    pos = sum(x for x in system.e if x > 0)
-    neg = -sum(x for x in system.e if x < 0)
-    width = Fraction(1, (2**spec.k) * S.modulus)
-    if width * S.modulus * max(pos, neg) > Fraction(1, 2):
-        width = Fraction(1, 2 * max(pos, neg) * S.modulus)
+    S = _greedy_set(system, Phi.r)
+    # the default slab width 1/(2^k m) is only sound when the coefficient
+    # mass allows; shrink to the sound width otherwise
+    width = min(Fraction(1, (2**spec.k) * S.modulus), sound_width(system, S.modulus))
     return _finish("lemma7_10", spec, base, Phi, S, samples, seed, width)
 
 

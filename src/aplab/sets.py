@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .colorings import CYCLIC, Coloring
+from .colorings import CYCLIC, Coloring, _least_k_pattern
 from .errors import BudgetExceededError, FormatError
 from .patterns import (
     BinomialSystem,
@@ -133,39 +133,10 @@ def verify_set_pattern_free(S: ResidueSet, k: int):
     """None if no triple (n1, n2, n3) in S^3, not all equal, satisfies
     a*n1 + b*n2 = (a+b)*n3 mod m with positive a, b, a+b <= k-1; else the
     first offending (n1, n2, n3, a, b) in lexicographic order."""
-    m = S.modulus
     elems = np.asarray(S.elements, dtype=np.int64)
-    if len(elems) == 0:
-        return None
-    member = np.zeros(m, dtype=bool)
+    member = np.zeros(S.modulus, dtype=bool)
     member[elems] = True
-    best = None
-    for a in range(1, k - 1):
-        for b in range(1, k - a):
-            s = a + b
-            g = math.gcd(s, m)
-            mg = m // g
-            inv = pow(s // g, -1, mg)
-            t = (a * elems[:, None] + b * elems[None, :]) % m
-            solvable = t % g == 0
-            base = ((t // g) * inv) % mg
-            for u in range(g):
-                n3 = (base + u * mg) % m
-                hits = solvable & member[n3]
-                hits &= ~((elems[:, None] == elems[None, :]) & (n3 == elems[:, None]))
-                if hits.any():
-                    ii, jj = np.nonzero(hits)
-                    for i, j in zip(ii.tolist(), jj.tolist()):
-                        cand = (
-                            int(elems[i]),
-                            int(elems[j]),
-                            int(n3[i, j]),
-                            a,
-                            b,
-                        )
-                        if best is None or cand < best:
-                            best = cand
-    return best
+    return _least_k_pattern(elems, member, k, cyclic=True)
 
 
 # ---------------------------------------------------------------------------

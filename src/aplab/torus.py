@@ -44,6 +44,7 @@ __all__ = [
     "build_torus_set",
     "lambda_tilde_mc",
     "lambda_tilde_certificate",
+    "sound_width",
     "torus_coloring_to_text",
     "torus_coloring_from_text",
     "torus_set_to_text",
@@ -179,7 +180,8 @@ def pattern_cells(spec: PatternSpec) -> list[tuple[tuple[int, ...], Fraction]]:
             sm = (lo + hi) / 2
             g = tuple(math.floor(sm + a * tm) for a in offsets)
             cells[g] = cells.get(g, Fraction(0)) + width * (hi - lo)
-    assert sum(cells.values()) == 1
+    if sum(cells.values()) != 1:
+        raise AssertionError("cell areas do not sum to 1")
     return sorted(cells.items())
 
 
@@ -418,10 +420,16 @@ def build_torus_set(Phi: TorusColoring, S: ResidueSet, k: int, width: Fraction |
 # the progression functional
 
 
-def _solution_weights(system):
-    pos = sum(x for x in system.e if x > 0)
-    neg = -sum(x for x in system.e if x < 0)
-    return pos, neg
+def sound_width(system, m: int) -> Fraction:
+    """Largest slab width w with w * m * mass <= 1/2, where mass is the sum
+    of the positive e_i (equal to minus the sum of the negative ones, since
+    the coefficients sum to zero).
+
+    Up to this width a circle solution of the binomial system rounds to a
+    solution mod m of the slot residues, which the certificate relies on.
+    """
+    mass = sum(x for x in system.e if x > 0)
+    return Fraction(1, 2 * mass * m)
 
 
 def lambda_tilde_mc(
@@ -480,23 +488,18 @@ def lambda_tilde_certificate(
     functional of the torus set built from (Phi, S), with epsilon the exact
     binomial-pattern probability of Phi.
 
-    Soundness needs the rounding step: the slab widths must be small enough
-    that a circle solution of the binomial system pins the slot residues to a
-    solution mod m, i.e. width * m * max(sum of positive e_i, -sum of
-    negative e_i) <= 1/2.  Violations raise instead of returning an
-    unsound bound.
+    Soundness needs the rounding step: the slab width must not exceed
+    ``sound_width``.  Violations raise instead of returning an unsound bound.
     """
-    system = a_binomial_system(spec)
     k = spec.k
     m = S.modulus
     if width is None:
         width = Fraction(1, (2**k) * m)
     width = Fraction(width)
-    pos, neg = _solution_weights(system)
-    if width * m * max(pos, neg) > Fraction(1, 2):
+    limit = sound_width(a_binomial_system(spec), m)
+    if width > limit:
         raise ValueError(
-            "width too large for a sound certificate with this system; "
-            f"need width*m*{max(pos, neg)} <= 1/2"
+            f"width too large for a sound certificate with this system; need width <= {limit}"
         )
     eps = pattern_probability_exact(Phi, spec, "binomial")
     return eps * width ** (k - 1)
@@ -504,6 +507,12 @@ def lambda_tilde_certificate(
 
 # ---------------------------------------------------------------------------
 # file formats
+
+
+def _rat(x) -> str:
+    """Exact rational as 'p/q' (integers too, e.g. '1/1')."""
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}"
 
 
 def torus_coloring_to_text(tc: TorusColoring) -> str:
@@ -529,9 +538,8 @@ def torus_coloring_from_text(text: str) -> TorusColoring:
 
 
 def torus_set_to_text(ts: TorusSet, coloring_path: str) -> str:
-    w = ts.width
     slots = " ".join(str(s) for s in ts.slots)
-    return f"{coloring_path}\n{ts.m} {w.numerator}/{w.denominator}\n{slots}\n"
+    return f"{coloring_path}\n{ts.m} {_rat(ts.width)}\n{slots}\n"
 
 
 def torus_set_from_text(text: str, load_coloring) -> TorusSet:

@@ -241,7 +241,7 @@ def test_criterion_07b_certificate_below_random_count(thm26_result):
 
 def test_criterion_08a_slab_convergence():
     spec = PatternSpec.ap(4)
-    reference = oracles.slab_volume(0.25, k_binomial_system(4).e)
+    reference = oracles.slab_volume(0.25, k_binomial_system(4).e, gridsize=1 << 10)
     f = quadratic_indicator(4001, Fraction(1, 4))
     lam = float(lambda_exact(f, spec))
     gap = abs(lam - reference)

@@ -240,3 +240,18 @@ class TestBudgetOverride:
         out = tmp_path / "phi.txt"
         code = main(["interlace", "--input", z22_file, "--k", "4", "--out", str(out)])
         assert code == 2
+
+
+class TestStageErrors:
+    @pytest.mark.parametrize(
+        "argv,stage",
+        [
+            (["pipeline", "--name", "thm2_6", "--ell", "5"], "tensor-power"),
+            (["pipeline", "--name", "thm2_7", "--k", "6"], "greedy-set"),
+        ],
+    )
+    def test_failed_stage_exits_2_and_names_stage(self, capsys, argv, stage):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: stage '{stage}': ")

@@ -63,6 +63,10 @@ class TestBinomialSystems:
         with pytest.raises(ValueError):
             k_binomial_system(2)
 
+    def test_alternating_binomial_row(self):
+        for k in range(3, 21):
+            assert k_binomial_system(k).e == tuple((-1) ** i * comb(k - 1, i) for i in range(k))
+
     def test_canonical_invariants(self):
         with pytest.raises(ValueError):
             BinomialSystem((2, -6, 6, -2))  # gcd 2

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from aplab import pipelines, torus
 from aplab.colorings import CYCLIC, Coloring, verify_symmetric_ap_free
 from aplab.patterns import PatternSpec, a_binomial_system
 from aplab.pipelines import (
+    PIPELINES,
     StageError,
     run_lemma7_10,
     run_pipeline,
@@ -14,7 +16,7 @@ from aplab.pipelines import (
     z22_coloring,
 )
 from aplab.sets import verify_solution_free
-from aplab.torus import pattern_probability_exact
+from aplab.torus import lambda_tilde_certificate, pattern_probability_exact
 
 
 class TestThm26:
@@ -98,3 +100,23 @@ class TestDeterminism:
         a = run_thm2_6(ell=1, samples=30_000, seed=3).certificate()
         b = run_thm2_6(ell=1, samples=30_000, seed=3).certificate()
         assert a == b
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("name", sorted(PIPELINES))
+    def test_one_exact_probability_and_bound_is_certificate(self, name, monkeypatch):
+        # the exact probability dominates a run, so it must be computed once
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return pattern_probability_exact(*args, **kwargs)
+
+        for module in (torus, pipelines):
+            monkeypatch.setattr(module, "pattern_probability_exact", counting, raising=False)
+        res = run_pipeline(name, samples=1000)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert res.bound == lambda_tilde_certificate(
+            res.interlaced, res.residues, res.spec, res.torus_set.width
+        )

@@ -71,6 +71,19 @@ class TestBehrend:
         n1, n2, n3, a, b = w
         assert (a * n1 + b * n2 - (a + b) * n3) % 9 == 0
 
+    def test_set_pattern_verifier_matches_naive_oracle(self):
+        # S as one color class and every other residue a singleton class, so
+        # the first monochromatic triple in lex order is the first one in S
+        rng = random.Random(5)
+        for _ in range(20):
+            m = rng.randint(2, 16)
+            s = ResidueSet(m, tuple(rng.sample(range(m), rng.randint(1, m))))
+            k = rng.randint(3, 6)
+            colors = [1 if x in s.elements else 2 + x for x in range(m)]
+            assert verify_set_pattern_free(s, k) == oracles.naive_mono_pattern_witness(
+                colors, "cyclic", k
+            )
+
 
 class TestCoveringColoring:
     def test_full_set_one_color(self):
