@@ -168,9 +168,72 @@ def coloring_from_text(text: str) -> Coloring:
 # scan engine
 
 
+def _doubled(values) -> np.ndarray:
+    """concat(c, c): a length-N cyclic array laid out so that every cyclic
+    shift of it is one contiguous slice (see ``_shift_views``)."""
+    c = np.asarray(values)
+    return np.concatenate((c, c))
+
+
+def _shift_views(doubled, shifts):
+    """Views v_i with v_i[x] = c_i[(x + s_i) mod N], one per pair of a doubled
+    array ``doubled[i]`` = concat(c_i, c_i) and a shift ``shifts[i]``.
+
+    Each view is the slice c2[s:s+N] with s = s_i mod N, so reading the
+    values at x + s_i for every x costs no gather and no copy.
+    """
+    n = len(doubled[0]) // 2
+    return [c2[s % n : s % n + n] for c2, s in zip(doubled, shifts)]
+
+
+def _predicate_clauses(spec: PatternSpec, predicate: str, subset=None):
+    """Compile a pattern predicate to a clause list, evaluated as an OR.
+
+    Each clause is ("pairing", pairs), meaning every listed index pair shares
+    a color, or ("subset", idx), meaning all listed positions share a color.
+    "binomial" lists the coefficient-negating pairings (even k only) and then
+    the zero-sum coefficient subsets of size >= 3; "symmetric" is the single
+    pairing i <-> k-1-i; "mono" is one subset, all positions by default.
+    """
+    k = spec.k
+    if predicate == "binomial":
+        clauses = []
+        if k % 2 == 0:
+            clauses += [("pairing", p.pairs) for p in enumerate_pairings(spec)]
+        clauses += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec), 3)]
+        return clauses
+    if predicate == "symmetric":
+        if k % 2:
+            raise ValueError("symmetric predicate needs even k")
+        return [("pairing", tuple((i, k - 1 - i) for i in range(k // 2)))]
+    if predicate == "mono":
+        idx = tuple(subset) if subset is not None else tuple(range(k))
+        if len(idx) < 2:
+            raise ValueError("mono predicate needs at least 2 positions")
+        return [("subset", idx)]
+    raise ValueError(f"unknown predicate {predicate!r}")
+
+
+def _eval_clauses(clauses, cols):
+    """OR of the clauses over the colors ``cols[i]`` at position i; elementwise
+    on arrays, a plain truth value on scalars."""
+    mask = None
+    for kind, data in clauses:
+        if kind == "pairing":
+            m = cols[data[0][0]] == cols[data[0][1]]
+            for i, j in data[1:]:
+                m &= cols[i] == cols[j]
+        else:
+            m = cols[data[0]] == cols[data[1]]
+            for i in data[2:]:
+                m &= cols[data[0]] == cols[i]
+        mask = m if mask is None else (mask | m)
+    return mask
+
+
 def _iter_color_tuples(coloring: Coloring, offsets, signed=False):
-    """Yield (d, ns, cols) with ns the valid start points for difference d and
-    cols[i] the colors at n + offsets[i]*d.
+    """Yield (d, lo, cols) with cols[i][j] the color at n + offsets[i]*d for
+    the j-th valid start point n = lo + j of difference d.
 
     offsets must be normalized (first entry 0, increasing).  Cyclic ambient
     scans d over 1..N-1, which already covers negated differences; interval
@@ -181,25 +244,31 @@ def _iter_color_tuples(coloring: Coloring, offsets, signed=False):
     n_amb = coloring.n
     amax = offsets[-1]
     if coloring.ambient == CYCLIC:
-        base = np.arange(n_amb, dtype=np.int64)
+        doubled = [_doubled(col)] * len(offsets)
         for d in range(1, n_amb):
-            cols = [col[(base + o * d) % n_amb] for o in offsets]
-            yield d, base, cols
+            yield d, 0, _shift_views(doubled, [o * d for o in offsets])
         return
     ds = list(range(1, (n_amb - 1) // amax + 1)) if amax <= n_amb - 1 else []
     if signed:
         ds = ds + [-d for d in ds]
     for d in ds:
-        if d > 0:
-            ns = np.arange(0, n_amb - amax * d, dtype=np.int64)
-        else:
-            ns = np.arange(amax * (-d), n_amb, dtype=np.int64)
-        cols = [col[ns + o * d] for o in offsets]
-        yield d, ns, cols
+        lo, hi = (0, n_amb - amax * d) if d > 0 else (amax * -d, n_amb)
+        yield d, lo, [col[lo + o * d : hi + o * d] for o in offsets]
 
 
-def _first_true(ns, mask):
-    return int(ns[int(np.argmax(mask))])
+def _least_hit(coloring: Coloring, offsets, clauses, signed=False):
+    """(n, d, clause) for the lexicographically least (n, d) at which some
+    clause holds on the colors at n + offsets[i]*d, with the first clause, in
+    list order, that holds there; None when no clause holds anywhere."""
+    best = None
+    for d, lo, cols in _iter_color_tuples(coloring, offsets, signed):
+        mask = _eval_clauses(clauses, cols)
+        if mask.any():
+            pos = int(np.argmax(mask))
+            if best is None or (lo + pos, d) < best[:2]:
+                at = [col[pos] for col in cols]
+                best = (lo + pos, d, next(cl for cl in clauses if _eval_clauses([cl], at)))
+    return best
 
 
 def _witness_at(coloring, offsets, n, d, kind, detail=None):
@@ -225,31 +294,22 @@ def verify_symmetric_ap_free(coloring: Coloring, k: int) -> Witness | None:
     a color for every i < k/2.  k must be even."""
     if k % 2 or k < 4:
         raise ValueError("k must be even and at least 4")
-    return _scan_symmetric(coloring, tuple(range(k)), "symmetric-ap")
+    return _scan_symmetric(coloring, PatternSpec.ap(k), "symmetric-ap")
 
 
 def verify_sym_a_ap_free(coloring: Coloring, spec: PatternSpec) -> Witness | None:
     """Symmetric-coloring check along a-progressions for a symmetric spec."""
     if not is_symmetric(spec):
         raise ValueError("spec must be symmetric (even k, constant a_i + a_{k+1-i})")
-    return _scan_symmetric(coloring, spec.normalized().a, "symmetric-a-ap")
+    return _scan_symmetric(coloring, spec, "symmetric-a-ap")
 
 
-def _scan_symmetric(coloring, offsets, kind):
-    k = len(offsets)
-    pairs = [(i, k - 1 - i) for i in range(k // 2)]
-    best = None
-    for d, ns, cols in _iter_color_tuples(coloring, offsets):
-        mask = cols[pairs[0][0]] == cols[pairs[0][1]]
-        for i, j in pairs[1:]:
-            mask &= cols[i] == cols[j]
-        if mask.any():
-            cand = (_first_true(ns, mask), d)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+def _scan_symmetric(coloring, spec, kind):
+    offsets = spec.normalized().a
+    hit = _least_hit(coloring, offsets, _predicate_clauses(spec, "symmetric"))
+    if hit is None:
         return None
-    return _witness_at(coloring, offsets, best[0], best[1], kind)
+    return _witness_at(coloring, offsets, hit[0], hit[1], kind)
 
 
 def verify_binomial_pattern_free(coloring: Coloring, spec: PatternSpec) -> Witness | None:
@@ -259,44 +319,20 @@ def verify_binomial_pattern_free(coloring: Coloring, spec: PatternSpec) -> Witne
 
     All pairings and all zero-sum subsets are checked.  For interval colorings
     the difference is scanned over both signs, since clause predicates need
-    not be reversal-invariant for asymmetric specs.
+    not be reversal-invariant for asymmetric specs.  The witness detail names
+    the first clause, pairings before subsets, that holds at the witness.
     """
     offsets = spec.normalized().a
-    k = spec.k
-    pairings = enumerate_pairings(spec) if k % 2 == 0 else []
-    subsets = zero_sum_subsets(a_binomial_system(spec), 3)
-    clauses = [("pairing", p.pairs) for p in pairings]
-    clauses += [("subset", idx) for idx in subsets]
+    clauses = _predicate_clauses(spec, "binomial")
     if not clauses:
         return None
-    best = None
-    best_detail = None
-    for d, ns, cols in _iter_color_tuples(coloring, offsets, signed=True):
-        any_mask = None
-        masks = []
-        for ckind, data in clauses:
-            if ckind == "pairing":
-                m = cols[data[0][0]] == cols[data[0][1]]
-                for i, j in data[1:]:
-                    m &= cols[i] == cols[j]
-            else:
-                m = cols[data[0]] == cols[data[1]]
-                for i in data[2:]:
-                    m &= cols[data[0]] == cols[i]
-            masks.append(m)
-            any_mask = m if any_mask is None else (any_mask | m)
-        if any_mask is not None and any_mask.any():
-            pos = int(np.argmax(any_mask))
-            cand = (int(ns[pos]), d)
-            if best is None or cand < best:
-                best = cand
-                for (ckind, data), m in zip(clauses, masks):
-                    if m[pos]:
-                        best_detail = {"clause": ckind, ckind: data}
-                        break
-    if best is None:
+    hit = _least_hit(coloring, offsets, clauses, signed=True)
+    if hit is None:
         return None
-    return _witness_at(coloring, offsets, best[0], best[1], "binomial-pattern", best_detail)
+    n, d, (ckind, data) = hit
+    return _witness_at(
+        coloring, offsets, n, d, "binomial-pattern", {"clause": ckind, ckind: data}
+    )
 
 
 def _least_k_pattern(members: np.ndarray, in_class: np.ndarray, k: int, cyclic: bool):
@@ -366,28 +402,21 @@ def verify_abab_abba_free(coloring: Coloring, a_bound: int) -> Witness | None:
     """
     if a_bound < 4:
         raise ValueError("a_bound must be at least 4")
+    abab = ("pairing", ((0, 2), (1, 3)))
+    abba = ("pairing", ((0, 3), (1, 2)))
     best = None
-    best_info = None
     for quad in combinations(range(1, a_bound + 1), 4):
         offsets = tuple(x - quad[0] for x in quad)
         asym = quad[0] + quad[3] != quad[1] + quad[2]
-        for d, ns, cols in _iter_color_tuples(coloring, offsets):
-            abab = (cols[0] == cols[2]) & (cols[1] == cols[3])
-            if abab.any():
-                cand = (_first_true(ns, abab), d, quad, "abab")
-                if best is None or cand[:2] + (cand[2],) < best[:2] + (best[2],):
-                    best, best_info = cand, ("abab", quad, offsets)
-            if asym:
-                abba = (cols[0] == cols[3]) & (cols[1] == cols[2])
-                if abba.any():
-                    cand = (_first_true(ns, abba), d, quad, "abba")
-                    if best is None or cand[:2] + (cand[2],) < best[:2] + (best[2],):
-                        best, best_info = cand, ("asymmetric-abba", quad, offsets)
+        hit = _least_hit(coloring, offsets, [abab, abba] if asym else [abab])
+        # quads come in increasing order, so an equal (n, d) keeps the first
+        if hit is not None and (best is None or hit[:2] < best[:2]):
+            kind = "abab" if hit[2] == abab else "asymmetric-abba"
+            best = (hit[0], hit[1], quad, offsets, kind)
     if best is None:
         return None
-    kind, quad, offsets = best_info
-    w = _witness_at(coloring, offsets, best[0], best[1], kind, {"quad": quad})
-    return w
+    n, d, quad, offsets, kind = best
+    return _witness_at(coloring, offsets, n, d, kind, {"quad": quad})
 
 
 # ---------------------------------------------------------------------------

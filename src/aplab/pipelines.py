@@ -42,6 +42,7 @@ from .torus import (
     lambda_tilde_certificate,
     lambda_tilde_mc,
     sound_width,
+    _default_width,
     _rat,
 )
 
@@ -219,7 +220,9 @@ def run_thm2_5(
     interlacing -> greedy solution-free set.
 
     Odd k has no pairings, so the binomial-pattern predicate reduces to
-    monochromatic zero-sum subsets.
+    monochromatic zero-sum subsets.  At the default base_n = 1 the palette is
+    k^2, so for k >= 7 the greedy partial-sum tables exceed the table budget
+    and the run stops at stage "greedy-set" with a budget error.
     """
     if k % 2 == 0 or k < 5:
         raise ValueError("k must be odd and at least 5")
@@ -249,7 +252,8 @@ def run_lemma7_10(
     The default spec (0,1,2,3) has the symmetric pairing only, so the bundled
     Z/22Z coloring (no symmetric 4-APs, hence no monochromatic ones either)
     is a valid base.  Other specs need a base free of the spec's binomial
-    patterns; this is verified, not assumed.
+    patterns; this is verified, not assumed, so with the bundled base a spec
+    such as (0,1,3) stops at stage "verify-base" and needs its own ``base``.
     """
     spec = PatternSpec(tuple(a))
     base = base or z22_coloring()
@@ -266,7 +270,7 @@ def run_lemma7_10(
     S = _greedy_set(system, Phi.r)
     # the default slab width 1/(2^k m) is only sound when the coefficient
     # mass allows; shrink to the sound width otherwise
-    width = min(Fraction(1, (2**spec.k) * S.modulus), sound_width(system, S.modulus))
+    width = min(_default_width(spec.k, S.modulus), sound_width(system, S.modulus))
     return _finish("lemma7_10", spec, base, Phi, S, samples, seed, width)
 
 

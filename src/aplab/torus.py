@@ -19,14 +19,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .colorings import Coloring
-from .errors import BudgetExceededError, FormatError
-from .patterns import (
-    PatternSpec,
-    a_binomial_system,
-    enumerate_pairings,
-    zero_sum_subsets,
+from .colorings import (
+    Coloring,
+    _doubled,
+    _eval_clauses,
+    _predicate_clauses,
+    _shift_views,
 )
+from .errors import BudgetExceededError, FormatError
+from .patterns import PatternSpec, a_binomial_system
 from .sets import ResidueSet
 
 __all__ = [
@@ -185,53 +186,12 @@ def pattern_cells(spec: PatternSpec) -> list[tuple[tuple[int, ...], Fraction]]:
     return sorted(cells.items())
 
 
-def _predicate_clauses(spec, predicate, subset):
-    """Clause list evaluated as an OR; each clause is ("pairs", pairs) meaning
-    all listed index pairs share a color, or ("equal", idx) meaning all listed
-    positions share a color."""
-    k = spec.k
-    if predicate == "binomial":
-        clauses = []
-        if k % 2 == 0:
-            clauses += [("pairs", p.pairs) for p in enumerate_pairings(spec)]
-        clauses += [
-            ("equal", idx) for idx in zero_sum_subsets(a_binomial_system(spec), 3)
-        ]
-        return clauses
-    if predicate == "symmetric":
-        if k % 2:
-            raise ValueError("symmetric predicate needs even k")
-        return [("pairs", tuple((i, k - 1 - i) for i in range(k // 2)))]
-    if predicate == "mono":
-        idx = tuple(subset) if subset is not None else tuple(range(k))
-        if len(idx) < 2:
-            raise ValueError("mono predicate needs at least 2 positions")
-        return [("equal", idx)]
-    raise ValueError(f"unknown predicate {predicate!r}")
-
-
-def _eval_clauses(clauses, cols):
-    mask = None
-    for kind, data in clauses:
-        if kind == "pairs":
-            m = cols[data[0][0]] == cols[data[0][1]]
-            for i, j in data[1:]:
-                m &= cols[i] == cols[j]
-        else:
-            m = cols[data[0]] == cols[data[1]]
-            for i in data[2:]:
-                m &= cols[data[0]] == cols[i]
-        mask = m if mask is None else (mask | m)
-    return mask
-
-
 def pattern_probability_exact(
     Phi: TorusColoring,
     spec: PatternSpec,
     predicate: str = "binomial",
     subset=None,
     work_cap: int = EXACT_WORK_CAP,
-    chunk: int = 512,
 ) -> Fraction:
     """Exact probability over uniform (x, y) on the torus that the colors of
     x + a_1 y, ..., x + a_k y satisfy the predicate.
@@ -251,26 +211,14 @@ def pattern_probability_exact(
     clauses = _predicate_clauses(spec, predicate, subset)
     if not clauses:
         return Fraction(0)
-    colors = Phi.as_array
-    q = np.arange(D, dtype=np.int64)[None, :]
-    total = Fraction(0)
-    for start in range(0, D, chunk):
-        p = np.arange(start, min(D, start + chunk), dtype=np.int64)[:, None]
-        bases = [(p + a * q) % D for a in offsets]
-        for g, area in cells:
-            cols = []
-            for i in range(len(offsets)):
-                idx = bases[i] + g[i]
-                if g[i] < D:
-                    np.subtract(idx, D, out=idx, where=idx >= D)
-                else:
-                    idx %= D
-                cols.append(colors[idx])
-            mask = _eval_clauses(clauses, cols)
-            cnt = int(mask.sum())
-            if cnt:
-                total += area * cnt
-    return total / (D * D)
+    doubled = [_doubled(Phi.as_array)] * len(offsets)
+    counts = [0] * len(cells)
+    for q in range(D):
+        # cell of x + a_i y over all p at once: (p + a_i q + g_i) mod D
+        for j, (g, _) in enumerate(cells):
+            cols = _shift_views(doubled, [a * q + gi for a, gi in zip(offsets, g)])
+            counts[j] += int(np.count_nonzero(_eval_clauses(clauses, cols)))
+    return sum(area * cnt for (_, area), cnt in zip(cells, counts)) / (D * D)
 
 
 def pattern_probability_mc(
@@ -406,13 +354,18 @@ class DiagonalStrip:
         return Fraction(int(self.contains_exact(x, y)))
 
 
+def _default_width(k: int, m: int) -> Fraction:
+    """The default slab width 1/(2^k m) of a torus set over residues mod m."""
+    return Fraction(1, (2**k) * m)
+
+
 def build_torus_set(Phi: TorusColoring, S: ResidueSet, k: int, width: Fraction | None = None) -> TorusSet:
     """Assign color j the y-interval starting at s_j/m, width 1/(2^k m) by
     default; S must provide at least r residues (taken in sorted order)."""
     if len(S) < Phi.r:
         raise ValueError(f"need at least {Phi.r} residues, got {len(S)}")
     if width is None:
-        width = Fraction(1, (2**k) * S.modulus)
+        width = _default_width(k, S.modulus)
     return TorusSet(Phi, S.modulus, Fraction(width), S.elements[: Phi.r])
 
 
@@ -494,7 +447,7 @@ def lambda_tilde_certificate(
     k = spec.k
     m = S.modulus
     if width is None:
-        width = Fraction(1, (2**k) * m)
+        width = _default_width(k, m)
     width = Fraction(width)
     limit = sound_width(a_binomial_system(spec), m)
     if width > limit:

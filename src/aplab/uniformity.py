@@ -15,7 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .colorings import INTERVAL, Coloring, verify_symmetric_ap_free
+from .colorings import (
+    INTERVAL,
+    Coloring,
+    _doubled,
+    _shift_views,
+    verify_symmetric_ap_free,
+)
 from .errors import BudgetExceededError, FormatError
 from .patterns import PatternSpec
 from .torus import Estimate, lambda_tilde_mc
@@ -54,7 +60,8 @@ class GridFunction:
         self.values = np.asarray(values, dtype=np.float64)
         if self.values.ndim != 1 or len(self.values) == 0:
             raise ValueError("values must be a nonempty 1-D sequence")
-        if self.values.min() < -1e-12 or self.values.max() > 1 + 1e-12:
+        # written so that NaN, which fails every comparison, is rejected too
+        if not np.all((self.values >= -1e-12) & (self.values <= 1 + 1e-12)):
             raise ValueError("values must lie in [0, 1]")
         self.exact = tuple(exact) if exact is not None else None
         if self.exact is not None and len(self.exact) != len(self.values):
@@ -137,17 +144,10 @@ def lambda_exact(fs, spec: PatternSpec, rational_cap: int = LAMBDA_RATIONAL_N_CA
     if any(f.N != N for f in fs):
         raise ValueError("grids must share N")
     offsets = spec.normalized().a
-    if all(f.is_indicator for f in fs):
-        cols = [np.asarray([int(v) for v in f.exact], dtype=np.int64) for f in fs]
-        base = np.arange(N, dtype=np.int64)
-        total = 0
-        for d in range(N):
-            prod = cols[0][(base + offsets[0] * d) % N]
-            for f, o in zip(cols[1:], offsets[1:]):
-                prod = prod * f[(base + o * d) % N]
-            total += int(prod.sum())
-        return Fraction(total, N * N)
-    if all(f.exact is not None for f in fs):
+    indicator = all(f.is_indicator for f in fs)
+    if indicator:
+        doubled = [_doubled([int(v) for v in f.exact]) for f in fs]
+    elif all(f.exact is not None for f in fs):
         if N > rational_cap:
             raise BudgetExceededError(
                 f"exact rational density capped at N <= {rational_cap}"
@@ -160,14 +160,16 @@ def lambda_exact(fs, spec: PatternSpec, rational_cap: int = LAMBDA_RATIONAL_N_CA
                     prod *= Fraction(f.exact[(n + o * d) % N])
                 total += prod
         return total / (N * N)
-    base = np.arange(N, dtype=np.int64)
-    acc = 0.0
+    else:
+        doubled = [_doubled(f.values) for f in fs]
+    total = 0
     for d in range(N):
-        prod = fs[0].values[(base + offsets[0] * d) % N].copy()
-        for f, o in zip(fs[1:], offsets[1:]):
-            prod *= f.values[(base + o * d) % N]
-        acc += float(prod.sum())
-    return acc / (N * N)
+        views = _shift_views(doubled, [o * d for o in offsets])
+        prod = views[0] * views[1]
+        for v in views[2:]:
+            prod *= v
+        total += prod.sum().item()
+    return Fraction(total, N * N) if indicator else total / (N * N)
 
 
 # ---------------------------------------------------------------------------

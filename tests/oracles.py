@@ -95,6 +95,43 @@ def naive_binomial_witness(colors, ambient, spec_offsets, coeffs, e):
     return None
 
 
+def naive_pattern_probability(cell_colors, spec_offsets, coeffs, e, cells, predicate, subset=None):
+    """Exact probability over uniform (x, y) on the circle that the colors at
+    x + a_i y satisfy the predicate, for a coloring constant on the D cells
+    [j/D, (j+1)/D).
+
+    Takes the (s, t) decomposition ``cells`` (floor vector, area) as given
+    and counts every (p, q) cell pair with plain loops: with x = (p+s)/D and
+    y = (q+t)/D the cell of x + a_i y is (p + a_i q + g_i) mod D.  Pairings
+    and zero-sum subsets are recomputed here from scratch.
+    """
+    D = len(cell_colors)
+    k = len(spec_offsets)
+    offsets = tuple(o - spec_offsets[0] for o in spec_offsets)
+    if predicate == "binomial":
+        pairings = brute_pairings(coeffs) if k % 2 == 0 else []
+        subsets = [
+            idx
+            for size in range(3, k + 1)
+            for idx in combinations(range(k), size)
+            if sum(e[i] for i in idx) == 0
+        ]
+    elif predicate == "symmetric":
+        pairings, subsets = [sym_pairs(k)], []
+    else:
+        pairings, subsets = [], [tuple(subset) if subset is not None else tuple(range(k))]
+    total = Fraction(0)
+    for p in range(D):
+        for q in range(D):
+            for g, area in cells:
+                cs = [cell_colors[(p + o * q + gi) % D] for o, gi in zip(offsets, g)]
+                if any(all(cs[i] == cs[j] for i, j in pairing) for pairing in pairings) or any(
+                    len({cs[i] for i in idx}) == 1 for idx in subsets
+                ):
+                    total += area
+    return total / (D * D)
+
+
 def naive_mono_pattern_witness(colors, ambient, k):
     """First monochromatic (n1, n2, n3) in lex order, full triple scan."""
     N = len(colors)

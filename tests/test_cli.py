@@ -189,6 +189,19 @@ class TestDensityAndStats:
         code, rep = run(capsys, ["spectrum", "--input", str(g)])
         assert code == 0 and rep["alpha"] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize(
+        "argv", [["spectrum"], ["gowers", "--s", "2"]], ids=["spectrum", "gowers"]
+    )
+    def test_nan_grid_rejected(self, capsys, tmp_path, argv):
+        # NaN fails every comparison, so a range check written as "below 0 or
+        # above 1" would let it through and print invalid JSON
+        g = tmp_path / "g.txt"
+        g.write_text("3\n0.5\nnan\n0.25\n")
+        assert main(argv + ["--input", str(g)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: values must lie in [0, 1]\n"
+
     def test_converge_cli(self, capsys):
         code, rep = run(
             capsys,
@@ -248,6 +261,8 @@ class TestStageErrors:
         [
             (["pipeline", "--name", "thm2_6", "--ell", "5"], "tensor-power"),
             (["pipeline", "--name", "thm2_7", "--k", "6"], "greedy-set"),
+            (["pipeline", "--name", "thm2_5", "--k", "7"], "greedy-set"),
+            (["pipeline", "--name", "lemma7_10", "--spec", "0,1,3"], "verify-base"),
         ],
     )
     def test_failed_stage_exits_2_and_names_stage(self, capsys, argv, stage):

@@ -24,7 +24,13 @@ from aplab.colorings import (
     verify_symmetric_ap_free,
 )
 from aplab.errors import BudgetExceededError, FormatError
-from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients
+from aplab.patterns import (
+    PatternSpec,
+    a_binomial_system,
+    a_coefficients,
+    enumerate_pairings,
+    zero_sum_subsets,
+)
 from aplab.sets import behrend_set, covering_coloring
 
 
@@ -204,6 +210,16 @@ class TestBinomialVerifier:
         spec = PatternSpec(a)
         coeffs = a_coefficients(spec)
         e = a_binomial_system(spec).e
+        # the clause list in its documented order: pairings, then subsets
+        clauses = [("pairing", p.pairs) for p in enumerate_pairings(spec)] if len(a) % 2 == 0 else []
+        clauses += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec), 3)]
+
+        def holds(clause, cs):
+            kind, data = clause
+            if kind == "pairing":
+                return all(cs[i] == cs[j] for i, j in data)
+            return len({cs[i] for i in data}) == 1
+
         for _ in range(12):
             c = random_coloring(rng, ambient, n_max=24, r_max=5)
             w = verify_binomial_pattern_free(c, spec)
@@ -211,6 +227,10 @@ class TestBinomialVerifier:
             assert (w is None) == (expect is None), (c, a)
             if w is not None:
                 assert (w.n, w.d) == expect
+                named = (w.detail["clause"], w.detail[w.detail["clause"]])
+                first = clauses.index(named)
+                assert holds(named, w.colors)
+                assert not any(holds(cl, w.colors) for cl in clauses[:first])
 
     def test_product_with_pattern_free_factor_spec6(self):
         # length-6 check on the product of the bundled coloring with a

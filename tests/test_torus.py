@@ -7,7 +7,12 @@ import pytest
 import oracles
 from aplab.colorings import CYCLIC, Coloring, Z22_COLORING
 from aplab.errors import BudgetExceededError
-from aplab.patterns import PatternSpec, a_binomial_system, k_binomial_system
+from aplab.patterns import (
+    PatternSpec,
+    a_binomial_system,
+    a_coefficients,
+    k_binomial_system,
+)
 from aplab.sets import ResidueSet, base9_set
 from aplab.torus import (
     ConstantField,
@@ -153,6 +158,29 @@ class TestExactProbability:
         full = pattern_probability_exact(tc, spec, "mono")
         partial = pattern_probability_exact(tc, spec, "mono", subset=(0, 3))
         assert 0 < full <= partial < 1
+
+    @pytest.mark.parametrize(
+        "a,d_range",
+        [((0, 1, 2, 3), (2, 30)), ((0, 1, 2, 4), (2, 20)), ((0, 2, 3, 7), (3, 6))],
+    )
+    def test_matches_naive_oracle(self, a, d_range):
+        # D below a_k makes the floor shifts g_i exceed D
+        rng = random.Random(sum(a) * 31 + d_range[1])
+        spec = PatternSpec(a)
+        coeffs = a_coefficients(spec)
+        e = a_binomial_system(spec).e
+        cells = pattern_cells(spec)
+        cases = [("binomial", None), ("symmetric", None), ("mono", None), ("mono", (0, 2, 3))]
+        for _ in range(6):
+            D = rng.randint(*d_range)
+            r = rng.randint(1, min(4, D))
+            tc = TorusColoring(tuple(rng.randint(1, r) for _ in range(D)))
+            for predicate, subset in cases:
+                got = pattern_probability_exact(tc, spec, predicate, subset)
+                want = oracles.naive_pattern_probability(
+                    tc.cell_colors, a, coeffs, e, cells, predicate, subset
+                )
+                assert got == want, (tc, predicate, subset)
 
     def test_work_cap(self):
         tc = TorusColoring((1, 2) * 600)
