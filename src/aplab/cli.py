@@ -5,7 +5,8 @@ gowers, spectrum, converge, extract, pipeline.  Reports go to stdout as JSON
 with sorted keys, embedding {seed, budget, version} where meaningful, so runs
 are byte-identical for identical arguments.  Exit codes: 0 success / property
 holds, 1 property violated (a witness is reported), 2 usage, I/O, format or
-budget errors, including a failed pipeline stage.
+budget errors, including a failed pipeline stage or a failed self-check (such
+as Parseval for a spectrum).
 
 Budget environment override: APLAB_CELL_BUDGET (interlacing cells).
 """
@@ -31,7 +32,7 @@ from .colorings import (
     verify_sym_a_ap_free,
     verify_symmetric_ap_free,
 )
-from .errors import BudgetExceededError, FormatError
+from .errors import BudgetExceededError, FormatError, SelfCheckError
 from .patterns import PatternSpec, a_binomial_system
 from .pipelines import StageError, run_pipeline
 from .sets import (
@@ -499,7 +500,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (FormatError, BudgetExceededError, ValueError, OSError, StageError) as exc:
+    except (
+        FormatError, BudgetExceededError, SelfCheckError, ValueError, OSError, StageError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -9,6 +9,12 @@ class BudgetExceededError(RuntimeError):
     """
 
 
+class SelfCheckError(RuntimeError):
+    """A computation failed its own consistency check (Parseval for a
+    spectrum, the cell areas of a torus decomposition, a congruence
+    certificate), so its result cannot be trusted."""
+
+
 class FormatError(ValueError):
     """A data file does not match its documented format."""
 

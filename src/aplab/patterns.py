@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import SelfCheckError
+
 __all__ = [
     "PatternSpec",
     "BinomialSystem",
@@ -390,5 +392,5 @@ def recover_ap(values, p: int, a: int, modulus: int | None = None):
     if not clause:
         return None
     if not uniform:
-        raise AssertionError("congruence certificate violated")
+        raise SelfCheckError("congruence certificate violated")
     return diffs[0]

@@ -26,7 +26,7 @@ from .colorings import (
     _predicate_clauses,
     _shift_views,
 )
-from .errors import BudgetExceededError, FormatError
+from .errors import BudgetExceededError, FormatError, SelfCheckError
 from .patterns import PatternSpec, a_binomial_system
 from .sets import ResidueSet
 
@@ -182,7 +182,7 @@ def pattern_cells(spec: PatternSpec) -> list[tuple[tuple[int, ...], Fraction]]:
             g = tuple(math.floor(sm + a * tm) for a in offsets)
             cells[g] = cells.get(g, Fraction(0)) + width * (hi - lo)
     if sum(cells.values()) != 1:
-        raise AssertionError("cell areas do not sum to 1")
+        raise SelfCheckError("cell areas do not sum to 1")
     return sorted(cells.items())
 
 

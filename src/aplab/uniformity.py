@@ -9,11 +9,11 @@ rationals, and serve as the correctness anchor for everything float-based.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .colorings import (
     INTERVAL,
@@ -22,9 +22,9 @@ from .colorings import (
     _shift_views,
     verify_symmetric_ap_free,
 )
-from .errors import BudgetExceededError, FormatError
+from .errors import BudgetExceededError, FormatError, SelfCheckError
 from .patterns import PatternSpec
-from .torus import Estimate, lambda_tilde_mc
+from .torus import lambda_tilde_mc
 
 __all__ = [
     "GridFunction",
@@ -188,9 +188,7 @@ def spectrum(f: GridFunction, keep_coefficients: bool = False) -> SpectrumReport
     energy_time = float(np.mean(f.values**2))
     scale = max(energy_time, 1e-300)
     if abs(energy_freq - energy_time) > PARSEVAL_RTOL * scale:
-        raise AssertionError(
-            f"Parseval violated: {energy_freq} vs {energy_time}"
-        )
+        raise SelfCheckError(f"Parseval violated: {energy_freq} vs {energy_time}")
     mags = np.abs(coeffs)
     alpha = float(coeffs[0].real)
     max_nonzero = float(mags[1:].max()) if N > 1 else 0.0
@@ -202,8 +200,16 @@ def gowers_norm(f: GridFunction, s: int, center: bool = False, n_cap: int = U3_N
 
     Order 2 uses the spectral identity (norm^4 equals the sum of fourth
     powers of Fourier magnitudes).  Order 3 averages the order-2 identity
-    over multiplicative derivatives, one FFT per shift, so it is
-    O(N^2 log N) and capped.
+    over the multiplicative derivatives g_h(x) = f(x) f(x + h), so it is
+    O(N^2 log N) and capped.  Two symmetries halve the work and keep the
+    sum: g_{N-h} is g_h translated by h and the order-2 norm is translation
+    invariant, so only h = 0..N//2 are transformed; and a real row has
+    |ghat(r)| = |ghat(N - r)|, so two rows share one complex FFT and only
+    r = 0..N//2 are read back.  Both sums weight an index 2, except 1 at 0
+    and at N/2 for even N.  The cost is N//2 + 1 derivative rows in
+    (N//2 + 2) // 2 complex transforms of length N, taken in blocks of shift
+    views of the doubled array; the 1/N scalings are applied once, at the
+    end.  It agrees with the one-FFT-per-shift loop to 1e-12 relative.
     """
     if s not in (2, 3):
         raise ValueError("only orders 2 and 3 are implemented")
@@ -214,12 +220,36 @@ def gowers_norm(f: GridFunction, s: int, center: bool = False, n_cap: int = U3_N
         return float(np.sum(np.abs(coeffs) ** 4) ** 0.25)
     if N > n_cap:
         raise BudgetExceededError(f"order-3 norm capped at N <= {n_cap}")
+    half = N // 2
+    j = np.arange(half + 1)
+    weight = np.where((j == 0) | (2 * j == N), 1.0, 2.0)
+    # row h is the translate x -> f(x + h)
+    shifted = sliding_window_view(_doubled(vals), N)
+    # a transform buffer of about 256 KiB; complex row i of a block carries
+    # derivative rows h0 + 2i (real part) and h0 + 2i + 1 (imaginary part),
+    # and column N repeats column 0 so that the frequencies 0, -1, ..., -N//2
+    # are one reversed slice
+    buf = np.empty((max(1, (1 << 18) // (16 * N)), N + 1), dtype=np.complex128)
     acc = 0.0
-    for h in range(N):
-        deriv = vals * np.roll(vals, h)
-        coeffs = np.fft.fft(deriv) / N
-        acc += float(np.sum(np.abs(coeffs) ** 4))
-    return float((acc / N) ** (1 / 8))
+    for h0 in range(0, half + 1, 2 * len(buf)):
+        n = min(2 * len(buf), half + 1 - h0)
+        z = buf[: (n + 1) // 2]
+        np.multiply(shifted[h0 : h0 + n : 2], vals, out=z.real[:, :N])
+        np.multiply(shifted[h0 + 1 : h0 + n : 2], vals, out=z.imag[: n // 2, :N])
+        z.imag[n // 2 :] = 0
+        z[:, :N] = np.fft.fft(z[:, :N])
+        z[:, N] = z[:, 0]
+        pos, neg = z[:, : half + 1], z[:, N : N - half - 1 : -1]
+        # |Z(r) + conj Z(-r)|^2 and |Z(r) - conj Z(-r)|^2 are four times the
+        # power at r of the real row and of the imaginary row, hence the 16
+        # in the final scaling
+        power = pos.real**2 + pos.imag**2 + neg.real**2 + neg.imag**2
+        cross = 2 * (pos.real * neg.real - pos.imag * neg.imag)
+        sums = np.empty((len(z), 2))
+        sums[:, 0] = ((power + cross) ** 2) @ weight
+        sums[:, 1] = ((power - cross) ** 2) @ weight
+        acc += float(weight[h0 : h0 + n] @ sums.ravel()[:n])
+    return float((acc / (16 * float(N) ** 5)) ** (1 / 8))
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,20 @@ def naive_gowers(values, s):
     raise ValueError(s)
 
 
+def loop_gowers_u3(values):
+    """Order-3 box norm by the spectral identity, one full complex FFT per
+    shift h = 0..N-1 with no symmetry used: the float reference for the
+    library's halved and blocked kernel, O(N^2 log N)."""
+    vals = np.asarray(values, dtype=np.float64)
+    N = len(vals)
+    acc = 0.0
+    for h in range(N):
+        deriv = vals * np.roll(vals, h)
+        coeffs = np.fft.fft(deriv) / N
+        acc += float(np.sum(np.abs(coeffs) ** 4))
+    return float((acc / N) ** (1 / 8))
+
+
 def slab_volume(alpha, e, gridsize=1 << 15):
     """Numeric convolution value of the slab functional: alpha^(k-1) times the
     chance that the coefficient combination of uniform [0, alpha) variables

@@ -189,6 +189,18 @@ class TestDensityAndStats:
         code, rep = run(capsys, ["spectrum", "--input", str(g)])
         assert code == 0 and rep["alpha"] == pytest.approx(0.25)
 
+    def test_spectrum_parseval_failure_exits_2(self, capsys, tmp_path, monkeypatch):
+        import numpy as np
+
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: 2 * fft(a, *args, **kw))
+        g = tmp_path / "g.txt"
+        g.write_text(grid_to_text(GridFunction.constant(16, Fraction(1, 4))))
+        assert main(["spectrum", "--input", str(g)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Parseval violated")
+
     @pytest.mark.parametrize(
         "argv", [["spectrum"], ["gowers", "--s", "2"]], ids=["spectrum", "gowers"]
     )

@@ -212,11 +212,31 @@ class TestGowers:
 
     def test_fast_u3_matches_naive(self):
         rng = np.random.default_rng(11)
-        for n in (6, 12, 18, 24):
+        # odd N has no weight-1 shift or frequency at N/2; N = 1 and 2 are
+        # all weight-1 terms
+        for n in (6, 12, 18, 24, 1, 2, 3, 5, 7, 13):
             f = GridFunction(rng.random(n))
             fast = gowers_norm(f, 3)
             naive = oracles.naive_gowers(f.values, 3)
             assert abs(fast - naive) <= 1e-10 * max(abs(naive), 1e-30)
+            fast = gowers_norm(f, 3, center=True)
+            naive = oracles.naive_gowers(f.values - f.mean(), 3)
+            assert abs(fast - naive) <= 1e-10 * max(abs(naive), 1e-30)
+
+    @pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
+    @pytest.mark.parametrize("n", [97, 256, 1009, 4001])
+    def test_u3_matches_loop_reference(self, n, center):
+        # with the kernel's 256 KiB transform buffer, the N//2 + 1 shifts of
+        # none of these N fill a whole number of blocks (at N = 4001 the last
+        # block holds one row); N = 256 has the weight-1 shift and frequency
+        # N/2
+        f = quadratic_indicator(n, Fraction(1, 4)) if n == 4001 else GridFunction(
+            np.random.default_rng(n).random(n)
+        )
+        vals = f.values - f.mean() if center else f.values
+        fast = gowers_norm(f, 3, center=center)
+        ref = oracles.loop_gowers_u3(vals)
+        assert abs(fast - ref) <= 1e-12 * ref
 
     def test_norm_nesting(self):
         rng = np.random.default_rng(14)
