@@ -194,6 +194,11 @@ def _predicate_clauses(spec: PatternSpec, predicate: str, subset=None):
     "binomial" lists the coefficient-negating pairings (even k only) and then
     the zero-sum coefficient subsets of size >= 3; "symmetric" is the single
     pairing i <-> k-1-i; "mono" is one subset, all positions by default.
+
+    A binomial clause whose equalities imply every equality of an earlier
+    clause is dropped (for AP4, subset (0,1,2,3) implies the pairing
+    (0,3)(1,2)): wherever it holds the earlier clause holds too, so neither
+    the OR nor the first clause that holds at a point changes.
     """
     k = spec.k
     if predicate == "binomial":
@@ -201,7 +206,11 @@ def _predicate_clauses(spec: PatternSpec, predicate: str, subset=None):
         if k % 2 == 0:
             clauses += [("pairing", p.pairs) for p in enumerate_pairings(spec)]
         clauses += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec), 3)]
-        return clauses
+        kept = []
+        for cl in clauses:
+            if not any(_implies(cl, e) for e in kept):
+                kept.append(cl)
+        return kept
     if predicate == "symmetric":
         if k % 2:
             raise ValueError("symmetric predicate needs even k")
@@ -212,6 +221,19 @@ def _predicate_clauses(spec: PatternSpec, predicate: str, subset=None):
             raise ValueError("mono predicate needs at least 2 positions")
         return [("subset", idx)]
     raise ValueError(f"unknown predicate {predicate!r}")
+
+
+def _groups(clause):
+    """The disjoint position groups a clause asserts monochromatic."""
+    kind, data = clause
+    return data if kind == "pairing" else (data,)
+
+
+def _implies(clause, other):
+    """True when every group of ``other`` lies inside a group of ``clause``,
+    so that wherever ``clause`` holds ``other`` holds too."""
+    groups = [set(g) for g in _groups(clause)]
+    return all(any(set(h) <= g for g in groups) for h in _groups(other))
 
 
 def _eval_clauses(clauses, cols):

@@ -168,8 +168,9 @@ def zero_sum_subsets(system: BinomialSystem, min_size: int = 3) -> list[tuple[in
     """All index subsets I with |I| >= min_size and sum of e_i over I zero.
 
     0-based positions, output in lexicographic order.  Deliberately returns
-    every zero-sum subset: verifiers built on top need the full list to be
-    sound.
+    every zero-sum subset, including those whose monochromatic event implies
+    a pairing; clauses that are implied are pruned only when the clause
+    compiler (``colorings._predicate_clauses``) builds a predicate.
     """
     if min_size < 3:
         raise ValueError("min_size must be at least 3")

@@ -318,3 +318,26 @@ def max_3ap_free_size(N):
 
     extend([], 0)
     return best
+
+
+def loop_pattern_probability(Phi, spec, predicate="binomial", subset=None):
+    """Exact pattern probability by one 1-D pass per (q, cell) pair: the
+    reference for the library's row-blocked kernel, with the same clause
+    compiler and the same (s, t) decomposition, O(D^2 * cells)."""
+    from aplab.colorings import _doubled, _eval_clauses, _predicate_clauses, _shift_views
+    from aplab.torus import pattern_cells
+
+    offsets = spec.normalized().a
+    D = Phi.D
+    cells = pattern_cells(spec)
+    clauses = _predicate_clauses(spec, predicate, subset)
+    if not clauses:
+        return Fraction(0)
+    doubled = [_doubled(Phi.as_array)] * len(offsets)
+    counts = [0] * len(cells)
+    for q in range(D):
+        # cell of x + a_i y over all p at once: (p + a_i q + g_i) mod D
+        for j, (g, _) in enumerate(cells):
+            cols = _shift_views(doubled, [a * q + gi for a, gi in zip(offsets, g)])
+            counts[j] += int(np.count_nonzero(_eval_clauses(clauses, cols)))
+    return sum(area * cnt for (_, area), cnt in zip(cells, counts)) / (D * D)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from aplab.colorings import (
     INTERVAL,
     Coloring,
     Z22_COLORING,
+    _predicate_clauses,
     coloring_from_text,
     coloring_to_text,
     digit_square_coloring,
@@ -245,6 +247,49 @@ class TestBinomialVerifier:
         assert (w is None) == (expect is None)
         if w is not None:
             assert (w.n, w.d) == expect
+
+
+class TestClausePruning:
+    @staticmethod
+    def first_holding(clauses, tuples):
+        """Index of the first clause that holds on each row of ``tuples``;
+        len(clauses) where none holds."""
+        first = np.full(len(tuples), len(clauses))
+        for idx in reversed(range(len(clauses))):
+            kind, data = clauses[idx]
+            pairs = data if kind == "pairing" else [(data[0], i) for i in data[1:]]
+            first[np.all([tuples[:, i] == tuples[:, j] for i, j in pairs], axis=0)] = idx
+        return first
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            (0, 1, 2, 3),
+            (0, 1, 2, 3, 4),
+            (0, 1, 2, 3, 4, 5),
+            (0, 1, 2, 4),
+            (0, 1, 3, 4),
+            (0, 2, 3, 7),
+            (1, 2, 3, 6, 7, 8),
+        ],
+    )
+    def test_pruning_keeps_or_and_first_clause(self, a):
+        spec = PatternSpec(a)
+        k = spec.k
+        full = [("pairing", p.pairs) for p in enumerate_pairings(spec)] if k % 2 == 0 else []
+        full += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec), 3)]
+        pruned = _predicate_clauses(spec, "binomial")
+        at = [full.index(cl) for cl in pruned]
+        assert at == sorted(at)
+        # every color tuple in {1..k}^k
+        tuples = np.array(list(itertools.product(range(1, k + 1), repeat=k)))
+        want = self.first_holding(full, tuples)
+        got = np.array(at + [len(full)])[self.first_holding(pruned, tuples)]
+        assert np.array_equal(got, want)
+
+    def test_ap4_binomial_is_one_pairing(self):
+        assert _predicate_clauses(PatternSpec.ap(4), "binomial") == [("pairing", ((0, 3), (1, 2)))]
+        assert len(zero_sum_subsets(a_binomial_system(PatternSpec.ap(4)), 3)) == 1
 
 
 class TestAbabVerifier:

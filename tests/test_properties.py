@@ -1,0 +1,45 @@
+"""Property tests with Hypothesis, derandomized so every run draws the same
+examples; skipped when Hypothesis is not installed."""
+
+import pytest
+
+import oracles
+from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients
+from aplab.torus import TorusColoring, pattern_cells, pattern_probability_exact
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+
+@st.composite
+def exact_cases(draw):
+    """A spec with k <= 5 offsets in 0..7, a coloring of D <= 24 cells with
+    r <= 4 colors, and a predicate the spec admits."""
+    k = draw(st.integers(3, 5))
+    a = tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k))))
+    D = draw(st.integers(1, 24))
+    r = draw(st.integers(1, min(4, D)))
+    colors = draw(st.lists(st.integers(1, r), min_size=D, max_size=D))
+    predicates = ["binomial", "mono"] + (["symmetric"] if k % 2 == 0 else [])
+    predicate = draw(st.sampled_from(predicates))
+    subset = None
+    if predicate == "mono":
+        subset = draw(st.none() | st.sets(st.integers(0, k - 1), min_size=2).map(sorted).map(tuple))
+    return PatternSpec(a), TorusColoring(tuple(colors)), predicate, subset
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(exact_cases())
+def test_exact_probability_matches_naive(case):
+    spec, tc, predicate, subset = case
+    got = pattern_probability_exact(tc, spec, predicate, subset)
+    want = oracles.naive_pattern_probability(
+        tc.cell_colors,
+        spec.a,
+        a_coefficients(spec),
+        a_binomial_system(spec).e,
+        pattern_cells(spec),
+        predicate,
+        subset,
+    )
+    assert got == want

@@ -182,6 +182,33 @@ class TestExactProbability:
                 )
                 assert got == want, (tc, predicate, subset)
 
+    def test_blocked_matches_loop_reference(self):
+        rng = random.Random(6)
+
+        def colored(D, r):
+            ids = [rng.randint(1, r) for _ in range(D)]
+            ids[rng.randrange(D)] = r
+            return TorusColoring(tuple(ids))
+
+        ap4 = PatternSpec.ap(4)
+        cases = [
+            # the ell=1 interlacing, D = 352
+            (interlace_k(z22(), 4), ap4, ("binomial", "symmetric", "mono")),
+            # 1000 rows in blocks of 131: the last block is short
+            (colored(1000, 5), PatternSpec((0, 1, 2, 4)), ("binomial",)),
+            # one block holds every row
+            (colored(30, 3), PatternSpec.ap(5), ("binomial", "mono")),
+            # r >= 256 takes the uint16 colors
+            (colored(401, 300), ap4, ("binomial", "symmetric")),
+        ]
+        # D < 7: the shifts a_i q + g_i exceed D and the strides wrap
+        cases += [(colored(D, 2), PatternSpec((0, 2, 3, 7)), ("binomial", "mono")) for D in (3, 5, 6)]
+        for tc, spec, predicates in cases:
+            for predicate in predicates:
+                got = pattern_probability_exact(tc, spec, predicate)
+                want = oracles.loop_pattern_probability(tc, spec, predicate)
+                assert got == want, (tc.D, spec, predicate)
+
     def test_work_cap(self):
         tc = TorusColoring((1, 2) * 600)
         with pytest.raises(BudgetExceededError):
