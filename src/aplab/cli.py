@@ -43,6 +43,7 @@ from .sets import (
     residue_set_to_text,
 )
 from .torus import (
+    DEFAULT_SAMPLES,
     INTERLACE_CELL_CAP,
     build_torus_set,
     interlace_k,
@@ -168,11 +169,11 @@ def cmd_verify(args) -> int:
     if args.pattern == "symmetric":
         w = verify_symmetric_ap_free(c, args.k)
     elif args.pattern == "sym-a":
-        w = verify_sym_a_ap_free(c, PatternSpec.from_string(args.spec))
+        w = verify_sym_a_ap_free(c, _spec_arg(args))
     elif args.pattern == "mono":
         w = verify_mono_pattern_free(c, args.k)
     elif args.pattern == "binomial":
-        w = verify_binomial_pattern_free(c, PatternSpec.from_string(args.spec))
+        w = verify_binomial_pattern_free(c, _spec_arg(args))
     elif args.pattern == "abab-abba":
         w = verify_abab_abba_free(c, args.a_bound)
     else:  # pragma: no cover - argparse restricts choices
@@ -438,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["binomial", "symmetric", "mono"])
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--spec")
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_density)
 
@@ -459,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec")
     p.add_argument("--N-list", required=True)
     p.add_argument("--reference")
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_converge)
 
@@ -483,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="offsets for lemma7_10")
     p.add_argument("--base-n", type=int, default=1, help="base modulus for thm2_5")
     p.add_argument("--base-coloring", help="coloring file overriding the bundled base")
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir")
     p.set_defaults(fn=cmd_pipeline)

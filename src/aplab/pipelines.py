@@ -34,6 +34,7 @@ from .sets import (
     verify_solution_free,
 )
 from .torus import (
+    DEFAULT_SAMPLES,
     TorusColoring,
     TorusSet,
     build_torus_set,
@@ -47,8 +48,6 @@ from .torus import (
 )
 
 __all__ = ["PipelineResult", "StageError", "run_pipeline", "PIPELINES", "z22_coloring"]
-
-DEFAULT_SAMPLES = 1_000_000
 
 
 class StageError(RuntimeError):

@@ -196,7 +196,6 @@ class _SolutionCounter:
         self.e = system.e
         self.k = system.k
         self.m = m
-        self.system = system
         self.budget = budget
         self.subsets = [
             u for size in range(self.k) for u in combinations(range(self.k), size)
@@ -247,13 +246,13 @@ def greedy_solution_free_set(
     m: int,
     r: int,
     budget: int = GREEDY_TABLE_BUDGET,
-    block: int = 4096,
 ) -> GreedyResult:
     """Scan 0, 1, ..., m-1, keeping a candidate iff it creates no nontrivial
     solution among the kept values (repetitions included).
 
     Returns a complete flag; an incomplete result means the scan ran out of
-    residues, and the caller may retry with a larger modulus.
+    residues, and the caller may retry with a larger modulus.  Candidates are
+    tested 4096 at a time; the result does not depend on that.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -263,7 +262,7 @@ def greedy_solution_free_set(
     counter.rebuild(elements)
     x = 0
     while x < m and len(elements) < r:
-        hi = min(m, x + block)
+        hi = min(m, x + 4096)
         cands = np.arange(x, hi, dtype=np.int64)
         deltas = counter.deltas(cands)
         t_now = len(elements)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,7 +52,7 @@ __all__ = [
 
 INTERLACE_CELL_CAP = 100_000
 EXACT_WORK_CAP = 2_500_000_000
-MC_BATCH = 1_000_000
+DEFAULT_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,31 @@ class Estimate:
     stderr: float
     samples: int
     seed: int
+
+
+def _estimate(total, total_sq, samples: int, seed: int) -> Estimate:
+    """Estimate from the sum and the sum of squares of ``samples`` values."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    mean = total / samples
+    var = (total_sq - samples * mean * mean) / max(samples - 1, 1)
+    return Estimate(mean, math.sqrt(max(var, 0.0) / samples), samples, seed)
+
+
+def _uniform_blocks(seed: int, count: int, rows: int, block: int = 1 << 14):
+    """The uniforms of ``count`` samples, ``rows`` per sample, as arrays of
+    shape (rows, n) over consecutive blocks of n <= ``block`` samples.
+
+    Block b draws from default_rng(SeedSequence(seed, spawn_key=(b,))), the
+    b-th child of SeedSequence(seed).spawn, always at full size before the
+    last block is cut short, so sample j sees the same uniforms whatever
+    ``count`` is: an estimate depends only on (seed, count).  Yields nothing
+    when count < 1.  The Monte Carlo block of 2^14 samples measured as fast
+    as 2^15 and 2^16 and holds the smallest arrays.
+    """
+    for b, start in enumerate(range(0, count, block)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        yield rng.random((rows, block))[:, : count - start]
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +168,21 @@ def interlace_m(phi: Coloring, m: int, cell_cap: int = INTERLACE_CELL_CAP) -> To
 # exact pattern probability
 
 
-def pattern_cells(spec: PatternSpec) -> list[tuple[tuple[int, ...], Fraction]]:
+def pattern_cells(spec: PatternSpec) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     """Decompose the (s, t) unit square by the lines s + a_i t = integer into
     regions of constant floor vector (floor(s + a_i t))_i.
 
-    Returns (floor_vector, area) pairs with exact rational areas summing to 1.
-    Regions between consecutive lines inside a strip of constant line order
-    are trapezoids, so width times midpoint gap integrates them exactly.
+    Returns (floor_vector, area) pairs with exact rational areas summing to 1,
+    sorted by floor vector.  Regions between consecutive lines inside a strip
+    of constant line order are trapezoids, so width times midpoint gap
+    integrates them exactly.  The decomposition depends only on the
+    normalized offsets and is computed once per offsets.
     """
-    offsets = spec.normalized().a
+    return _pattern_cells(spec.normalized().a)
+
+
+@cache
+def _pattern_cells(offsets: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     lines = [(a, c) for a in sorted(set(offsets)) if a > 0 for c in range(1, a + 1)]
     breaks = {Fraction(0), Fraction(1)}
     for idx, (ai, ci) in enumerate(lines):
@@ -181,7 +212,7 @@ def pattern_cells(spec: PatternSpec) -> list[tuple[tuple[int, ...], Fraction]]:
             cells[g] = cells.get(g, Fraction(0)) + width * (hi - lo)
     if sum(cells.values()) != 1:
         raise SelfCheckError("cell areas do not sum to 1")
-    return sorted(cells.items())
+    return tuple(sorted(cells.items()))
 
 
 def pattern_probability_exact(
@@ -241,33 +272,24 @@ def pattern_probability_mc(
     Phi: TorusColoring,
     spec: PatternSpec,
     predicate: str = "binomial",
-    samples: int = 1_000_000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     subset=None,
-    batch: int = MC_BATCH,
 ) -> Estimate:
-    """Monte Carlo estimate of the same probability, for cross-checking."""
+    """Monte Carlo estimate of the same probability, for cross-checking;
+    sample j is (x, y) from the uniforms of ``_uniform_blocks``."""
     offsets = spec.normalized().a
     clauses = _predicate_clauses(spec, predicate, subset)
     colors = Phi.as_array
     D = Phi.D
-    rng = np.random.default_rng(seed)
     hits = 0
-    done = 0
-    while done < samples:
-        nb = min(batch, samples - done)
-        x = rng.random(nb)
-        y = rng.random(nb)
+    for x, y in _uniform_blocks(seed, samples, 2):
         cols = []
         for a in offsets:
             z = (x + a * y) % 1.0
             cols.append(colors[np.minimum((z * D).astype(np.int64), D - 1)])
-        mask = _eval_clauses(clauses, cols)
-        hits += int(mask.sum())
-        done += nb
-    mean = hits / samples
-    var = (hits - samples * mean * mean) / max(samples - 1, 1)
-    return Estimate(mean, math.sqrt(max(var, 0.0) / samples), samples, seed)
+        hits += int(np.count_nonzero(_eval_clauses(clauses, cols)))
+    return _estimate(hits, hits, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -406,45 +428,38 @@ def lambda_tilde_mc(
     spec: PatternSpec,
     samples: int,
     seed: int = 0,
-    batch: int = MC_BATCH,
 ) -> Estimate:
     """Unbiased estimate of the progression functional of F along the solution
     torus of the spec's binomial system.
 
     Sampling: x_i = x0 + a_i x1 with (x0, x1) uniform; y_1..y_{k-1} uniform
-    and y_k drawn uniformly among the |e_k| circle solutions of
-    e_k y_k = -sum_{i<k} e_i y_i.  Deterministic for a fixed seed.
+    and y_k drawn among the |e_k| circle solutions of
+    e_k y_k = -sum_{i<k} e_i y_i, the branch being floor(|e_k| v) for one
+    more uniform v (uniform up to 2^-53).  Sample j takes these k + 2
+    uniforms from ``_uniform_blocks``, so the estimate depends only on
+    (seed, samples).
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
     system = a_binomial_system(spec)
     offsets = spec.normalized().a
     e = system.e
     k = system.k
-    rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < samples:
-        nb = min(batch, samples - done)
-        x0 = rng.random(nb)
-        x1 = rng.random(nb)
-        ys = [rng.random(nb) for _ in range(k - 1)]
-        acc = np.zeros(nb)
+    for u in _uniform_blocks(seed, samples, k + 2):
+        x0, x1, v = u[0], u[1], u[-1]
+        ys = list(u[2:-1])
+        acc = np.zeros(len(x0))
         for ei, yi in zip(e[:-1], ys):
             acc += ei * yi
-        branch = rng.integers(0, abs(e[-1]), size=nb)
+        branch = np.floor(v * abs(e[-1]))
         yk = (((-acc) % 1.0) + branch) / e[-1] % 1.0
         ys.append(yk)
-        prod = np.ones(nb)
+        prod = np.ones(len(x0))
         for a, yi in zip(offsets, ys):
             prod *= F.evaluate_batch((x0 + a * x1) % 1.0, yi)
         total += float(prod.sum())
         total_sq += float((prod * prod).sum())
-        done += nb
-    mean = total / samples
-    var = (total_sq - samples * mean * mean) / max(samples - 1, 1)
-    return Estimate(mean, math.sqrt(max(var, 0.0) / samples), samples, seed)
+    return _estimate(total, total_sq, samples, seed)
 
 
 def lambda_tilde_certificate(

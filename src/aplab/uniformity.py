@@ -24,7 +24,7 @@ from .colorings import (
 )
 from .errors import BudgetExceededError, FormatError, SelfCheckError
 from .patterns import PatternSpec
-from .torus import lambda_tilde_mc
+from .torus import DEFAULT_SAMPLES, _uniform_blocks, lambda_tilde_mc
 
 __all__ = [
     "GridFunction",
@@ -261,7 +261,7 @@ def convergence_experiment(
     spec: PatternSpec,
     N_list,
     reference=None,
-    mc_samples: int = 1_000_000,
+    mc_samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> dict:
     """For each N: the exact progression density of the discretized grid and
@@ -365,32 +365,30 @@ def extract_coloring(
     N: int,
     seed: int = 0,
     attempts: int = 1,
-    chunk: int = 4096,
 ) -> ExtractionResult:
     """Per attempt: sample x0, x1, y_1..y_r uniformly, color position i by the
     least j with F(x0 + i*x1, y_j) >= alpha/2, and accept the first coloring
     that is everywhere defined and has no symmetrically colored k-term
     progression in the interval ambient.
 
-    Failure is a value: the result carries per-cause counts.  Deterministic
-    for a fixed seed; attempts are scanned in order, so the first success by
-    attempt index is returned.
+    Failure is a value: the result carries per-cause counts.  Attempt j takes
+    its 2 + r uniforms from the seeded blocks of ``torus._uniform_blocks``,
+    about 2^16 field evaluations to a block, so it depends only on (seed, j)
+    and the declared inputs; attempts are scanned in order, so the first
+    success by attempt index is returned.
     """
     if k % 2 or k < 4:
         raise ValueError("k must be even and at least 4")
     if r < 1 or N < 1 or attempts < 1:
         raise ValueError("r, N, attempts must be positive")
     threshold = float(alpha) / 2
-    rng = np.random.default_rng(seed)
     undefined = 0
     rejected = 0
     done = 0
     idx = np.arange(N, dtype=np.float64)
-    while done < attempts:
-        nb = min(chunk, attempts - done)
-        x0 = rng.random(nb)
-        x1 = rng.random(nb)
-        ys = rng.random((nb, r))
+    for u in _uniform_blocks(seed, attempts, 2 + r, max(1, (1 << 16) // (N * r))):
+        x0, x1, ys = u[0], u[1], u[2:].T
+        nb = len(x0)
         # F values at (attempt, position, palette index)
         xs = (x0[:, None] + idx[None, :] * x1[:, None]) % 1.0
         vals = F.evaluate_batch(

@@ -71,6 +71,17 @@ class TestVerifyCommand:
         code, rep = run(capsys, ["verify", z22_file, "--pattern", "sym-a", "--spec", "0,1,2,3"])
         assert code == 0 and rep["ok"]
 
+    @pytest.mark.parametrize("pattern", ["binomial", "sym-a"])
+    def test_k_selects_plain_progression(self, capsys, pattern):
+        # without --spec, --k picks the plain progression, as elsewhere
+        from pathlib import Path
+
+        fixture = str(Path(__file__).resolve().parent.parent / "fixtures" / "z22_coloring.txt")
+        assert main(["verify", fixture, "--pattern", pattern, "--k", "4"]) == 0
+        by_k = capsys.readouterr().out
+        assert main(["verify", fixture, "--pattern", pattern, "--spec", "0,1,2,3"]) == 0
+        assert by_k == capsys.readouterr().out
+
 
 class TestSearchCommand:
     def test_search_writes_valid_coloring(self, capsys, tmp_path):
@@ -236,6 +247,19 @@ class TestDensityAndStats:
         assert code == 0 and rep["succeeded"]
         c = coloring_from_text(out.read_text())
         assert verify_symmetric_ap_free(c, 4) is None
+
+
+    @pytest.mark.parametrize("mode", ["--pattern-mc", "--lambda-mc"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_rejected(self, capsys, tmp_path, mode, samples):
+        tc = tmp_path / "tc.txt"
+        tc.write_text("8 2\n1 1 1 1 1 1 1 2\n")
+        argv = ["density", mode, "--k", "4", "--samples", samples]
+        argv += ["--torus-coloring", str(tc)] if mode == "--pattern-mc" else ["--slab", "1/4"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: samples must be positive\n"
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from aplab.patterns import (
 )
 from aplab.sets import ResidueSet, base9_set
 from aplab.torus import (
+    _uniform_blocks,
     ConstantField,
     DiagonalStrip,
     SlabIndicator,
@@ -37,6 +39,11 @@ from aplab.torus import (
 
 def z22():
     return Coloring(CYCLIC, tuple(int(ch) for ch in Z22_COLORING))
+
+
+MC_BLOCK = inspect.signature(_uniform_blocks).parameters["block"].default
+# sample counts just below, at and just above the first block boundary
+BOUNDARY = (MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1)
 
 
 def random_torus_coloring(rng, d_max=40, r_max=6):
@@ -110,6 +117,12 @@ class TestPatternCells:
         assert pattern_cells(PatternSpec((5, 6, 7, 8))) == pattern_cells(
             PatternSpec((0, 1, 2, 3))
         )
+
+    def test_computed_once_per_offsets(self):
+        cells = pattern_cells(PatternSpec((0, 1, 2, 3)))
+        assert isinstance(cells, tuple)
+        assert all(isinstance(cell, tuple) for cell in cells)
+        assert pattern_cells(PatternSpec((5, 6, 7, 8))) is cells
 
 
 class TestExactProbability:
@@ -326,6 +339,47 @@ class TestLambdaTildeMC:
     def test_diagonal_strip_marginal(self):
         est = lambda_tilde_mc(DiagonalStrip(Fraction(1, 2)), PatternSpec.ap(4), 200_000, 4)
         assert 0 <= est.mean <= 1
+
+    def test_prefix_consistent(self):
+        # sample j is the same whatever the total, so one more sample adds
+        # 0 or 1 hit of the 0/1 product, also across a block boundary
+        F, spec = SlabIndicator(Fraction(1, 2)), PatternSpec.ap(4)
+        for n in BOUNDARY:
+            hits = [round(lambda_tilde_mc(F, spec, s, 1).mean * s) for s in (n, n + 1)]
+            assert hits[1] - hits[0] in (0, 1), (n, hits)
+
+
+class TestSampling:
+    def test_blocks_are_spawned_children(self):
+        # block b of seed s is child b of SeedSequence(s).spawn, so a split
+        # of the blocks over processes draws the same numbers
+        blocks = list(_uniform_blocks(5, 2 * MC_BLOCK + 7, 3))
+        assert [u.shape for u in blocks] == [(3, MC_BLOCK)] * 2 + [(3, 7)]
+        children = np.random.SeedSequence(5).spawn(3)
+        for u, child in zip(blocks, children):
+            want = np.random.default_rng(child).random((3, MC_BLOCK))
+            assert np.array_equal(u, want[:, : u.shape[1]])
+
+    def test_pattern_mc_prefix_consistent(self):
+        # the mono probability of a nearly constant coloring is large, so
+        # most samples hit; one more sample adds 0 or 1 hit
+        tc = TorusColoring((1, 1, 1, 1, 1, 1, 1, 2))
+        spec = PatternSpec.ap(4)
+        for n in BOUNDARY:
+            hits = [
+                round(pattern_probability_mc(tc, spec, "mono", s, 3).mean * s)
+                for s in (n, n + 1)
+            ]
+            assert hits[0] > n // 4
+            assert hits[1] - hits[0] in (0, 1), (n, hits)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_nonpositive_samples(self, samples):
+        spec = PatternSpec.ap(3)
+        with pytest.raises(ValueError, match="samples must be positive"):
+            pattern_probability_mc(TorusColoring((1, 2)), spec, "mono", samples)
+        with pytest.raises(ValueError, match="samples must be positive"):
+            lambda_tilde_mc(SlabIndicator(Fraction(1, 2)), spec, samples)
 
 
 class TestCertificate:

@@ -330,6 +330,26 @@ class TestExtraction:
         b = extract_coloring(DiagonalStrip(Fraction(1, 4)), Fraction(1, 4), 4, 8, 10, seed=5, attempts=100)
         assert a.coloring == b.coloring and a.succeeded_at == b.succeeded_at
 
+    @pytest.mark.parametrize(
+        "r,N,seed",
+        [
+            (16, 12, 0),
+            # blocks of 2^16 // (N r) = 4 attempts; the success at 34 lies
+            # eight block boundaries in
+            (512, 32, 3),
+        ],
+    )
+    def test_prefix_consistent(self, r, N, seed):
+        # attempt j depends only on (seed, j): stopping the scan right after
+        # the success changes nothing
+        quarter = Fraction(1, 4)
+        full = extract_coloring(DiagonalStrip(quarter), quarter, 4, r, N, seed, attempts=2000)
+        assert full.coloring is not None
+        cut = extract_coloring(
+            DiagonalStrip(quarter), quarter, 4, r, N, seed, attempts=full.succeeded_at + 1
+        )
+        assert cut == full
+
     def test_odd_k_rejected(self):
         with pytest.raises(ValueError):
             extract_coloring(ConstantField(1), 1, 5, 2, 5)
