@@ -125,6 +125,12 @@ def _greedy_set(system, r, m=None):
     return res.set
 
 
+def _check_samples(samples):
+    """Reject a nonpositive sample count before any stage runs."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
+
+
 def _finish(name, spec, base, Phi, S, samples, seed, width=None):
     A = _stage("torus-set", build_torus_set, Phi, S, spec.k, width)
     # bound = epsilon * width^(k-1) exactly, so epsilon is recovered below
@@ -155,6 +161,7 @@ def run_thm2_6(ell: int = 1, base: Coloring | None = None, samples: int = DEFAUL
     tensor power ell -> 16 N^ell-cell interlacing -> base-9 set of size r ->
     rectangle set with marginal 1/(16 m).
     """
+    _check_samples(samples)
     spec = PatternSpec.ap(4)
     base = base or z22_coloring()
     _verified(
@@ -189,6 +196,7 @@ def run_thm2_7(
     beyond the greedy table budget at desk scale; such runs fail with a
     budget error rather than silently shrinking.
     """
+    _check_samples(samples)
     if k % 2 or k < 4:
         raise ValueError("k must be even and at least 4")
     spec = PatternSpec.ap(k)
@@ -220,9 +228,11 @@ def run_thm2_5(
 
     Odd k has no pairings, so the binomial-pattern predicate reduces to
     monochromatic zero-sum subsets.  At the default base_n = 1 the palette is
-    k^2, so for k >= 7 the greedy partial-sum tables exceed the table budget
-    and the run stops at stage "greedy-set" with a budget error.
+    k^2, so for k >= 7 the greedy set's count bound r^(k-1) (49^6 at k = 7)
+    exceeds the table budget and the run stops at stage "greedy-set" with a
+    budget error.
     """
+    _check_samples(samples)
     if k % 2 == 0 or k < 5:
         raise ValueError("k must be odd and at least 5")
     spec = PatternSpec.ap(k)
@@ -254,6 +264,7 @@ def run_lemma7_10(
     patterns; this is verified, not assumed, so with the bundled base a spec
     such as (0,1,3) stops at stage "verify-base" and needs its own ``base``.
     """
+    _check_samples(samples)
     spec = PatternSpec(tuple(a))
     base = base or z22_coloring()
     if base.ambient != CYCLIC:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import BudgetExceededError, FormatError
 from .patterns import (
     BinomialSystem,
     trivial_solution_count,
+    zero_sum_partitions,
 )
 
 __all__ = [
@@ -184,60 +185,75 @@ class GreedyResult:
 
 class _SolutionCounter:
     """Counts solutions of sum e_i n_i = 0 (mod m) with entries from a growing
-    set, via sorted partial-sum tables for every proper position subset.
+    set S, via dense residue count tables.
 
-    A candidate x is admissible iff the number of solutions it creates equals
-    the number of new trivial solutions, which is known in closed form from
-    the zero-sum partitions of the coefficients.  Tables are rebuilt only on
-    accept, so rejected candidates cost 2^k binary searches.
+    For every proper position subset u (a bitmask below 2^k - 1), row u of
+    ``tables`` is T_u: T_u[s] is the number of tuples over S on the positions
+    in u whose weighted sum sum_{i in u} e_i n_i is s mod m (T_empty is 1 at
+    s = 0).  Accepting x updates the rows in place, one position at a time,
+    as a subset-product transform:
+
+        for i in 0..k-1, for every proper v containing i:
+            T_v[s] += T_{v - i}[s - e_i x mod m]
+
+    Before stage i, rows count tuples with positions below i drawn from
+    S + {x} and the others from S; stage i extends position i, and it never
+    writes the rows it reads (v - i does not contain i).  Each shift is two
+    slice adds, k (2^(k-1) - 1) of them per accept.
+
+    The number of solutions over (S + {x})^k that use x (x not in S) is the
+    sum over nonempty t of T_{[k] - t}[-e(t) x mod m], with e(t) the
+    coefficient sum over t.  The indices -e(t) x mod m are tabulated once
+    for every x and every distinct residue of -e(t), so a block of
+    consecutive candidates costs 2^k - 1 gathers from slices of ``steps``.
+
+    Every count is at most |S|^(k-1), which the caller keeps within the
+    budget, and every index is below m, so with a budget below 2^31 both
+    arrays are exact in int32; each holds fewer than 2^k m entries.
     """
 
     def __init__(self, system: BinomialSystem, m: int, budget: int = GREEDY_TABLE_BUDGET):
-        self.e = system.e
-        self.k = system.k
-        self.m = m
-        self.budget = budget
-        self.subsets = [
-            u for size in range(self.k) for u in combinations(range(self.k), size)
-        ]
-        self.coef_sum = {}
-        for size in range(1, self.k + 1):
-            for t in combinations(range(self.k), size):
-                self.coef_sum[t] = sum(self.e[i] for i in t)
-        self.tables = {u: np.zeros(1, dtype=np.int64) for u in self.subsets}
-        self.count = 1 if self.k == 0 else 0
-        self.size = 0
-
-    def _check_budget(self, t):
-        if t ** (self.k - 1) > self.budget:
+        k = system.k
+        if (1 << k) * m > budget:
             raise BudgetExceededError(
-                f"partial-sum tables need {t}^{self.k - 1} entries, over budget"
+                f"dense count tables need 2^{k} x {m} entries, over budget"
             )
+        self.e = system.e
+        self.k = k
+        self.m = m
+        self.full = (1 << k) - 1
+        dtype = np.int32 if budget < 2**31 else np.int64
+        self.tables = np.zeros((self.full, m), dtype=dtype)
+        self.tables[0, 0] = 1
+        shifts = [
+            -sum(self.e[i] for i in range(k) if t >> i & 1) % m for t in range(1, self.full + 1)
+        ]
+        distinct = sorted(set(shifts))
+        self.steps = (
+            np.array(distinct, dtype=np.int64)[:, None] * np.arange(m, dtype=np.int64) % m
+        ).astype(dtype)
+        self.reads = [
+            (self.full ^ t, distinct.index(c)) for t, c in enumerate(shifts, start=1)
+        ]
 
-    def rebuild(self, elements):
-        self._check_budget(len(elements))
-        arr = np.asarray(elements, dtype=np.int64)
-        for u in self.subsets:
-            sums = np.zeros(1, dtype=np.int64)
-            for i in u:
-                sums = (sums[:, None] + self.e[i] * arr[None, :]) % self.m
-                sums = sums.ravel()
-            sums.sort()
-            self.tables[u] = sums
-        self.size = len(elements)
+    def accept(self, x: int):
+        m = self.m
+        for i in range(self.k):
+            c = self.e[i] * x % m
+            bit = 1 << i
+            for v in range(bit, self.full):
+                if v & bit:
+                    dst, src = self.tables[v], self.tables[v ^ bit]
+                    dst[c:] += src[: m - c]
+                    dst[:c] += src[m - c :]
 
-    def deltas(self, candidates: np.ndarray) -> np.ndarray:
-        """For each candidate x, the number of solutions over (S + {x})^k that
-        use x at least once."""
-        out = np.zeros(len(candidates), dtype=np.int64)
-        for tsize in range(1, self.k + 1):
-            for t in combinations(range(self.k), tsize):
-                u = tuple(i for i in range(self.k) if i not in t)
-                targets = (-self.coef_sum[t] * candidates) % self.m
-                table = self.tables[u]
-                lo = np.searchsorted(table, targets, side="left")
-                hi = np.searchsorted(table, targets, side="right")
-                out += hi - lo
+    def deltas(self, lo: int, hi: int) -> np.ndarray:
+        """For each candidate x in lo..hi-1 (none of them in S), the number of
+        solutions over (S + {x})^k that use x at least once."""
+        index = self.steps[:, lo:hi].astype(np.intp)
+        out = np.zeros(hi - lo, dtype=np.int64)
+        for u, j in self.reads:
+            out += self.tables[u].take(index[j])
         return out
 
 
@@ -250,32 +266,40 @@ def greedy_solution_free_set(
     """Scan 0, 1, ..., m-1, keeping a candidate iff it creates no nontrivial
     solution among the kept values (repetitions included).
 
+    A candidate is admissible iff the solutions it creates (``_SolutionCounter``)
+    number exactly the new trivial ones.  Those follow in closed form from the
+    zero-sum partitions of the positions, enumerated once: a partition with b
+    blocks gives perm(t, b) trivial solutions over t values.
+
     Returns a complete flag; an incomplete result means the scan ran out of
     residues, and the caller may retry with a larger modulus.  Candidates are
     tested 4096 at a time; the result does not depend on that.
+
+    Two budget checks run before any table is allocated: r^(k-1) <= budget
+    bounds every table count (and fails fast for the k >= 6 chains), and
+    2^k m <= budget bounds the table memory.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
+    if r ** (system.k - 1) > budget:
+        raise BudgetExceededError(
+            f"partial-sum tables need {r}^{system.k - 1} entries, over budget"
+        )
     counter = _SolutionCounter(system, m, budget)
-    counter._check_budget(r)
+    blocks = [len(p) for p in zero_sum_partitions(system)]
     elements: list[int] = []
-    counter.rebuild(elements)
     x = 0
     while x < m and len(elements) < r:
         hi = min(m, x + 4096)
-        cands = np.arange(x, hi, dtype=np.int64)
-        deltas = counter.deltas(cands)
-        t_now = len(elements)
-        need = trivial_solution_count(system, t_now + 1) - trivial_solution_count(
-            system, t_now
-        )
-        good = np.flatnonzero(deltas == need)
+        t = len(elements)
+        need = sum(math.perm(t + 1, b) - math.perm(t, b) for b in blocks)
+        good = np.flatnonzero(counter.deltas(x, hi) == need)
         if len(good) == 0:
             x = hi
             continue
-        accepted = int(cands[good[0]])
+        accepted = x + int(good[0])
         elements.append(accepted)
-        counter.rebuild(elements)
+        counter.accept(accepted)
         x = accepted + 1
     return GreedyResult(ResidueSet(m, tuple(elements)), len(elements) >= r, x)
 

@@ -341,3 +341,74 @@ def loop_pattern_probability(Phi, spec, predicate="binomial", subset=None):
             cols = _shift_views(doubled, [a * q + gi for a, gi in zip(offsets, g)])
             counts[j] += int(np.count_nonzero(_eval_clauses(clauses, cols)))
     return sum(area * cnt for (_, area), cnt in zip(cells, counts)) / (D * D)
+
+
+class _SortedSolutionCounter:
+    """Counts solutions of sum e_i n_i = 0 (mod m) with entries from a growing
+    set, via sorted partial-sum tables for every proper position subset:
+    rebuilt and re-sorted on every accept, read with 2^k - 1 pairs of binary
+    searches per candidate block."""
+
+    def __init__(self, e, m):
+        self.e = e
+        self.k = len(e)
+        self.m = m
+        self.subsets = [
+            u for size in range(self.k) for u in combinations(range(self.k), size)
+        ]
+        self.coef_sum = {}
+        for size in range(1, self.k + 1):
+            for t in combinations(range(self.k), size):
+                self.coef_sum[t] = sum(self.e[i] for i in t)
+        self.tables = {u: np.zeros(1, dtype=np.int64) for u in self.subsets}
+
+    def rebuild(self, elements):
+        arr = np.asarray(elements, dtype=np.int64)
+        for u in self.subsets:
+            sums = np.zeros(1, dtype=np.int64)
+            for i in u:
+                sums = (sums[:, None] + self.e[i] * arr[None, :]) % self.m
+                sums = sums.ravel()
+            sums.sort()
+            self.tables[u] = sums
+
+    def deltas(self, candidates):
+        out = np.zeros(len(candidates), dtype=np.int64)
+        for tsize in range(1, self.k + 1):
+            for t in combinations(range(self.k), tsize):
+                u = tuple(i for i in range(self.k) if i not in t)
+                targets = (-self.coef_sum[t] * candidates) % self.m
+                table = self.tables[u]
+                lo = np.searchsorted(table, targets, side="left")
+                hi = np.searchsorted(table, targets, side="right")
+                out += hi - lo
+        return out
+
+
+def sorted_greedy_solution_free_set(system, m, r):
+    """The greedy scan over sorted partial-sum tables: the reference for the
+    library's dense-table kernel.  Same scan order and 4096-candidate blocks;
+    returns (elements, complete, scanned).  No budget checks."""
+    from aplab.patterns import trivial_solution_count
+
+    counter = _SortedSolutionCounter(system.e, m)
+    elements = []
+    counter.rebuild(elements)
+    x = 0
+    while x < m and len(elements) < r:
+        hi = min(m, x + 4096)
+        cands = np.arange(x, hi, dtype=np.int64)
+        deltas = counter.deltas(cands)
+        t_now = len(elements)
+        need = trivial_solution_count(system, t_now + 1) - trivial_solution_count(
+            system, t_now
+        )
+        good = np.flatnonzero(deltas == need)
+        if len(good) == 0:
+            x = hi
+            continue
+        accepted = int(cands[good[0]])
+        elements.append(accepted)
+        counter.rebuild(elements)
+        x = accepted + 1
+    return tuple(elements), len(elements) >= r, x

@@ -306,3 +306,36 @@ class TestStageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: stage '{stage}': ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--name", "thm2_6", "--ell", "2"],
+            ["--name", "thm2_7"],
+            ["--name", "thm2_5"],
+            ["--name", "lemma7_10"],
+        ],
+    )
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_rejected_before_any_stage(
+        self, capsys, monkeypatch, argv, samples
+    ):
+        import aplab.pipelines
+
+        # every stage, exact-probability included, runs through _stage
+        stages = []
+        monkeypatch.setattr(aplab.pipelines, "_stage", lambda name, *a, **kw: stages.append(name))
+        assert main(["pipeline", *argv, "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: samples must be positive\n"
+        assert stages == []
+
+    def test_greedy_table_memory_budget_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "s.txt"
+        argv = ["build-set", "--kind", "greedy", "--k", "4", "--m", "1250001", "--r", "3"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dense count tables need 2^4 x 1250001 entries, over budget\n"
+        assert not out.exists()

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients
+from aplab.sets import greedy_solution_free_set
 from aplab.torus import TorusColoring, pattern_cells, pattern_probability_exact
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -43,3 +44,28 @@ def test_exact_probability_matches_naive(case):
         subset,
     )
     assert got == want
+
+
+@st.composite
+def greedy_cases(draw):
+    """A binomial system from k <= 5 offsets in 0..7, a modulus m <= 300 and a
+    target size r <= 8."""
+    k = draw(st.integers(3, 5))
+    a = tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k))))
+    return a_binomial_system(PatternSpec(a)), draw(st.integers(2, 300)), draw(st.integers(1, 8))
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(greedy_cases())
+def test_greedy_set_is_solution_free_and_maximal(case):
+    system, m, r = case
+    res = greedy_solution_free_set(system, m, r)
+    kept = res.set.elements
+    assert (len(kept) == r) if res.complete else (res.scanned == m)
+    assert oracles.naive_solution_free(kept, system.e, m) is None
+    # every skipped candidate completes a nontrivial solution with the
+    # elements kept before it; with y first, the scan starts at tuples using y
+    for y in range(res.scanned):
+        if y not in kept:
+            below = tuple(x for x in kept if x < y)
+            assert oracles.naive_solution_free((y, *below), system.e, m) is not None, y

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from aplab.colorings import verify_mono_pattern_free
 from aplab.errors import BudgetExceededError, FormatError
 from aplab.patterns import PatternSpec, a_binomial_system, k_binomial_system
 from aplab.sets import (
+    GREEDY_TABLE_BUDGET,
     GreedyResult,
     ResidueSet,
     base9_set,
@@ -175,6 +177,64 @@ class TestGreedy:
     def test_table_budget(self):
         with pytest.raises(BudgetExceededError):
             greedy_solution_free_set(k_binomial_system(6), 10**6, 50, budget=10**4)
+
+    def test_table_memory_budget(self):
+        # 2^4 m entries against the budget, checked before any table exists
+        m = GREEDY_TABLE_BUDGET // 16 + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=f"2\\^4 x {m} entries"):
+                greedy_solution_free_set(k_binomial_system(4), m, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert greedy_solution_free_set(k_binomial_system(4), 100, 3, budget=1600).complete
+        with pytest.raises(BudgetExceededError):
+            greedy_solution_free_set(k_binomial_system(4), 101, 3, budget=1600)
+
+
+SORTED_REFERENCE_CASES = [
+    # the five calls of a benchmark round: thm2_7 and lemma7_10 (AP4), and
+    # thm2_5's doubling from m = 2500, whose first two scans are incomplete
+    (k_binomial_system(4), 9216, 48),
+    (k_binomial_system(4), 20736, 72),
+    (k_binomial_system(5), 2500, 25),
+    (k_binomial_system(5), 5000, 25),
+    (k_binomial_system(5), 10000, 25),
+    # TestGreedy's cases
+    (k_binomial_system(4), 1000, 5),
+    (k_binomial_system(4), 100, 1),
+    (k_binomial_system(5), 500, 2),
+    (k_binomial_system(4), 8, 6),
+    (k_binomial_system(3), 400, 6),
+    (k_binomial_system(4), 2000, 10),
+    (k_binomial_system(5), 4000, 8),
+    (a_binomial_system(PatternSpec((0, 1, 2, 4))), 3000, 8),
+    (a_binomial_system(PatternSpec((0, 2, 3))), 500, 6),
+    # k = 3 and general offsets with scans past one 4096-candidate block:
+    # complete at scanned = 6836, incomplete at 32 of 40 and 113 of 120
+    (k_binomial_system(3), 20000, 300),
+    (a_binomial_system(PatternSpec((0, 1, 2, 4))), 12000, 40),
+    (a_binomial_system(PatternSpec((0, 2, 3))), 5000, 120),
+]
+
+
+class TestGreedyMatchesSortedTables:
+    @pytest.mark.parametrize("system,m,r", SORTED_REFERENCE_CASES)
+    def test_matches_sorted_reference(self, system, m, r):
+        res = greedy_solution_free_set(system, m, r)
+        want = oracles.sorted_greedy_solution_free_set(system, m, r)
+        assert (res.set.elements, res.complete, res.scanned) == want
+
+    def test_feasibility_scan_matches_sorted_reference(self):
+        # the (m, r) grid of TestGreedy.test_feasibility_scaling_report
+        system = k_binomial_system(4)
+        for r in range(2, 9):
+            for m in (16, 32, 64, 128, 256, 512, 1024, 2048):
+                res = greedy_solution_free_set(system, m, r)
+                want = oracles.sorted_greedy_solution_free_set(system, m, r)
+                assert (res.set.elements, res.complete, res.scanned) == want, (m, r)
 
 
 class TestBase9:
