@@ -283,7 +283,7 @@ def greedy_solution_free_set(
         raise ValueError("m must be at least 2")
     if r ** (system.k - 1) > budget:
         raise BudgetExceededError(
-            f"partial-sum tables need {r}^{system.k - 1} entries, over budget"
+            f"solution counts reach {r}^{system.k - 1}, over budget"
         )
     counter = _SolutionCounter(system, m, budget)
     blocks = [len(p) for p in zero_sum_partitions(system)]

@@ -438,6 +438,14 @@ def lambda_tilde_mc(
     more uniform v (uniform up to 2^-53).  Sample j takes these k + 2
     uniforms from ``_uniform_blocks``, so the estimate depends only on
     (seed, samples).
+
+    Only samples that can still change the result are evaluated: the
+    product is taken factor by factor, in position order, over the samples
+    whose running product is nonzero, and y_k is computed for those alone.
+    Each surviving sample goes through the same floating-point operations
+    as a full evaluation, and the sums run over the block with the dropped
+    samples as zeros, so the estimate is bit-identical to multiplying all k
+    factors for every sample (F must take finite values).
     """
     system = a_binomial_system(spec)
     offsets = spec.normalized().a
@@ -446,17 +454,31 @@ def lambda_tilde_mc(
     total = 0.0
     total_sq = 0.0
     for u in _uniform_blocks(seed, samples, k + 2):
-        x0, x1, v = u[0], u[1], u[-1]
-        ys = list(u[2:-1])
-        acc = np.zeros(len(x0))
-        for ei, yi in zip(e[:-1], ys):
-            acc += ei * yi
-        branch = np.floor(v * abs(e[-1]))
-        yk = (((-acc) % 1.0) + branch) / e[-1] % 1.0
-        ys.append(yk)
-        prod = np.ones(len(x0))
-        for a, yi in zip(offsets, ys):
-            prod *= F.evaluate_batch((x0 + a * x1) % 1.0, yi)
+        n = u.shape[1]
+        # live: block indices of the surviving samples, None while all survive
+        live = None
+        prod = np.ones(n)
+        for i, a in enumerate(offsets):
+            x = (u[0] + a * u[1]) % 1.0
+            if i < k - 1:
+                y = u[2 + i]
+            else:
+                acc = np.zeros(len(prod))
+                for ei, yi in zip(e[:-1], u[2:-1]):
+                    acc += ei * yi
+                branch = np.floor(u[-1] * abs(e[-1]))
+                y = (((-acc) % 1.0) + branch) / e[-1] % 1.0
+            prod *= F.evaluate_batch(x, y)
+            if np.count_nonzero(prod) < len(prod):
+                keep = np.flatnonzero(prod)
+                u, prod = u[:, keep], prod[keep]
+                live = keep if live is None else live[keep]
+                if not len(keep):
+                    break
+        if live is not None:
+            full = np.zeros(n)
+            full[live] = prod
+            prod = full
         total += float(prod.sum())
         total_sq += float((prod * prod).sum())
     return _estimate(total, total_sq, samples, seed)

@@ -19,6 +19,8 @@ from .colorings import (
     INTERVAL,
     Coloring,
     _doubled,
+    _eval_clauses,
+    _predicate_clauses,
     _shift_views,
     verify_symmetric_ap_free,
 )
@@ -357,6 +359,23 @@ class ExtractionResult:
     rejected: int
 
 
+def _symmetric_ap_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Mask over the rows of a 2-D color array, each row an interval
+    coloring: True where the row has a k-term progression n + i*d, d >= 1,
+    whose i-th and (k-1-i)-th points share a color for every i < k/2.
+
+    One pass per difference d evaluates the symmetric clause on the slices
+    rows[:, i*d : i*d + N - (k-1)d], so every row is scanned at once."""
+    clauses = _predicate_clauses(PatternSpec.ap(k), "symmetric")
+    N = rows.shape[1]
+    bad = np.zeros(len(rows), dtype=bool)
+    for d in range(1, (N - 1) // (k - 1) + 1):
+        span = N - (k - 1) * d
+        cols = [rows[:, i * d : i * d + span] for i in range(k)]
+        bad |= _eval_clauses(clauses, cols).any(axis=1)
+    return bad
+
+
 def extract_coloring(
     F,
     alpha,
@@ -376,6 +395,13 @@ def extract_coloring(
     about 2^16 field evaluations to a block, so it depends only on (seed, j)
     and the declared inputs; attempts are scanned in order, so the first
     success by attempt index is returned.
+
+    All attempts of a block are checked at once (``_symmetric_ap_rows``),
+    and only the attempts that can still change the result, those up to the
+    first defined and accepted one, are counted.  Only that coloring is
+    built and re-verified with ``verify_symmetric_ap_free`` (a failure
+    raises ``SelfCheckError``), so the result is identical to verifying
+    each attempt in turn.
     """
     if k % 2 or k < 4:
         raise ValueError("k must be even and at least 4")
@@ -396,16 +422,17 @@ def extract_coloring(
             np.repeat(ys[:, None, :], N, axis=1).ravel(),
         ).reshape(nb, N, r)
         hit = vals >= threshold
-        defined = hit.any(axis=2)
+        defined = hit.any(axis=2).all(axis=1)
         first = hit.argmax(axis=2) + 1
-        for a in range(nb):
-            if not defined[a].all():
-                undefined += 1
-                continue
+        bad = _symmetric_ap_rows(first, k)
+        ok = np.flatnonzero(defined & ~bad)
+        a = int(ok[0]) if len(ok) else nb
+        undefined += int(np.count_nonzero(~defined[:a]))
+        rejected += int(np.count_nonzero(bad[:a] & defined[:a]))
+        if a < nb:
             coloring = Coloring.from_raw(INTERVAL, first[a].tolist())
             if verify_symmetric_ap_free(coloring, k) is not None:
-                rejected += 1
-                continue
+                raise SelfCheckError("an accepted extraction has a symmetric progression")
             return ExtractionResult(coloring, done + a, done + a + 1, undefined, rejected)
         done += nb
     return ExtractionResult(None, None, attempts, undefined, rejected)

@@ -412,3 +412,70 @@ def sorted_greedy_solution_free_set(system, m, r):
         counter.rebuild(elements)
         x = accepted + 1
     return tuple(elements), len(elements) >= r, x
+
+
+def full_product_lambda_tilde_mc(F, spec, samples, seed=0):
+    """Monte Carlo progression functional with all k factors evaluated for
+    every sample: the reference for the library's survivor-only product.
+    Same sampler, same uniforms, same sums."""
+    from aplab.patterns import a_binomial_system
+    from aplab.torus import _estimate, _uniform_blocks
+
+    system = a_binomial_system(spec)
+    offsets = spec.normalized().a
+    e = system.e
+    k = system.k
+    total = 0.0
+    total_sq = 0.0
+    for u in _uniform_blocks(seed, samples, k + 2):
+        x0, x1, v = u[0], u[1], u[-1]
+        ys = list(u[2:-1])
+        acc = np.zeros(len(x0))
+        for ei, yi in zip(e[:-1], ys):
+            acc += ei * yi
+        branch = np.floor(v * abs(e[-1]))
+        yk = (((-acc) % 1.0) + branch) / e[-1] % 1.0
+        ys.append(yk)
+        prod = np.ones(len(x0))
+        for a, yi in zip(offsets, ys):
+            prod *= F.evaluate_batch((x0 + a * x1) % 1.0, yi)
+        total += float(prod.sum())
+        total_sq += float((prod * prod).sum())
+    return _estimate(total, total_sq, samples, seed)
+
+
+def loop_extract_coloring(F, alpha, k, r, N, seed=0, attempts=1):
+    """Randomized extraction with one ``verify_symmetric_ap_free`` call per
+    defined attempt: the reference for the library's block-wide rejection.
+    Same sampler and blocks; returns the library's ``ExtractionResult``."""
+    from aplab.colorings import INTERVAL, Coloring, verify_symmetric_ap_free
+    from aplab.torus import _uniform_blocks
+    from aplab.uniformity import ExtractionResult
+
+    threshold = float(alpha) / 2
+    undefined = 0
+    rejected = 0
+    done = 0
+    idx = np.arange(N, dtype=np.float64)
+    for u in _uniform_blocks(seed, attempts, 2 + r, max(1, (1 << 16) // (N * r))):
+        x0, x1, ys = u[0], u[1], u[2:].T
+        nb = len(x0)
+        xs = (x0[:, None] + idx[None, :] * x1[:, None]) % 1.0
+        vals = F.evaluate_batch(
+            np.repeat(xs[:, :, None], r, axis=2).ravel(),
+            np.repeat(ys[:, None, :], N, axis=1).ravel(),
+        ).reshape(nb, N, r)
+        hit = vals >= threshold
+        defined = hit.any(axis=2)
+        first = hit.argmax(axis=2) + 1
+        for a in range(nb):
+            if not defined[a].all():
+                undefined += 1
+                continue
+            coloring = Coloring.from_raw(INTERVAL, first[a].tolist())
+            if verify_symmetric_ap_free(coloring, k) is not None:
+                rejected += 1
+                continue
+            return ExtractionResult(coloring, done + a, done + a + 1, undefined, rejected)
+        done += nb
+    return ExtractionResult(None, None, attempts, undefined, rejected)

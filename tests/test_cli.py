@@ -339,3 +339,10 @@ class TestStageErrors:
         assert captured.out == ""
         assert captured.err == "error: dense count tables need 2^4 x 1250001 entries, over budget\n"
         assert not out.exists()
+
+    def test_greedy_count_budget_exits_2(self, capsys):
+        # the palette of thm2_5 at k = 7 is 49, so solution counts reach 49^6
+        assert main(["pipeline", "--name", "thm2_5", "--k", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: stage 'greedy-set': solution counts reach 49^6, over budget\n"

@@ -1,15 +1,27 @@
 """Property tests with Hypothesis, derandomized so every run draws the same
 examples; skipped when Hypothesis is not installed."""
 
+import inspect
+from fractions import Fraction
+
 import pytest
 
 import oracles
 from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients
 from aplab.sets import greedy_solution_free_set
-from aplab.torus import TorusColoring, pattern_cells, pattern_probability_exact
+from aplab.torus import (
+    TorusColoring,
+    TorusSet,
+    _uniform_blocks,
+    lambda_tilde_mc,
+    pattern_cells,
+    pattern_probability_exact,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
+
+MC_BLOCK = inspect.signature(_uniform_blocks).parameters["block"].default
 
 
 @st.composite
@@ -69,3 +81,30 @@ def test_greedy_set_is_solution_free_and_maximal(case):
         if y not in kept:
             below = tuple(x for x in kept if x < y)
             assert oracles.naive_solution_free((y, *below), system.e, m) is not None, y
+
+
+@st.composite
+def survivor_cases(draw):
+    """A spec with k <= 5 offsets in 0..7, a torus set over a coloring of
+    D <= 24 cells with r <= 4 slots mod m <= 12 (wide, so samples survive
+    some factors and die at others), a sample count of up to two Monte
+    Carlo blocks plus one sample, and a seed."""
+    k = draw(st.integers(3, 5))
+    a = tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k))))
+    D = draw(st.integers(1, 24))
+    r = draw(st.integers(1, min(4, D)))
+    colors = list(range(1, r + 1)) + draw(st.lists(st.integers(1, r), min_size=D - r, max_size=D - r))
+    m = draw(st.integers(1, 12))
+    slots = draw(st.lists(st.integers(0, m - 1), min_size=r, max_size=r))
+    width = Fraction(1, m * draw(st.integers(1, 3)))
+    ts = TorusSet(TorusColoring(tuple(colors)), m, width, tuple(slots))
+    samples = draw(st.integers(1, 2 * MC_BLOCK + 1))
+    return PatternSpec(a), ts, samples, draw(st.integers(0, 2**32 - 1))
+
+
+@hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+@hypothesis.given(survivor_cases())
+def test_survivor_product_matches_full_product(case):
+    spec, ts, samples, seed = case
+    got = lambda_tilde_mc(ts, spec, samples, seed)
+    assert got == oracles.full_product_lambda_tilde_mc(ts, spec, samples, seed)

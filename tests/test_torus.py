@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from aplab.colorings import CYCLIC, Coloring, Z22_COLORING
+from aplab.colorings import CYCLIC, Coloring, Z22_COLORING, tensor_power
 from aplab.errors import BudgetExceededError
 from aplab.patterns import (
     PatternSpec,
@@ -347,6 +347,60 @@ class TestLambdaTildeMC:
         for n in BOUNDARY:
             hits = [round(lambda_tilde_mc(F, spec, s, 1).mean * s) for s in (n, n + 1)]
             assert hits[1] - hits[0] in (0, 1), (n, hits)
+
+
+class SmoothField:
+    """A field with values strictly inside (0, 1), so no sample is ever
+    dropped from the product."""
+
+    def evaluate_batch(self, xs, ys):
+        return 0.5 + 0.25 * np.sin(2 * np.pi * xs) * np.cos(2 * np.pi * ys)
+
+
+class RampField:
+    """F(x, y) = y mod 1 below 1/2 and 0 above: fractional values, and
+    samples dropped at every factor."""
+
+    def evaluate_batch(self, xs, ys):
+        y = ys % 1.0
+        return np.where(y < 0.5, y, 0.0)
+
+
+def thm26_torus_set(ell):
+    """The torus set of ``run_thm2_6(ell)``, built without its exact stage."""
+    Phi = interlace_k(tensor_power(z22(), ell), 4)
+    return build_torus_set(Phi, base9_set(Phi.r, 36 * Phi.r**2 + 1), 4)
+
+
+SURVIVOR_FIELDS = {
+    "thm26_ell1": lambda: thm26_torus_set(1),
+    "thm26_ell2": lambda: thm26_torus_set(2),
+    "slab_quarter": lambda: SlabIndicator(Fraction(1, 4)),
+    "slab_half": lambda: SlabIndicator(Fraction(1, 2)),
+    "strip_quarter": lambda: DiagonalStrip(Fraction(1, 4)),
+    "constant_third": lambda: ConstantField(Fraction(1, 3)),
+    # no sample of any block survives the first factor
+    "zero": lambda: ConstantField(0),
+    "smooth": SmoothField,
+    "ramp": RampField,
+}
+
+
+class TestSurvivorProduct:
+    """The survivor-only product gives the same Estimate, bit for bit, as
+    evaluating all k factors for every sample."""
+
+    @pytest.mark.parametrize("field", sorted(SURVIVOR_FIELDS))
+    # (0, 2, 3) has |e_k| = 2, so y_k also reads the branch uniform
+    @pytest.mark.parametrize(
+        "offsets", [(0, 1, 2, 3), (0, 1, 2, 3, 4), (0, 1, 2, 4), (0, 2, 3)]
+    )
+    def test_equals_full_product(self, field, offsets):
+        F = SURVIVOR_FIELDS[field]()
+        spec = PatternSpec(offsets)
+        for samples in BOUNDARY:
+            got = lambda_tilde_mc(F, spec, samples, 7)
+            assert got == oracles.full_product_lambda_tilde_mc(F, spec, samples, 7), samples
 
 
 class TestSampling:

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from aplab.colorings import CYCLIC, Coloring, Z22_COLORING, verify_symmetric_ap_free
-from aplab.errors import BudgetExceededError, FormatError
+from aplab.errors import BudgetExceededError, FormatError, SelfCheckError
 from aplab.patterns import PatternSpec, k_binomial_system
 from aplab.sets import base9_set
 from aplab.torus import (
@@ -19,6 +19,7 @@ from aplab.torus import (
 )
 from aplab.uniformity import (
     GridFunction,
+    _symmetric_ap_rows,
     convergence_experiment,
     discretize,
     extract_coloring,
@@ -353,3 +354,68 @@ class TestExtraction:
     def test_odd_k_rejected(self):
         with pytest.raises(ValueError):
             extract_coloring(ConstantField(1), 1, 5, 2, 5)
+
+    @pytest.mark.parametrize(
+        "k,r,N,seed,attempts,succeeded_at",
+        [
+            # README `extract --diag`; success at attempt 0
+            (4, 16, 12, 0, 1000, 0),
+            # blocks of 390; 33 undefined and 5 rejected attempts before the
+            # success at 38 in the first block
+            (4, 6, 28, 0, 3000, 38),
+            # blocks of 136; success at 727 in the sixth of 23 blocks
+            (4, 12, 40, 1, 3000, 727),
+            # the same success as the last attempt of a short last block
+            # (680..727, 48 of 136 attempts)
+            (4, 12, 40, 1, 728, 727),
+            # blocks of 4; the success at 34 lies eight block boundaries in,
+            # in a middle block and then in a short last one
+            (4, 512, 32, 3, 2000, 34),
+            (4, 512, 32, 3, 35, 34),
+            (6, 5, 40, 0, 1000, 263),
+            # no success: undefined and rejected attempts in every block
+            (4, 5, 40, 0, 1000, None),
+        ],
+    )
+    def test_equals_per_attempt_loop(self, k, r, N, seed, attempts, succeeded_at):
+        quarter = Fraction(1, 4)
+        got = extract_coloring(DiagonalStrip(quarter), quarter, k, r, N, seed, attempts)
+        want = oracles.loop_extract_coloring(DiagonalStrip(quarter), quarter, k, r, N, seed, attempts)
+        assert got == want
+        assert got.succeeded_at == succeeded_at
+        assert got.undefined_failures > 0 or got.rejected > 0 or succeeded_at == 0
+
+    def test_slab_negative_control_equals_per_attempt_loop(self):
+        # the acceptance-clause 11 control: every attempt fails
+        quarter = Fraction(1, 4)
+        args = (SlabIndicator(quarter), quarter, 4, 16, 12, 0, 2000)
+        got = extract_coloring(*args)
+        assert got == oracles.loop_extract_coloring(*args)
+        assert got.coloring is None and got.undefined_failures > 0 and got.rejected > 0
+
+    def test_accepted_coloring_is_reverified(self, monkeypatch):
+        # a mask that rejects nothing lets a constant coloring through; the
+        # re-verification of the accepted attempt must catch it
+        import aplab.uniformity
+
+        monkeypatch.setattr(
+            aplab.uniformity, "_symmetric_ap_rows", lambda rows, k: np.zeros(len(rows), dtype=bool)
+        )
+        with pytest.raises(SelfCheckError):
+            extract_coloring(ConstantField(1), 1, 4, 1, 10, seed=0, attempts=50)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_rejection_mask_matches_naive(self, k):
+        rng = random.Random(k)
+        seen = set()
+        for _ in range(300):
+            N = rng.randint(1, 16)
+            r = rng.randint(1, 4)
+            rows = np.array([[rng.randint(1, r) for _ in range(N)] for _ in range(5)])
+            mask = _symmetric_ap_rows(rows, k)
+            for row, bad in zip(rows.tolist(), mask):
+                assert bad == (
+                    oracles.naive_symmetric_witness(row, "interval", range(k)) is not None
+                ), row
+            seen.update(mask.tolist())
+        assert seen == {False, True}
