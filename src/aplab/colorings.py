@@ -1,9 +1,11 @@
 """Colorings of Z/NZ and of integer intervals, with pattern verifiers and search.
 
 Verifiers return None when the coloring avoids the pattern family and a
-Witness locating the lexicographically least violation otherwise.  Scans are
-vectorized over the start point with numpy; the test suite cross-checks them
-against independent naive loop implementations.
+Witness locating the lexicographically least violation otherwise.  Scans run
+over blocks of differences, each block one 2-D numpy pass over every start
+point, the row-block form of the exact pattern probability in ``torus``; the
+test suite cross-checks them against independent naive loop implementations
+and against the one-pass-per-difference loop they replaced.
 
 Ambients: "cyclic" quantifies progression differences over nonzero residues;
 "interval" quantifies over progressions that fit inside [0, N).  In the
@@ -20,6 +22,7 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceededError, FormatError
 from .patterns import (
@@ -168,22 +171,20 @@ def coloring_from_text(text: str) -> Coloring:
 # scan engine
 
 
-def _doubled(values) -> np.ndarray:
-    """concat(c, c): a length-N cyclic array laid out so that every cyclic
-    shift of it is one contiguous slice (see ``_shift_views``)."""
-    c = np.asarray(values)
-    return np.concatenate((c, c))
+def _periodic_windows(values, rows, step):
+    """2-D view whose row s is values[(s + p) mod N] at column p, for every
+    s < N + step * (rows - 1): the rows that a block of ``rows`` strided rows
+    (see ``_strided_rows``) starting below N reads with a stride up to
+    ``step``."""
+    n = len(values)
+    return sliding_window_view(np.tile(values, 2 + -(-step * (rows - 1) // n)), n)
 
 
-def _shift_views(doubled, shifts):
-    """Views v_i with v_i[x] = c_i[(x + s_i) mod N], one per pair of a doubled
-    array ``doubled[i]`` = concat(c_i, c_i) and a shift ``shifts[i]``.
-
-    Each view is the slice c2[s:s+N] with s = s_i mod N, so reading the
-    values at x + s_i for every x costs no gather and no copy.
-    """
-    n = len(doubled[0]) // 2
-    return [c2[s % n : s % n + n] for c2, s in zip(doubled, shifts)]
+def _strided_rows(windows, start, step, rows):
+    """Rows start, start + step, ..., ``rows`` of them, as one 2-D view of
+    ``windows``; ``step`` may be negative."""
+    stop = start + step * rows
+    return windows[start : stop if stop >= 0 else None : step]
 
 
 def _predicate_clauses(spec: PatternSpec, predicate: str, subset=None):
@@ -253,44 +254,77 @@ def _eval_clauses(clauses, cols):
     return mask
 
 
-def _iter_color_tuples(coloring: Coloring, offsets, signed=False):
-    """Yield (d, lo, cols) with cols[i][j] the color at n + offsets[i]*d for
-    the j-th valid start point n = lo + j of difference d.
+def _least_hit(coloring: Coloring, offsets, clauses, signed=False, bound=None):
+    """(n, d, clause) for the lexicographically least (n, d) at which some
+    clause holds on the colors at n + offsets[i]*d, with the first clause, in
+    list order, that holds there; None when no clause holds anywhere.
 
     offsets must be normalized (first entry 0, increasing).  Cyclic ambient
     scans d over 1..N-1, which already covers negated differences; interval
     scans d >= 1, plus d <= -1 when ``signed`` is set (needed for predicates
-    that are not reversal-invariant).
+    that are not reversal-invariant), each n with every point in [0, N).
+
+    The scan runs over blocks of rows d0..d0+b-1, b = max(1, 2^17 // N) and
+    at most N.  Position i of a block is one strided 2-D view of windows of
+    the colors, repeated periodically (cyclic) or padded on both sides
+    (interval, where a start-point mask keeps the n whose progression fits,
+    and the negative differences run -1, -2, ... with a negative stride).  A
+    block's hit is its least hit column, then the least d in that column.
+    Only hits below ``bound``, a known (n, d), count, and every later block
+    reads only the columns up to the best (n, d) so far; when no column is
+    left the scan ends.  None when no hit lies below ``bound``.
     """
-    col = coloring.as_array
     n_amb = coloring.n
     amax = offsets[-1]
-    if coloring.ambient == CYCLIC:
-        doubled = [_doubled(col)] * len(offsets)
-        for d in range(1, n_amb):
-            yield d, 0, _shift_views(doubled, [o * d for o in offsets])
-        return
-    ds = list(range(1, (n_amb - 1) // amax + 1)) if amax <= n_amb - 1 else []
-    if signed:
-        ds = ds + [-d for d in ds]
-    for d in ds:
-        lo, hi = (0, n_amb - amax * d) if d > 0 else (amax * -d, n_amb)
-        yield d, lo, [col[lo + o * d : hi + o * d] for o in offsets]
-
-
-def _least_hit(coloring: Coloring, offsets, clauses, signed=False):
-    """(n, d, clause) for the lexicographically least (n, d) at which some
-    clause holds on the colors at n + offsets[i]*d, with the first clause, in
-    list order, that holds there; None when no clause holds anywhere."""
-    best = None
-    for d, lo, cols in _iter_color_tuples(coloring, offsets, signed):
-        mask = _eval_clauses(clauses, cols)
-        if mask.any():
-            pos = int(np.argmax(mask))
-            if best is None or (lo + pos, d) < best[:2]:
-                at = [col[pos] for col in cols]
-                best = (lo + pos, d, next(cl for cl in clauses if _eval_clauses([cl], at)))
-    return best
+    cyclic = coloring.ambient == CYCLIC
+    rows = max(1, min(n_amb, (1 << 17) // n_amb))
+    colors = coloring.as_array.astype(np.min_scalar_type(coloring.r))
+    if cyclic:
+        phases = [(1, n_amb - 1)]
+        windows = _periodic_windows(colors, rows, amax)
+    else:
+        phases = [(1, (n_amb - 1) // amax)] + ([(-1, (n_amb - 1) // amax)] if signed else [])
+        pad = np.zeros(n_amb, colors.dtype)
+        windows = sliding_window_view(np.concatenate((pad, colors, pad)), n_amb)
+    first = np.broadcast_to(colors, (rows, n_amb))
+    best, hit = bound, None
+    for sign, d_max in phases:
+        for e0 in range(1, d_max + 1, rows):
+            b = min(rows, d_max + 1 - e0)
+            d0 = sign * e0
+            lo = amax * e0 if sign < 0 else 0
+            hi = n_amb - amax * e0 if not cyclic and sign > 0 else n_amb
+            if best is not None:
+                # column best[0] still counts while the block has a d below best[1]
+                hi = min(hi, best[0] + (min(d0, sign * (e0 + b - 1)) < best[1]))
+            if hi <= lo:
+                # a later block of the phase starts at least one column
+                # further right and ends at most one further right
+                break
+            cols = [first[:b, lo:hi]]
+            for o in offsets[1:]:
+                start = (o * d0) % n_amb if cyclic else n_amb + o * d0
+                cols.append(_strided_rows(windows, start, sign * o, b)[:, lo:hi])
+            mask = _eval_clauses(clauses, cols)
+            if not mask.any():
+                continue
+            if not cyclic:
+                e = np.arange(e0, e0 + b)[:, None]
+                n = np.arange(lo, hi)
+                mask &= n >= amax * e if sign < 0 else n < n_amb - amax * e
+            hit_cols = mask.any(axis=0)
+            if not hit_cols.any():
+                continue
+            j = int(np.argmax(hit_cols))
+            hit_rows = np.flatnonzero(mask[:, j])
+            cand = (lo + j, sign * (e0 + int(hit_rows[0] if sign > 0 else hit_rows[-1])))
+            if best is None or cand < best:
+                best = hit = cand
+    if hit is None:
+        return None
+    n, d = hit
+    at = [coloring.colors[(n + o * d) % n_amb] for o in offsets]
+    return n, d, next(cl for cl in clauses if _eval_clauses([cl], at))
 
 
 def _witness_at(coloring, offsets, n, d, kind, detail=None):
@@ -430,9 +464,12 @@ def verify_abab_abba_free(coloring: Coloring, a_bound: int) -> Witness | None:
     for quad in combinations(range(1, a_bound + 1), 4):
         offsets = tuple(x - quad[0] for x in quad)
         asym = quad[0] + quad[3] != quad[1] + quad[2]
-        hit = _least_hit(coloring, offsets, [abab, abba] if asym else [abab])
-        # quads come in increasing order, so an equal (n, d) keeps the first
-        if hit is not None and (best is None or hit[:2] < best[:2]):
+        # quads come in increasing order, so an equal (n, d) keeps the first:
+        # a later quad counts only below the best (n, d) so far
+        hit = _least_hit(
+            coloring, offsets, [abab, abba] if asym else [abab], bound=best and best[:2]
+        )
+        if hit is not None:
             kind = "abab" if hit[2] == abab else "asymmetric-abba"
             best = (hit[0], hit[1], quad, offsets, kind)
     if best is None:

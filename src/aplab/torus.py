@@ -21,9 +21,14 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .colorings import Coloring, _eval_clauses, _predicate_clauses
+from .colorings import (
+    Coloring,
+    _eval_clauses,
+    _periodic_windows,
+    _predicate_clauses,
+    _strided_rows,
+)
 from .errors import BudgetExceededError, FormatError, SelfCheckError
 from .patterns import PatternSpec, a_binomial_system
 from .sets import ResidueSet
@@ -252,8 +257,7 @@ def pattern_probability_exact(
     # its 256 KiB boolean temporaries page-faulting on every allocation.
     rows = max(1, min(D, (1 << 17) // D))
     colors = Phi.as_array.astype(np.min_scalar_type(Phi.r))
-    reps = 2 + -(-offsets[-1] * (rows - 1) // D)
-    windows = sliding_window_view(np.tile(colors, reps), D)
+    windows = _periodic_windows(colors, rows, offsets[-1])
     # a_1 = g_1 = 0: the first position reads c[p] on every row
     first = np.broadcast_to(windows[0], (rows, D))
     counts = [0] * len(cells)
@@ -263,7 +267,7 @@ def pattern_probability_exact(
             cols = [first[:b]]
             for a, gi in zip(offsets[1:], g[1:]):
                 s = (a * q0 + gi) % D
-                cols.append(windows[s : s + a * b : a])
+                cols.append(_strided_rows(windows, s, a, b))
             counts[j] += int(np.count_nonzero(_eval_clauses(clauses, cols)))
     return sum(area * cnt for (_, area), cnt in zip(cells, counts)) / (D * D)
 

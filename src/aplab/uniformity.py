@@ -18,10 +18,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .colorings import (
     INTERVAL,
     Coloring,
-    _doubled,
     _eval_clauses,
+    _periodic_windows,
     _predicate_clauses,
-    _shift_views,
+    _strided_rows,
     verify_symmetric_ap_free,
 )
 from .errors import BudgetExceededError, FormatError, SelfCheckError
@@ -136,6 +136,15 @@ def lambda_exact(fs, spec: PatternSpec, rational_cap: int = LAMBDA_RATIONAL_N_CA
     grids are counted in exact integer arithmetic and general rational grids
     are summed exactly under a size cap; float grids use numpy in binary64.
     Returns a Fraction on the exact paths, a float otherwise.
+
+    Indicator and float grids are scanned in blocks of differences
+    d0..d0+b-1, b = max(1, 2^17 // N) and at most N, the row blocks of the
+    verifiers' scan: position i of a block is one strided 2-D view of the
+    windows of f_i repeated periodically.  Indicators are booleans whose AND
+    is counted; float rows are multiplied in position order and each row is
+    summed on its own and added in increasing d, so the float value is the
+    one a sum per difference gives, bit for bit.  No early exit applies, as
+    every (n, d) contributes.
     """
     if isinstance(fs, GridFunction):
         fs = [fs] * spec.k
@@ -146,10 +155,9 @@ def lambda_exact(fs, spec: PatternSpec, rational_cap: int = LAMBDA_RATIONAL_N_CA
     if any(f.N != N for f in fs):
         raise ValueError("grids must share N")
     offsets = spec.normalized().a
-    indicator = all(f.is_indicator for f in fs)
-    if indicator:
-        doubled = [_doubled([int(v) for v in f.exact]) for f in fs]
-    elif all(f.exact is not None for f in fs):
+    distinct = {id(f): f for f in fs}
+    indicator = all(f.is_indicator for f in distinct.values())
+    if not indicator and all(f.exact is not None for f in fs):
         if N > rational_cap:
             raise BudgetExceededError(
                 f"exact rational density capped at N <= {rational_cap}"
@@ -162,15 +170,34 @@ def lambda_exact(fs, spec: PatternSpec, rational_cap: int = LAMBDA_RATIONAL_N_CA
                     prod *= Fraction(f.exact[(n + o * d) % N])
                 total += prod
         return total / (N * N)
-    else:
-        doubled = [_doubled(f.values) for f in fs]
+    rows = max(1, min(N, (1 << 17) // N))
+    # indicators as booleans
+    windows = {
+        key: _periodic_windows(
+            np.array([v == 1 for v in f.exact]) if indicator else f.values, rows, offsets[-1]
+        )
+        for key, f in distinct.items()
+    }
+    # row d of a block holds f_i(n + a_i d) at column n; a_1 = 0
+    first = np.broadcast_to(windows[id(fs[0])][0], (rows, N))
     total = 0
-    for d in range(N):
-        views = _shift_views(doubled, [o * d for o in offsets])
-        prod = views[0] * views[1]
-        for v in views[2:]:
-            prod *= v
-        total += prod.sum().item()
+    for d0 in range(0, N, rows):
+        b = min(rows, N - d0)
+        views = [first[:b]]
+        for f, o in zip(fs[1:], offsets[1:]):
+            views.append(_strided_rows(windows[id(f)], o * d0 % N, o, b))
+        if indicator:
+            prod = views[0] & views[1]
+            for v in views[2:]:
+                prod &= v
+            total += int(np.count_nonzero(prod))
+        else:
+            prod = views[0] * views[1]
+            for v in views[2:]:
+                prod *= v
+            # row sums in increasing d, as one sum per d would add them
+            for s in prod.sum(axis=1).tolist():
+                total += s
     return Fraction(total, N * N) if indicator else total / (N * N)
 
 
@@ -226,7 +253,7 @@ def gowers_norm(f: GridFunction, s: int, center: bool = False, n_cap: int = U3_N
     j = np.arange(half + 1)
     weight = np.where((j == 0) | (2 * j == N), 1.0, 2.0)
     # row h is the translate x -> f(x + h)
-    shifted = sliding_window_view(_doubled(vals), N)
+    shifted = sliding_window_view(np.tile(vals, 2), N)
     # a transform buffer of about 256 KiB; complex row i of a block carries
     # derivative rows h0 + 2i (real part) and h0 + 2i + 1 (imaginary part),
     # and column N repeats column 0 so that the frequencies 0, -1, ..., -N//2

@@ -320,11 +320,92 @@ def max_3ap_free_size(N):
     return best
 
 
+def _doubled(values) -> np.ndarray:
+    """concat(c, c): a length-N cyclic array laid out so that every cyclic
+    shift of it is one contiguous slice (see ``_shift_views``)."""
+    c = np.asarray(values)
+    return np.concatenate((c, c))
+
+
+def _shift_views(doubled, shifts):
+    """Views v_i with v_i[x] = c_i[(x + s_i) mod N], one per pair of a doubled
+    array ``doubled[i]`` = concat(c_i, c_i) and a shift ``shifts[i]``."""
+    n = len(doubled[0]) // 2
+    return [c2[s % n : s % n + n] for c2, s in zip(doubled, shifts)]
+
+
+def _iter_color_tuples(coloring, offsets, signed=False):
+    """Yield (d, lo, cols) with cols[i][j] the color at n + offsets[i]*d for
+    the j-th valid start point n = lo + j of difference d.
+
+    offsets must be normalized (first entry 0, increasing).  Cyclic ambient
+    scans d over 1..N-1, which already covers negated differences; interval
+    scans d >= 1, plus d <= -1 when ``signed`` is set (needed for predicates
+    that are not reversal-invariant).
+    """
+    col = coloring.as_array
+    n_amb = coloring.n
+    amax = offsets[-1]
+    if coloring.ambient == "cyclic":
+        doubled = [_doubled(col)] * len(offsets)
+        for d in range(1, n_amb):
+            yield d, 0, _shift_views(doubled, [o * d for o in offsets])
+        return
+    ds = list(range(1, (n_amb - 1) // amax + 1)) if amax <= n_amb - 1 else []
+    if signed:
+        ds = ds + [-d for d in ds]
+    for d in ds:
+        lo, hi = (0, n_amb - amax * d) if d > 0 else (amax * -d, n_amb)
+        yield d, lo, [col[lo + o * d : hi + o * d] for o in offsets]
+
+
+def loop_least_hit(coloring, offsets, clauses, signed=False):
+    """(n, d, clause) for the lexicographically least (n, d) at which some
+    clause holds on the colors at n + offsets[i]*d, with the first clause, in
+    list order, that holds there; None when no clause holds anywhere.  One
+    1-D pass per difference d: the reference for the library's blocked scan."""
+    from aplab.colorings import _eval_clauses
+
+    best = None
+    for d, lo, cols in _iter_color_tuples(coloring, offsets, signed):
+        mask = _eval_clauses(clauses, cols)
+        if mask.any():
+            pos = int(np.argmax(mask))
+            if best is None or (lo + pos, d) < best[:2]:
+                at = [col[pos] for col in cols]
+                best = (lo + pos, d, next(cl for cl in clauses if _eval_clauses([cl], at)))
+    return best
+
+
+def loop_lambda_exact(fs, spec):
+    """lambda_exact's indicator and float paths by one 1-D pass per
+    difference d: a Fraction when every grid is an indicator, else a float
+    summed per d in increasing d.  Grids that carry exact values but are not
+    all indicators take lambda_exact's rational path, not this one."""
+    if not isinstance(fs, (list, tuple)):
+        fs = [fs] * spec.k
+    N = fs[0].N
+    offsets = spec.normalized().a
+    indicator = all(f.is_indicator for f in fs)
+    if indicator:
+        doubled = [_doubled([int(v) for v in f.exact]) for f in fs]
+    else:
+        doubled = [_doubled(f.values) for f in fs]
+    total = 0
+    for d in range(N):
+        views = _shift_views(doubled, [o * d for o in offsets])
+        prod = views[0] * views[1]
+        for v in views[2:]:
+            prod *= v
+        total += prod.sum().item()
+    return Fraction(total, N * N) if indicator else total / (N * N)
+
+
 def loop_pattern_probability(Phi, spec, predicate="binomial", subset=None):
     """Exact pattern probability by one 1-D pass per (q, cell) pair: the
     reference for the library's row-blocked kernel, with the same clause
     compiler and the same (s, t) decomposition, O(D^2 * cells)."""
-    from aplab.colorings import _doubled, _eval_clauses, _predicate_clauses, _shift_views
+    from aplab.colorings import _eval_clauses, _predicate_clauses
     from aplab.torus import pattern_cells
 
     offsets = spec.normalized().a

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import oracles
+from aplab import colorings
 from aplab.colorings import (
     CYCLIC,
     INTERVAL,
     Coloring,
     Z22_COLORING,
+    _least_hit,
     _predicate_clauses,
     coloring_from_text,
     coloring_to_text,
@@ -322,6 +324,171 @@ class TestAbabVerifier:
     def test_mod_behrend_requires_coprimality(self):
         with pytest.raises(ValueError):
             mod_behrend_coloring(6, 2, 4)  # gcd(6, 24) > 1
+
+
+def _loop_hit(coloring, offsets, clauses, signed=False, bound=None):
+    """The one-pass-per-difference scan, restricted to hits below ``bound``."""
+    hit = oracles.loop_least_hit(coloring, offsets, clauses, signed)
+    return hit if hit is None or bound is None or hit[:2] < bound else None
+
+
+def _whole(w):
+    """A witness with its detail, which ``Witness.__eq__`` leaves out."""
+    return None if w is None else (w, w.detail)
+
+
+class TestBlockedScan:
+    """The blocked ``_least_hit`` and the verifiers built on it against the
+    one-pass-per-difference loop they replaced, ``oracles.loop_least_hit``:
+    equal (n, d), clause, witness and detail."""
+
+    SPECS = [
+        (PatternSpec.ap(4), "symmetric"),
+        (PatternSpec.ap(6), "symmetric"),
+        (PatternSpec.ap(4), "binomial"),
+        (PatternSpec.ap(5), "binomial"),
+        (PatternSpec((0, 1, 2, 4)), "binomial"),
+        (PatternSpec((0, 2, 3, 7)), "binomial"),
+        (PatternSpec((1, 2, 3, 6, 7, 8)), "binomial"),
+        (PatternSpec.ap(5), "mono"),
+    ]
+
+    @staticmethod
+    def cases():
+        rng = random.Random(10)
+
+        def colored(ambient, n, r):
+            return Coloring.from_raw(ambient, [rng.randint(1, r) for _ in range(n)])
+
+        out = []
+        # cyclic N sharing factors with the offsets, and N = 1, 2
+        out += [colored(CYCLIC, n, r) for n in (1, 2, 6, 12, 14, 21, 28) for r in (2, 3)]
+        out += [colored(CYCLIC, 42, 12), colored(CYCLIC, 60, 30)]
+        # interval colorings too short for some offsets: no valid d
+        out += [colored(INTERVAL, n, 2) for n in (1, 2, 3, 5, 7)]
+        out += [colored(INTERVAL, n, r) for n in (30, 64) for r in (3, 20)]
+        # several blocks: 2^17 // N rows each, the last one short; a large
+        # palette puts the least hit in a later block, r >= 256 takes uint16
+        out += [colored(amb, 363, 120) for amb in (CYCLIC, INTERVAL)]
+        out += [colored(amb, 1000, r) for amb in (CYCLIC, INTERVAL) for r in (40, 300)]
+        return out
+
+    def test_least_hit_matches_loop(self):
+        for c in self.cases():
+            for spec, predicate in self.SPECS:
+                offsets = spec.normalized().a
+                clauses = _predicate_clauses(spec, predicate)
+                for signed in (False, True):
+                    want = oracles.loop_least_hit(c, offsets, clauses, signed)
+                    got = _least_hit(c, offsets, clauses, signed)
+                    assert got == want, (c.ambient, c.n, spec, predicate, signed)
+
+    def test_bound_keeps_only_smaller_hits(self):
+        rng = random.Random(11)
+        spec = PatternSpec((0, 2, 3, 7))
+        offsets = spec.normalized().a
+        clauses = _predicate_clauses(spec, "binomial")
+        seen = 0
+        for c in self.cases():
+            hit = oracles.loop_least_hit(c, offsets, clauses, signed=True)
+            if hit is None:
+                continue
+            n, d = hit[:2]
+            # equal, just above and just below the least hit, and far off
+            bounds = [(n, d), (n, d + 1), (n, d - 1), (n + 1, -c.n), (max(n - 1, 0), c.n)]
+            bounds.append((rng.randrange(c.n), rng.randrange(-c.n, c.n)))
+            for bound in bounds:
+                got = _least_hit(c, offsets, clauses, True, bound=bound)
+                assert got == _loop_hit(c, offsets, clauses, True, bound), (c.n, hit, bound)
+                seen += got is not None
+        assert seen
+
+    @pytest.mark.parametrize("a, d_neg", [((0, 1, 2, 4), 200), ((0, 2, 3, 7), 140)])
+    def test_signed_scan_puts_negative_d_first(self, a, d_neg):
+        # interval N = 1000: -d_neg lies in the second block of the negative
+        # differences; every color is distinct except the planted progressions
+        spec = PatternSpec(a)
+        offsets = spec.normalized().a
+        clauses = _predicate_clauses(spec, "binomial")
+        n0 = offsets[-1] * d_neg + 5
+
+        def planted(*nds):
+            ids = list(range(1000))
+            for n, d in nds:
+                for group in colorings._groups(clauses[0]):
+                    for i in group:
+                        # plants sharing a start point share its label
+                        ids[n + offsets[i] * d] = (n, None if 0 in group else d, group)
+            return Coloring.from_raw(INTERVAL, ids)
+
+        for c, want in [
+            (planted((n0, 2), (n0, -d_neg)), (n0, -d_neg)),
+            (planted((n0, 2), (n0 + 1, -d_neg)), (n0, 2)),
+            # two hits in one column of one block: the later row has the least d
+            (planted((n0, 1 - d_neg), (n0, -d_neg)), (n0, -d_neg)),
+        ]:
+            hit = _least_hit(c, offsets, clauses, signed=True)
+            assert hit == oracles.loop_least_hit(c, offsets, clauses, signed=True)
+            assert hit[:2] == want
+
+    @pytest.fixture
+    def loop_scan(self, monkeypatch):
+        """Runs a verifier with the loop in place of the blocked scan."""
+
+        def run(verify, *args):
+            with monkeypatch.context() as m:
+                m.setattr(colorings, "_least_hit", _loop_hit)
+                return verify(*args)
+
+        return run
+
+    def test_verifiers_match_loop(self, loop_scan):
+        calls = [
+            (verify_symmetric_ap_free, 4),
+            (verify_symmetric_ap_free, 6),
+            (verify_sym_a_ap_free, PatternSpec((0, 1, 3, 4))),
+            (verify_binomial_pattern_free, PatternSpec.ap(4)),
+            (verify_binomial_pattern_free, PatternSpec((0, 1, 2, 4))),
+            (verify_binomial_pattern_free, PatternSpec((0, 2, 3, 7))),
+            (verify_binomial_pattern_free, PatternSpec((1, 2, 3, 6, 7, 8))),
+        ]
+        for c in self.cases():
+            for verify, arg in calls:
+                assert _whole(verify(c, arg)) == _whole(loop_scan(verify, c, arg)), (c, arg)
+
+    def test_abab_matches_loop_with_ties(self, loop_scan):
+        abab, abba = ("pairing", ((0, 2), (1, 3))), ("pairing", ((0, 3), (1, 2)))
+        cases = [c for c in self.cases() if c.n <= 363]
+        cases += [Coloring(CYCLIC, (1,) * 10), Coloring(INTERVAL, (1, 2) * 9)]
+        ties = 0
+        for c in cases:
+            for a_bound in (4, 5, 8):
+                got = verify_abab_abba_free(c, a_bound)
+                assert _whole(got) == _whole(loop_scan(verify_abab_abba_free, c, a_bound))
+                if got is None:
+                    continue
+                # quads reaching the witness's (n, d); the first one is reported
+                tied = []
+                for q in itertools.combinations(range(1, a_bound + 1), 4):
+                    clauses = [abab, abba] if q[0] + q[3] != q[1] + q[2] else [abab]
+                    hit = oracles.loop_least_hit(c, tuple(x - q[0] for x in q), clauses)
+                    if hit is not None and hit[:2] == (got.n, got.d):
+                        tied.append(q)
+                assert tied[0] == got.detail["quad"]
+                ties += len(tied) > 1
+        assert ties
+
+    def test_benchmark_cube_and_square(self, loop_scan):
+        # the Z/22Z coloring under n -> 5n + 3, as the benchmark builds its
+        # cube (N = 10648) and square (N = 484)
+        base = Coloring.from_raw(CYCLIC, [Z22_COLORING[(5 * n + 3) % 22] for n in range(22)])
+        cube, square = tensor_power(base, 3), tensor_power(base, 2)
+        for verify, c, arg in [
+            (verify_symmetric_ap_free, cube, 4),
+            (verify_binomial_pattern_free, cube, PatternSpec.ap(4)),
+            (verify_abab_abba_free, square, 8),
+        ]:
+            assert _whole(verify(c, arg)) == _whole(loop_scan(verify, c, arg))
 
 
 class TestConstructions:

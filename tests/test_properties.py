@@ -7,6 +7,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from aplab.colorings import (
+    CYCLIC,
+    INTERVAL,
+    Coloring,
+    verify_abab_abba_free,
+    verify_binomial_pattern_free,
+    verify_symmetric_ap_free,
+)
 from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients
 from aplab.sets import greedy_solution_free_set
 from aplab.torus import (
@@ -108,3 +116,50 @@ def test_survivor_product_matches_full_product(case):
     spec, ts, samples, seed = case
     got = lambda_tilde_mc(ts, spec, samples, seed)
     assert got == oracles.full_product_lambda_tilde_mc(ts, spec, samples, seed)
+
+
+@st.composite
+def verifier_cases(draw):
+    """A cyclic or interval coloring of N <= 24 points with r <= 4 colors,
+    and an ABAB offset bound in 4..8."""
+    ambient = draw(st.sampled_from([CYCLIC, INTERVAL]))
+    N = draw(st.integers(1, 24))
+    r = draw(st.integers(1, min(4, N)))
+    colors = draw(st.lists(st.integers(1, r), min_size=N, max_size=N))
+    return Coloring.from_raw(ambient, colors), draw(st.integers(4, 8))
+
+
+
+def _located(c, w, offsets):
+    """(n, d) of a witness after checking its points and colors against the
+    coloring; None for no witness."""
+    if w is None:
+        return None
+    pts = tuple(w.n + o * w.d for o in offsets)
+    assert w.points == (tuple(p % c.n for p in pts) if c.ambient == CYCLIC else pts)
+    assert w.colors == tuple(c.colors[p] for p in w.points)
+    return w.n, w.d
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(verifier_cases())
+def test_verifiers_match_naive(case):
+    c, a_bound = case
+    for k in (4, 6):
+        w = verify_symmetric_ap_free(c, k)
+        want = oracles.naive_symmetric_witness(c.colors, c.ambient, tuple(range(k)))
+        assert _located(c, w, range(k)) == want, k
+    for a in ((0, 1, 2, 3), (0, 1, 2, 3, 4), (0, 1, 2, 4), (0, 2, 3, 7)):
+        spec = PatternSpec(a)
+        w = verify_binomial_pattern_free(c, spec)
+        want = oracles.naive_binomial_witness(
+            c.colors, c.ambient, a, a_coefficients(spec), a_binomial_system(spec).e
+        )
+        assert _located(c, w, a) == want, a
+    w = verify_abab_abba_free(c, a_bound)
+    want = oracles.naive_abab_witness(c.colors, c.ambient, a_bound)
+    if w is None:
+        assert want is None
+    else:
+        quad = w.detail["quad"]
+        assert (*_located(c, w, [x - quad[0] for x in quad]), quad) == want

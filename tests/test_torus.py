@@ -298,7 +298,7 @@ class TestLambdaTildeMC:
     def test_slab_matches_convolution_oracle(self):
         spec = PatternSpec.ap(4)
         est = lambda_tilde_mc(SlabIndicator(Fraction(1, 4)), spec, 1_000_000, 2)
-        want = oracles.slab_volume(0.25, k_binomial_system(4).e)
+        want = oracles.slab_volume(0.25, k_binomial_system(4).e, gridsize=1 << 10)
         assert abs(est.mean - want) <= 4 * est.stderr
 
     def test_multibranch_system(self):

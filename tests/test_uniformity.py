@@ -141,6 +141,21 @@ class TestLambdaExact:
             lambda_exact(float_f, spec), rel=1e-12
         )
 
+    def test_blocked_matches_loop_reference(self):
+        # N = 362 is one block, N = 363 two (the second of 2 rows) and
+        # N = 1000 blocks of 131 with a short last one; floats must agree bit
+        # for bit, so each row is summed alone and rows are added in order
+        rng = np.random.default_rng(3)
+        for N in (1, 2, 7, 362, 363, 1000):
+            for a in ((0, 1, 2, 3), (0, 1, 2, 4), (0, 2, 3, 7), (0, 1, 2, 3, 4)):
+                spec = PatternSpec(a)
+                several = [quadratic_indicator(N, Fraction(j + 1, 7)) for j in range(spec.k)]
+                floats = [GridFunction(rng.random(N)) for _ in range(spec.k)]
+                for fs in (several[0], several, floats[0], floats, several[:1] + floats[1:]):
+                    got = lambda_exact(fs, spec)
+                    want = oracles.loop_lambda_exact(fs, spec)
+                    assert type(got) is type(want) and got == want, (N, a)
+
     def test_translation_and_reflection_invariance(self):
         rng = random.Random(6)
         spec = PatternSpec((0, 2, 3))
@@ -296,7 +311,7 @@ class TestConvergence:
             assert row["centered_norm"] == pytest.approx(0.0, abs=1e-10)
 
     def test_slab_reference_given(self):
-        want = oracles.slab_volume(0.25, k_binomial_system(4).e)
+        want = oracles.slab_volume(0.25, k_binomial_system(4).e, gridsize=1 << 10)
         table = convergence_experiment(
             SlabIndicator(Fraction(1, 4)), PatternSpec.ap(4), [199, 499], reference=want
         )
