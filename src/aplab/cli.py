@@ -259,7 +259,10 @@ def cmd_torus_set(args) -> int:
 def cmd_density(args) -> int:
     spec = _spec_arg(args)
     if args.lambda_exact:
-        grids = [grid_from_text(_read(p)) for p in args.grid.split(",")]
+        paths = args.grid.split(",")
+        # a path named more than once is read once and shares one grid object
+        loaded = {p: grid_from_text(_read(p)) for p in dict.fromkeys(paths)}
+        grids = [loaded[p] for p in paths]
         fs = grids[0] if len(grids) == 1 else grids
         val = lambda_exact(fs, spec)
         if isinstance(val, Fraction):

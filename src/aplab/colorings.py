@@ -1,11 +1,11 @@
 """Colorings of Z/NZ and of integer intervals, with pattern verifiers and search.
 
 Verifiers return None when the coloring avoids the pattern family and a
-Witness locating the lexicographically least violation otherwise.  Scans run
-over blocks of differences, each block one 2-D numpy pass over every start
-point, the row-block form of the exact pattern probability in ``torus``; the
-test suite cross-checks them against independent naive loop implementations
-and against the one-pass-per-difference loop they replaced.
+Witness locating the lexicographically least violation otherwise.  The
+progression verifiers read the blocks of differences of ``scan.shift_blocks``,
+one 2-D numpy pass over every start point per block; the test suite
+cross-checks them against independent naive loop implementations and against
+the one-pass-per-difference loop they replaced.
 
 Ambients: "cyclic" quantifies progression differences over nonzero residues;
 "interval" quantifies over progressions that fit inside [0, N).  In the
@@ -22,16 +22,10 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceededError, FormatError
-from .patterns import (
-    PatternSpec,
-    a_binomial_system,
-    enumerate_pairings,
-    is_symmetric,
-    zero_sum_subsets,
-)
+from .patterns import PatternSpec, is_symmetric
+from .scan import eval_clauses, predicate_clauses, shift_blocks
 
 __all__ = [
     "CYCLIC",
@@ -168,90 +162,7 @@ def coloring_from_text(text: str) -> Coloring:
 
 
 # ---------------------------------------------------------------------------
-# scan engine
-
-
-def _periodic_windows(values, rows, step):
-    """2-D view whose row s is values[(s + p) mod N] at column p, for every
-    s < N + step * (rows - 1): the rows that a block of ``rows`` strided rows
-    (see ``_strided_rows``) starting below N reads with a stride up to
-    ``step``."""
-    n = len(values)
-    return sliding_window_view(np.tile(values, 2 + -(-step * (rows - 1) // n)), n)
-
-
-def _strided_rows(windows, start, step, rows):
-    """Rows start, start + step, ..., ``rows`` of them, as one 2-D view of
-    ``windows``; ``step`` may be negative."""
-    stop = start + step * rows
-    return windows[start : stop if stop >= 0 else None : step]
-
-
-def _predicate_clauses(spec: PatternSpec, predicate: str, subset=None):
-    """Compile a pattern predicate to a clause list, evaluated as an OR.
-
-    Each clause is ("pairing", pairs), meaning every listed index pair shares
-    a color, or ("subset", idx), meaning all listed positions share a color.
-    "binomial" lists the coefficient-negating pairings (even k only) and then
-    the zero-sum coefficient subsets of size >= 3; "symmetric" is the single
-    pairing i <-> k-1-i; "mono" is one subset, all positions by default.
-
-    A binomial clause whose equalities imply every equality of an earlier
-    clause is dropped (for AP4, subset (0,1,2,3) implies the pairing
-    (0,3)(1,2)): wherever it holds the earlier clause holds too, so neither
-    the OR nor the first clause that holds at a point changes.
-    """
-    k = spec.k
-    if predicate == "binomial":
-        clauses = []
-        if k % 2 == 0:
-            clauses += [("pairing", p.pairs) for p in enumerate_pairings(spec)]
-        clauses += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec), 3)]
-        kept = []
-        for cl in clauses:
-            if not any(_implies(cl, e) for e in kept):
-                kept.append(cl)
-        return kept
-    if predicate == "symmetric":
-        if k % 2:
-            raise ValueError("symmetric predicate needs even k")
-        return [("pairing", tuple((i, k - 1 - i) for i in range(k // 2)))]
-    if predicate == "mono":
-        idx = tuple(subset) if subset is not None else tuple(range(k))
-        if len(idx) < 2:
-            raise ValueError("mono predicate needs at least 2 positions")
-        return [("subset", idx)]
-    raise ValueError(f"unknown predicate {predicate!r}")
-
-
-def _groups(clause):
-    """The disjoint position groups a clause asserts monochromatic."""
-    kind, data = clause
-    return data if kind == "pairing" else (data,)
-
-
-def _implies(clause, other):
-    """True when every group of ``other`` lies inside a group of ``clause``,
-    so that wherever ``clause`` holds ``other`` holds too."""
-    groups = [set(g) for g in _groups(clause)]
-    return all(any(set(h) <= g for g in groups) for h in _groups(other))
-
-
-def _eval_clauses(clauses, cols):
-    """OR of the clauses over the colors ``cols[i]`` at position i; elementwise
-    on arrays, a plain truth value on scalars."""
-    mask = None
-    for kind, data in clauses:
-        if kind == "pairing":
-            m = cols[data[0][0]] == cols[data[0][1]]
-            for i, j in data[1:]:
-                m &= cols[i] == cols[j]
-        else:
-            m = cols[data[0]] == cols[data[1]]
-            for i in data[2:]:
-                m &= cols[data[0]] == cols[i]
-        mask = m if mask is None else (mask | m)
-    return mask
+# verifiers
 
 
 def _least_hit(coloring: Coloring, offsets, clauses, signed=False, bound=None):
@@ -264,33 +175,26 @@ def _least_hit(coloring: Coloring, offsets, clauses, signed=False, bound=None):
     scans d >= 1, plus d <= -1 when ``signed`` is set (needed for predicates
     that are not reversal-invariant), each n with every point in [0, N).
 
-    The scan runs over blocks of rows d0..d0+b-1, b = max(1, 2^17 // N) and
-    at most N.  Position i of a block is one strided 2-D view of windows of
-    the colors, repeated periodically (cyclic) or padded on both sides
-    (interval, where a start-point mask keeps the n whose progression fits,
-    and the negative differences run -1, -2, ... with a negative stride).  A
-    block's hit is its least hit column, then the least d in that column.
-    Only hits below ``bound``, a known (n, d), count, and every later block
-    reads only the columns up to the best (n, d) so far; when no column is
-    left the scan ends.  None when no hit lies below ``bound``.
+    The scan reads the blocks of ``scan.shift_blocks`` (d = -1, -2, ... for
+    the negative differences); on an interval a start-point mask drops the
+    n whose progression wraps.  A block's hit is its least hit column, then
+    the least d in that column.  Only hits below ``bound``, a known (n, d),
+    count, and every later block reads only the columns up to the best
+    (n, d) so far; when no column is left the scan ends.  None when no hit
+    lies below ``bound``.
     """
     n_amb = coloring.n
     amax = offsets[-1]
     cyclic = coloring.ambient == CYCLIC
-    rows = max(1, min(n_amb, (1 << 17) // n_amb))
     colors = coloring.as_array.astype(np.min_scalar_type(coloring.r))
     if cyclic:
         phases = [(1, n_amb - 1)]
-        windows = _periodic_windows(colors, rows, amax)
     else:
         phases = [(1, (n_amb - 1) // amax)] + ([(-1, (n_amb - 1) // amax)] if signed else [])
-        pad = np.zeros(n_amb, colors.dtype)
-        windows = sliding_window_view(np.concatenate((pad, colors, pad)), n_amb)
-    first = np.broadcast_to(colors, (rows, n_amb))
     best, hit = bound, None
     for sign, d_max in phases:
-        for e0 in range(1, d_max + 1, rows):
-            b = min(rows, d_max + 1 - e0)
+        for e0, views in shift_blocks(colors, offsets, 1, d_max + 1, sign=sign):
+            b = len(views[0])
             d0 = sign * e0
             lo = amax * e0 if sign < 0 else 0
             hi = n_amb - amax * e0 if not cyclic and sign > 0 else n_amb
@@ -301,11 +205,7 @@ def _least_hit(coloring: Coloring, offsets, clauses, signed=False, bound=None):
                 # a later block of the phase starts at least one column
                 # further right and ends at most one further right
                 break
-            cols = [first[:b, lo:hi]]
-            for o in offsets[1:]:
-                start = (o * d0) % n_amb if cyclic else n_amb + o * d0
-                cols.append(_strided_rows(windows, start, sign * o, b)[:, lo:hi])
-            mask = _eval_clauses(clauses, cols)
+            mask = eval_clauses(clauses, [v[:, lo:hi] for v in views])
             if not mask.any():
                 continue
             if not cyclic:
@@ -324,7 +224,7 @@ def _least_hit(coloring: Coloring, offsets, clauses, signed=False, bound=None):
         return None
     n, d = hit
     at = [coloring.colors[(n + o * d) % n_amb] for o in offsets]
-    return n, d, next(cl for cl in clauses if _eval_clauses([cl], at))
+    return n, d, next(cl for cl in clauses if eval_clauses([cl], at))
 
 
 def _witness_at(coloring, offsets, n, d, kind, detail=None):
@@ -362,7 +262,7 @@ def verify_sym_a_ap_free(coloring: Coloring, spec: PatternSpec) -> Witness | Non
 
 def _scan_symmetric(coloring, spec, kind):
     offsets = spec.normalized().a
-    hit = _least_hit(coloring, offsets, _predicate_clauses(spec, "symmetric"))
+    hit = _least_hit(coloring, offsets, predicate_clauses(spec, "symmetric"))
     if hit is None:
         return None
     return _witness_at(coloring, offsets, hit[0], hit[1], kind)
@@ -379,7 +279,7 @@ def verify_binomial_pattern_free(coloring: Coloring, spec: PatternSpec) -> Witne
     the first clause, pairings before subsets, that holds at the witness.
     """
     offsets = spec.normalized().a
-    clauses = _predicate_clauses(spec, "binomial")
+    clauses = predicate_clauses(spec, "binomial")
     if not clauses:
         return None
     hit = _least_hit(coloring, offsets, clauses, signed=True)

@@ -170,7 +170,7 @@ def zero_sum_subsets(system: BinomialSystem, min_size: int = 3) -> list[tuple[in
     0-based positions, output in lexicographic order.  Deliberately returns
     every zero-sum subset, including those whose monochromatic event implies
     a pairing; clauses that are implied are pruned only when the clause
-    compiler (``colorings._predicate_clauses``) builds a predicate.
+    compiler (``scan.predicate_clauses``) builds a predicate.
     """
     if min_size < 3:
         raise ValueError("min_size must be at least 3")

@@ -1,0 +1,133 @@
+"""The shift-scan kernel over Z/NZ and the pattern predicate compiler.
+
+Every exact scan of the package reads the values at n + a_i d for all start
+points n and a block of consecutive differences d at once: the exact pattern
+probability in ``torus`` (with the cell shifts g_i), the verifiers in
+``colorings`` and ``lambda_exact`` in ``uniformity``.  ``shift_blocks`` is
+that read, and ``predicate_clauses``/``eval_clauses`` compile and evaluate
+the color predicates the scans test.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .patterns import PatternSpec, a_binomial_system, enumerate_pairings, zero_sum_subsets
+
+__all__ = ["shift_blocks", "predicate_clauses", "eval_clauses"]
+
+
+def shift_blocks(values, offsets, start, stop, shifts=None, sign=1):
+    """Yield (e0, views) for the blocks of differences e0..e0+b-1 that cover
+    start..stop-1 in order, where
+
+        views[i][j, n] = values_i[(n + a_i d + g_i) mod N],  d = sign * (e0 + j),
+
+    with a_i = offsets[i] >= 0 and g_i = shifts[i] (0 by default).
+    ``values`` is one array, read at every position, or a list with one
+    array of length N per position, each distinct object windowed once.
+
+    Each view is a read-only b x N strided view of windows of the values
+    repeated periodically: window w holds values[(p + w) mod N] at column
+    p, and position i reads windows s, s + a_i, ..., s + a_i (b-1) for some
+    s.  A negative step lifts s by whole periods so that every row read is
+    a window.  A position with a_i = 0 reads one row, broadcast once.
+    """
+    if isinstance(values, np.ndarray):
+        values = [values] * len(offsets)
+    shifts = shifts or [0] * len(offsets)
+    n = len(values[0])
+    # A block holds at most 2^17 (n, d) pairs: twice that measured 3x slower
+    # at N = 7744, its 256 KiB boolean temporaries page-faulting on every
+    # allocation.
+    rows = max(1, min(n, (1 << 17) // n))
+    # windows 0 .. N(reps - 1) hold every row a block reads, lifted or not
+    reps = 2 + -(-max(offsets) * (rows - 1) // n)
+    distinct = {id(v): v for v in values}
+    windows = {key: sliding_window_view(np.tile(v, reps), n) for key, v in distinct.items()}
+    plan = []
+    for v, a, g in zip(values, offsets, shifts):
+        if a == 0:
+            plan.append((np.broadcast_to(windows[id(v)][g % n], (rows, n)), 0, 0, 0))
+        else:
+            lift = n * -(-a * (rows - 1) // n) if sign < 0 else 0
+            plan.append((windows[id(v)], sign * a, g, lift))
+    for e0 in range(start, stop, rows):
+        b = min(rows, stop - e0)
+        views = []
+        for win, step, g, lift in plan:
+            if step == 0:
+                views.append(win[:b])
+                continue
+            s = (step * e0 + g) % n + lift
+            end = s + step * b
+            views.append(win[s : end if end >= 0 else None : step])
+        yield e0, views
+
+
+def predicate_clauses(spec: PatternSpec, predicate: str, subset=None):
+    """Compile a pattern predicate to a clause list, evaluated as an OR.
+
+    Each clause is ("pairing", pairs), meaning every listed index pair shares
+    a color, or ("subset", idx), meaning all listed positions share a color.
+    "binomial" lists the coefficient-negating pairings (even k only) and then
+    the zero-sum coefficient subsets of size >= 3; "symmetric" is the single
+    pairing i <-> k-1-i; "mono" is one subset, all positions by default.
+
+    A binomial clause whose equalities imply every equality of an earlier
+    clause is dropped (for AP4, subset (0,1,2,3) implies the pairing
+    (0,3)(1,2)): wherever it holds the earlier clause holds too, so neither
+    the OR nor the first clause that holds at a point changes.
+    """
+    k = spec.k
+    if predicate == "binomial":
+        clauses = []
+        if k % 2 == 0:
+            clauses += [("pairing", p.pairs) for p in enumerate_pairings(spec)]
+        clauses += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec), 3)]
+        kept = []
+        for cl in clauses:
+            if not any(_implies(cl, e) for e in kept):
+                kept.append(cl)
+        return kept
+    if predicate == "symmetric":
+        if k % 2:
+            raise ValueError("symmetric predicate needs even k")
+        return [("pairing", tuple((i, k - 1 - i) for i in range(k // 2)))]
+    if predicate == "mono":
+        idx = tuple(subset) if subset is not None else tuple(range(k))
+        if len(idx) < 2:
+            raise ValueError("mono predicate needs at least 2 positions")
+        return [("subset", idx)]
+    raise ValueError(f"unknown predicate {predicate!r}")
+
+
+def _groups(clause):
+    """The disjoint position groups a clause asserts monochromatic."""
+    kind, data = clause
+    return data if kind == "pairing" else (data,)
+
+
+def _implies(clause, other):
+    """True when every group of ``other`` lies inside a group of ``clause``,
+    so that wherever ``clause`` holds ``other`` holds too."""
+    groups = [set(g) for g in _groups(clause)]
+    return all(any(set(h) <= g for g in groups) for h in _groups(other))
+
+
+def eval_clauses(clauses, cols):
+    """OR of the clauses over the colors ``cols[i]`` at position i; elementwise
+    on arrays, a plain truth value on scalars."""
+    mask = None
+    for kind, data in clauses:
+        if kind == "pairing":
+            m = cols[data[0][0]] == cols[data[0][1]]
+            for i, j in data[1:]:
+                m &= cols[i] == cols[j]
+        else:
+            m = cols[data[0]] == cols[data[1]]
+            for i in data[2:]:
+                m &= cols[data[0]] == cols[i]
+        mask = m if mask is None else (mask | m)
+    return mask

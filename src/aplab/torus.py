@@ -9,8 +9,7 @@ p, q and s, t in [0, 1), the cell of x + a*y is (p + a*q + floor(s + a*t))
 mod D, and the floor vector is constant on a fixed rational polygonal
 decomposition of the (s, t) unit square that does not depend on (p, q).
 The exact kernel counts the (p, q) grid one cell of that decomposition and
-one block of consecutive q rows at a time, each pattern position of a block
-being a strided 2-D view of the periodic extension of the cell colors.
+one block of consecutive q rows of ``scan.shift_blocks`` at a time.
 """
 
 from __future__ import annotations
@@ -22,15 +21,10 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .colorings import (
-    Coloring,
-    _eval_clauses,
-    _periodic_windows,
-    _predicate_clauses,
-    _strided_rows,
-)
+from .colorings import Coloring
 from .errors import BudgetExceededError, FormatError, SelfCheckError
 from .patterns import PatternSpec, a_binomial_system
+from .scan import eval_clauses, predicate_clauses, shift_blocks
 from .sets import ResidueSet
 
 __all__ = [
@@ -232,12 +226,12 @@ def pattern_probability_exact(
 
     Exactness: the (p, q) grid part is a finite count (integers) and the
     (s, t) part contributes the rational cell areas from ``pattern_cells``,
-    which are (p, q)-independent.  The count runs over blocks of rows
-    q0..q0+b-1 for one cell: position i of the block is the b x D array
-    c[(p + a_i q + g_i) mod D], a strided view of the colors repeated
-    periodically, stored as the narrowest unsigned integer type that holds
-    the palette.  Block size changes no count.  The work cap bounds D^2
-    times the cell count; exceeding it raises rather than truncating.
+    which are (p, q)-independent.  For each cell the count runs over the
+    blocks of ``scan.shift_blocks``, where position i of row q is
+    c[(p + a_i q + g_i) mod D] at column p, with the colors stored as the
+    narrowest unsigned integer type that holds the palette.  The work cap
+    bounds D^2 times the cell count; exceeding it raises rather than
+    truncating.
     """
     offsets = spec.normalized().a
     D = Phi.D
@@ -246,30 +240,17 @@ def pattern_probability_exact(
         raise BudgetExceededError(
             f"exact decomposition needs D^2 * cells = {D * D * len(cells)} > {work_cap}"
         )
-    clauses = _predicate_clauses(spec, predicate, subset)
+    clauses = predicate_clauses(spec, predicate, subset)
     if not clauses:
         return Fraction(0)
-    # Rows q = q0..q0+b-1 of one cell at once: window w of the periodic
-    # extension of the cell colors holds c[(p + w) mod D] at column p, so
-    # position i of the block is the windows s_i, s_i + a_i, ..., with
-    # s_i = (a_i q0 + g_i) mod D, one strided 2-D view.  A block holds at
-    # most 2^17 (p, q) pairs: twice that measured 3x slower at D = 7744,
-    # its 256 KiB boolean temporaries page-faulting on every allocation.
-    rows = max(1, min(D, (1 << 17) // D))
     colors = Phi.as_array.astype(np.min_scalar_type(Phi.r))
-    windows = _periodic_windows(colors, rows, offsets[-1])
-    # a_1 = g_1 = 0: the first position reads c[p] on every row
-    first = np.broadcast_to(windows[0], (rows, D))
-    counts = [0] * len(cells)
-    for q0 in range(0, D, rows):
-        b = min(rows, D - q0)
-        for j, (g, _) in enumerate(cells):
-            cols = [first[:b]]
-            for a, gi in zip(offsets[1:], g[1:]):
-                s = (a * q0 + gi) % D
-                cols.append(_strided_rows(windows, s, a, b))
-            counts[j] += int(np.count_nonzero(_eval_clauses(clauses, cols)))
-    return sum(area * cnt for (_, area), cnt in zip(cells, counts)) / (D * D)
+    total = Fraction(0)
+    for g, area in cells:
+        count = 0
+        for _, cols in shift_blocks(colors, offsets, 0, D, shifts=g):
+            count += int(np.count_nonzero(eval_clauses(clauses, cols)))
+        total += area * count
+    return total / (D * D)
 
 
 def pattern_probability_mc(
@@ -283,7 +264,7 @@ def pattern_probability_mc(
     """Monte Carlo estimate of the same probability, for cross-checking;
     sample j is (x, y) from the uniforms of ``_uniform_blocks``."""
     offsets = spec.normalized().a
-    clauses = _predicate_clauses(spec, predicate, subset)
+    clauses = predicate_clauses(spec, predicate, subset)
     colors = Phi.as_array
     D = Phi.D
     hits = 0
@@ -292,7 +273,7 @@ def pattern_probability_mc(
         for a in offsets:
             z = (x + a * y) % 1.0
             cols.append(colors[np.minimum((z * D).astype(np.int64), D - 1)])
-        hits += int(np.count_nonzero(_eval_clauses(clauses, cols)))
+        hits += int(np.count_nonzero(eval_clauses(clauses, cols)))
     return _estimate(hits, hits, samples, seed)
 
 

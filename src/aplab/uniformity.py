@@ -11,21 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .colorings import (
-    INTERVAL,
-    Coloring,
-    _eval_clauses,
-    _periodic_windows,
-    _predicate_clauses,
-    _strided_rows,
-    verify_symmetric_ap_free,
-)
+from .colorings import INTERVAL, Coloring, verify_symmetric_ap_free
 from .errors import BudgetExceededError, FormatError, SelfCheckError
 from .patterns import PatternSpec
+from .scan import eval_clauses, predicate_clauses, shift_blocks
 from .torus import DEFAULT_SAMPLES, _uniform_blocks, lambda_tilde_mc
 
 __all__ = [
@@ -76,7 +70,7 @@ class GridFunction:
     def mean(self) -> float:
         return float(self.values.mean())
 
-    @property
+    @cached_property
     def is_indicator(self) -> bool:
         return self.exact is not None and all(v in (0, 1) for v in self.exact)
 
@@ -137,14 +131,12 @@ def lambda_exact(fs, spec: PatternSpec, rational_cap: int = LAMBDA_RATIONAL_N_CA
     are summed exactly under a size cap; float grids use numpy in binary64.
     Returns a Fraction on the exact paths, a float otherwise.
 
-    Indicator and float grids are scanned in blocks of differences
-    d0..d0+b-1, b = max(1, 2^17 // N) and at most N, the row blocks of the
-    verifiers' scan: position i of a block is one strided 2-D view of the
-    windows of f_i repeated periodically.  Indicators are booleans whose AND
-    is counted; float rows are multiplied in position order and each row is
-    summed on its own and added in increasing d, so the float value is the
-    one a sum per difference gives, bit for bit.  No early exit applies, as
-    every (n, d) contributes.
+    Indicator and float grids are scanned over the blocks of differences of
+    ``scan.shift_blocks``.  Indicators are booleans whose AND is counted;
+    float rows are multiplied in position order and each row is summed on
+    its own and added in increasing d, so the float value is the one a sum
+    per difference gives, bit for bit.  No early exit applies, as every
+    (n, d) contributes.
     """
     if isinstance(fs, GridFunction):
         fs = [fs] * spec.k
@@ -170,22 +162,13 @@ def lambda_exact(fs, spec: PatternSpec, rational_cap: int = LAMBDA_RATIONAL_N_CA
                     prod *= Fraction(f.exact[(n + o * d) % N])
                 total += prod
         return total / (N * N)
-    rows = max(1, min(N, (1 << 17) // N))
     # indicators as booleans
-    windows = {
-        key: _periodic_windows(
-            np.array([v == 1 for v in f.exact]) if indicator else f.values, rows, offsets[-1]
-        )
+    arrays = {
+        key: np.array([v == 1 for v in f.exact]) if indicator else f.values
         for key, f in distinct.items()
     }
-    # row d of a block holds f_i(n + a_i d) at column n; a_1 = 0
-    first = np.broadcast_to(windows[id(fs[0])][0], (rows, N))
     total = 0
-    for d0 in range(0, N, rows):
-        b = min(rows, N - d0)
-        views = [first[:b]]
-        for f, o in zip(fs[1:], offsets[1:]):
-            views.append(_strided_rows(windows[id(f)], o * d0 % N, o, b))
+    for _, views in shift_blocks([arrays[id(f)] for f in fs], offsets, 0, N):
         if indicator:
             prod = views[0] & views[1]
             for v in views[2:]:
@@ -393,13 +376,13 @@ def _symmetric_ap_rows(rows: np.ndarray, k: int) -> np.ndarray:
 
     One pass per difference d evaluates the symmetric clause on the slices
     rows[:, i*d : i*d + N - (k-1)d], so every row is scanned at once."""
-    clauses = _predicate_clauses(PatternSpec.ap(k), "symmetric")
+    clauses = predicate_clauses(PatternSpec.ap(k), "symmetric")
     N = rows.shape[1]
     bad = np.zeros(len(rows), dtype=bool)
     for d in range(1, (N - 1) // (k - 1) + 1):
         span = N - (k - 1) * d
         cols = [rows[:, i * d : i * d + span] for i in range(k)]
-        bad |= _eval_clauses(clauses, cols).any(axis=1)
+        bad |= eval_clauses(clauses, cols).any(axis=1)
     return bad
 
 

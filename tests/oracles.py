@@ -233,8 +233,9 @@ def slab_volume(alpha, e, gridsize=1 << 15):
 
     Solves for the last variable; e must have |e_k| = 1.
     """
+    if abs(e[-1]) != 1:
+        raise ValueError("slab_volume needs |e_k| = 1")
     alpha = float(alpha)
-    assert abs(e[-1]) == 1
     h = alpha / gridsize
     dens = None
     lo = 0.0
@@ -364,16 +365,16 @@ def loop_least_hit(coloring, offsets, clauses, signed=False):
     clause holds on the colors at n + offsets[i]*d, with the first clause, in
     list order, that holds there; None when no clause holds anywhere.  One
     1-D pass per difference d: the reference for the library's blocked scan."""
-    from aplab.colorings import _eval_clauses
+    from aplab.scan import eval_clauses
 
     best = None
     for d, lo, cols in _iter_color_tuples(coloring, offsets, signed):
-        mask = _eval_clauses(clauses, cols)
+        mask = eval_clauses(clauses, cols)
         if mask.any():
             pos = int(np.argmax(mask))
             if best is None or (lo + pos, d) < best[:2]:
                 at = [col[pos] for col in cols]
-                best = (lo + pos, d, next(cl for cl in clauses if _eval_clauses([cl], at)))
+                best = (lo + pos, d, next(cl for cl in clauses if eval_clauses([cl], at)))
     return best
 
 
@@ -405,13 +406,13 @@ def loop_pattern_probability(Phi, spec, predicate="binomial", subset=None):
     """Exact pattern probability by one 1-D pass per (q, cell) pair: the
     reference for the library's row-blocked kernel, with the same clause
     compiler and the same (s, t) decomposition, O(D^2 * cells)."""
-    from aplab.colorings import _eval_clauses, _predicate_clauses
+    from aplab.scan import eval_clauses, predicate_clauses
     from aplab.torus import pattern_cells
 
     offsets = spec.normalized().a
     D = Phi.D
     cells = pattern_cells(spec)
-    clauses = _predicate_clauses(spec, predicate, subset)
+    clauses = predicate_clauses(spec, predicate, subset)
     if not clauses:
         return Fraction(0)
     doubled = [_doubled(Phi.as_array)] * len(offsets)
@@ -420,7 +421,7 @@ def loop_pattern_probability(Phi, spec, predicate="binomial", subset=None):
         # cell of x + a_i y over all p at once: (p + a_i q + g_i) mod D
         for j, (g, _) in enumerate(cells):
             cols = _shift_views(doubled, [a * q + gi for a, gi in zip(offsets, g)])
-            counts[j] += int(np.count_nonzero(_eval_clauses(clauses, cols)))
+            counts[j] += int(np.count_nonzero(eval_clauses(clauses, cols)))
     return sum(area * cnt for (_, area), cnt in zip(cells, counts)) / (D * D)
 
 

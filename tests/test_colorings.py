@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 import oracles
-from aplab import colorings
+from aplab import colorings, scan
 from aplab.colorings import (
     CYCLIC,
     INTERVAL,
     Coloring,
     Z22_COLORING,
     _least_hit,
-    _predicate_clauses,
     coloring_from_text,
     coloring_to_text,
     digit_square_coloring,
@@ -35,6 +34,7 @@ from aplab.patterns import (
     enumerate_pairings,
     zero_sum_subsets,
 )
+from aplab.scan import predicate_clauses
 from aplab.sets import behrend_set, covering_coloring
 
 
@@ -280,7 +280,7 @@ class TestClausePruning:
         k = spec.k
         full = [("pairing", p.pairs) for p in enumerate_pairings(spec)] if k % 2 == 0 else []
         full += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec), 3)]
-        pruned = _predicate_clauses(spec, "binomial")
+        pruned = predicate_clauses(spec, "binomial")
         at = [full.index(cl) for cl in pruned]
         assert at == sorted(at)
         # every color tuple in {1..k}^k
@@ -290,7 +290,7 @@ class TestClausePruning:
         assert np.array_equal(got, want)
 
     def test_ap4_binomial_is_one_pairing(self):
-        assert _predicate_clauses(PatternSpec.ap(4), "binomial") == [("pairing", ((0, 3), (1, 2)))]
+        assert predicate_clauses(PatternSpec.ap(4), "binomial") == [("pairing", ((0, 3), (1, 2)))]
         assert len(zero_sum_subsets(a_binomial_system(PatternSpec.ap(4)), 3)) == 1
 
 
@@ -377,7 +377,7 @@ class TestBlockedScan:
         for c in self.cases():
             for spec, predicate in self.SPECS:
                 offsets = spec.normalized().a
-                clauses = _predicate_clauses(spec, predicate)
+                clauses = predicate_clauses(spec, predicate)
                 for signed in (False, True):
                     want = oracles.loop_least_hit(c, offsets, clauses, signed)
                     got = _least_hit(c, offsets, clauses, signed)
@@ -387,7 +387,7 @@ class TestBlockedScan:
         rng = random.Random(11)
         spec = PatternSpec((0, 2, 3, 7))
         offsets = spec.normalized().a
-        clauses = _predicate_clauses(spec, "binomial")
+        clauses = predicate_clauses(spec, "binomial")
         seen = 0
         for c in self.cases():
             hit = oracles.loop_least_hit(c, offsets, clauses, signed=True)
@@ -409,13 +409,13 @@ class TestBlockedScan:
         # differences; every color is distinct except the planted progressions
         spec = PatternSpec(a)
         offsets = spec.normalized().a
-        clauses = _predicate_clauses(spec, "binomial")
+        clauses = predicate_clauses(spec, "binomial")
         n0 = offsets[-1] * d_neg + 5
 
         def planted(*nds):
             ids = list(range(1000))
             for n, d in nds:
-                for group in colorings._groups(clauses[0]):
+                for group in scan._groups(clauses[0]):
                     for i in group:
                         # plants sharing a start point share its label
                         ids[n + offsets[i] * d] = (n, None if 0 in group else d, group)

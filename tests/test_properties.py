@@ -4,6 +4,7 @@ examples; skipped when Hypothesis is not installed."""
 import inspect
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -13,6 +14,7 @@ from aplab.colorings import (
     Coloring,
     verify_abab_abba_free,
     verify_binomial_pattern_free,
+    verify_mono_pattern_free,
     verify_symmetric_ap_free,
 )
 from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients
@@ -25,6 +27,7 @@ from aplab.torus import (
     pattern_cells,
     pattern_probability_exact,
 )
+from aplab.uniformity import GridFunction, lambda_exact
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -163,3 +166,83 @@ def test_verifiers_match_naive(case):
     else:
         quad = w.detail["quad"]
         assert (*_located(c, w, [x - quad[0] for x in quad]), quad) == want
+
+
+@st.composite
+def mono_cases(draw):
+    """A cyclic or interval coloring of N <= 24 points with r <= 4 colors,
+    and a k in 3..6."""
+    ambient = draw(st.sampled_from([CYCLIC, INTERVAL]))
+    N = draw(st.integers(1, 24))
+    r = draw(st.integers(1, min(4, N)))
+    colors = draw(st.lists(st.integers(1, r), min_size=N, max_size=N))
+    return Coloring.from_raw(ambient, colors), draw(st.integers(3, 6))
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(mono_cases())
+def test_mono_verifier_matches_naive(case):
+    c, k = case
+    w = verify_mono_pattern_free(c, k)
+    want = oracles.naive_mono_pattern_witness(c.colors, c.ambient, k)
+    if w is None:
+        assert want is None
+    else:
+        assert w.colors == tuple(c.colors[p] for p in w.points)
+        assert (*w.points, w.detail["a"], w.detail["b"]) == want
+
+
+def _spec(draw):
+    k = draw(st.integers(3, 5))
+    return PatternSpec(tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k)))))
+
+
+@st.composite
+def indicator_cases(draw):
+    """A spec with k <= 5 offsets in 0..7 and one indicator grid of N <= 24
+    points, or k of them."""
+    spec = _spec(draw)
+    N = draw(st.integers(1, 24))
+    count = draw(st.sampled_from([1, spec.k]))
+    grids = [draw(st.lists(st.integers(0, 1), min_size=N, max_size=N)) for _ in range(count)]
+    return spec, grids
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(indicator_cases())
+def test_lambda_exact_indicator_matches_naive(case):
+    spec, grids = case
+    fs = [GridFunction(np.array(g, dtype=np.float64), g) for g in grids]
+    got = lambda_exact(fs[0] if len(fs) == 1 else fs, spec)
+    want = oracles.naive_lambda(grids * (spec.k // len(grids)), spec.a, len(grids[0]))
+    assert isinstance(got, Fraction)
+    assert got == want
+
+
+@st.composite
+def float_cases(draw):
+    """A spec with k <= 5 offsets in 0..7 and one float grid, or k of them,
+    of N <= 24 points or of 360 <= N <= 420 points (several blocks of
+    differences), with values from a seeded generator and some exact 0s and
+    1s."""
+    spec = _spec(draw)
+    N = draw(st.integers(1, 24) | st.integers(360, 420))
+    count = draw(st.sampled_from([1, spec.k]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = []
+    for _ in range(count):
+        vals = rng.random(N)
+        vals[rng.random(N) < 0.1] = 0.0
+        vals[rng.random(N) < 0.1] = 1.0
+        grids.append(GridFunction(vals))
+    return spec, grids
+
+
+@hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+@hypothesis.given(float_cases())
+def test_lambda_exact_float_matches_loop(case):
+    spec, fs = case
+    arg = fs[0] if len(fs) == 1 else fs
+    got = lambda_exact(arg, spec)
+    assert isinstance(got, float)
+    assert got == oracles.loop_lambda_exact(arg, spec)

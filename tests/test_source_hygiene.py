@@ -1,8 +1,9 @@
 """Static checks over the library source, by AST.
 
 Soundness guards must hold under ``python -O``, which strips ``assert``
-statements, so the library raises explicitly instead.  A module-level import
-that the module never reads is dead weight and hides real dependencies.
+statements, so the library raises explicitly instead; so do the test
+oracles, whose asserts pytest does not rewrite.  A module-level import that
+the module never reads is dead weight and hides real dependencies.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "aplab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "aplab"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -35,7 +37,7 @@ def test_modules_found():
     assert len(MODULES) > 5
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [TESTS / "oracles.py"], ids=lambda p: p.name)
 def test_no_assert_statements(path):
     hits = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
     assert hits == [], f"{path.name}: assert at lines {hits}"
