@@ -333,18 +333,17 @@ def cmd_extract(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    kwargs = {"samples": args.samples, "seed": args.seed}
-    if args.name in ("thm2_6", "thm2_7"):
-        kwargs["ell"] = args.ell
-    if args.name == "thm2_7":
-        kwargs["k"] = args.k or 4
-    if args.name == "thm2_5":
-        kwargs["k"] = args.k or 5
-        kwargs["base_n"] = args.base_n
-    if args.name == "lemma7_10" and args.spec:
-        kwargs["a"] = PatternSpec.from_string(args.spec).a
-    if args.base_coloring and args.name != "thm2_5":
-        kwargs["base"] = _load_coloring(args.base_coloring)
+    # the flags given, by the runner keyword each sets; run_pipeline refuses
+    # a keyword the chosen runner does not take
+    given = {
+        "k": args.k, "ell": args.ell, "base_n": args.base_n, "a": args.spec,
+        "base": args.base_coloring, "samples": args.samples, "seed": args.seed,
+    }
+    kwargs = {key: val for key, val in given.items() if val is not None}
+    if "a" in kwargs:
+        kwargs["a"] = PatternSpec.from_string(kwargs["a"]).a
+    if "base" in kwargs:
+        kwargs["base"] = _load_coloring(kwargs["base"])
     result = run_pipeline(args.name, **kwargs)
     cert = result.certificate()
     if args.out_dir:
@@ -482,13 +481,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="end-to-end construction with certificate")
     p.add_argument("--name", required=True,
                    choices=["thm2_6", "thm2_7", "thm2_5", "lemma7_10"])
-    p.add_argument("--ell", type=int, default=1)
+    # no defaults here: an omitted flag takes the runner's own default
+    p.add_argument("--ell", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--spec", help="offsets for lemma7_10")
-    p.add_argument("--base-n", type=int, default=1, help="base modulus for thm2_5")
-    p.add_argument("--base-coloring", help="coloring file overriding the bundled base")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--spec", help="offsets for lemma7_10 (runner argument a)")
+    p.add_argument("--base-n", type=int, help="base modulus for thm2_5")
+    p.add_argument(
+        "--base-coloring", help="coloring file overriding the bundled base (runner argument base)"
+    )
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir")
     p.set_defaults(fn=cmd_pipeline)
 

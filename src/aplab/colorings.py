@@ -39,8 +39,6 @@ __all__ = [
     "verify_mono_pattern_free",
     "verify_binomial_pattern_free",
     "verify_abab_abba_free",
-    "verify_abab_abba_free_lattice",
-    "digit_square_coloring",
     "mod_behrend_coloring",
     "tensor_power",
     "product_coloring",
@@ -379,86 +377,20 @@ def verify_abab_abba_free(coloring: Coloring, a_bound: int) -> Witness | None:
 
 
 # ---------------------------------------------------------------------------
-# digit-lattice colorings (squared-digit colors and their wrap-safe product)
-
-
-def digit_square_coloring(M: int, m: int) -> Coloring:
-    """Color the digit box {0..M-1}^m by 1 + sum of squared digits, flattened
-    to an interval coloring of [M^m] by base-M expansion.
-
-    Along any lattice line the color is a nontrivial quadratic in the step, so
-    no ABAB pattern and no asymmetric ABBA pattern exists with respect to
-    lattice progressions (see ``verify_abab_abba_free_lattice``).
-    """
-    ids = []
-    for n in range(M**m):
-        x, val = n, 0
-        for _ in range(m):
-            dig = x % M
-            val += dig * dig
-            x //= M
-        ids.append(val + 1)
-    return Coloring.from_raw(INTERVAL, ids)
-
-
-def verify_abab_abba_free_lattice(coloring: Coloring, M: int, m: int, a_bound: int) -> tuple | None:
-    """ABAB / asymmetric-ABBA check with pattern arithmetic taken componentwise
-    in the digit lattice {0..M-1}^m (no carries), i.e. over lattice lines
-    n + a_i * d with n, d integer vectors.
-
-    Returns None, or a tuple (quad, n, d, kind) for the first violation found.
-    """
-    if len(coloring.colors) != M**m:
-        raise ValueError("coloring length must be M^m")
-
-    def decode(n):
-        out = []
-        for _ in range(m):
-            out.append(n % M)
-            n //= M
-        return tuple(out)
-
-    def encode(v):
-        out = 0
-        for x in reversed(v):
-            out = out * M + x
-        return out
-
-    box = [decode(n) for n in range(M**m)]
-    quads = list(combinations(range(1, a_bound + 1), 4))
-    from itertools import product as iproduct
-
-    for d in iproduct(range(-(M - 1), M), repeat=m):
-        if all(x == 0 for x in d):
-            continue
-        for n in box:
-            for quad in quads:
-                pts = []
-                ok = True
-                for a in quad:
-                    p = tuple(ni + a * di for ni, di in zip(n, d))
-                    if any(x < 0 or x >= M for x in p):
-                        ok = False
-                        break
-                    pts.append(p)
-                if not ok:
-                    continue
-                cs = [coloring.colors[encode(p)] for p in pts]
-                if cs[0] == cs[2] and cs[1] == cs[3]:
-                    return (quad, n, d, "abab")
-                if quad[0] + quad[3] != quad[1] + quad[2] and cs[0] == cs[3] and cs[1] == cs[2]:
-                    return (quad, n, d, "asymmetric-abba")
-    return None
+# digit colorings free of ABAB/ABBA patterns
 
 
 def mod_behrend_coloring(M: int, m: int, a_bound: int) -> Coloring:
-    """Product of the squared-digit coloring with the digitwise residue map
-    mod a_bound!, viewed as a coloring of Z/M^m Z.
+    """Color n in Z/M^m Z by the sum of its squared base-M digits paired with
+    its digits mod a_bound!.
 
-    M must be coprime to a_bound! so that digit sequences of progressions are
-    jump-progressions whose congruences certify genuine progressions; the
-    product then avoids ABAB and asymmetric ABBA patterns for every offset
-    quadruple bounded by a_bound, now with respect to cyclic progressions.
+    Along a line of the digit lattice {0..M-1}^m the squared-digit sum is a
+    nontrivial quadratic in the step, so no lattice progression is colored
+    ABAB or asymmetric ABBA.  M must be coprime to a_bound! so that digit
+    sequences of cyclic progressions are jump-progressions whose congruences
+    certify genuine lattice progressions; the coloring then avoids ABAB and
+    asymmetric ABBA patterns for every offset quadruple bounded by a_bound
+    with respect to cyclic progressions, as ``verify_abab_abba_free`` checks.
     """
     fac = math.factorial(a_bound)
     if math.gcd(M, fac) != 1:

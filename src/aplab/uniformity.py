@@ -9,6 +9,7 @@ rationals, and serve as the correctness anchor for everything float-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,7 +39,6 @@ __all__ = [
     "grid_from_text",
 ]
 
-LAMBDA_RATIONAL_N_CAP = 512
 U3_N_CAP = 4096
 WEYL_WORK_CAP = 100_000_000
 PARSEVAL_RTOL = 1e-10
@@ -47,9 +47,10 @@ PARSEVAL_RTOL = 1e-10
 class GridFunction:
     """A length-N sequence of values in [0, 1] on Z/NZ.
 
-    Carries exact rational values alongside the float array when the source
-    supports it (torus sets, constants); exact values make the progression
-    density an exact rational.
+    Carries exact rational values (ints or Fractions) alongside the float
+    array when the source supports it (torus sets, constants); each exact
+    entry must be the float value exactly, and exact values make the
+    progression density an exact rational.
     """
 
     def __init__(self, values, exact=None):
@@ -60,8 +61,17 @@ class GridFunction:
         if not np.all((self.values >= -1e-12) & (self.values <= 1 + 1e-12)):
             raise ValueError("values must lie in [0, 1]")
         self.exact = tuple(exact) if exact is not None else None
-        if self.exact is not None and len(self.exact) != len(self.values):
-            raise ValueError("exact values must match length")
+        if self.exact is not None:
+            if len(self.exact) != len(self.values):
+                raise ValueError("exact values must match length")
+            # one check per distinct object: a parsed file or a constant grid
+            # shares a few
+            uniq = {id(v): v for v in self.exact}
+            if not all(isinstance(v, (int, Fraction)) for v in uniq.values()):
+                raise ValueError("exact values must be ints or Fractions")
+            floats = {key: float(v) for key, v in uniq.items()}
+            if not np.array_equal([floats[id(v)] for v in self.exact], self.values):
+                raise ValueError("exact values must equal the float values")
 
     @property
     def N(self) -> int:
@@ -71,8 +81,16 @@ class GridFunction:
         return float(self.values.mean())
 
     @cached_property
+    def _integer_form(self) -> tuple[int, list[int]]:
+        """(L, numerators): the exact values as integers over their least
+        common denominator L."""
+        L = math.lcm(*{v.denominator for v in self.exact})
+        return L, [v.numerator * (L // v.denominator) for v in self.exact]
+
+    @property
     def is_indicator(self) -> bool:
-        return self.exact is not None and all(v in (0, 1) for v in self.exact)
+        # L = 1 leaves integers in [0, 1], as the values are checked
+        return self.exact is not None and self._integer_form[0] == 1
 
     @classmethod
     def constant(cls, N: int, alpha) -> "GridFunction":
@@ -122,21 +140,19 @@ def quadratic_indicator(N: int, alpha) -> GridFunction:
 # progression density
 
 
-def lambda_exact(fs, spec: PatternSpec, rational_cap: int = LAMBDA_RATIONAL_N_CAP):
+def lambda_exact(fs, spec: PatternSpec):
     """Average over all (n, d) in (Z/NZ)^2 of the product of f_i at
-    n + a_i d.
+    n + a_i d, for one grid or a sequence of k grids of equal length: a
+    Fraction when every grid is exact, a float otherwise.
 
-    Accepts one grid or a sequence of k grids of equal length.  Indicator
-    grids are counted in exact integer arithmetic and general rational grids
-    are summed exactly under a size cap; float grids use numpy in binary64.
-    Returns a Fraction on the exact paths, a float otherwise.
-
-    Indicator and float grids are scanned over the blocks of differences of
-    ``scan.shift_blocks``.  Indicators are booleans whose AND is counted;
-    float rows are multiplied in position order and each row is summed on
-    its own and added in increasing d, so the float value is the one a sum
-    per difference gives, bit for bit.  No early exit applies, as every
-    (n, d) contributes.
+    Blocks of differences are read from ``scan.shift_blocks``.  Exact grids
+    are scanned in their integer form, numerators over a least common
+    denominator L_i, and the count of products is divided by N^2 prod L_i:
+    indicators (every L_i = 1) as booleans, other grids in int64 when no
+    partial sum can reach 2^63 and as Python integers otherwise.  Float rows
+    are multiplied in position order, each row is summed on its own and the
+    rows are added in increasing d, so the value is the one a sum per
+    difference gives, bit for bit.
     """
     if isinstance(fs, GridFunction):
         fs = [fs] * spec.k
@@ -148,40 +164,33 @@ def lambda_exact(fs, spec: PatternSpec, rational_cap: int = LAMBDA_RATIONAL_N_CA
         raise ValueError("grids must share N")
     offsets = spec.normalized().a
     distinct = {id(f): f for f in fs}
-    indicator = all(f.is_indicator for f in distinct.values())
-    if not indicator and all(f.exact is not None for f in fs):
-        if N > rational_cap:
-            raise BudgetExceededError(
-                f"exact rational density capped at N <= {rational_cap}"
-            )
-        total = Fraction(0)
-        for n in range(N):
-            for d in range(N):
-                prod = Fraction(1)
-                for f, o in zip(fs, offsets):
-                    prod *= Fraction(f.exact[(n + o * d) % N])
-                total += prod
-        return total / (N * N)
-    # indicators as booleans
-    arrays = {
-        key: np.array([v == 1 for v in f.exact]) if indicator else f.values
-        for key, f in distinct.items()
-    }
+    exact = all(f.exact is not None for f in distinct.values())
+    if exact:
+        forms = {key: f._integer_form for key, f in distinct.items()}
+        denom = N * N * math.prod(forms[id(f)][0] for f in fs)
+        if denom == N * N:
+            dtype = bool
+        else:
+            # no partial sum exceeds N^2 prod max|numerator| in magnitude
+            bound = N * N * math.prod(max(map(abs, forms[id(f)][1])) for f in fs)
+            dtype = np.int64 if bound < 1 << 63 else object
+        arrays = {key: np.array(nums, dtype=dtype) for key, (_, nums) in forms.items()}
+    else:
+        arrays = {key: f.values for key, f in distinct.items()}
     total = 0
     for _, views in shift_blocks([arrays[id(f)] for f in fs], offsets, 0, N):
-        if indicator:
-            prod = views[0] & views[1]
-            for v in views[2:]:
-                prod &= v
-            total += int(np.count_nonzero(prod))
-        else:
-            prod = views[0] * views[1]
-            for v in views[2:]:
-                prod *= v
+        prod = views[0] * views[1]
+        for v in views[2:]:
+            prod *= v
+        if not exact:
             # row sums in increasing d, as one sum per d would add them
             for s in prod.sum(axis=1).tolist():
                 total += s
-    return Fraction(total, N * N) if indicator else total / (N * N)
+        elif dtype is bool:
+            total += int(np.count_nonzero(prod))
+        else:
+            total += int(prod.sum())
+    return Fraction(total, denom) if exact else total / (N * N)
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +485,16 @@ def grid_from_text(text: str) -> GridFunction:
         toks.extend(ln.split())
     if len(toks) != N:
         raise FormatError(f"expected {N} values, got {len(toks)}", 2)
-    if all("/" in tok or tok.lstrip("-").isdigit() for tok in toks):
-        exact = []
-        for tok in toks:
+    # each distinct token is parsed once; an indicator file has two
+    distinct = dict.fromkeys(toks)
+    if all("/" in tok or tok.lstrip("-").isdigit() for tok in distinct):
+        for tok in distinct:
             if "/" in tok:
                 num, den = tok.split("/")
-                exact.append(Fraction(int(num), int(den)))
+                distinct[tok] = Fraction(int(num), int(den))
             else:
-                exact.append(Fraction(int(tok)))
-        return GridFunction(np.array([float(v) for v in exact]), exact)
+                distinct[tok] = Fraction(int(tok))
+        exact = [distinct[tok] for tok in toks]
+        floats = {tok: float(v) for tok, v in distinct.items()}
+        return GridFunction(np.array([floats[tok] for tok in toks]), exact)
     return GridFunction(np.array([float(tok) for tok in toks]))

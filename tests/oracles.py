@@ -379,10 +379,10 @@ def loop_least_hit(coloring, offsets, clauses, signed=False):
 
 
 def loop_lambda_exact(fs, spec):
-    """lambda_exact's indicator and float paths by one 1-D pass per
+    """lambda_exact on indicator and float grids by one 1-D pass per
     difference d: a Fraction when every grid is an indicator, else a float
-    summed per d in increasing d.  Grids that carry exact values but are not
-    all indicators take lambda_exact's rational path, not this one."""
+    summed per d in increasing d.  Other exact grids are checked against
+    ``naive_lambda`` instead."""
     if not isinstance(fs, (list, tuple)):
         fs = [fs] * spec.k
     N = fs[0].N

@@ -235,6 +235,12 @@ class TestDensityAndStats:
         )
         assert code == 0 and len(rep["rows"]) == 2
 
+    def test_converge_constant_above_512(self, capsys):
+        argv = ["converge", "--const", "1/4", "--k", "4", "--N-list", "600", "--samples", "20000"]
+        code, rep = run(capsys, argv)
+        assert code == 0
+        assert [row["lambda"] for row in rep["rows"]] == [1 / 256]
+
     def test_extract_cli(self, capsys, tmp_path):
         out = tmp_path / "c.txt"
         code, rep = run(
@@ -330,6 +336,36 @@ class TestStageErrors:
         assert captured.out == ""
         assert captured.err == "error: samples must be positive\n"
         assert stages == []
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["--name", "lemma7_10", "--ell", "4"], "ell"),
+            (["--name", "lemma7_10", "--base-n", "9"], "base_n"),
+            (["--name", "thm2_5", "--spec", "0,1,3"], "a"),
+            (["--name", "thm2_5", "--base-coloring", "FIXTURE"], "base"),
+            (["--name", "thm2_6", "--k", "4"], "k"),
+        ],
+    )
+    def test_flag_the_pipeline_does_not_take_exits_2(
+        self, capsys, monkeypatch, z22_file, argv, key
+    ):
+        import aplab.pipelines
+
+        stages = []
+        monkeypatch.setattr(aplab.pipelines, "_stage", lambda name, *a, **kw: stages.append(name))
+        argv = [z22_file if a == "FIXTURE" else a for a in argv]
+        assert main(["pipeline", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: pipeline '{argv[1]}' takes no '{key}'; it takes ")
+        assert stages == []
+
+    def test_pipeline_k_zero_is_refused(self, capsys):
+        assert main(["pipeline", "--name", "thm2_7", "--k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be even and at least 4\n"
 
     def test_greedy_table_memory_budget_exits_2(self, capsys, tmp_path):
         out = tmp_path / "s.txt"

@@ -14,13 +14,11 @@ from aplab.colorings import (
     _least_hit,
     coloring_from_text,
     coloring_to_text,
-    digit_square_coloring,
     mod_behrend_coloring,
     product_coloring,
     search_coloring,
     tensor_power,
     verify_abab_abba_free,
-    verify_abab_abba_free_lattice,
     verify_binomial_pattern_free,
     verify_mono_pattern_free,
     verify_sym_a_ap_free,
@@ -308,12 +306,6 @@ class TestAbabVerifier:
             assert (w is None) == (expect is None)
             if w is not None:
                 assert (w.n, w.d, w.detail["quad"]) == expect
-
-    def test_lattice_digit_squares(self):
-        dsq = digit_square_coloring(5, 2)
-        assert verify_abab_abba_free_lattice(dsq, 5, 2, 4) is None
-        dsq = digit_square_coloring(4, 3)
-        assert verify_abab_abba_free_lattice(dsq, 4, 3, 4) is None
 
     def test_mod_behrend_cyclic(self):
         psi = mod_behrend_coloring(7, 2, 4)

@@ -220,6 +220,36 @@ def test_lambda_exact_indicator_matches_naive(case):
 
 
 @st.composite
+def rational_cases(draw):
+    """A spec with k <= 5 offsets in 0..7 and one grid of N <= 20 values in
+    [0, 1], or k of them, mixing 0/1 integers with fractions whose
+    denominators reach 10 or 10^30."""
+    spec = _spec(draw)
+    N = draw(st.integers(1, 20))
+    count = draw(st.sampled_from([1, spec.k]))
+    value = (
+        st.integers(0, 1)
+        | st.fractions(0, 1, max_denominator=10)
+        | st.fractions(0, 1, max_denominator=10**30)
+    )
+    grids = [draw(st.lists(value, min_size=N, max_size=N)) for _ in range(count)]
+    return spec, grids
+
+
+# the example's N^2 L^3 is above 2^63, so Python integers are scanned
+@hypothesis.example((PatternSpec.ap(3), [[Fraction(j, 10**30 - 1) for j in range(1, 6)]]))
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(rational_cases())
+def test_lambda_exact_rational_matches_naive(case):
+    spec, grids = case
+    fs = [GridFunction(np.array([float(v) for v in g]), g) for g in grids]
+    got = lambda_exact(fs[0] if len(fs) == 1 else fs, spec)
+    want = oracles.naive_lambda(grids * (spec.k // len(grids)), spec.a, len(grids[0]))
+    assert isinstance(got, Fraction)
+    assert got == want
+
+
+@st.composite
 def float_cases(draw):
     """A spec with k <= 5 offsets in 0..7 and one float grid, or k of them,
     of N <= 24 points or of 360 <= N <= 420 points (several blocks of

@@ -55,6 +55,14 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(np.zeros((2, 2)))
 
+    def test_exact_values_must_match_floats(self):
+        with pytest.raises(ValueError):
+            GridFunction(np.full(5, 0.5), [Fraction(1, 3)] * 5)
+        with pytest.raises(ValueError):
+            GridFunction(np.full(5, 1.0), [2] * 5)
+        with pytest.raises(ValueError):
+            GridFunction(np.full(2, 0.5), [0.5, 0.5])
+
     def test_constant(self):
         f = GridFunction.constant(10, Fraction(1, 4))
         assert f.is_indicator is False
@@ -171,10 +179,9 @@ class TestLambdaExact:
         assert lambda_exact(reflected, spec) == base
         assert lambda_exact(f, mirrored) == base
 
-    def test_rational_budget(self):
+    def test_rational_above_512(self):
         f = GridFunction.constant(600, Fraction(1, 3))
-        with pytest.raises(BudgetExceededError):
-            lambda_exact(f, PatternSpec.ap(4))
+        assert lambda_exact(f, PatternSpec.ap(4)) == Fraction(1, 81)
 
     def test_quadratic_demo_fixture_small(self):
         # frozen after the first exact run at this size: 5559 progressions
