@@ -14,6 +14,7 @@ Budget environment override: APLAB_CELL_BUDGET (interlacing cells).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ from .colorings import (
 )
 from .errors import BudgetExceededError, FormatError, SelfCheckError
 from .patterns import PatternSpec, a_binomial_system
-from .pipelines import StageError, run_pipeline
+from .pipelines import PIPELINES, StageError, run_pipeline
 from .sets import (
     base9_set,
     behrend_set,
@@ -333,13 +334,20 @@ def cmd_extract(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    # the flags given, by the runner keyword each sets; run_pipeline refuses
-    # a keyword the chosen runner does not take
-    given = {
-        "k": args.k, "ell": args.ell, "base_n": args.base_n, "a": args.spec,
-        "base": args.base_coloring, "samples": args.samples, "seed": args.seed,
-    }
-    kwargs = {key: val for key, val in given.items() if val is not None}
+    # each flag, the runner keyword it sets and its value; a flag given to a
+    # chain whose runner does not take its keyword is refused
+    given = [
+        ("--k", "k", args.k), ("--ell", "ell", args.ell), ("--base-n", "base_n", args.base_n),
+        ("--spec", "a", args.spec), ("--base-coloring", "base", args.base_coloring),
+        ("--samples", "samples", args.samples), ("--seed", "seed", args.seed),
+    ]
+    takes = inspect.signature(PIPELINES[args.name]).parameters
+    kwargs = {}
+    for flag, key, val in given:
+        if val is not None:
+            if key not in takes:
+                raise ValueError(f"pipeline {args.name!r} takes no {flag}")
+            kwargs[key] = val
     if "a" in kwargs:
         kwargs["a"] = PatternSpec.from_string(kwargs["a"]).a
     if "base" in kwargs:
@@ -484,11 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     # no defaults here: an omitted flag takes the runner's own default
     p.add_argument("--ell", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--spec", help="offsets for lemma7_10 (runner argument a)")
+    p.add_argument("--spec", help="offsets for lemma7_10")
     p.add_argument("--base-n", type=int, help="base modulus for thm2_5")
-    p.add_argument(
-        "--base-coloring", help="coloring file overriding the bundled base (runner argument base)"
-    )
+    p.add_argument("--base-coloring", help="coloring file overriding the bundled base")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir")

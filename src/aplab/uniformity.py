@@ -48,30 +48,31 @@ class GridFunction:
     """A length-N sequence of values in [0, 1] on Z/NZ.
 
     Carries exact rational values (ints or Fractions) alongside the float
-    array when the source supports it (torus sets, constants); each exact
-    entry must be the float value exactly, and exact values make the
-    progression density an exact rational.
+    array when the source supports it (torus sets, constants); the float
+    values are then the exact ones converted, and are derived from them when
+    not given.  Exact values make the progression density an exact rational.
     """
 
-    def __init__(self, values, exact=None):
+    def __init__(self, values=None, exact=None):
+        self.exact = tuple(exact) if exact is not None else None
+        if self.exact is not None:
+            # one conversion per distinct object: a parsed file or a constant
+            # grid shares a few
+            uniq = {id(v): v for v in self.exact}
+            if not all(isinstance(v, (int, Fraction)) for v in uniq.values()):
+                raise ValueError("exact values must be ints or Fractions")
+            floats = {key: float(v) for key, v in uniq.items()}
+            converted = np.array([floats[id(v)] for v in self.exact], dtype=np.float64)
+            if values is None:
+                values = converted
+            elif not np.array_equal(converted, values):
+                raise ValueError("exact values must equal the float values")
         self.values = np.asarray(values, dtype=np.float64)
         if self.values.ndim != 1 or len(self.values) == 0:
             raise ValueError("values must be a nonempty 1-D sequence")
         # written so that NaN, which fails every comparison, is rejected too
         if not np.all((self.values >= -1e-12) & (self.values <= 1 + 1e-12)):
             raise ValueError("values must lie in [0, 1]")
-        self.exact = tuple(exact) if exact is not None else None
-        if self.exact is not None:
-            if len(self.exact) != len(self.values):
-                raise ValueError("exact values must match length")
-            # one check per distinct object: a parsed file or a constant grid
-            # shares a few
-            uniq = {id(v): v for v in self.exact}
-            if not all(isinstance(v, (int, Fraction)) for v in uniq.values()):
-                raise ValueError("exact values must be ints or Fractions")
-            floats = {key: float(v) for key, v in uniq.items()}
-            if not np.array_equal([floats[id(v)] for v in self.exact], self.values):
-                raise ValueError("exact values must equal the float values")
 
     @property
     def N(self) -> int:
@@ -94,8 +95,7 @@ class GridFunction:
 
     @classmethod
     def constant(cls, N: int, alpha) -> "GridFunction":
-        frac = Fraction(alpha)
-        return cls(np.full(N, float(frac)), (frac,) * N)
+        return cls(exact=(Fraction(alpha),) * N)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def discretize(F, N: int, degree: int) -> GridFunction:
             F.exact_value_at(Fraction(n, N), Fraction(pow(n, degree, N), N))
             for n in range(N)
         ]
-        return GridFunction(np.array([float(v) for v in vals]), vals)
+        return GridFunction(exact=vals)
     ys = np.array([pow(int(n), degree, N) for n in range(N)], dtype=np.float64) / N
     xs = np.arange(N, dtype=np.float64) / N
     return GridFunction(F.evaluate_batch(xs, ys))
@@ -132,8 +132,7 @@ def quadratic_indicator(N: int, alpha) -> GridFunction:
     """Indicator of {n : n^2 mod N < alpha*N}, the classical Fourier-uniform
     set with skewed 4-term progression count."""
     frac = Fraction(alpha)
-    vals = [int(Fraction(pow(n, 2, N), N) < frac) for n in range(N)]
-    return GridFunction(np.array(vals, dtype=np.float64), vals)
+    return GridFunction(exact=[int(Fraction(pow(n, 2, N), N) < frac) for n in range(N)])
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +147,10 @@ def lambda_exact(fs, spec: PatternSpec):
     Blocks of differences are read from ``scan.shift_blocks``.  Exact grids
     are scanned in their integer form, numerators over a least common
     denominator L_i, and the count of products is divided by N^2 prod L_i:
-    indicators (every L_i = 1) as booleans, other grids in int64 when no
-    partial sum can reach 2^63 and as Python integers otherwise.  Float rows
-    are multiplied in position order, each row is summed on its own and the
-    rows are added in increasing d, so the value is the one a sum per
-    difference gives, bit for bit.
+    indicators (every L_i = 1) as booleans, other grids as Python integers.
+    Float rows are multiplied in position order, each row is summed on its
+    own and the rows are added in increasing d, so the value is the one a
+    sum per difference gives, bit for bit.
     """
     if isinstance(fs, GridFunction):
         fs = [fs] * spec.k
@@ -168,12 +166,7 @@ def lambda_exact(fs, spec: PatternSpec):
     if exact:
         forms = {key: f._integer_form for key, f in distinct.items()}
         denom = N * N * math.prod(forms[id(f)][0] for f in fs)
-        if denom == N * N:
-            dtype = bool
-        else:
-            # no partial sum exceeds N^2 prod max|numerator| in magnitude
-            bound = N * N * math.prod(max(map(abs, forms[id(f)][1])) for f in fs)
-            dtype = np.int64 if bound < 1 << 63 else object
+        dtype = bool if denom == N * N else object
         arrays = {key: np.array(nums, dtype=dtype) for key, (_, nums) in forms.items()}
     else:
         arrays = {key: f.values for key, f in distinct.items()}
@@ -494,7 +487,5 @@ def grid_from_text(text: str) -> GridFunction:
                 distinct[tok] = Fraction(int(num), int(den))
             else:
                 distinct[tok] = Fraction(int(tok))
-        exact = [distinct[tok] for tok in toks]
-        floats = {tok: float(v) for tok, v in distinct.items()}
-        return GridFunction(np.array([floats[tok] for tok in toks]), exact)
+        return GridFunction(exact=[distinct[tok] for tok in toks])
     return GridFunction(np.array([float(tok) for tok in toks]))

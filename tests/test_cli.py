@@ -338,17 +338,17 @@ class TestStageErrors:
         assert stages == []
 
     @pytest.mark.parametrize(
-        "argv,key",
+        "argv,flag",
         [
-            (["--name", "lemma7_10", "--ell", "4"], "ell"),
-            (["--name", "lemma7_10", "--base-n", "9"], "base_n"),
-            (["--name", "thm2_5", "--spec", "0,1,3"], "a"),
-            (["--name", "thm2_5", "--base-coloring", "FIXTURE"], "base"),
-            (["--name", "thm2_6", "--k", "4"], "k"),
+            (["--name", "lemma7_10", "--ell", "4"], "--ell"),
+            (["--name", "lemma7_10", "--base-n", "9"], "--base-n"),
+            (["--name", "thm2_5", "--spec", "0,1,3"], "--spec"),
+            (["--name", "thm2_5", "--base-coloring", "FIXTURE"], "--base-coloring"),
+            (["--name", "thm2_6", "--k", "4"], "--k"),
         ],
     )
     def test_flag_the_pipeline_does_not_take_exits_2(
-        self, capsys, monkeypatch, z22_file, argv, key
+        self, capsys, monkeypatch, z22_file, argv, flag
     ):
         import aplab.pipelines
 
@@ -358,7 +358,7 @@ class TestStageErrors:
         assert main(["pipeline", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: pipeline '{argv[1]}' takes no '{key}'; it takes ")
+        assert captured.err == f"error: pipeline '{argv[1]}' takes no {flag}\n"
         assert stages == []
 
     def test_pipeline_k_zero_is_refused(self, capsys):

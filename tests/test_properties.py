@@ -236,8 +236,13 @@ def rational_cases(draw):
     return spec, grids
 
 
-# the example's N^2 L^3 is above 2^63, so Python integers are scanned
+_BIG = Fraction(5 * 10**21, 10**22 + 1)
+
+
+# products of large numerators: N^2 L^3 is above 2^63; and a zero grid
+# between two grids whose numerators are above 2^63
 @hypothesis.example((PatternSpec.ap(3), [[Fraction(j, 10**30 - 1) for j in range(1, 6)]]))
+@hypothesis.example((PatternSpec.ap(3), [[_BIG] * 4, [0] * 4, [_BIG] * 4]))
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
 @hypothesis.given(rational_cases())
 def test_lambda_exact_rational_matches_naive(case):
