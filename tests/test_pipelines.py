@@ -94,10 +94,6 @@ class TestOtherPipelines:
         with pytest.raises(ValueError):
             run_pipeline("thm9_9")
 
-    def test_keyword_the_runner_does_not_take(self):
-        with pytest.raises(ValueError, match="takes no 'ell'"):
-            run_pipeline("lemma7_10", ell=4)
-
 
 class TestDeterminism:
     def test_same_seed_same_certificate(self):
