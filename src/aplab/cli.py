@@ -8,7 +8,8 @@ holds, 1 property violated (a witness is reported), 2 usage, I/O, format or
 budget errors, including a failed pipeline stage or a failed self-check (such
 as Parseval for a spectrum).
 
-Budget environment override: APLAB_CELL_BUDGET (interlacing cells).
+A budget error names its row of aplab.errors.BUDGETS on stderr; the variable
+APLAB_CELL_BUDGET replaces the interlace_cells cap of interlace.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .sets import (
 )
 from .torus import (
     DEFAULT_SAMPLES,
-    INTERLACE_CELL_CAP,
     build_torus_set,
     interlace_k,
     interlace_m,
@@ -74,11 +74,6 @@ from .uniformity import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
-
-
-def _env_int(name, default):
-    val = os.environ.get(name)
-    return int(val) if val else default
 
 
 def _emit(payload: dict):
@@ -133,16 +128,16 @@ def _spec_arg(args):
 
 def _field_arg(args):
     """Torus function from --torus-set / --slab / --diag / --const flags."""
-    chosen = [x for x in (args.torus_set, args.slab, args.diag, args.const) if x]
+    chosen = [x for x in (args.torus_set, args.slab, args.diag, args.const) if x is not None]
     if len(chosen) != 1:
         raise FormatError("choose exactly one of --torus-set/--slab/--diag/--const")
     if args.torus_set:
         return _load_torus_set(args.torus_set)
-    if args.slab:
-        return SlabIndicator(Fraction(args.slab))
-    if args.diag:
-        return DiagonalStrip(Fraction(args.diag))
-    return ConstantField(Fraction(args.const))
+    if args.slab is not None:
+        return SlabIndicator(args.slab)
+    if args.diag is not None:
+        return DiagonalStrip(args.diag)
+    return ConstantField(args.const)
 
 
 def _mc_report(est, kind, **extra) -> dict:
@@ -230,7 +225,8 @@ def cmd_build_set(args) -> int:
 
 def cmd_interlace(args) -> int:
     phi = _load_coloring(args.input)
-    cap = _env_int("APLAB_CELL_BUDGET", INTERLACE_CELL_CAP)
+    env = os.environ.get("APLAB_CELL_BUDGET")
+    cap = int(env) if env else None
     if args.m is not None:
         tc = interlace_m(phi, args.m, cap)
     else:
@@ -243,8 +239,7 @@ def cmd_interlace(args) -> int:
 def cmd_torus_set(args) -> int:
     Phi = _load_torus_coloring(args.coloring)
     S = residue_set_from_text(_read(args.set))
-    width = Fraction(args.width) if args.width else None
-    ts = build_torus_set(Phi, S, args.k, width)
+    ts = build_torus_set(Phi, S, args.k, args.width)
     Path(args.out).write_text(torus_set_to_text(ts, args.coloring))
     _emit(
         {
@@ -284,8 +279,7 @@ def cmd_density(args) -> int:
     else:
         Phi = _load_torus_coloring(args.torus_coloring)
         S = residue_set_from_text(_read(args.set))
-        width = Fraction(args.width) if args.width else None
-        _emit(_exact_report(lambda_tilde_certificate(Phi, S, spec, width), "certificate"))
+        _emit(_exact_report(lambda_tilde_certificate(Phi, S, spec, args.width), "certificate"))
     return EXIT_OK
 
 
@@ -316,7 +310,7 @@ def cmd_converge(args) -> int:
 def cmd_extract(args) -> int:
     F = _field_arg(args)
     res = extract_coloring(
-        F, Fraction(args.alpha), args.k, args.r, args.N, args.seed, args.attempts
+        F, args.alpha, args.k, args.r, args.N, args.seed, args.attempts
     )
     report = {
         "succeeded": res.coloring is not None,
@@ -375,6 +369,14 @@ def cmd_pipeline(args) -> int:
 # parser
 
 
+def rational(text: str) -> Fraction:
+    """argparse type for an exact rational such as 1/4 or 0.25, or a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="aplab", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
@@ -384,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     # one is chosen (checked by _field_arg)
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--torus-set", help="torus-set file")
-    field.add_argument("--slab", help="slab indicator of this width")
-    field.add_argument("--diag", help="diagonal strip of this width")
-    field.add_argument("--const", help="constant field of this value")
+    field.add_argument("--slab", type=rational, help="slab indicator of this width")
+    field.add_argument("--diag", type=rational, help="diagonal strip of this width")
+    field.add_argument("--const", type=rational, help="constant field of this value")
 
     p = sub.add_parser("verify", help="check a coloring file against a pattern family")
     p.add_argument("input")
@@ -430,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--width", help="slab width as p/q (default 1/(2^k m))")
+    p.add_argument("--width", type=rational, help="slab width as p/q (default 1/(2^k m))")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_torus_set)
 
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="grid file (comma-separate for multilinear)")
     p.add_argument("--torus-coloring")
     p.add_argument("--set")
-    p.add_argument("--width")
+    p.add_argument("--width", type=rational)
     p.add_argument("--predicate", default="binomial",
                    choices=["binomial", "symmetric", "mono"])
     p.add_argument("--k", type=int, default=4)
@@ -477,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "extract", parents=[field], help="randomized extraction of an interval coloring"
     )
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=rational, required=True)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--N", type=int, required=True)

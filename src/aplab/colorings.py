@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from .errors import BudgetExceededError, FormatError
+from .errors import FormatError, check_budget
 from .patterns import PatternSpec, is_symmetric
 from .scan import eval_clauses, predicate_clauses, shift_blocks
 
@@ -53,9 +53,6 @@ INTERVAL = "interval"
 # 3-coloring of Z/22Z with no symmetrically colored 4-term progression
 # (recoverable with search_coloring; kept as a regression anchor).
 Z22_COLORING = "1333221232131211333233"
-
-TENSOR_CELL_CAP = 10**6
-EXHAUSTIVE_N_CAP = 64
 
 _B36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -411,7 +408,7 @@ def mod_behrend_coloring(M: int, m: int, a_bound: int) -> Coloring:
 # constructions
 
 
-def tensor_power(coloring: Coloring, ell: int, cell_cap: int = TENSOR_CELL_CAP) -> Coloring:
+def tensor_power(coloring: Coloring, ell: int) -> Coloring:
     """Color n in Z/N^ell Z by the tuple of colors of its base-N digits,
     least-significant digit first.
 
@@ -423,18 +420,9 @@ def tensor_power(coloring: Coloring, ell: int, cell_cap: int = TENSOR_CELL_CAP) 
         raise ValueError("tensor power needs a cyclic coloring")
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    n_amb = coloring.n
-    total = n_amb**ell
-    if total > cell_cap:
-        raise BudgetExceededError(f"N^ell = {total} exceeds cap {cell_cap}")
-    ids = []
-    for n in range(total):
-        x = n
-        key = []
-        for _ in range(ell):
-            key.append(coloring.colors[x % n_amb])
-            x //= n_amb
-        ids.append(tuple(key))
+    check_budget("tensor_cells", coloring.n**ell)
+    # product varies its last factor fastest, the least significant digit
+    ids = [key[::-1] for key in product(coloring.colors, repeat=ell)]
     return Coloring.from_raw(CYCLIC, ids)
 
 
@@ -526,8 +514,7 @@ def search_coloring(
         return SearchResult("none_exists", None, 0)
 
     if mode == "exhaustive":
-        if n > EXHAUSTIVE_N_CAP:
-            raise ValueError(f"exhaustive search capped at N <= {EXHAUSTIVE_N_CAP}")
+        check_budget("exhaustive_n", n)
         return _search_dfs(n, r, ambient, constraints, budget)
     if mode == "randomized":
         return _search_randomized(n, r, ambient, constraints, budget or 10_000, seed)

@@ -1,12 +1,49 @@
-"""Shared exception types."""
+"""Shared exception types and the budget table."""
+
+from typing import NamedTuple
+
+
+class Budget(NamedTuple):
+    cap: int
+    unit: str
+    bounds: str
+
+
+# Every constant resource cap of the package, each keeping an exponential step
+# at desk scale.  ``check_budget`` reads a row when it runs, so a lowered row
+# takes effect at once.
+BUDGETS = {
+    "tensor_cells": Budget(10**6, "cells", "N^ell, the length of a tensor power"),
+    "exhaustive_n": Budget(64, "points", "N of an exhaustive coloring search"),
+    "greedy_table": Budget(20_000_000, "entries", "r^(k-1) and 2^k m, greedy counts and tables"),
+    "verify_half": Budget(20_000_000, "sums", "t^ceil(k/2), one half of the solution count"),
+    "interlace_cells": Budget(100_000, "cells", "D, the cells of an interlaced circle coloring"),
+    "exact_work": Budget(2_500_000_000, "pairs", "D^2 times the cells, for an exact probability"),
+    "u3_n": Budget(4096, "points", "N of an order-3 box norm"),
+    "weyl_work": Budget(100_000_000, "points", "N^s, the grid of a complete exponential sum"),
+    "pairing_k": Budget(16, "positions", "k of a pairing enumeration, (k-1)!! candidates"),
+    "subset_k": Budget(20, "positions", "k of a zero-sum subset enumeration, 2^k subsets"),
+}
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured resource budget (cells, nodes, samples, translates) ran out.
+    """``needed`` exceeds the ``cap`` of budget ``name``: a row of ``BUDGETS``,
+    or a cap derived from the inputs (``covering_translates``).
 
     Distinct from a negative mathematical answer: callers that exhaust a budget
     learn nothing about existence.
     """
+
+    def __init__(self, name: str, needed: int, cap: int):
+        self.name, self.needed, self.cap = name, needed, cap
+        super().__init__(f"budget {name} exceeded: needs {needed}, cap {cap}")
+
+
+def check_budget(name: str, needed: int, cap: int | None = None) -> None:
+    """Raise when ``needed`` exceeds ``cap``, by default the cap of row ``name``."""
+    cap = BUDGETS[name].cap if cap is None else cap
+    if needed > cap:
+        raise BudgetExceededError(name, needed, cap)
 
 
 class SelfCheckError(RuntimeError):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import SelfCheckError
+from .errors import SelfCheckError, check_budget
 
 __all__ = [
     "PatternSpec",
@@ -37,11 +37,6 @@ __all__ = [
     "is_ap_with_jumps",
     "recover_ap",
 ]
-
-# Exhaustive enumerations below are exponential in k; these caps keep them at
-# desk scale, where exactness matters more than speed.
-PAIRING_K_LIMIT = 16
-SUBSET_K_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -175,8 +170,7 @@ def zero_sum_subsets(system: BinomialSystem, min_size: int = 3) -> list[tuple[in
     if min_size < 3:
         raise ValueError("min_size must be at least 3")
     k = system.k
-    if k > SUBSET_K_LIMIT:
-        raise ValueError(f"subset enumeration capped at k <= {SUBSET_K_LIMIT}")
+    check_budget("subset_k", k)
     out = []
     for size in range(min_size, k + 1):
         for idx in combinations(range(k), size):
@@ -281,14 +275,13 @@ def is_symmetric(spec: PatternSpec) -> bool:
 def enumerate_pairings(spec: PatternSpec) -> list[Pairing]:
     """Every perfect matching f on positions with c_i = -c_{f(i)}.
 
-    Exhaustive matching; the candidate count is at most (k-1)!! so the size
-    cap keeps this instant at desk scale.  May be empty.
+    Exhaustive matching; the candidate count is at most (k-1)!!, so the
+    ``pairing_k`` budget keeps this instant at desk scale.  May be empty.
     """
     k = spec.k
     if k % 2:
         raise ValueError("pairings need even k")
-    if k > PAIRING_K_LIMIT:
-        raise ValueError(f"pairing enumeration capped at k <= {PAIRING_K_LIMIT}")
+    check_budget("pairing_k", k)
     c = a_coefficients(spec)
     out = []
 

@@ -229,8 +229,8 @@ def run_thm2_5(
     Odd k has no pairings, so the binomial-pattern predicate reduces to
     monochromatic zero-sum subsets.  At the default base_n = 1 the palette is
     k^2, so for k >= 7 the greedy set's count bound r^(k-1) (49^6 at k = 7)
-    exceeds the table budget and the run stops at stage "greedy-set" with a
-    budget error.
+    exceeds the ``greedy_table`` budget and the run stops at stage
+    "greedy-set" with a budget error.
     """
     _check_samples(samples)
     if k % 2 == 0 or k < 5:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .patterns import PatternSpec, a_binomial_system, enumerate_pairings, zero_sum_subsets
+from .patterns import (
+    PatternSpec, a_binomial_system, enumerate_pairings, symmetric_pairing, zero_sum_subsets
+)
 
 __all__ = ["shift_blocks", "predicate_clauses", "eval_clauses"]
 
@@ -92,9 +94,7 @@ def predicate_clauses(spec: PatternSpec, predicate: str, subset=None):
                 kept.append(cl)
         return kept
     if predicate == "symmetric":
-        if k % 2:
-            raise ValueError("symmetric predicate needs even k")
-        return [("pairing", tuple((i, k - 1 - i) for i in range(k // 2)))]
+        return [("pairing", symmetric_pairing(k).pairs)]
     if predicate == "mono":
         idx = tuple(subset) if subset is not None else tuple(range(k))
         if len(idx) < 2:

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .colorings import CYCLIC, Coloring, _least_k_pattern
-from .errors import BudgetExceededError, FormatError
+from .errors import BUDGETS, BudgetExceededError, FormatError, check_budget
 from .patterns import (
     BinomialSystem,
     trivial_solution_count,
@@ -34,10 +34,6 @@ __all__ = [
     "residue_set_to_text",
     "residue_set_from_text",
 ]
-
-GREEDY_TABLE_BUDGET = 20_000_000
-VERIFY_HALF_BUDGET = 20_000_000
-
 
 @dataclass(frozen=True)
 class ResidueSet:
@@ -162,7 +158,7 @@ def covering_coloring(S: ResidueSet, seed: int = 0, max_translates: int | None =
     used = 0
     while uncovered:
         if used >= cap:
-            raise BudgetExceededError(f"{cap} translates did not cover Z/{m}Z")
+            raise BudgetExceededError("covering_translates", used + 1, cap)
         t = int(rng.integers(m))
         pos = (elems + t) % m
         fresh = pos[ids[pos] == 0]
@@ -207,22 +203,19 @@ class _SolutionCounter:
     for every x and every distinct residue of -e(t), so a block of
     consecutive candidates costs 2^k - 1 gathers from slices of ``steps``.
 
-    Every count is at most |S|^(k-1), which the caller keeps within the
-    budget, and every index is below m, so with a budget below 2^31 both
-    arrays are exact in int32; each holds fewer than 2^k m entries.
+    Every count is at most |S|^(k-1) and every index is below m, both of
+    which the ``greedy_table`` budget bounds, so with that budget below 2^31
+    both arrays are exact in int32; each holds fewer than 2^k m entries.
     """
 
-    def __init__(self, system: BinomialSystem, m: int, budget: int = GREEDY_TABLE_BUDGET):
+    def __init__(self, system: BinomialSystem, m: int):
         k = system.k
-        if (1 << k) * m > budget:
-            raise BudgetExceededError(
-                f"dense count tables need 2^{k} x {m} entries, over budget"
-            )
+        check_budget("greedy_table", (1 << k) * m)
         self.e = system.e
         self.k = k
         self.m = m
         self.full = (1 << k) - 1
-        dtype = np.int32 if budget < 2**31 else np.int64
+        dtype = np.int32 if BUDGETS["greedy_table"].cap < 2**31 else np.int64
         self.tables = np.zeros((self.full, m), dtype=dtype)
         self.tables[0, 0] = 1
         shifts = [
@@ -261,7 +254,6 @@ def greedy_solution_free_set(
     system: BinomialSystem,
     m: int,
     r: int,
-    budget: int = GREEDY_TABLE_BUDGET,
 ) -> GreedyResult:
     """Scan 0, 1, ..., m-1, keeping a candidate iff it creates no nontrivial
     solution among the kept values (repetitions included).
@@ -275,17 +267,14 @@ def greedy_solution_free_set(
     residues, and the caller may retry with a larger modulus.  Candidates are
     tested 4096 at a time; the result does not depend on that.
 
-    Two budget checks run before any table is allocated: r^(k-1) <= budget
-    bounds every table count (and fails fast for the k >= 6 chains), and
-    2^k m <= budget bounds the table memory.
+    Two checks of the ``greedy_table`` budget run before any table is
+    allocated: r^(k-1) bounds every table count (and fails fast for the
+    k >= 6 chains), and 2^k m bounds the table memory.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    if r ** (system.k - 1) > budget:
-        raise BudgetExceededError(
-            f"solution counts reach {r}^{system.k - 1}, over budget"
-        )
-    counter = _SolutionCounter(system, m, budget)
+    check_budget("greedy_table", r ** (system.k - 1))
+    counter = _SolutionCounter(system, m)
     blocks = [len(p) for p in zero_sum_partitions(system)]
     elements: list[int] = []
     x = 0
@@ -336,14 +325,10 @@ def base9_set(r: int, m: int) -> ResidueSet:
 # verification
 
 
-def _half_tables(elements, e, m, budget):
+def _half_tables(elements, e, m):
     k = len(e)
     half = (k + 1) // 2
-    a_idx = tuple(range(half))
-    b_idx = tuple(range(half, k))
-    t = len(elements)
-    if t ** max(len(a_idx), len(b_idx)) > budget:
-        raise BudgetExceededError("solution scan exceeds the half-table budget")
+    check_budget("verify_half", len(elements) ** half)
     arr = np.asarray(elements, dtype=np.int64)
 
     def sums_for(idx):
@@ -352,7 +337,7 @@ def _half_tables(elements, e, m, budget):
             sums = ((sums[:, None] + e[i] * arr[None, :]) % m).ravel()
         return sums
 
-    return a_idx, b_idx, sums_for(a_idx), sums_for(b_idx)
+    return sums_for(range(half)), sums_for(range(half, k))
 
 
 def _count_matches(sums_a, sums_b, m):
@@ -385,7 +370,7 @@ def _find_witness(S, system, reject):
     return None
 
 
-def verify_solution_free(S: ResidueSet, system: BinomialSystem, mode: str = "all_nontrivial", budget: int = VERIFY_HALF_BUDGET):
+def verify_solution_free(S: ResidueSet, system: BinomialSystem, mode: str = "all_nontrivial"):
     """Certify solution-freeness by exact counting.
 
     mode "all_nontrivial": no nontrivial solution of the system exists in S
@@ -404,7 +389,7 @@ def verify_solution_free(S: ResidueSet, system: BinomialSystem, mode: str = "all
     t = len(S)
     if t == 0:
         return None
-    _, _, sums_a, sums_b = _half_tables(S.elements, e, m, budget)
+    sums_a, sums_b = _half_tables(S.elements, e, m)
     total = _count_matches(sums_a, sums_b, m)
     if mode == "all_nontrivial":
         allowed = trivial_solution_count(system, t)

@@ -22,7 +22,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .colorings import Coloring
-from .errors import BudgetExceededError, FormatError, SelfCheckError
+from .errors import FormatError, SelfCheckError, check_budget
 from .patterns import PatternSpec, a_binomial_system
 from .scan import eval_clauses, predicate_clauses, shift_blocks
 from .sets import ResidueSet
@@ -49,8 +49,6 @@ __all__ = [
     "torus_set_from_text",
 ]
 
-INTERLACE_CELL_CAP = 100_000
-EXACT_WORK_CAP = 2_500_000_000
 DEFAULT_SAMPLES = 1_000_000
 
 
@@ -123,7 +121,7 @@ def _uniform_blocks(seed: int, count: int, rows: int, block: int = 1 << 14):
 # interlacings
 
 
-def interlace_k(phi: Coloring, k: int, cell_cap: int = INTERLACE_CELL_CAP) -> TorusColoring:
+def interlace_k(phi: Coloring, k: int, cell_cap: int | None = None) -> TorusColoring:
     """Cut the circle into k blocks and fill each with k interlaced copies of
     phi, every copy on its own palette: cell j of D = k^2 N gets color
     (a*k + c)*r + phi(b) where j = a*kN + b*k + c.
@@ -131,15 +129,15 @@ def interlace_k(phi: Coloring, k: int, cell_cap: int = INTERLACE_CELL_CAP) -> To
     A pattern whose colors match forces matching block and phase digits, which
     in turn forces the phi positions to form a matching progression; with a
     pattern-free phi only cell collisions remain, so the pattern probability
-    is O(1/N).
+    is O(1/N).  ``cell_cap``, when given, replaces the ``interlace_cells``
+    budget.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
     n_amb = phi.n
     r = phi.r
     D = k * k * n_amb
-    if D > cell_cap:
-        raise BudgetExceededError(f"D = {D} exceeds cell cap {cell_cap}")
+    check_budget("interlace_cells", D, cell_cap)
     cells = []
     for j in range(D):
         a, rem = divmod(j, k * n_amb)
@@ -148,7 +146,7 @@ def interlace_k(phi: Coloring, k: int, cell_cap: int = INTERLACE_CELL_CAP) -> To
     return TorusColoring(tuple(cells))
 
 
-def interlace_m(phi: Coloring, m: int, cell_cap: int = INTERLACE_CELL_CAP) -> TorusColoring:
+def interlace_m(phi: Coloring, m: int, cell_cap: int | None = None) -> TorusColoring:
     """Interlace m palette-disjoint copies of a cyclic phi: cell j of D = mN
     gets color phi(j // m) + r * (j mod m)."""
     if m < 1:
@@ -156,8 +154,7 @@ def interlace_m(phi: Coloring, m: int, cell_cap: int = INTERLACE_CELL_CAP) -> To
     if phi.ambient != "cyclic":
         raise ValueError("interlace_m needs a cyclic coloring")
     D = m * phi.n
-    if D > cell_cap:
-        raise BudgetExceededError(f"D = {D} exceeds cell cap {cell_cap}")
+    check_budget("interlace_cells", D, cell_cap)
     r = phi.r
     cells = [phi.colors[j // m] + r * (j % m) for j in range(D)]
     return TorusColoring(tuple(cells))
@@ -219,7 +216,6 @@ def pattern_probability_exact(
     spec: PatternSpec,
     predicate: str = "binomial",
     subset=None,
-    work_cap: int = EXACT_WORK_CAP,
 ) -> Fraction:
     """Exact probability over uniform (x, y) on the torus that the colors of
     x + a_1 y, ..., x + a_k y satisfy the predicate.
@@ -229,17 +225,14 @@ def pattern_probability_exact(
     which are (p, q)-independent.  For each cell the count runs over the
     blocks of ``scan.shift_blocks``, where position i of row q is
     c[(p + a_i q + g_i) mod D] at column p, with the colors stored as the
-    narrowest unsigned integer type that holds the palette.  The work cap
-    bounds D^2 times the cell count; exceeding it raises rather than
-    truncating.
+    narrowest unsigned integer type that holds the palette.  The
+    ``exact_work`` budget bounds D^2 times the cell count; exceeding it
+    raises rather than truncating.
     """
     offsets = spec.normalized().a
     D = Phi.D
     cells = pattern_cells(spec)
-    if D * D * len(cells) > work_cap:
-        raise BudgetExceededError(
-            f"exact decomposition needs D^2 * cells = {D * D * len(cells)} > {work_cap}"
-        )
+    check_budget("exact_work", D * D * len(cells))
     clauses = predicate_clauses(spec, predicate, subset)
     if not clauses:
         return Fraction(0)
@@ -545,7 +538,7 @@ def torus_set_from_text(text: str, load_coloring) -> TorusSet:
         m = int(m_tok)
         num, den = (int(x) for x in w_tok.split("/"))
         width = Fraction(num, den)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise FormatError(f"expected 'm num/den', got {lines[1]!r}", 2) from None
     slots = tuple(int(tok) for tok in lines[2].split())
     return TorusSet(base, m, width, slots)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .colorings import INTERVAL, Coloring, verify_symmetric_ap_free
-from .errors import BudgetExceededError, FormatError, SelfCheckError
+from .errors import FormatError, SelfCheckError, check_budget
 from .patterns import PatternSpec
 from .scan import eval_clauses, predicate_clauses, shift_blocks
 from .torus import DEFAULT_SAMPLES, _uniform_blocks, lambda_tilde_mc
@@ -39,8 +39,6 @@ __all__ = [
     "grid_from_text",
 ]
 
-U3_N_CAP = 4096
-WEYL_WORK_CAP = 100_000_000
 PARSEVAL_RTOL = 1e-10
 
 
@@ -209,21 +207,22 @@ def spectrum(f: GridFunction, keep_coefficients: bool = False) -> SpectrumReport
     return SpectrumReport(alpha, max_nonzero, coeffs if keep_coefficients else None)
 
 
-def gowers_norm(f: GridFunction, s: int, center: bool = False, n_cap: int = U3_N_CAP) -> float:
+def gowers_norm(f: GridFunction, s: int, center: bool = False) -> float:
     """Box norm of order s in {2, 3}.
 
     Order 2 uses the spectral identity (norm^4 equals the sum of fourth
     powers of Fourier magnitudes).  Order 3 averages the order-2 identity
     over the multiplicative derivatives g_h(x) = f(x) f(x + h), so it is
-    O(N^2 log N) and capped.  Two symmetries halve the work and keep the
-    sum: g_{N-h} is g_h translated by h and the order-2 norm is translation
-    invariant, so only h = 0..N//2 are transformed; and a real row has
-    |ghat(r)| = |ghat(N - r)|, so two rows share one complex FFT and only
-    r = 0..N//2 are read back.  Both sums weight an index 2, except 1 at 0
-    and at N/2 for even N.  The cost is N//2 + 1 derivative rows in
-    (N//2 + 2) // 2 complex transforms of length N, taken in blocks of shift
-    views of the doubled array; the 1/N scalings are applied once, at the
-    end.  It agrees with the one-FFT-per-shift loop to 1e-12 relative.
+    O(N^2 log N) and capped by the ``u3_n`` budget.  Two symmetries halve
+    the work and keep the sum: g_{N-h} is g_h translated by h and the
+    order-2 norm is translation invariant, so only h = 0..N//2 are
+    transformed; and a real row has |ghat(r)| = |ghat(N - r)|, so two rows
+    share one complex FFT and only r = 0..N//2 are read back.  Both sums
+    weight an index 2, except 1 at 0 and at N/2 for even N.  The cost is
+    N//2 + 1 derivative rows in (N//2 + 2) // 2 complex transforms of length
+    N, taken in blocks of shift views of the doubled array; the 1/N scalings
+    are applied once, at the end.  It agrees with the one-FFT-per-shift loop
+    to 1e-12 relative.
     """
     if s not in (2, 3):
         raise ValueError("only orders 2 and 3 are implemented")
@@ -232,8 +231,7 @@ def gowers_norm(f: GridFunction, s: int, center: bool = False, n_cap: int = U3_N
     if s == 2:
         coeffs = np.fft.fft(vals) / N
         return float(np.sum(np.abs(coeffs) ** 4) ** 0.25)
-    if N > n_cap:
-        raise BudgetExceededError(f"order-3 norm capped at N <= {n_cap}")
+    check_budget("u3_n", N)
     half = N // 2
     j = np.arange(half + 1)
     weight = np.where((j == 0) | (2 * j == N), 1.0, 2.0)
@@ -311,7 +309,7 @@ def convergence_experiment(
 # complete exponential sums
 
 
-def weyl_sum(poly: dict, N: int, work_cap: int = WEYL_WORK_CAP) -> complex:
+def weyl_sum(poly: dict, N: int) -> complex:
     """Normalized complete exponential sum (1/N^s) sum e(P(n)/N) over the full
     grid, for an integer polynomial in s <= 2 variables.
 
@@ -326,8 +324,7 @@ def weyl_sum(poly: dict, N: int, work_cap: int = WEYL_WORK_CAP) -> complex:
     s = arities.pop()
     if s not in (1, 2):
         raise ValueError("only 1 or 2 variables supported")
-    if N**s > work_cap:
-        raise BudgetExceededError(f"N^{s} exceeds work cap {work_cap}")
+    check_budget("weyl_work", N**s)
 
     def powmod(base: np.ndarray, exp: int) -> np.ndarray:
         out = np.ones_like(base)
@@ -484,6 +481,9 @@ def grid_from_text(text: str) -> GridFunction:
         for tok in distinct:
             if "/" in tok:
                 num, den = tok.split("/")
+                if int(den) == 0:
+                    at = next(i for i, ln in enumerate(text.splitlines(), 1) if tok in ln.split())
+                    raise FormatError(f"zero denominator in {tok!r}", at)
                 distinct[tok] = Fraction(int(num), int(den))
             else:
                 distinct[tok] = Fraction(int(tok))

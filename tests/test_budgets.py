@@ -1,0 +1,120 @@
+"""The budget table: each row, lowered, stops its check with an error that
+names the row, the amount needed and the cap, and every row the CLI can
+reach exits 2 naming the row on stderr."""
+
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from aplab.cli import main
+from aplab.colorings import CYCLIC, Z22_COLORING, Coloring, search_coloring, tensor_power
+from aplab.errors import BUDGETS, BudgetExceededError
+from aplab.patterns import PatternSpec, enumerate_pairings, k_binomial_system, zero_sum_subsets
+from aplab.sets import ResidueSet, greedy_solution_free_set, verify_solution_free
+from aplab.torus import (
+    TorusColoring,
+    interlace_k,
+    pattern_cells,
+    pattern_probability_exact,
+    torus_coloring_to_text,
+)
+from aplab.uniformity import GridFunction, gowers_norm, grid_to_text, weyl_sum
+
+Z22 = Coloring(CYCLIC, tuple(int(ch) for ch in Z22_COLORING))
+AP4 = PatternSpec.ap(4)
+TORUS10 = TorusColoring((1, 2) * 5)
+
+# (row, lowered cap, call, amount the call needs)
+CASES = [
+    ("tensor_cells", 100, lambda: tensor_power(Z22, 2), 22**2),
+    ("exhaustive_n", 10, lambda: search_coloring(12, 4, 3), 12),
+    ("greedy_table", 26, lambda: greedy_solution_free_set(k_binomial_system(4), 100, 3), 3**3),
+    ("greedy_table", 1599, lambda: greedy_solution_free_set(k_binomial_system(4), 100, 3), 1600),
+    (
+        "verify_half", 99,
+        lambda: verify_solution_free(ResidueSet(1000, tuple(range(10))), k_binomial_system(4)),
+        10**2,
+    ),
+    ("interlace_cells", 100, lambda: interlace_k(Z22, 4), 16 * 22),
+    (
+        "exact_work", 99,
+        lambda: pattern_probability_exact(TORUS10, AP4), 10**2 * len(pattern_cells(AP4)),
+    ),
+    ("u3_n", 64, lambda: gowers_norm(GridFunction.constant(65, Fraction(1, 2)), 3), 65),
+    ("weyl_work", 100, lambda: weyl_sum({(1, 1): 1}, 11), 11**2),
+    ("pairing_k", 4, lambda: enumerate_pairings(PatternSpec.ap(6)), 6),
+    ("subset_k", 4, lambda: zero_sum_subsets(k_binomial_system(5)), 5),
+]
+
+
+def test_every_row_has_a_case():
+    assert {case[0] for case in CASES} == set(BUDGETS)
+
+
+@pytest.mark.parametrize("name,cap,call,needed", CASES, ids=[c[0] for c in CASES])
+def test_lowered_row_stops_its_check(lower_budget, name, cap, call, needed):
+    lower_budget(name, cap)
+    with pytest.raises(BudgetExceededError) as info:
+        call()
+    err = info.value
+    assert (err.name, err.needed, err.cap) == (name, needed, cap)
+    assert str(err) == f"budget {name} exceeded: needs {needed}, cap {cap}"
+
+
+def test_explicit_cell_cap_names_the_row():
+    with pytest.raises(BudgetExceededError) as info:
+        interlace_k(Z22, 4, cell_cap=10)
+    assert (info.value.name, info.value.needed, info.value.cap) == ("interlace_cells", 352, 10)
+
+
+@pytest.fixture()
+def files(tmp_path):
+    z22 = tmp_path / "z22.txt"
+    z22.write_text(f"cyclic\n22 3\n{Z22_COLORING}\n")
+    torus = tmp_path / "torus.txt"
+    torus.write_text(torus_coloring_to_text(TORUS10))
+    grid = tmp_path / "grid.txt"
+    grid.write_text(grid_to_text(GridFunction.constant(65, Fraction(1, 2))))
+    return {"Z22": str(z22), "TORUS": str(torus), "GRID": str(grid), "OUT": str(tmp_path / "out")}
+
+
+CLI_CASES = [
+    ("tensor_cells", 100, ["pipeline", "--name", "thm2_6", "--ell", "2"]),
+    ("exhaustive_n", 10, ["search", "--N", "12", "--k", "4", "--r", "3"]),
+    (
+        "greedy_table", 26,
+        ["build-set", "--kind", "greedy", "--m", "100", "--r", "3", "--out", "OUT"],
+    ),
+    ("verify_half", 99, ["pipeline", "--name", "thm2_6", "--samples", "10"]),
+    ("interlace_cells", 100, ["interlace", "--input", "Z22", "--k", "4", "--out", "OUT"]),
+    ("exact_work", 99, ["density", "--pattern-exact", "--torus-coloring", "TORUS"]),
+    ("u3_n", 64, ["gowers", "--input", "GRID", "--s", "3"]),
+    ("pairing_k", 2, ["density", "--pattern-exact", "--torus-coloring", "TORUS"]),
+    ("subset_k", 2, ["density", "--pattern-exact", "--torus-coloring", "TORUS"]),
+]
+
+
+def test_every_row_but_weyl_work_is_reached_by_the_cli():
+    # weyl_sum has no subcommand
+    assert {case[0] for case in CLI_CASES} == set(BUDGETS) - {"weyl_work"}
+
+
+@pytest.mark.parametrize("name,cap,argv", CLI_CASES, ids=[c[0] for c in CLI_CASES])
+def test_cli_exits_2_naming_the_row(capsys, lower_budget, files, name, cap, argv):
+    lower_budget(name, cap)
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        rf"error: (stage '[a-z-]+': )?budget {name} exceeded: needs \d+, cap {cap}\n", captured.err
+    )
+    assert not Path(files["OUT"]).exists()
+
+
+def test_readme_table_matches_the_budgets():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| ([\d_]+) \| ([^|]+) \| ([^|]+) \|$", readme, re.M)
+    table = {name: (int(cap), unit.strip(), bounds.strip()) for name, cap, unit, bounds in rows}
+    assert table == {name: tuple(row) for name, row in BUDGETS.items()}

@@ -295,6 +295,44 @@ class TestBudgetOverride:
         out = tmp_path / "phi.txt"
         code = main(["interlace", "--input", z22_file, "--k", "4", "--out", str(out)])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: budget interlace_cells exceeded: needs 352, cap 100\n"
+        )
+
+
+class TestZeroDenominator:
+    """A p/0 rational, in a file or a flag, is a format or usage error."""
+
+    def test_grid_file(self, capsys, tmp_path):
+        g = tmp_path / "g.txt"
+        g.write_text("2\n0/1\n1/0\n")
+        assert main(["density", "--lambda-exact", "--grid", str(g)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: zero denominator in '1/0'\n"
+
+    def test_torus_set_width(self, capsys, tmp_path):
+        (tmp_path / "phi.txt").write_text("2 2\n1 2\n")
+        a = tmp_path / "A.txt"
+        a.write_text("phi.txt\n5 1/0\n0 1\n")
+        assert main(["density", "--lambda-mc", "--torus-set", str(a), "--samples", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: expected 'm num/den', got '5 1/0'\n"
+
+    @pytest.mark.parametrize("flag", ["--slab", "--diag", "--const"])
+    def test_field_flag(self, capsys, flag):
+        assert main(["density", "--lambda-mc", flag, "1/0", "--samples", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: invalid rational value: '1/0'" in captured.err
+
+    def test_extract_alpha(self, capsys):
+        argv = ["extract", "--const", "1/2", "--alpha", "1/0", "--r", "2", "--N", "8"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --alpha: invalid rational value: '1/0'" in captured.err
 
 
 class TestStageErrors:
@@ -373,7 +411,9 @@ class TestStageErrors:
         assert main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: dense count tables need 2^4 x 1250001 entries, over budget\n"
+        assert captured.err == (
+            "error: budget greedy_table exceeded: needs 20000016, cap 20000000\n"
+        )
         assert not out.exists()
 
     def test_greedy_count_budget_exits_2(self, capsys):
@@ -381,4 +421,7 @@ class TestStageErrors:
         assert main(["pipeline", "--name", "thm2_5", "--k", "7"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: stage 'greedy-set': solution counts reach 49^6, over budget\n"
+        assert captured.err == (
+            "error: stage 'greedy-set': "
+            "budget greedy_table exceeded: needs 13841287201, cap 20000000\n"
+        )

@@ -612,5 +612,5 @@ class TestSearch:
             assert verify_sym_a_ap_free(res.coloring, spec) is None
 
     def test_exhaustive_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetExceededError):
             search_coloring(100, 4, 3)

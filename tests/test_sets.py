@@ -5,10 +5,9 @@ import pytest
 
 import oracles
 from aplab.colorings import verify_mono_pattern_free
-from aplab.errors import BudgetExceededError, FormatError
+from aplab.errors import BUDGETS, BudgetExceededError, FormatError
 from aplab.patterns import PatternSpec, a_binomial_system, k_binomial_system
 from aplab.sets import (
-    GREEDY_TABLE_BUDGET,
     GreedyResult,
     ResidueSet,
     base9_set,
@@ -108,7 +107,7 @@ class TestCoveringColoring:
         assert covering_coloring(s, seed=7) == covering_coloring(s, seed=7)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="budget covering_translates exceeded"):
             covering_coloring(ResidueSet(50, (0,)), seed=0, max_translates=3)
 
     def test_empty_rejected(self):
@@ -174,24 +173,26 @@ class TestGreedy:
         res = greedy_solution_free_set(k_binomial_system(4), 9216, 48)
         assert res.complete
 
-    def test_table_budget(self):
+    def test_table_budget(self, lower_budget):
+        lower_budget("greedy_table", 10**4)
         with pytest.raises(BudgetExceededError):
-            greedy_solution_free_set(k_binomial_system(6), 10**6, 50, budget=10**4)
+            greedy_solution_free_set(k_binomial_system(6), 10**6, 50)
 
-    def test_table_memory_budget(self):
+    def test_table_memory_budget(self, lower_budget):
         # 2^4 m entries against the budget, checked before any table exists
-        m = GREEDY_TABLE_BUDGET // 16 + 1
+        m = BUDGETS["greedy_table"].cap // 16 + 1
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetExceededError, match=f"2\\^4 x {m} entries"):
+            with pytest.raises(BudgetExceededError, match=f"needs {16 * m}, "):
                 greedy_solution_free_set(k_binomial_system(4), m, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert greedy_solution_free_set(k_binomial_system(4), 100, 3, budget=1600).complete
+        lower_budget("greedy_table", 1600)
+        assert greedy_solution_free_set(k_binomial_system(4), 100, 3).complete
         with pytest.raises(BudgetExceededError):
-            greedy_solution_free_set(k_binomial_system(4), 101, 3, budget=1600)
+            greedy_solution_free_set(k_binomial_system(4), 101, 3)
 
 
 SORTED_REFERENCE_CASES = [
@@ -304,7 +305,8 @@ class TestVerifySolutionFree:
         with pytest.raises(ValueError):
             verify_solution_free(ResidueSet(40, (0, 1)), k_binomial_system(5), "abba_only")
 
-    def test_budget(self):
+    def test_budget(self, lower_budget):
+        lower_budget("verify_half", 1000)
         s = ResidueSet(10**6, tuple(range(500)))
         with pytest.raises(BudgetExceededError):
-            verify_solution_free(s, k_binomial_system(4), budget=1000)
+            verify_solution_free(s, k_binomial_system(4))

@@ -3,13 +3,18 @@
 Soundness guards must hold under ``python -O``, which strips ``assert``
 statements, so the library raises explicitly instead; so do the test
 oracles, whose asserts pytest does not rewrite.  A module-level import that
-the module never reads is dead weight and hides real dependencies.
+the module never reads is dead weight and hides real dependencies.  Every
+resource cap is a row of ``errors.BUDGETS``, and every budget error names
+its budget, so a run says which budget stopped it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from aplab.errors import BUDGETS
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "aplab"
@@ -51,3 +56,38 @@ def test_no_unused_module_imports(path):
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = {name: line for name, line in _module_imports(tree).items() if name not in read}
     assert unused == {}, f"{path.name}: unused imports {unused}"
+
+
+# errors.py holds the table and check_budget, which passes its row name on
+NOT_ERRORS = [p for p in MODULES if p.name != "errors.py"]
+
+
+@pytest.mark.parametrize("path", NOT_ERRORS, ids=lambda p: p.name)
+def test_caps_live_in_the_budget_table(path):
+    caps = [
+        t.id
+        for node in _tree(path).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for t in ast.walk(target)
+        if isinstance(t, ast.Name) and re.search(r"_(CAP|BUDGET|LIMIT)$", t.id)
+    ]
+    assert caps == [], f"{path.name}: module-level caps {caps} belong in errors.BUDGETS"
+
+
+@pytest.mark.parametrize("path", NOT_ERRORS, ids=lambda p: p.name)
+def test_budget_errors_name_their_budget(path):
+    """``BudgetExceededError`` and ``check_budget`` take the budget's name as
+    a string literal; ``check_budget``'s is a row of the table."""
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.Call):
+            continue
+        called = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if called not in ("BudgetExceededError", "check_budget"):
+            continue
+        first = node.args[0] if node.args else None
+        name = first.value if isinstance(first, ast.Constant) else None
+        if not isinstance(name, str) or (called == "check_budget" and name not in BUDGETS):
+            bad.append(node.lineno)
+    assert bad == [], f"{path.name}: budget calls without a named budget at lines {bad}"

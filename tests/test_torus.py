@@ -222,10 +222,11 @@ class TestExactProbability:
                 want = oracles.loop_pattern_probability(tc, spec, predicate)
                 assert got == want, (tc.D, spec, predicate)
 
-    def test_work_cap(self):
+    def test_work_cap(self, lower_budget):
+        lower_budget("exact_work", 1000)
         tc = TorusColoring((1, 2) * 600)
         with pytest.raises(BudgetExceededError):
-            pattern_probability_exact(tc, PatternSpec.ap(4), work_cap=1000)
+            pattern_probability_exact(tc, PatternSpec.ap(4))
 
     def test_odd_k_no_pairings(self):
         # for odd length only the zero-sum subsets can fire
