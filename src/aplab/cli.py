@@ -8,8 +8,8 @@ holds, 1 property violated (a witness is reported), 2 usage, I/O, format or
 budget errors, including a failed pipeline stage or a failed self-check (such
 as Parseval for a spectrum).
 
-A budget error names its row of aplab.errors.BUDGETS on stderr; the variable
-APLAB_CELL_BUDGET replaces the interlace_cells cap of interlace.
+A budget error names its row of aplab.errors.BUDGETS on stderr; no flag or
+environment variable changes a cap.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -107,6 +106,13 @@ def _load_torus_set(path):
         return torus_coloring_from_text(_read(str(ref_path)))
 
     return torus_set_from_text(_read(path), load)
+
+
+def _require(args, mode: str, *names: str):
+    """Refuse ``mode`` as a usage error when a flag it needs is missing."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"{mode} needs --{name.replace('_', '-')}")
 
 
 def _witness_dict(w):
@@ -205,12 +211,15 @@ def cmd_search(args) -> int:
 
 def cmd_build_set(args) -> int:
     if args.kind == "behrend":
+        _require(args, "--kind behrend", "N")
         s = behrend_set(args.N, args.k)
         extra = {}
     elif args.kind == "base9":
+        _require(args, "--kind base9", "m", "r")
         s = base9_set(args.r, args.m)
         extra = {}
     else:
+        _require(args, "--kind greedy", "m", "r")
         system = a_binomial_system(_spec_arg(args))
         res = greedy_solution_free_set(system, args.m, args.r)
         s = res.set
@@ -225,12 +234,10 @@ def cmd_build_set(args) -> int:
 
 def cmd_interlace(args) -> int:
     phi = _load_coloring(args.input)
-    env = os.environ.get("APLAB_CELL_BUDGET")
-    cap = int(env) if env else None
     if args.m is not None:
-        tc = interlace_m(phi, args.m, cap)
+        tc = interlace_m(phi, args.m)
     else:
-        tc = interlace_k(phi, args.k, cap)
+        tc = interlace_k(phi, args.k)
     Path(args.out).write_text(torus_coloring_to_text(tc))
     _emit({"D": tc.D, "colors": tc.r, "out": args.out})
     return EXIT_OK
@@ -255,6 +262,7 @@ def cmd_torus_set(args) -> int:
 def cmd_density(args) -> int:
     spec = _spec_arg(args)
     if args.lambda_exact:
+        _require(args, "--lambda-exact", "grid")
         paths = args.grid.split(",")
         # a path named more than once is read once and shares one grid object
         loaded = {p: grid_from_text(_read(p)) for p in dict.fromkeys(paths)}
@@ -269,14 +277,17 @@ def cmd_density(args) -> int:
         est = lambda_tilde_mc(_field_arg(args), spec, args.samples, args.seed)
         _emit(_mc_report(est, "lambda-mc"))
     elif args.pattern_exact:
+        _require(args, "--pattern-exact", "torus_coloring")
         Phi = _load_torus_coloring(args.torus_coloring)
         val = pattern_probability_exact(Phi, spec, args.predicate)
         _emit(_exact_report(val, "pattern-exact", predicate=args.predicate))
     elif args.pattern_mc:
+        _require(args, "--pattern-mc", "torus_coloring")
         Phi = _load_torus_coloring(args.torus_coloring)
         est = pattern_probability_mc(Phi, spec, args.predicate, args.samples, args.seed)
         _emit(_mc_report(est, "pattern-mc", predicate=args.predicate))
     else:
+        _require(args, "--certificate", "torus_coloring", "set")
         Phi = _load_torus_coloring(args.torus_coloring)
         S = residue_set_from_text(_read(args.set))
         _emit(_exact_report(lambda_tilde_certificate(Phi, S, spec, args.width), "certificate"))

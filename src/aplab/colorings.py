@@ -23,7 +23,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import FormatError, check_budget
+from .errors import FormatError, check_budget, data_lines, parse_ints
 from .patterns import PatternSpec, is_symmetric
 from .scan import eval_clauses, predicate_clauses, shift_blocks
 
@@ -130,29 +130,29 @@ def coloring_to_text(c: Coloring) -> str:
 
 
 def coloring_from_text(text: str) -> Coloring:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if len(lines) < 3:
-        raise FormatError("expected 3 lines (ambient, sizes, colors)", len(lines))
-    ambient = lines[0].split()[-1].lower()
+    rows = data_lines(text)
+    if len(rows) < 3:
+        raise FormatError("expected 3 lines (ambient, sizes, colors)", len(rows))
+    (amb_no, amb), (head_no, head), (body_no, body) = rows[:3]
+    ambient = amb.split()[-1].lower()
     if ambient not in (CYCLIC, INTERVAL):
-        raise FormatError(f"unknown ambient {lines[0]!r}", 1)
+        raise FormatError(f"unknown ambient {amb!r}", amb_no)
     try:
-        n, r = (int(tok) for tok in lines[1].split())
+        n, r = (int(tok) for tok in head.split())
     except ValueError:
-        raise FormatError(f"expected 'N r', got {lines[1]!r}", 2) from None
-    body = lines[2]
+        raise FormatError(f"expected 'N r', got {head!r}", head_no) from None
     if " " in body or r > 35:
-        ids = [int(tok) for tok in body.split()]
+        ids = parse_ints(rows[2:3])
     else:
         try:
             ids = [int(ch, 36) for ch in body]
         except ValueError:
-            raise FormatError("invalid base-36 color digit", 3) from None
+            raise FormatError("invalid base-36 color digit", body_no) from None
     if len(ids) != n:
-        raise FormatError(f"expected {n} colors, got {len(ids)}", 3)
+        raise FormatError(f"expected {n} colors, got {len(ids)}", body_no)
     col = Coloring(ambient, tuple(ids))
     if col.r != r:
-        raise FormatError(f"header says r={r} but {col.r} colors used", 2)
+        raise FormatError(f"header says r={r} but {col.r} colors used", head_no)
     return col
 
 
@@ -517,7 +517,8 @@ def search_coloring(
         check_budget("exhaustive_n", n)
         return _search_dfs(n, r, ambient, constraints, budget)
     if mode == "randomized":
-        return _search_randomized(n, r, ambient, constraints, budget or 10_000, seed)
+        rounds = 10_000 if budget is None else budget
+        return _search_randomized(n, r, ambient, constraints, rounds, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -1,4 +1,4 @@
-"""Shared exception types and the budget table."""
+"""Shared exception types, the budget table and the data-file line readers."""
 
 from typing import NamedTuple
 
@@ -39,9 +39,9 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"budget {name} exceeded: needs {needed}, cap {cap}")
 
 
-def check_budget(name: str, needed: int, cap: int | None = None) -> None:
-    """Raise when ``needed`` exceeds ``cap``, by default the cap of row ``name``."""
-    cap = BUDGETS[name].cap if cap is None else cap
+def check_budget(name: str, needed: int) -> None:
+    """Raise when ``needed`` exceeds the cap of row ``name``."""
+    cap = BUDGETS[name].cap
     if needed > cap:
         raise BudgetExceededError(name, needed, cap)
 
@@ -60,3 +60,21 @@ class FormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """(physical line number, stripped text) of each non-blank line."""
+    return [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+
+def parse_ints(rows) -> list[int]:
+    """The whitespace-separated integers of ``rows`` ((line number, text)
+    pairs), or a FormatError at the line of the first token that is not one."""
+    out = []
+    for no, ln in rows:
+        for tok in ln.split():
+            try:
+                out.append(int(tok))
+            except ValueError:
+                raise FormatError(f"expected an integer, got {tok!r}", no) from None
+    return out

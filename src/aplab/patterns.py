@@ -208,17 +208,10 @@ def zero_sum_partitions(system: BinomialSystem) -> list[tuple[tuple[int, ...], .
     return found
 
 
-def _falling_factorial(t, j):
-    out = 1
-    for i in range(j):
-        out *= t - i
-    return out
-
-
 def trivial_solution_count(system: BinomialSystem, t: int) -> int:
     """Number of trivial solutions with entries drawn from a set of t distinct
     values (counting assignments, not value-sets)."""
-    return sum(_falling_factorial(t, len(p)) for p in zero_sum_partitions(system))
+    return sum(math.perm(t, len(p)) for p in zero_sum_partitions(system))
 
 
 @dataclass(frozen=True)

@@ -109,10 +109,10 @@ def _verified(name, message, verifier, *args):
         raise StageError(name, ValueError(message))
 
 
-def _greedy_set(system, r, m=None):
+def _greedy_set(system, r):
     """Greedy solution-free set of size r, re-verified; the modulus starts at
-    m (default max(64, 4 r^2)) and doubles until the scan completes."""
-    m = m or max(64, 4 * r * r)
+    max(64, 4 r^2) and doubles until the scan completes."""
+    m = max(64, 4 * r * r)
     while True:
         res = _stage("greedy-set", greedy_solution_free_set, system, m, r)
         if res.complete:
@@ -185,7 +185,6 @@ def run_thm2_7(
     base: Coloring | None = None,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    greedy_m: int | None = None,
 ) -> PipelineResult:
     """Even-k chain through the greedy solution-free set.
 
@@ -212,7 +211,7 @@ def run_thm2_7(
         )
         phi = _stage("product", product_coloring, phi, chi)
     Phi = _stage("interlace", interlace_k, phi, k)
-    S = _greedy_set(a_binomial_system(spec), Phi.r, greedy_m)
+    S = _greedy_set(a_binomial_system(spec), Phi.r)
     return _finish("thm2_7", spec, base, Phi, S, samples, seed)
 
 
@@ -221,7 +220,6 @@ def run_thm2_5(
     base_n: int = 1,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    greedy_m: int | None = None,
 ) -> PipelineResult:
     """Odd-k chain: pattern-free covering coloring (trivial at base_n = 1) ->
     interlacing -> greedy solution-free set.
@@ -244,7 +242,7 @@ def run_thm2_5(
             lambda: covering_coloring(behrend_set(base_n, k), seed=seed),
         )
     Phi = _stage("interlace", interlace_k, base, k)
-    S = _greedy_set(a_binomial_system(spec), Phi.r, greedy_m)
+    S = _greedy_set(a_binomial_system(spec), Phi.r)
     return _finish("thm2_5", spec, base, Phi, S, samples, seed)
 
 

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .colorings import CYCLIC, Coloring, _least_k_pattern
-from .errors import BUDGETS, BudgetExceededError, FormatError, check_budget
+from .errors import BUDGETS, BudgetExceededError, FormatError, check_budget, data_lines, parse_ints
 from .patterns import (
     BinomialSystem,
     trivial_solution_count,
@@ -62,16 +62,17 @@ def residue_set_to_text(s: ResidueSet) -> str:
 
 
 def residue_set_from_text(text: str) -> ResidueSet:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines:
+    rows = data_lines(text)
+    if not rows:
         raise FormatError("empty residue-set file", 1)
+    head_no, head = rows[0]
     try:
-        m, r = (int(tok) for tok in lines[0].split())
+        m, r = (int(tok) for tok in head.split())
     except ValueError:
-        raise FormatError(f"expected 'm r', got {lines[0]!r}", 1) from None
-    elems = [int(tok) for ln in lines[1:] for tok in ln.split()]
+        raise FormatError(f"expected 'm r', got {head!r}", head_no) from None
+    elems = parse_ints(rows[1:])
     if len(elems) != r:
-        raise FormatError(f"header says {r} elements, got {len(elems)}", 2)
+        raise FormatError(f"header says {r} elements, got {len(elems)}", head_no + 1)
     return ResidueSet(m, tuple(elems))
 
 
@@ -79,7 +80,7 @@ def residue_set_from_text(text: str) -> ResidueSet:
 # Behrend-style digit-sphere sets
 
 
-def behrend_set(N: int, k: int, digit_budget: int = 200_000) -> ResidueSet:
+def behrend_set(N: int, k: int) -> ResidueSet:
     """A k-pattern-free subset of Z/NZ from digit vectors on a sphere shell.
 
     Digit vectors x in {0..d-1}^m are mapped to sum x_i B^i with the no-carry
@@ -89,23 +90,25 @@ def behrend_set(N: int, k: int, digit_budget: int = 200_000) -> ResidueSet:
     requiring (k-1)*max(S) < N.  For d = 2 the whole cube works: digitwise
     a*x + b*y = (a+b)*z over {0,1} already forces x = y = z.
 
-    Parameters (d, m, shell) are scanned within the digit budget to maximize
-    the set size; N too small to host anything beyond a singleton yields {0}.
+    Parameters (d, m, shell) are scanned over d^m <= 200,000 digit vectors (a
+    search horizon, not a failure cap) to maximize the set size; N too small
+    to host anything beyond a singleton yields {0}.
     """
+    horizon = 200_000
     if N < 2:
         raise ValueError("N must be at least 2")
     if k < 3:
         raise ValueError("k must be at least 3")
     best = (1, (0,))
     d = 2
-    while d <= digit_budget:
+    while d <= horizon:
         B = (k - 1) * (d - 1) + 1
         # anything new at dimension m has an element >= B^(m-1), so the
         # wraparound bound (k-1)*max < N prunes (d, m) pairs up front
         if (k - 1) * B >= N:
             break
         m_dim = 2
-        while d**m_dim <= digit_budget and (k - 1) * B ** (m_dim - 1) < N:
+        while d**m_dim <= horizon and (k - 1) * B ** (m_dim - 1) < N:
             digits = np.indices((d,) * m_dim).reshape(m_dim, -1).T
             weights = B ** np.arange(m_dim, dtype=np.int64)
             values = digits @ weights

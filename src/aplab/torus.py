@@ -22,7 +22,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .colorings import Coloring
-from .errors import FormatError, SelfCheckError, check_budget
+from .errors import FormatError, SelfCheckError, check_budget, data_lines, parse_ints
 from .patterns import PatternSpec, a_binomial_system
 from .scan import eval_clauses, predicate_clauses, shift_blocks
 from .sets import ResidueSet
@@ -121,7 +121,7 @@ def _uniform_blocks(seed: int, count: int, rows: int, block: int = 1 << 14):
 # interlacings
 
 
-def interlace_k(phi: Coloring, k: int, cell_cap: int | None = None) -> TorusColoring:
+def interlace_k(phi: Coloring, k: int) -> TorusColoring:
     """Cut the circle into k blocks and fill each with k interlaced copies of
     phi, every copy on its own palette: cell j of D = k^2 N gets color
     (a*k + c)*r + phi(b) where j = a*kN + b*k + c.
@@ -129,15 +129,14 @@ def interlace_k(phi: Coloring, k: int, cell_cap: int | None = None) -> TorusColo
     A pattern whose colors match forces matching block and phase digits, which
     in turn forces the phi positions to form a matching progression; with a
     pattern-free phi only cell collisions remain, so the pattern probability
-    is O(1/N).  ``cell_cap``, when given, replaces the ``interlace_cells``
-    budget.
+    is O(1/N).
     """
     if k < 3:
         raise ValueError("k must be at least 3")
     n_amb = phi.n
     r = phi.r
     D = k * k * n_amb
-    check_budget("interlace_cells", D, cell_cap)
+    check_budget("interlace_cells", D)
     cells = []
     for j in range(D):
         a, rem = divmod(j, k * n_amb)
@@ -146,7 +145,7 @@ def interlace_k(phi: Coloring, k: int, cell_cap: int | None = None) -> TorusColo
     return TorusColoring(tuple(cells))
 
 
-def interlace_m(phi: Coloring, m: int, cell_cap: int | None = None) -> TorusColoring:
+def interlace_m(phi: Coloring, m: int) -> TorusColoring:
     """Interlace m palette-disjoint copies of a cyclic phi: cell j of D = mN
     gets color phi(j // m) + r * (j mod m)."""
     if m < 1:
@@ -154,7 +153,7 @@ def interlace_m(phi: Coloring, m: int, cell_cap: int | None = None) -> TorusColo
     if phi.ambient != "cyclic":
         raise ValueError("interlace_m needs a cyclic coloring")
     D = m * phi.n
-    check_budget("interlace_cells", D, cell_cap)
+    check_budget("interlace_cells", D)
     r = phi.r
     cells = [phi.colors[j // m] + r * (j % m) for j in range(D)]
     return TorusColoring(tuple(cells))
@@ -505,19 +504,20 @@ def torus_coloring_to_text(tc: TorusColoring) -> str:
 
 
 def torus_coloring_from_text(text: str) -> TorusColoring:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if len(lines) < 2:
-        raise FormatError("expected 2 lines (sizes, cells)", len(lines))
+    rows = data_lines(text)
+    if len(rows) < 2:
+        raise FormatError("expected 2 lines (sizes, cells)", len(rows))
+    (head_no, head), (body_no, _) = rows[:2]
     try:
-        D, r = (int(tok) for tok in lines[0].split())
+        D, r = (int(tok) for tok in head.split())
     except ValueError:
-        raise FormatError(f"expected 'D r', got {lines[0]!r}", 1) from None
-    cells = [int(tok) for ln in lines[1:] for tok in ln.split()]
+        raise FormatError(f"expected 'D r', got {head!r}", head_no) from None
+    cells = parse_ints(rows[1:])
     if len(cells) != D:
-        raise FormatError(f"header says D={D}, got {len(cells)} cells", 2)
+        raise FormatError(f"header says D={D}, got {len(cells)} cells", body_no)
     tc = TorusColoring(tuple(cells))
     if tc.r != r:
-        raise FormatError(f"header says r={r}, max color is {tc.r}", 1)
+        raise FormatError(f"header says r={r}, max color is {tc.r}", head_no)
     return tc
 
 
@@ -529,16 +529,17 @@ def torus_set_to_text(ts: TorusSet, coloring_path: str) -> str:
 def torus_set_from_text(text: str, load_coloring) -> TorusSet:
     """Parse a torus-set file; ``load_coloring`` maps the referenced path to a
     TorusColoring."""
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if len(lines) < 3:
-        raise FormatError("expected 3 lines (coloring path, 'm w', slots)", len(lines))
-    base = load_coloring(lines[0])
+    rows = data_lines(text)
+    if len(rows) < 3:
+        raise FormatError("expected 3 lines (coloring path, 'm w', slots)", len(rows))
+    (_, path), (width_no, width_line) = rows[:2]
+    base = load_coloring(path)
     try:
-        m_tok, w_tok = lines[1].split()
+        m_tok, w_tok = width_line.split()
         m = int(m_tok)
         num, den = (int(x) for x in w_tok.split("/"))
         width = Fraction(num, den)
     except (ValueError, ZeroDivisionError):
-        raise FormatError(f"expected 'm num/den', got {lines[1]!r}", 2) from None
-    slots = tuple(int(tok) for tok in lines[2].split())
+        raise FormatError(f"expected 'm num/den', got {width_line!r}", width_no) from None
+    slots = tuple(parse_ints(rows[2:3]))
     return TorusSet(base, m, width, slots)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .colorings import INTERVAL, Coloring, verify_symmetric_ap_free
-from .errors import FormatError, SelfCheckError, check_budget
+from .errors import FormatError, SelfCheckError, check_budget, data_lines
 from .patterns import PatternSpec
 from .scan import eval_clauses, predicate_clauses, shift_blocks
 from .torus import DEFAULT_SAMPLES, _uniform_blocks, lambda_tilde_mc
@@ -463,29 +463,35 @@ def grid_to_text(f: GridFunction) -> str:
 
 
 def grid_from_text(text: str) -> GridFunction:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
+    rows = data_lines(text)
+    if not rows:
         raise FormatError("empty grid file", 1)
+    head_no, head = rows[0]
     try:
-        N = int(lines[0])
+        N = int(head)
     except ValueError:
-        raise FormatError(f"expected N, got {lines[0]!r}", 1) from None
+        raise FormatError(f"expected N, got {head!r}", head_no) from None
     toks = []
-    for ln in lines[1:]:
+    for _, ln in rows[1:]:
         toks.extend(ln.split())
     if len(toks) != N:
-        raise FormatError(f"expected {N} values, got {len(toks)}", 2)
+        raise FormatError(f"expected {N} values, got {len(toks)}", head_no + 1)
     # each distinct token is parsed once; an indicator file has two
     distinct = dict.fromkeys(toks)
-    if all("/" in tok or tok.lstrip("-").isdigit() for tok in distinct):
-        for tok in distinct:
-            if "/" in tok:
+    exact = all("/" in tok or tok.lstrip("-").isdigit() for tok in distinct)
+    for tok in distinct:
+        try:
+            if not exact:
+                distinct[tok] = float(tok)
+            elif "/" in tok:
                 num, den = tok.split("/")
-                if int(den) == 0:
-                    at = next(i for i, ln in enumerate(text.splitlines(), 1) if tok in ln.split())
-                    raise FormatError(f"zero denominator in {tok!r}", at)
                 distinct[tok] = Fraction(int(num), int(den))
             else:
                 distinct[tok] = Fraction(int(tok))
-        return GridFunction(exact=[distinct[tok] for tok in toks])
-    return GridFunction(np.array([float(tok) for tok in toks]))
+        except (ValueError, ZeroDivisionError) as exc:
+            at = next(no for no, ln in rows[1:] if tok in ln.split())
+            if isinstance(exc, ZeroDivisionError):
+                raise FormatError(f"zero denominator in {tok!r}", at) from None
+            raise FormatError(f"expected p/q or a float, got {tok!r}", at) from None
+    values = [distinct[tok] for tok in toks]
+    return GridFunction(exact=values) if exact else GridFunction(np.array(values))

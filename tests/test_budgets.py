@@ -63,12 +63,6 @@ def test_lowered_row_stops_its_check(lower_budget, name, cap, call, needed):
     assert str(err) == f"budget {name} exceeded: needs {needed}, cap {cap}"
 
 
-def test_explicit_cell_cap_names_the_row():
-    with pytest.raises(BudgetExceededError) as info:
-        interlace_k(Z22, 4, cell_cap=10)
-    assert (info.value.name, info.value.needed, info.value.cap) == ("interlace_cells", 352, 10)
-
-
 @pytest.fixture()
 def files(tmp_path):
     z22 = tmp_path / "z22.txt"

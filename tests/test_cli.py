@@ -289,15 +289,65 @@ class TestDeterminism:
         assert first == second
 
 
-class TestBudgetOverride:
-    def test_cell_budget_env(self, capsys, z22_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("APLAB_CELL_BUDGET", "100")
-        out = tmp_path / "phi.txt"
-        code = main(["interlace", "--input", z22_file, "--k", "4", "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: budget interlace_cells exceeded: needs 352, cap 100\n"
-        )
+class TestMalformedToken:
+    """A token that is not a number is a format error at its physical line
+    (blank lines counted), in each of the five data-file readers."""
+
+    CASES = {
+        # name: (file text, argv after the file is written to PATH, line, token)
+        "grid": ("2\n\n0/1\n1/2/3\n", ["density", "--lambda-exact", "--grid", "PATH"], 4, "1/2/3"),
+        "grid-sign": ("2\n-/1 0/1\n", ["density", "--lambda-exact", "--grid", "PATH"], 2, "-/1"),
+        "torus-coloring": (
+            "2 2\n\n1 x\n", ["density", "--pattern-exact", "--torus-coloring", "PATH"], 3, "x"
+        ),
+        "torus-set-slots": (
+            "phi.txt\n5 1/4\n0 y\n",
+            ["density", "--lambda-mc", "--torus-set", "PATH", "--samples", "10"], 3, "y",
+        ),
+        "residue-set": (
+            "\n10 2\n1 z\n",
+            ["density", "--certificate", "--torus-coloring", "phi.txt", "--set", "PATH"], 3, "z",
+        ),
+        "coloring": ("cyclic\n3 2\n1 2 q\n", ["verify", "PATH", "--pattern", "symmetric"], 3, "q"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exit_2_at_the_line(self, capsys, tmp_path, monkeypatch, name):
+        text, argv, line, token = self.CASES[name]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "phi.txt").write_text("2 2\n1 2\n")
+        (tmp_path / "data.txt").write_text(text)
+        argv = [str(tmp_path / "data.txt") if a == "PATH" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: ")
+        assert repr(token) in captured.err
+
+
+class TestMissingModeFlag:
+    """A mode run without a flag it needs is a usage error naming the flag."""
+
+    @pytest.mark.parametrize(
+        "argv,mode,flag",
+        [
+            (["density", "--lambda-exact"], "--lambda-exact", "--grid"),
+            (["density", "--pattern-exact"], "--pattern-exact", "--torus-coloring"),
+            (["density", "--pattern-mc", "--samples", "10"], "--pattern-mc", "--torus-coloring"),
+            (["density", "--certificate", "--set", "S"], "--certificate", "--torus-coloring"),
+            (["density", "--certificate", "--torus-coloring", "T"], "--certificate", "--set"),
+            (["build-set", "--kind", "behrend", "--out", "o"], "--kind behrend", "--N"),
+            (["build-set", "--kind", "base9", "--r", "4", "--out", "o"], "--kind base9", "--m"),
+            (["build-set", "--kind", "base9", "--m", "101", "--out", "o"], "--kind base9", "--r"),
+            (["build-set", "--kind", "greedy", "--r", "4", "--out", "o"], "--kind greedy", "--m"),
+            (["build-set", "--kind", "greedy", "--m", "101", "--out", "o"], "--kind greedy", "--r"),
+        ],
+    )
+    def test_exit_2_naming_the_flag(self, capsys, argv, mode, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {mode} needs {flag}\n"
 
 
 class TestZeroDenominator:

@@ -600,6 +600,10 @@ class TestSearch:
         res = search_coloring(12, 4, 1, mode="randomized", budget=20, seed=0)
         assert res.status == "exhausted"
 
+    def test_randomized_zero_budget_runs_no_round(self):
+        res = search_coloring(12, 4, 1, mode="randomized", budget=0, seed=0)
+        assert (res.status, res.nodes) == ("exhausted", 0)
+
     def test_interval_search(self):
         res = search_coloring(10, 4, 3, ambient=INTERVAL)
         assert res.status == "found"

@@ -5,7 +5,9 @@ statements, so the library raises explicitly instead; so do the test
 oracles, whose asserts pytest does not rewrite.  A module-level import that
 the module never reads is dead weight and hides real dependencies.  Every
 resource cap is a row of ``errors.BUDGETS``, and every budget error names
-its budget, so a run says which budget stopped it.
+its budget, so a run says which budget stopped it.  No call overrides a
+row's cap and no module reads the environment, so outputs depend only on
+declared inputs.
 """
 
 import ast
@@ -91,3 +93,28 @@ def test_budget_errors_name_their_budget(path):
         if not isinstance(name, str) or (called == "check_budget" and name not in BUDGETS):
             bad.append(node.lineno)
     assert bad == [], f"{path.name}: budget calls without a named budget at lines {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    hits = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name in ("environ", "getenv") for a in node.names))
+    ]
+    assert hits == [], f"{path.name}: environment read at lines {hits}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_check_budget_reads_only_its_row(path):
+    """``check_budget(name, needed)``: no call passes a cap of its own."""
+    bad = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check_budget"
+        and len(node.args) + len(node.keywords) != 2
+    ]
+    assert bad == [], f"{path.name}: check_budget calls with other than two arguments at {bad}"
