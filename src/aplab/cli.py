@@ -384,8 +384,16 @@ def rational(text: str) -> Fraction:
     """argparse type for an exact rational such as 1/4 or 0.25, or a usage error."""
     try:
         return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(text) from None
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
+def density(text: str) -> Fraction:
+    """argparse type for an exact rational in [0, 1], or a usage error."""
+    value = rational(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"density {text} is outside [0, 1]")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     # one is chosen (checked by _field_arg)
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--torus-set", help="torus-set file")
-    field.add_argument("--slab", type=rational, help="slab indicator of this width")
-    field.add_argument("--diag", type=rational, help="diagonal strip of this width")
-    field.add_argument("--const", type=rational, help="constant field of this value")
+    field.add_argument("--slab", type=density, help="slab indicator of this width")
+    field.add_argument("--diag", type=density, help="diagonal strip of this width")
+    field.add_argument("--const", type=density, help="constant field of this value")
 
     p = sub.add_parser("verify", help="check a coloring file against a pattern family")
     p.add_argument("input")
@@ -490,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "extract", parents=[field], help="randomized extraction of an interval coloring"
     )
-    p.add_argument("--alpha", type=rational, required=True)
+    p.add_argument("--alpha", type=density, required=True)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--N", type=int, required=True)

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
-from .errors import FormatError, check_budget, data_lines, parse_ints
+from .errors import FormatError, SelfCheckError, check_budget, data_lines, parse_ints
 from .patterns import PatternSpec, is_symmetric
 from .scan import eval_clauses, predicate_clauses, shift_blocks
 
@@ -62,11 +62,14 @@ class Coloring:
     """A coloring of Z/NZ or of the interval [0, N).
 
     Color ids are exactly 1..r with every id used; constructors that produce
-    sparse ids must relabel first (see ``Coloring.from_raw``).
+    sparse ids must relabel first (see ``Coloring.from_raw``).  ``levels``,
+    when known, is the digit structure of the colors (see ``_digit_levels``);
+    it takes no part in equality.
     """
 
     ambient: str
     colors: tuple[int, ...]
+    levels: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         colors = tuple(int(c) for c in self.colors)
@@ -78,6 +81,8 @@ class Coloring:
         used = set(colors)
         if min(used) < 1 or max(used) != len(used):
             raise ValueError("color ids must be exactly 1..r with all used")
+        if self.levels is not None:
+            object.__setattr__(self, "levels", _digit_levels(self.as_array, self.levels))
 
     @property
     def n(self) -> int:
@@ -101,6 +106,48 @@ class Coloring:
                 mapping[x] = len(mapping) + 1
             out.append(mapping[x])
         return cls(ambient, tuple(out))
+
+
+def _digit_levels(colors: np.ndarray, levels) -> tuple:
+    """``levels`` as a tuple of (base, digit colors) pairs, least significant
+    digit first, once checked against the cell colors ``colors``.
+
+    Cell j has digits j_0, j_1, ... in the mixed radix of the bases, and
+    level l colors digit j_l by its l-th entry.  The check: the bases
+    multiply to the cell count, each level has one color per digit, and the
+    tuple of a cell's digit colors and the cell's color determine each
+    other, so two cells share a color exactly when every digit color
+    matches.  The tuple is read as a mixed-radix key below the cell count
+    and both maps are written into lookup arrays and read back, O(cells) in
+    numpy.  A failure raises ``SelfCheckError`` (a raise, not an assert, so
+    it also holds under ``python -O``).
+    """
+    levels = tuple((int(b), tuple(int(c) for c in dc)) for b, dc in levels)
+    n = len(colors)
+    if math.prod(b for b, _ in levels) != n or any(len(dc) != b for b, dc in levels):
+        raise SelfCheckError("digit levels do not match the number of cells")
+    key = np.zeros(n, dtype=np.int64)
+    digits = np.arange(n)
+    scale = 1
+    for b, dc in levels:
+        distinct, dense = np.unique(np.asarray(dc), return_inverse=True)
+        key += dense[digits % b] * scale
+        digits //= b
+        scale *= len(distinct)
+    colors = np.asarray(colors, dtype=np.int64)
+    color_of_key = np.zeros(scale, dtype=np.int64)
+    color_of_key[key] = colors
+    key_of_color = np.zeros(int(colors.max()) + 1, dtype=np.int64)
+    key_of_color[colors] = key
+    if not (np.array_equal(color_of_key[key], colors) and np.array_equal(key_of_color[colors], key)):
+        raise SelfCheckError("digit colors and cell colors do not determine each other")
+    return levels
+
+
+def _own_levels(coloring) -> tuple:
+    """The digit levels of a coloring: its ``levels`` when known, else one
+    level of its own colors."""
+    return coloring.levels or ((len(coloring.colors), coloring.colors),)
 
 
 @dataclass(frozen=True)
@@ -414,16 +461,26 @@ def tensor_power(coloring: Coloring, ell: int) -> Coloring:
 
     Each progression's least significant varying digit is itself a
     progression, so freeness from symmetrically colored progressions is
-    preserved.
+    preserved.  The result's ``levels`` are ell copies of the factor's
+    levels (one level of its colors when it has none).
     """
     if coloring.ambient != CYCLIC:
         raise ValueError("tensor power needs a cyclic coloring")
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    check_budget("tensor_cells", coloring.n**ell)
-    # product varies its last factor fastest, the least significant digit
-    ids = [key[::-1] for key in product(coloring.colors, repeat=ell)]
-    return Coloring.from_raw(CYCLIC, ids)
+    n, r = coloring.n, coloring.r
+    check_budget("tensor_cells", n**ell)
+    # the digit colors of every point as one integer below r^ell <= n^ell
+    points = np.arange(n**ell)
+    key = np.zeros(n**ell, dtype=np.int64)
+    for _ in range(ell):
+        key = key * r + coloring.as_array[points % n] - 1
+        points //= n
+    # relabel 1..r^ell by first occurrence, as Coloring.from_raw does
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    label = np.empty(len(first), dtype=np.int64)
+    label[np.argsort(first)] = np.arange(1, len(first) + 1)
+    return Coloring(CYCLIC, tuple(label[inverse].tolist()), _own_levels(coloring) * ell)
 
 
 def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:

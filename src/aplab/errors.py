@@ -18,7 +18,10 @@ BUDGETS = {
     "greedy_table": Budget(20_000_000, "entries", "r^(k-1) and 2^k m, greedy counts and tables"),
     "verify_half": Budget(20_000_000, "sums", "t^ceil(k/2), one half of the solution count"),
     "interlace_cells": Budget(100_000, "cells", "D, the cells of an interlaced circle coloring"),
-    "exact_work": Budget(2_500_000_000, "pairs", "D^2 times the cells, for an exact probability"),
+    "exact_work": Budget(
+        2_500_000_000, "pairs",
+        "D^2 times the cells of a flat scan, or the states times digit pairs of a carry automaton",
+    ),
     "u3_n": Budget(4096, "points", "N of an order-3 box norm"),
     "weyl_work": Budget(100_000_000, "points", "N^s, the grid of a complete exponential sum"),
     "pairing_k": Budget(16, "positions", "k of a pairing enumeration, (k-1)!! candidates"),
@@ -28,7 +31,8 @@ BUDGETS = {
 
 class BudgetExceededError(RuntimeError):
     """``needed`` exceeds the ``cap`` of budget ``name``: a row of ``BUDGETS``,
-    or a cap derived from the inputs (``covering_translates``).
+    or a cap derived from the inputs (``covering_translates``) or from int64
+    (``automaton_weights``).
 
     Distinct from a negative mathematical answer: callers that exhaust a budget
     learn nothing about existence.

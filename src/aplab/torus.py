@@ -8,21 +8,29 @@ probability computable exactly: writing x = (p+s)/D, y = (q+t)/D with integer
 p, q and s, t in [0, 1), the cell of x + a*y is (p + a*q + floor(s + a*t))
 mod D, and the floor vector is constant on a fixed rational polygonal
 decomposition of the (s, t) unit square that does not depend on (p, q).
-The exact kernel counts the (p, q) grid one cell of that decomposition and
-one block of consecutive q rows of ``scan.shift_blocks`` at a time.
+
+The interlacings return colorings that carry their digit structure
+(``TorusColoring.levels``); for those the exact kernel is a carry automaton
+that counts all cells of the decomposition in one pass, digit by digit of
+p, q and the cell indices.  A coloring read from a file has no levels and
+is counted as a flat scan, one cell of the decomposition and one block of
+consecutive q rows of ``scan.shift_blocks`` at a time; the tests use that
+scan as the automaton's cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
 import numpy as np
 
-from .colorings import Coloring
-from .errors import FormatError, SelfCheckError, check_budget, data_lines, parse_ints
+from .colorings import Coloring, _digit_levels, _own_levels
+from .errors import (
+    BudgetExceededError, FormatError, SelfCheckError, check_budget, data_lines, parse_ints
+)
 from .patterns import PatternSpec, a_binomial_system
 from .scan import eval_clauses, predicate_clauses, shift_blocks
 from .sets import ResidueSet
@@ -54,15 +62,25 @@ DEFAULT_SAMPLES = 1_000_000
 
 @dataclass(frozen=True)
 class TorusColoring:
-    """Coloring of the circle, constant on [j/D, (j+1)/D) for j = 0..D-1."""
+    """Coloring of the circle, constant on [j/D, (j+1)/D) for j = 0..D-1.
+
+    ``levels``, when known, is the digit structure of the cells: (base,
+    digit colors) pairs, least significant digit first, such that two cells
+    share a color exactly when every digit color matches (checked on
+    construction by ``colorings._digit_levels``).  The interlacings attach
+    it; a coloring read from a file has none.  It takes no part in equality.
+    """
 
     cell_colors: tuple[int, ...]
+    levels: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         cc = tuple(int(c) for c in self.cell_colors)
         object.__setattr__(self, "cell_colors", cc)
         if not cc or min(cc) < 1:
             raise ValueError("cell colors must be positive ids")
+        if self.levels is not None:
+            object.__setattr__(self, "levels", _digit_levels(self.as_array, self.levels))
 
     @property
     def D(self) -> int:
@@ -129,34 +147,34 @@ def interlace_k(phi: Coloring, k: int) -> TorusColoring:
     A pattern whose colors match forces matching block and phase digits, which
     in turn forces the phi positions to form a matching progression; with a
     pattern-free phi only cell collisions remain, so the pattern probability
-    is O(1/N).
+    is O(1/N).  The levels are the phase c, phi's own levels, and the block
+    a.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
     n_amb = phi.n
-    r = phi.r
     D = k * k * n_amb
     check_budget("interlace_cells", D)
-    cells = []
-    for j in range(D):
-        a, rem = divmod(j, k * n_amb)
-        b, c = divmod(rem, k)
-        cells.append((a * k + c) * r + phi.colors[b])
-    return TorusColoring(tuple(cells))
+    a, rem = np.divmod(np.arange(D), k * n_amb)
+    b, c = np.divmod(rem, k)
+    cells = (a * k + c) * phi.r + phi.as_array[b]
+    k_digit = (k, range(k))
+    return TorusColoring(tuple(cells.tolist()), (k_digit, *_own_levels(phi), k_digit))
 
 
 def interlace_m(phi: Coloring, m: int) -> TorusColoring:
     """Interlace m palette-disjoint copies of a cyclic phi: cell j of D = mN
-    gets color phi(j // m) + r * (j mod m)."""
+    gets color phi(j // m) + r * (j mod m).  The levels are the phase
+    j mod m, then phi's own levels."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if phi.ambient != "cyclic":
         raise ValueError("interlace_m needs a cyclic coloring")
     D = m * phi.n
     check_budget("interlace_cells", D)
-    r = phi.r
-    cells = [phi.colors[j // m] + r * (j % m) for j in range(D)]
-    return TorusColoring(tuple(cells))
+    j = np.arange(D)
+    cells = phi.as_array[j // m] + phi.r * (j % m)
+    return TorusColoring(tuple(cells.tolist()), ((m, range(m)), *_own_levels(phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +239,24 @@ def pattern_probability_exact(
 
     Exactness: the (p, q) grid part is a finite count (integers) and the
     (s, t) part contributes the rational cell areas from ``pattern_cells``,
-    which are (p, q)-independent.  For each cell the count runs over the
-    blocks of ``scan.shift_blocks``, where position i of row q is
-    c[(p + a_i q + g_i) mod D] at column p, with the colors stored as the
-    narrowest unsigned integer type that holds the palette.  The
-    ``exact_work`` budget bounds D^2 times the cell count; exceeding it
-    raises rather than truncating.
+    which are (p, q)-independent.  A coloring with ``levels`` is counted by
+    the carry automaton of ``_carry_count``.  Any other coloring is counted
+    cell by cell over the blocks of ``scan.shift_blocks``, where position i
+    of row q is c[(p + a_i q + g_i) mod D] at column p, with the colors
+    stored as the narrowest unsigned integer type that holds the palette;
+    the ``exact_work`` budget bounds D^2 times the cell count.  Exceeding
+    the budget raises rather than truncating.
     """
     offsets = spec.normalized().a
     D = Phi.D
     cells = pattern_cells(spec)
-    check_budget("exact_work", D * D * len(cells))
+    if Phi.levels is None:
+        check_budget("exact_work", D * D * len(cells))
     clauses = predicate_clauses(spec, predicate, subset)
     if not clauses:
         return Fraction(0)
+    if Phi.levels is not None:
+        return _carry_count(Phi.levels, offsets, cells, clauses)
     colors = Phi.as_array.astype(np.min_scalar_type(Phi.r))
     total = Fraction(0)
     for g, area in cells:
@@ -243,6 +265,77 @@ def pattern_probability_exact(
             count += int(np.count_nonzero(eval_clauses(clauses, cols)))
         total += area * count
     return total / (D * D)
+
+
+def _carry_count(levels, offsets, cells, clauses) -> Fraction:
+    """The exact pattern probability of a coloring with digit ``levels``,
+    counted digit by digit.
+
+    Write p, q and the cell indices z_i = p + a_i q + g_i in the mixed radix
+    of the levels.  Digit l of z_i is (p_l + a_i q_l + c_i) mod b_l, where
+    c_i is the carry out of the digits below, and the carry out of digit l
+    is the quotient.  Two cells share a color exactly when every digit color
+    matches, so a clause holds at (p, q) exactly when its equalities hold at
+    every level.  A state is the carry vector plus one 0/1 column per clause
+    still alive; each of the b_l^2 digit pairs (p_l, q_l) moves a state to
+    its next state, a state with no clause alive is dropped, and equal
+    states are merged with their weights summed.  The carries out of the top
+    digit are dropped, which is the reduction mod D.  Carries stay in
+    [0, a_i + 1]: g_i <= a_i, and c <= a + 1 gives p_l + a q_l + c <=
+    b_l (a + 1).
+
+    All cells run in one pass: cell g starts as the state (g, all clauses)
+    with weight area * L, where L is the lcm of the area denominators, so
+    the accepted weight over L D^2 is the probability.  The weights of a
+    level sum to L times its (p, q) prefixes, at most L D^2, which must lie
+    below 2^63 for int64 (for AP4, L = 12, it does up to D = 8.7e8, far
+    above the ``interlace_cells`` cap); above it this raises rather than
+    overflow.  Before each level the transitions so far plus states x b_l^2
+    are checked against ``exact_work``, and a level runs in blocks of at
+    most 2^17 transitions, as ``shift_blocks`` caps a block.
+    """
+    k = len(offsets)
+    D = math.prod(b for b, _ in levels)
+    L = math.lcm(*(area.denominator for _, area in cells))
+    if L * D * D >= 2**63:
+        raise BudgetExceededError("automaton_weights", L * D * D, 2**63 - 1)
+    a = np.asarray(offsets, dtype=np.int64)
+    rows = np.array([(*g, *[1] * len(clauses)) for g, _ in cells], dtype=np.int64)
+    weights = np.array([int(area * L) for _, area in cells], dtype=np.int64)
+    work = 0
+    for b, level_colors in levels:
+        work += len(rows) * b * b
+        check_budget("exact_work", work)
+        dc = np.asarray(level_colors)
+        alive = rows[:, None, k:].astype(bool)
+        step = max(1, (1 << 17) // len(rows))
+        merged = rows[:0], weights[:0]
+        for start in range(0, b * b, step):
+            pairs = np.arange(start, min(b * b, start + step))[:, None]
+            z = rows[:, None, :k] + pairs % b + a * (pairs // b)
+            digit_colors = dc[z % b]
+            cols = [digit_colors[..., i] for i in range(k)]
+            live = alive & np.stack([eval_clauses([cl], cols) for cl in clauses], axis=-1)
+            keep = live.any(axis=-1).ravel()
+            nxt = np.concatenate([z // b, live], axis=-1).reshape(-1, rows.shape[1])
+            w = np.broadcast_to(weights[:, None], live.shape[:2]).ravel()
+            merged = _merge(
+                np.concatenate([merged[0], nxt[keep]]), np.concatenate([merged[1], w[keep]])
+            )
+        rows, weights = merged
+        if not len(rows):
+            return Fraction(0)
+    return Fraction(int(weights.sum()), L * D * D)
+
+
+def _merge(rows, weights):
+    """The distinct rows of an int64 array, each with the summed weights of
+    its copies (int64 throughout, so the sums are exact)."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    total = np.zeros(len(first), dtype=np.int64)
+    np.add.at(total, inverse.ravel(), weights)
+    return rows[first], total
 
 
 def pattern_probability_mc(

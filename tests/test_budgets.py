@@ -12,6 +12,7 @@ from aplab.cli import main
 from aplab.colorings import CYCLIC, Z22_COLORING, Coloring, search_coloring, tensor_power
 from aplab.errors import BUDGETS, BudgetExceededError
 from aplab.patterns import PatternSpec, enumerate_pairings, k_binomial_system, zero_sum_subsets
+from aplab.pipelines import run_thm2_6
 from aplab.sets import ResidueSet, greedy_solution_free_set, verify_solution_free
 from aplab.torus import (
     TorusColoring,
@@ -61,6 +62,21 @@ def test_lowered_row_stops_its_check(lower_budget, name, cap, call, needed):
     err = info.value
     assert (err.name, err.needed, err.cap) == (name, needed, cap)
     assert str(err) == f"budget {name} exceeded: needs {needed}, cap {cap}"
+
+
+def test_structured_path_checks_its_transitions(lower_budget):
+    # the carry automaton of thm2_6 at ell = 2 makes 8*16 + 2*484 + 2*484 +
+    # 2*16 = 2096 transitions, so the row stops it before its last level
+    lower_budget("exact_work", 2095)
+    with pytest.raises(BudgetExceededError) as info:
+        pattern_probability_exact(interlace_k(tensor_power(Z22, 2), 4), AP4)
+    assert (info.value.name, info.value.needed, info.value.cap) == ("exact_work", 2096, 2095)
+
+
+def test_structured_path_runs_below_the_flat_count(lower_budget):
+    # the flat scan of thm2_6 at ell = 2 would need 7744^2 x 8 pairs
+    lower_budget("exact_work", 7744**2 * len(pattern_cells(AP4)) - 1)
+    assert run_thm2_6(ell=2, samples=10).epsilon == Fraction(1, 23232)
 
 
 @pytest.fixture()

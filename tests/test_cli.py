@@ -9,12 +9,17 @@ from aplab.colorings import (
     Coloring,
     Z22_COLORING,
     coloring_from_text,
+    coloring_to_text,
+    tensor_power,
     verify_symmetric_ap_free,
 )
 from aplab.patterns import PatternSpec
 from aplab.sets import residue_set_from_text
 from aplab.torus import torus_coloring_from_text
 from aplab.uniformity import GridFunction, gowers_norm, grid_to_text
+
+
+Z22_DIGITS = tuple(int(ch) for ch in Z22_COLORING)
 
 
 @pytest.fixture()
@@ -134,6 +139,33 @@ class TestPipelineChain:
             ],
         )
         assert code == 0 and rep["value_rational"] == "1/1056"
+
+    def test_manual_chain_matches_pipeline_at_ell_2(self, capsys, tmp_path):
+        # the chain's interlaced file is flat, so density takes the flat
+        # scan; the pipeline's interlaced coloring carries digit levels and
+        # takes the carry automaton
+        base = tmp_path / "square.txt"
+        base.write_text(coloring_to_text(tensor_power(Coloring(CYCLIC, Z22_DIGITS), 2)))
+        phi = tmp_path / "phi.txt"
+        code, rep = run(capsys, ["interlace", "--input", str(base), "--k", "4", "--out", str(phi)])
+        assert code == 0 and rep["D"] == 7744 and rep["colors"] == 144
+        m = 36 * 144**2 + 1
+        s = tmp_path / "s.txt"
+        code, _ = run(
+            capsys, ["build-set", "--kind", "base9", "--r", "144", "--m", str(m), "--out", str(s)]
+        )
+        assert code == 0
+        code, bound = run(
+            capsys,
+            ["density", "--certificate", "--torus-coloring", str(phi), "--set", str(s), "--k", "4"],
+        )
+        assert code == 0
+        code, eps = run(capsys, ["density", "--pattern-exact", "--torus-coloring", str(phi), "--k", "4"])
+        assert code == 0
+        code, cert = run(capsys, ["pipeline", "--name", "thm2_6", "--ell", "2", "--samples", "1000"])
+        assert code == 0
+        assert cert["epsilon"] == eps["value_rational"] == "1/23232"
+        assert cert["bound"] == bound["value_rational"]
 
     def test_pipeline_command_writes_artifacts(self, capsys, tmp_path):
         out_dir = tmp_path / "art"
@@ -383,6 +415,33 @@ class TestZeroDenominator:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --alpha: invalid rational value: '1/0'" in captured.err
+
+
+class TestDensityRange:
+    """A density flag outside [0, 1] is a usage error naming the flag; at
+    the ends of the range it is accepted."""
+
+    @pytest.mark.parametrize(
+        "argv,flag,value",
+        [
+            (["density", "--lambda-mc", "--slab", "3/2", "--samples", "10"], "--slab", "3/2"),
+            (["density", "--lambda-mc", "--const", "3", "--samples", "10"], "--const", "3"),
+            (["density", "--lambda-mc", "--diag=-1/4", "--samples", "10"], "--diag", "-1/4"),
+            (["converge", "--const", "5/4", "--N-list", "8"], "--const", "5/4"),
+            (["extract", "--const", "1/2", "--alpha", "-1", "--r", "2", "--N", "8"], "--alpha", "-1"),
+            (["extract", "--const", "1/2", "--alpha", "2", "--r", "2", "--N", "8"], "--alpha", "2"),
+        ],
+    )
+    def test_outside_exits_2_naming_the_flag(self, capsys, argv, flag, value):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: density {value} is outside [0, 1]" in captured.err
+
+    @pytest.mark.parametrize("value,mean", [("0", 0.0), ("1", 1.0)])
+    def test_ends_are_accepted(self, capsys, value, mean):
+        code, rep = run(capsys, ["density", "--lambda-mc", "--const", value, "--samples", "10"])
+        assert code == 0 and rep["mean"] == mean
 
 
 class TestStageErrors:

@@ -2,6 +2,7 @@
 examples; skipped when Hypothesis is not installed."""
 
 import inspect
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,19 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 MC_BLOCK = inspect.signature(_uniform_blocks).parameters["block"].default
+
+
+def _levelled(levels):
+    """The torus coloring whose cell colors are the digit-color tuples of
+    ``levels``, relabelled to 1..r, with those levels attached."""
+    keys = []
+    for j in range(math.prod(b for b, _ in levels)):
+        key = []
+        for b, dc in levels:
+            j, digit = divmod(j, b)
+            key.append(dc[digit])
+        keys.append(tuple(key))
+    return TorusColoring(Coloring.from_raw(CYCLIC, keys).colors, levels)
 
 
 @st.composite
@@ -67,6 +81,46 @@ def test_exact_probability_matches_naive(case):
         subset,
     )
     assert got == want
+
+
+@st.composite
+def structured_cases(draw):
+    """A coloring of 1-4 digit levels with bases <= 6 (D <= 216), each
+    digit colored by one of r <= b colors and each cell by its tuple of
+    digit colors; a spec with k <= 5 offsets in 0..7 and a predicate it
+    admits."""
+    levels, D = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(st.integers(1, min(6, 216 // D)))
+        r = draw(st.integers(1, b))
+        levels.append((b, tuple(draw(st.lists(st.integers(1, r), min_size=b, max_size=b)))))
+        D *= b
+    k = draw(st.integers(3, 5))
+    a = tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k))))
+    predicates = ["binomial", "mono"] + (["symmetric"] if k % 2 == 0 else [])
+    predicate = draw(st.sampled_from(predicates))
+    subset = None
+    if predicate == "mono":
+        subset = draw(st.none() | st.sets(st.integers(0, k - 1), min_size=2).map(sorted).map(tuple))
+    return PatternSpec(a), _levelled(levels), predicate, subset
+
+
+# a non-progression spec over D = 6 < 7, a base-1 level, and a spec with
+# several binomial clauses (a clause that fails at one level must stay dead)
+@hypothesis.example(
+    (PatternSpec((0, 1, 4, 5, 8, 9)), _levelled(((2, (1, 2)), (4, (2, 2, 1, 2)))), "binomial", None)
+)
+@hypothesis.example((PatternSpec((0, 2, 3, 7)), _levelled(((2, (1, 2)), (3, (1, 1, 2)))), "binomial", None))
+@hypothesis.example((PatternSpec((0, 2, 3, 7)), _levelled(((2, (1, 2)), (3, (1, 2, 3)))), "symmetric", None))
+@hypothesis.example((PatternSpec((0, 1, 2, 3)), _levelled(((5, (1, 2, 1, 2, 3)), (1, (1,)))), "mono", None))
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(structured_cases())
+def test_carry_automaton_matches_flat_scan_and_loop(case):
+    spec, tc, predicate, subset = case
+    got = pattern_probability_exact(tc, spec, predicate, subset)
+    flat = TorusColoring(tc.cell_colors)
+    assert got == pattern_probability_exact(flat, spec, predicate, subset)
+    assert got == oracles.loop_pattern_probability(flat, spec, predicate, subset)
 
 
 @st.composite

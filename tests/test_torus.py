@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 import oracles
-from aplab.colorings import CYCLIC, Coloring, Z22_COLORING, tensor_power
-from aplab.errors import BudgetExceededError
+from aplab import torus
+from aplab.colorings import CYCLIC, Coloring, Z22_COLORING, product_coloring, tensor_power
+from aplab.errors import BudgetExceededError, SelfCheckError
 from aplab.patterns import (
     PatternSpec,
     a_binomial_system,
     a_coefficients,
     k_binomial_system,
 )
-from aplab.sets import ResidueSet, base9_set
+from aplab.sets import ResidueSet, base9_set, covering_coloring
 from aplab.torus import (
+    _carry_count,
     _uniform_blocks,
     ConstantField,
     DiagonalStrip,
@@ -100,6 +102,94 @@ class TestInterlacing:
     def test_round_trip(self):
         tc = interlace_k(z22(), 4)
         assert torus_coloring_from_text(torus_coloring_to_text(tc)) == tc
+
+
+class TestDigitLevels:
+    def test_constructions_attach_their_levels(self):
+        phase = (4, (0, 1, 2, 3))
+        square = tensor_power(z22(), 2)
+        assert square.levels == ((22, z22().colors),) * 2
+        assert interlace_k(z22(), 4).levels == (phase, (22, z22().colors), phase)
+        assert interlace_k(square, 4).levels == (phase, *square.levels, phase)
+        assert interlace_m(square, 4).levels == (phase, *square.levels)
+
+    def test_unstructured_colorings_carry_none(self):
+        chi = covering_coloring(ResidueSet(22, (0, 5, 9)), seed=0)
+        assert chi.levels is None
+        assert product_coloring(z22(), chi).levels is None
+        tc = interlace_k(z22(), 4)
+        assert torus_coloring_from_text(torus_coloring_to_text(tc)).levels is None
+
+    def test_levels_take_no_part_in_equality(self):
+        tc = interlace_k(z22(), 4)
+        assert TorusColoring(tc.cell_colors) == tc
+        assert hash(TorusColoring(tc.cell_colors)) == hash(tc)
+
+    @pytest.mark.parametrize(
+        "cells,levels",
+        [
+            # one digit color changed
+            ((1, 2, 3, 4, 5, 6), ((2, (1, 2)), (3, (1, 2, 2)))),
+            # digit colors coarser than the cells: two colors share a key
+            ((1, 2, 3, 4), ((4, (1, 1, 2, 2)),)),
+            # digit colors finer than the cells: one color has two keys
+            ((1, 1, 2, 2), ((4, (1, 2, 3, 4)),)),
+            # bases that do not multiply to D, a level of the wrong length
+            ((1, 2, 3, 4), ((2, (1, 2)),)),
+            ((1, 2, 3, 4), ((4, (1, 2, 3)),)),
+        ],
+    )
+    def test_levels_that_disagree_with_the_cells_raise(self, cells, levels):
+        with pytest.raises(SelfCheckError):
+            TorusColoring(cells, levels)
+        with pytest.raises(SelfCheckError):
+            Coloring(CYCLIC, cells, levels)
+
+    def test_mutated_interlacing_raises(self):
+        tc = interlace_k(tensor_power(z22(), 2), 4)
+        (b, dc), *rest = tc.levels[1:]
+        mutated = (tc.levels[0], (b, (dc[1], *dc[1:])), *rest)
+        TorusColoring(tc.cell_colors, tc.levels)
+        with pytest.raises(SelfCheckError):
+            TorusColoring(tc.cell_colors, mutated)
+
+    def test_weights_stay_below_2_to_63(self):
+        clauses = [("subset", (0, 1))]
+        # L D^2 = 2^63 - 1 runs: both positions sit in the one cell
+        at = _carry_count(((1, (1,)),), (0, 1), [((0, 0), Fraction(1, 2**63 - 1))], clauses)
+        assert at == Fraction(1, 2**63 - 1)
+        with pytest.raises(BudgetExceededError) as info:
+            _carry_count(((2, (1, 2)),), (0, 1), [((0, 0), Fraction(1, 2**61))], clauses)
+        assert info.value.needed == 2**63
+
+    @pytest.mark.parametrize("predicate", ["binomial", "symmetric", "mono"])
+    def test_large_level_runs_in_blocks(self, monkeypatch, predicate):
+        # level 1 has 400^2 digit pairs, more than one block of 2^17
+        # transitions; each block is merged into the states so far
+        merge, merges = torus._merge, []
+        monkeypatch.setattr(torus, "_merge", lambda *a: merges.append(1) or merge(*a))
+        rng = random.Random(3)
+        phi = Coloring.from_raw(CYCLIC, [rng.randint(1, 3) for _ in range(400)])
+        tc = interlace_k(phi, 4)
+        got = pattern_probability_exact(tc, PatternSpec.ap(4), predicate)
+        assert len(merges) > len(tc.levels)
+        flat = TorusColoring(tc.cell_colors)
+        assert got == pattern_probability_exact(flat, PatternSpec.ap(4), predicate)
+
+    @pytest.mark.parametrize(
+        "build,k",
+        [
+            (lambda: interlace_k(tensor_power(z22(), 2), 4), 4),
+            (lambda: interlace_m(z22(), 24), 4),
+            (lambda: interlace_k(Coloring(CYCLIC, (1,)), 5), 5),
+        ],
+        ids=["thm2_6-ell2", "lemma7_10", "thm2_5"],
+    )
+    def test_file_read_flat_scan_matches_the_automaton(self, build, k):
+        tc = build()
+        flat = torus_coloring_from_text(torus_coloring_to_text(tc))
+        spec = PatternSpec.ap(k)
+        assert pattern_probability_exact(flat, spec) == pattern_probability_exact(tc, spec)
 
 
 class TestPatternCells:
