@@ -119,20 +119,82 @@ def _estimate(total, total_sq, samples: int, seed: int) -> Estimate:
     return Estimate(mean, math.sqrt(max(var, 0.0) / samples), samples, seed)
 
 
-def _uniform_blocks(seed: int, count: int, rows: int, block: int = 1 << 14):
-    """The uniforms of ``count`` samples, ``rows`` per sample, as arrays of
-    shape (rows, n) over consecutive blocks of n <= ``block`` samples.
+# The Monte Carlo block: 2^14 samples measured as fast as 2^15 and 2^16 and
+# holds the smallest arrays.
+_MC_BLOCK = 1 << 14
 
-    Block b draws from default_rng(SeedSequence(seed, spawn_key=(b,))), the
-    b-th child of SeedSequence(seed).spawn, always at full size before the
-    last block is cut short, so sample j sees the same uniforms whatever
-    ``count`` is: an estimate depends only on (seed, count).  Yields nothing
-    when count < 1.  The Monte Carlo block of 2^14 samples measured as fast
-    as 2^15 and 2^16 and holds the smallest arrays.
+
+def _frac(v):
+    """The fractional part v - floor(v) of a float or float array, bit for
+    bit the value of numpy's ``v % 1.0`` at every finite v, at a tenth of
+    its cost.
+
+    Proof.  floor(v) is exact, and so is fmod(v, 1) = v - trunc(v): it keeps
+    the bits of v below the units place, which need no more than v's 53.
+    numpy's remainder is fmod(v, 1), moved into [0, 1) by one addition:
+    - fmod(v, 1) = 0 (v an integer, or ±0): numpy returns +0.0, and
+      v - floor(v) = v - v is +0.0 too (x - x is +0.0 when rounding to
+      nearest, also for x = -0.0).
+    - v > 0 otherwise: numpy returns fmod(v, 1) = v - floor(v), and the
+      subtraction v - floor(v) is exact (its result is that same number).
+    - v < 0 otherwise: numpy returns fmod(v, 1) + 1, rounded once.  As a
+      real number fmod(v, 1) + 1 = v - trunc(v) + 1 = v - floor(v), and the
+      subtraction v - floor(v) rounds that real number once as well.
+    So both round the same real number once, or are exact, and agree bitwise;
+    both give 1.0 where v - floor(v) rounds up to it (v = -5e-324, say).
+    ``test_torus`` checks it at the edge values and across all exponents.
+    """
+    return v - np.floor(v)
+
+
+class _SampleBlock:
+    """The uniforms of one block of n samples, read row by row.
+
+    Row r of block b is draws [r*block, (r+1)*block) of the PCG64 stream
+    of default_rng(SeedSequence(seed, spawn_key=(b,))), the b-th child of
+    SeedSequence(seed).spawn, cut to its first n entries: row r of the eager
+    ``rng.random((rows, block))[:, :n]``.  A row is drawn on its first read,
+    always at full block size, after moving the stream to its start with
+    ``bit_generator.advance`` (forward or back), and kept for the rest of the
+    block; so a loop draws only the rows it reads and gets the same bytes.
+    """
+
+    def __init__(self, seed: int, b: int, n: int, block: int):
+        self.n = n
+        self._block = block
+        self._rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        self._at = 0  # stream position, in draws
+        self._rows = {}
+
+    def row(self, r: int, at=None) -> np.ndarray:
+        """Row r, or its entries at the indices ``at`` when given."""
+        got = self._rows.get(r)
+        if got is None:
+            if r * self._block != self._at:
+                self._rng.bit_generator.advance(r * self._block - self._at)
+            got = self._rows[r] = self._rng.random(self._block)[: self.n]
+            self._at = (r + 1) * self._block
+        return got if at is None else got[at]
+
+
+def _sample_blocks(seed: int, count: int, block: int = _MC_BLOCK):
+    """The ``_SampleBlock``s of ``count`` samples, consecutive blocks of
+    n <= ``block`` samples: sample j sees the same uniforms whatever
+    ``count`` is, so an estimate depends only on (seed, count).  Yields
+    nothing when count < 1.
     """
     for b, start in enumerate(range(0, count, block)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        yield rng.random((rows, block))[:, : count - start]
+        yield _SampleBlock(seed, b, min(block, count - start), block)
+
+
+def _uniform_blocks(seed: int, count: int, rows: int, block: int = _MC_BLOCK):
+    """The uniforms of ``count`` samples, ``rows`` per sample, as arrays of
+    shape (rows, n) over the blocks of ``_sample_blocks``: all rows of a
+    block at once, for the loops that read every row.  Row r of a block is
+    the row that ``_SampleBlock.row(r)`` draws on demand, byte for byte.
+    """
+    for blk in _sample_blocks(seed, count, block):
+        yield np.array([blk.row(r) for r in range(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +418,7 @@ def pattern_probability_mc(
     for x, y in _uniform_blocks(seed, samples, 2):
         cols = []
         for a in offsets:
-            z = (x + a * y) % 1.0
+            z = _frac(x + a * y) if a else x
             cols.append(colors[np.minimum((z * D).astype(np.int64), D - 1)])
         hits += int(np.count_nonzero(eval_clauses(clauses, cols)))
     return _estimate(hits, hits, samples, seed)
@@ -409,10 +471,10 @@ class TorusSet:
 
     def evaluate_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         D = self.base.D
-        cells = np.minimum(((xs % 1.0) * D).astype(np.int64), D - 1)
+        cells = np.minimum((_frac(xs) * D).astype(np.int64), D - 1)
         cols = self.base.as_array[cells]
         starts = self._slot_starts[cols]
-        return (((ys - starts) % 1.0) < float(self.width)).astype(np.float64)
+        return (_frac(ys - starts) < float(self.width)).astype(np.float64)
 
 
 class ConstantField:
@@ -436,7 +498,7 @@ class SlabIndicator:
         self.alpha = Fraction(alpha)
 
     def evaluate_batch(self, xs, ys):
-        return ((ys % 1.0) < float(self.alpha)).astype(np.float64)
+        return (_frac(ys) < float(self.alpha)).astype(np.float64)
 
     def contains_exact(self, x, y):
         return Fraction(y) % 1 < self.alpha
@@ -453,7 +515,7 @@ class DiagonalStrip:
         self.alpha = Fraction(alpha)
 
     def evaluate_batch(self, xs, ys):
-        return (((ys - xs) % 1.0) < float(self.alpha)).astype(np.float64)
+        return (_frac(ys - xs) < float(self.alpha)).astype(np.float64)
 
     def contains_exact(self, x, y):
         return (Fraction(y) - Fraction(x)) % 1 < self.alpha
@@ -506,8 +568,9 @@ def lambda_tilde_mc(
     and y_k drawn among the |e_k| circle solutions of
     e_k y_k = -sum_{i<k} e_i y_i, the branch being floor(|e_k| v) for one
     more uniform v (uniform up to 2^-53).  Sample j takes these k + 2
-    uniforms from ``_uniform_blocks``, so the estimate depends only on
-    (seed, samples).
+    uniforms from row 0 (x0), row 1 (x1), rows 2..k (y_1..y_{k-1}) and
+    row k + 1 (v) of its ``_sample_blocks`` block, so the estimate depends
+    only on (seed, samples).
 
     Only samples that can still change the result are evaluated: the
     product is taken factor by factor, in position order, over the samples
@@ -516,6 +579,13 @@ def lambda_tilde_mc(
     as a full evaluation, and the sums run over the block with the dropped
     samples as zeros, so the estimate is bit-identical to multiplying all k
     factors for every sample (F must take finite values).
+
+    The rows are drawn on demand, each at full block size, so a block draws
+    only the rows its survivors read, with the bytes of the eager draw:
+    none past row 2 when no sample survives the first factor, no row 1 for
+    a position a = 0 (x0 + 0*x1 mod 1 is x0, bit for bit), and no row k + 1
+    when |e_k| = 1 (the branch is then 0, and adding 0.0 to a fractional
+    part changes no bit).
     """
     system = a_binomial_system(spec)
     offsets = spec.normalized().a
@@ -523,30 +593,33 @@ def lambda_tilde_mc(
     k = system.k
     total = 0.0
     total_sq = 0.0
-    for u in _uniform_blocks(seed, samples, k + 2):
-        n = u.shape[1]
+    for blk in _sample_blocks(seed, samples):
         # live: block indices of the surviving samples, None while all survive
         live = None
-        prod = np.ones(n)
+        prod = np.ones(blk.n)
         for i, a in enumerate(offsets):
-            x = (u[0] + a * u[1]) % 1.0
+            x = blk.row(0, live)
+            if a:
+                x = _frac(x + a * blk.row(1, live))
             if i < k - 1:
-                y = u[2 + i]
+                y = blk.row(2 + i, live)
             else:
                 acc = np.zeros(len(prod))
-                for ei, yi in zip(e[:-1], u[2:-1]):
-                    acc += ei * yi
-                branch = np.floor(u[-1] * abs(e[-1]))
-                y = (((-acc) % 1.0) + branch) / e[-1] % 1.0
+                for j, ei in enumerate(e[:-1]):
+                    acc += ei * blk.row(2 + j, live)
+                y = _frac(-acc)
+                if abs(e[-1]) > 1:
+                    y += np.floor(blk.row(k + 1, live) * abs(e[-1]))
+                y = _frac(y / e[-1])
             prod *= F.evaluate_batch(x, y)
             if np.count_nonzero(prod) < len(prod):
                 keep = np.flatnonzero(prod)
-                u, prod = u[:, keep], prod[keep]
+                prod = prod[keep]
                 live = keep if live is None else live[keep]
                 if not len(keep):
                     break
         if live is not None:
-            full = np.zeros(n)
+            full = np.zeros(blk.n)
             full[live] = prod
             prod = full
         total += float(prod.sum())

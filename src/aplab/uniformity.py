@@ -21,7 +21,7 @@ from .colorings import INTERVAL, Coloring, verify_symmetric_ap_free
 from .errors import FormatError, SelfCheckError, check_budget, data_lines
 from .patterns import PatternSpec
 from .scan import eval_clauses, predicate_clauses, shift_blocks
-from .torus import DEFAULT_SAMPLES, _uniform_blocks, lambda_tilde_mc
+from .torus import DEFAULT_SAMPLES, _frac, _uniform_blocks, lambda_tilde_mc
 
 __all__ = [
     "GridFunction",
@@ -403,7 +403,10 @@ def extract_coloring(
     its 2 + r uniforms from the seeded blocks of ``torus._uniform_blocks``,
     about 2^16 field evaluations to a block, so it depends only on (seed, j)
     and the declared inputs; attempts are scanned in order, so the first
-    success by attempt index is returned.
+    success by attempt index is returned.  Every attempt reads all its
+    uniforms, so all rows of a block are drawn, one row after another with
+    the bytes of a single draw, and the positions x0 + i*x1 mod 1 are taken
+    by ``torus._frac``, bit for bit numpy's ``% 1.0``.
 
     All attempts of a block are checked at once (``_symmetric_ap_rows``),
     and only the attempts that can still change the result, those up to the
@@ -425,7 +428,7 @@ def extract_coloring(
         x0, x1, ys = u[0], u[1], u[2:].T
         nb = len(x0)
         # F values at (attempt, position, palette index)
-        xs = (x0[:, None] + idx[None, :] * x1[:, None]) % 1.0
+        xs = _frac(x0[:, None] + idx[None, :] * x1[:, None])
         vals = F.evaluate_batch(
             np.repeat(xs[:, :, None], r, axis=2).ravel(),
             np.repeat(ys[:, None, :], N, axis=1).ravel(),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from aplab import __version__
 from aplab.cli import main
 from aplab.colorings import (
     CYCLIC,
@@ -319,6 +320,64 @@ class TestDeterminism:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestMonteCarloBytes:
+    """The full stdout of seeded Monte Carlo and extraction runs, pinned at
+    values computed before the float remainder and the row sampler were
+    rewritten: an estimate must not move by a single bit."""
+
+    CASES = {
+        "lambda_mc_diag": (
+            ["density", "--lambda-mc", "--diag", "1/4", "--k", "4",
+             "--samples", "300000", "--seed", "5"],
+            0,
+            '{"exact": false, "kind": "lambda-mc", "mean": 0.00473, "samples": 300000, '
+            '"seed": 5, "stderr": 0.0001252682826595602, "version": "VERSION"}\n',
+        ),
+        # offsets (0, 1, 3) have |e_k| = 2, so y_k reads the branch uniform
+        "lambda_mc_slab_two_branches": (
+            ["density", "--lambda-mc", "--slab", "3/10", "--spec", "0,1,3",
+             "--samples", "300000", "--seed", "2"],
+            0,
+            '{"exact": false, "kind": "lambda-mc", "mean": 0.03076, "samples": 300000, '
+            '"seed": 2, "stderr": 0.00031524552219785383, "version": "VERSION"}\n',
+        ),
+        "pattern_mc_readme_phi": (
+            ["density", "--pattern-mc", "--torus-coloring", "phi.txt", "--k", "4",
+             "--samples", "300000", "--seed", "5"],
+            0,
+            '{"exact": false, "kind": "pattern-mc", "mean": 0.0009966666666666668, '
+            '"predicate": "binomial", "samples": 300000, "seed": 5, '
+            '"stderr": 5.761008711283003e-05, "version": "VERSION"}\n',
+        ),
+        "extract_diag": (
+            ["extract", "--diag", "1/4", "--alpha", "1/4", "--k", "4", "--r", "16",
+             "--N", "12", "--attempts", "1000", "--seed", "9", "--out", "c.txt"],
+            0,
+            '{"attempts": 7, "out": "c.txt", "rejected": 6, "seed": 9, "succeeded": true, '
+            '"succeeded_at": 6, "undefined_failures": 0, "version": "VERSION"}\n',
+        ),
+        # no attempt succeeds, so every block of attempts is drawn and counted
+        "extract_slab_all_blocks": (
+            ["extract", "--slab", "1/4", "--alpha", "1/4", "--k", "4", "--r", "16",
+             "--N", "12", "--attempts", "2000", "--seed", "1"],
+            1,
+            '{"attempts": 2000, "rejected": 1982, "seed": 1, "succeeded": false, '
+            '"succeeded_at": null, "undefined_failures": 18, "version": "VERSION"}\n',
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_pinned(self, capsys, tmp_path, monkeypatch, z22_file, name):
+        argv, code, want = self.CASES[name]
+        monkeypatch.chdir(tmp_path)
+        assert main(["interlace", "--input", z22_file, "--k", "4", "--out", "phi.txt"]) == 0
+        capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr().out == want.replace("VERSION", __version__)
+        if name == "extract_diag":
+            assert (tmp_path / "c.txt").read_text() == "interval\n12 5\n123344511233\n"
 
 
 class TestMalformedToken:

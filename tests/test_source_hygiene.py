@@ -7,7 +7,11 @@ the module never reads is dead weight and hides real dependencies.  Every
 resource cap is a row of ``errors.BUDGETS``, and every budget error names
 its budget, so a run says which budget stopped it.  No call overrides a
 row's cap and no module reads the environment, so outputs depend only on
-declared inputs.
+declared inputs.  The fractional part of a float has one implementation,
+``torus._frac`` (bit for bit numpy's ``% 1.0`` at a tenth of its cost), so
+no module takes ``% 1.0`` itself; ``tests/oracles.py`` keeps its ``% 1.0``
+as the independent reference that the Monte Carlo paths are checked
+against.
 """
 
 import ast
@@ -118,3 +122,15 @@ def test_check_budget_reads_only_its_row(path):
         and len(node.args) + len(node.keywords) != 2
     ]
     assert bad == [], f"{path.name}: check_budget calls with other than two arguments at {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_fractional_part_only_through_frac(path):
+    hits = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Constant)
+        and isinstance(node.right.value, float) and node.right.value == 1.0
+    ]
+    assert hits == [], f"{path.name}: float remainder % 1.0 at lines {hits}, use torus._frac"

@@ -18,6 +18,8 @@ from aplab.patterns import (
 from aplab.sets import ResidueSet, base9_set, covering_coloring
 from aplab.torus import (
     _carry_count,
+    _frac,
+    _sample_blocks,
     _uniform_blocks,
     ConstantField,
     DiagonalStrip,
@@ -463,9 +465,18 @@ def thm26_torus_set(ell):
     return build_torus_set(Phi, base9_set(Phi.r, 36 * Phi.r**2 + 1), 4)
 
 
+def wide_torus_set():
+    """A torus set over the ell = 1 interlacing with slabs of width 1/2, so
+    about 2^-k of the samples survive every factor and the last factors
+    read rows 3..k+1 at survivors only."""
+    Phi = interlace_k(z22(), 4)
+    return TorusSet(Phi, 2, Fraction(1, 2), tuple(j % 2 for j in range(Phi.r)))
+
+
 SURVIVOR_FIELDS = {
     "thm26_ell1": lambda: thm26_torus_set(1),
     "thm26_ell2": lambda: thm26_torus_set(2),
+    "torus_set_wide": wide_torus_set,
     "slab_quarter": lambda: SlabIndicator(Fraction(1, 4)),
     "slab_half": lambda: SlabIndicator(Fraction(1, 2)),
     "strip_quarter": lambda: DiagonalStrip(Fraction(1, 4)),
@@ -505,6 +516,19 @@ class TestSampling:
             want = np.random.default_rng(child).random((3, MC_BLOCK))
             assert np.array_equal(u, want[:, : u.shape[1]])
 
+    @pytest.mark.parametrize("b", [0, 2], ids=["full_block", "short_last_block"])
+    def test_rows_read_out_of_order(self, b):
+        # each row is drawn at full block size wherever the stream stands,
+        # so any read order gives the rows of the eager draw
+        blk = list(_sample_blocks(5, 2 * MC_BLOCK + 7))[b]
+        assert blk.n == (MC_BLOCK if b < 2 else 7)
+        child = np.random.SeedSequence(5).spawn(b + 1)[b]
+        want = np.random.default_rng(child).random((4, MC_BLOCK))[:, : blk.n]
+        for r in (3, 0, 1, 3):
+            assert np.array_equal(blk.row(r), want[r]), r
+        at = np.array([blk.n - 1, 0, 2])
+        assert np.array_equal(blk.row(2, at), want[2][at])
+
     def test_pattern_mc_prefix_consistent(self):
         # the mono probability of a nearly constant coloring is large, so
         # most samples hit; one more sample adds 0 or 1 hit
@@ -525,6 +549,31 @@ class TestSampling:
             pattern_probability_mc(TorusColoring((1, 2)), spec, "mono", samples)
         with pytest.raises(ValueError, match="samples must be positive"):
             lambda_tilde_mc(SlabIndicator(Fraction(1, 2)), spec, samples)
+
+
+def frac_cases():
+    """Finite doubles at the edges of the fractional part, and random ones
+    of both signs across all exponents."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1 - 2.0**-53, -(1 - 2.0**-53), 2.0**52 + 0.5,
+             -(2.0**52 + 0.5), 2.0**53, -(2.0**53), 1.7e308, -1.7e308]
+    for n in range(-50, 51):
+        edges += [n, np.nextafter(n, -np.inf), np.nextafter(n, np.inf)]
+    rng = np.random.default_rng(0)
+    size = 200_000
+    mantissas = rng.random(size) + 1.0
+    signs = rng.choice([-1.0, 1.0], size)
+    spread = signs * np.ldexp(mantissas, rng.integers(-1074, 1024, size))
+    near_one = signs * np.ldexp(mantissas, rng.integers(-60, 60, size))
+    return np.concatenate([np.array(edges, dtype=np.float64), spread, near_one])
+
+
+class TestFrac:
+    def test_bitwise_equal_to_float_remainder(self):
+        v = frac_cases()
+        assert np.isfinite(v).all()
+        got, want = _frac(v), v % 1.0
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, [(v[i], got[i], want[i]) for i in bad[:5]]
 
 
 class TestCertificate:
