@@ -15,6 +15,7 @@ environment variable changes a cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -396,7 +397,11 @@ def density(text: str) -> Fraction:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``aplab`` parser, built on first use and shared by later calls of
+    ``main`` in the process: parsing reads it and never changes it, and no
+    argument has a mutable default."""
     top = argparse.ArgumentParser(prog="aplab", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)

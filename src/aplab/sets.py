@@ -186,29 +186,34 @@ class _SolutionCounter:
     """Counts solutions of sum e_i n_i = 0 (mod m) with entries from a growing
     set S, via dense residue count tables.
 
-    For every proper position subset u (a bitmask below 2^k - 1), row u of
-    ``tables`` is T_u: T_u[s] is the number of tuples over S on the positions
-    in u whose weighted sum sum_{i in u} e_i n_i is s mod m (T_empty is 1 at
-    s = 0).  Accepting x updates the rows in place, one position at a time,
-    as a subset-product transform:
+    Row u of ``tables`` (a bitmask below 2^k) is T_u: T_u[s] is the number of
+    tuples over S on the positions in u whose weighted sum sum_{i in u} e_i n_i
+    is s mod m (T_empty is 1 at s = 0).  Accepting x updates the rows in
+    place, one position at a time, as a subset-product transform:
 
-        for i in 0..k-1, for every proper v containing i:
+        for i in 0..k-1, for every v containing i:
             T_v[s] += T_{v - i}[s - e_i x mod m]
 
     Before stage i, rows count tuples with positions below i drawn from
-    S + {x} and the others from S; stage i extends position i, and it never
-    writes the rows it reads (v - i does not contain i).  Each shift is two
-    slice adds, k (2^(k-1) - 1) of them per accept.
+    S + {x} and the others from S; stage i extends position i.  Bit i splits
+    the rows of ``tables.reshape(2^(k-1-i), 2, 2^i, m)``: ``[:, 0]`` holds the
+    rows without i (the sources) and ``[:, 1]`` the rows with i (the
+    destinations), in matching order, so a stage is one cyclic shift of one
+    strided view into a disjoint one: two slice adds, 2k per accept.
 
     The number of solutions over (S + {x})^k that use x (x not in S) is the
     sum over nonempty t of T_{[k] - t}[-e(t) x mod m], with e(t) the
     coefficient sum over t.  The indices -e(t) x mod m are tabulated once
-    for every x and every distinct residue of -e(t), so a block of
-    consecutive candidates costs 2^k - 1 gathers from slices of ``steps``.
+    for every x and every distinct residue of -e(t), so a window of
+    consecutive candidates costs one gather of 2^k - 1 rows of ``tables`` at
+    slices of rows of ``steps``.
 
-    Every count is at most |S|^(k-1) and every index is below m, both of
-    which the ``greedy_table`` budget bounds, so with that budget below 2^31
-    both arrays are exact in int32; each holds fewer than 2^k m entries.
+    Only proper rows are read.  Each of their counts is at most |S|^(|u|)
+    <= |S|^(k-1) and every index is below m, both of which the
+    ``greedy_table`` budget bounds, so with that budget below 2^31 both
+    arrays are exact in int32.  The full row T_[k] is written by every stage
+    and never read: it is scratch, its counts reach |S|^k, and they may wrap.
+    ``tables`` holds 2^k m entries, which the budget also bounds.
     """
 
     def __init__(self, system: BinomialSystem, m: int):
@@ -217,40 +222,36 @@ class _SolutionCounter:
         self.e = system.e
         self.k = k
         self.m = m
-        self.full = (1 << k) - 1
+        full = (1 << k) - 1
         dtype = np.int32 if BUDGETS["greedy_table"].cap < 2**31 else np.int64
-        self.tables = np.zeros((self.full, m), dtype=dtype)
+        self.tables = np.zeros((full + 1, m), dtype=dtype)
         self.tables[0, 0] = 1
         shifts = [
-            -sum(self.e[i] for i in range(k) if t >> i & 1) % m for t in range(1, self.full + 1)
+            -sum(self.e[i] for i in range(k) if t >> i & 1) % m for t in range(1, full + 1)
         ]
         distinct = sorted(set(shifts))
         self.steps = (
             np.array(distinct, dtype=np.int64)[:, None] * np.arange(m, dtype=np.int64) % m
         ).astype(dtype)
-        self.reads = [
-            (self.full ^ t, distinct.index(c)) for t, c in enumerate(shifts, start=1)
-        ]
+        # term t of a delta reads row full ^ t at the indices in row
+        # step_rows[t - 1] of steps
+        self.read_rows = (full ^ np.arange(1, full + 1))[:, None]
+        self.step_rows = np.array([distinct.index(c) for c in shifts], dtype=np.intp)
 
     def accept(self, x: int):
         m = self.m
         for i in range(self.k):
             c = self.e[i] * x % m
-            bit = 1 << i
-            for v in range(bit, self.full):
-                if v & bit:
-                    dst, src = self.tables[v], self.tables[v ^ bit]
-                    dst[c:] += src[: m - c]
-                    dst[:c] += src[m - c :]
+            stage = self.tables.reshape(-1, 2, 1 << i, m)
+            src, dst = stage[:, 0], stage[:, 1]
+            dst[..., c:] += src[..., : m - c]
+            dst[..., :c] += src[..., m - c :]
 
     def deltas(self, lo: int, hi: int) -> np.ndarray:
         """For each candidate x in lo..hi-1 (none of them in S), the number of
         solutions over (S + {x})^k that use x at least once."""
-        index = self.steps[:, lo:hi].astype(np.intp)
-        out = np.zeros(hi - lo, dtype=np.int64)
-        for u, j in self.reads:
-            out += self.tables[u].take(index[j])
-        return out
+        terms = self.tables[self.read_rows, self.steps[self.step_rows, lo:hi]]
+        return terms.sum(axis=0, dtype=np.int64)
 
 
 def greedy_solution_free_set(
@@ -267,8 +268,12 @@ def greedy_solution_free_set(
     blocks gives perm(t, b) trivial solutions over t values.
 
     Returns a complete flag; an incomplete result means the scan ran out of
-    residues, and the caller may retry with a larger modulus.  Candidates are
-    tested 4096 at a time; the result does not depend on that.
+    residues, and the caller may retry with a larger modulus.  After each
+    accept the search for the next one tests a window of 32 candidates, and
+    doubles the window (up to 4096) each time it holds no admissible one:
+    gaps between accepts are short, so this tests few candidates past the
+    one accepted.  The first admissible candidate in scan order does not
+    depend on the windows, so neither does the result.
 
     Two checks of the ``greedy_table`` budget run before any table is
     allocated: r^(k-1) bounds every table count (and fails fast for the
@@ -281,18 +286,21 @@ def greedy_solution_free_set(
     blocks = [len(p) for p in zero_sum_partitions(system)]
     elements: list[int] = []
     x = 0
+    window = 32
     while x < m and len(elements) < r:
-        hi = min(m, x + 4096)
+        hi = min(m, x + window)
         t = len(elements)
         need = sum(math.perm(t + 1, b) - math.perm(t, b) for b in blocks)
         good = np.flatnonzero(counter.deltas(x, hi) == need)
         if len(good) == 0:
             x = hi
+            window = min(2 * window, 4096)
             continue
         accepted = x + int(good[0])
         elements.append(accepted)
         counter.accept(accepted)
         x = accepted + 1
+        window = 32
     return GreedyResult(ResidueSet(m, tuple(elements)), len(elements) >= r, x)
 
 

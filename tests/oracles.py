@@ -297,6 +297,21 @@ def naive_solution_free(elements, e, m, mode="all_nontrivial"):
     return None
 
 
+def subset_sum_histograms(elements, e, m):
+    """{u: T_u} for every proper position subset u (a bitmask below 2^k - 1):
+    T_u[s] counts the tuples over ``elements`` on the positions in u whose
+    weighted sum sum_{i in u} e_i n_i is s mod m, by enumerating the tuples."""
+    k = len(e)
+    out = {}
+    for u in range((1 << k) - 1):
+        coeffs = [e[i] for i in range(k) if u >> i & 1]
+        hist = [0] * m
+        for combo in product(elements, repeat=len(coeffs)):
+            hist[sum(c * v for c, v in zip(coeffs, combo)) % m] += 1
+        out[u] = hist
+    return out
+
+
 def max_3ap_free_size(N):
     """Largest 3-AP-free subset of Z/NZ by depth-first search (small N)."""
     best = 0
@@ -469,8 +484,10 @@ class _SortedSolutionCounter:
 
 def sorted_greedy_solution_free_set(system, m, r):
     """The greedy scan over sorted partial-sum tables: the reference for the
-    library's dense-table kernel.  Same scan order and 4096-candidate blocks;
-    returns (elements, complete, scanned).  No budget checks."""
+    library's dense-table kernel.  Same scan order; candidates are tested in
+    blocks of 4096, and the result (the first admissible candidate after each
+    accept) does not depend on the block size.  Returns (elements, complete,
+    scanned).  No budget checks."""
     from aplab.patterns import trivial_solution_count
 
     counter = _SortedSolutionCounter(system.e, m)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from aplab import __version__
-from aplab.cli import main
+from aplab.cli import build_parser, main
 from aplab.colorings import (
     CYCLIC,
     Coloring,
@@ -320,6 +320,27 @@ class TestDeterminism:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_one_parser_serves_successive_calls(self, capsys, tmp_path, z22_file):
+        # a usage error, --version and two commands, each against a fresh
+        # parser and then in turn against the parser the process keeps
+        calls = [
+            ["verify", z22_file],
+            ["--version"],
+            ["verify", z22_file, "--pattern", "symmetric", "--k", "4"],
+            ["build-set", "--kind", "base9", "--r", "5", "--m", "901",
+             "--out", str(tmp_path / "s.txt")],
+        ]
+        alone = []
+        for argv in calls:
+            build_parser.cache_clear()
+            alone.append((main(argv), capsys.readouterr()))
+        build_parser.cache_clear()
+        in_turn = [(main(argv), capsys.readouterr()) for argv in calls]
+        assert in_turn == alone
+        assert [code for code, _ in alone] == [2, 0, 0, 0]
+        assert alone[1][1].out == f"{__version__}\n"
+        assert build_parser() is build_parser()
 
 
 class TestMonteCarloBytes:

@@ -9,6 +9,7 @@ from aplab.errors import BUDGETS, BudgetExceededError, FormatError
 from aplab.patterns import PatternSpec, a_binomial_system, k_binomial_system
 from aplab.sets import (
     GreedyResult,
+    _SolutionCounter,
     ResidueSet,
     base9_set,
     behrend_set,
@@ -195,6 +196,29 @@ class TestGreedy:
             greedy_solution_free_set(k_binomial_system(4), 101, 3)
 
 
+class TestSolutionCounterTables:
+    # each list of accepts has an x with e_i x = 0 (mod m) for some but not
+    # every i, so a stage shifts by c = 0 while the others do not
+    @pytest.mark.parametrize(
+        "system,m,accepts",
+        [
+            (k_binomial_system(3), 12, (5, 6, 0, 11)),  # -2 * 6
+            (a_binomial_system(PatternSpec((0, 2, 3))), 9, (3, 1, 7)),  # -3 * 3
+            (k_binomial_system(4), 12, (7, 4, 0, 10)),  # -3 * 4 and 3 * 4
+            (a_binomial_system(PatternSpec((0, 1, 2, 4))), 16, (5, 2, 11, 14)),  # -8 * 2
+            (k_binomial_system(5), 24, (6, 1, 4, 19)),  # -4 * 6, 6 * 4
+            (a_binomial_system(PatternSpec((0, 1, 2, 3, 5))), 20, (3, 1, 12, 2)),  # 20 * 1
+        ],
+    )
+    def test_tables_match_enumerated_histograms(self, system, m, accepts):
+        counter = _SolutionCounter(system, m)
+        for n in range(1, len(accepts) + 1):
+            counter.accept(accepts[n - 1])
+            want = oracles.subset_sum_histograms(accepts[:n], system.e, m)
+            for u, hist in want.items():
+                assert counter.tables[u].tolist() == hist, (accepts[:n], u)
+
+
 SORTED_REFERENCE_CASES = [
     # the five calls of a benchmark round: thm2_7 and lemma7_10 (AP4), and
     # thm2_5's doubling from m = 2500, whose first two scans are incomplete
@@ -213,11 +237,18 @@ SORTED_REFERENCE_CASES = [
     (k_binomial_system(5), 4000, 8),
     (a_binomial_system(PatternSpec((0, 1, 2, 4))), 3000, 8),
     (a_binomial_system(PatternSpec((0, 2, 3))), 500, 6),
-    # k = 3 and general offsets with scans past one 4096-candidate block:
-    # complete at scanned = 6836, incomplete at 32 of 40 and 113 of 120
+    # k = 3 and general offsets with scans past 4096 candidates: complete at
+    # scanned = 6836, incomplete at 32 of 40 and 113 of 120.  The searches
+    # start at a 32-candidate window and double it while it holds no
+    # admissible candidate; the complete k = 3 scan's largest gap, from 3280
+    # to 6561, takes six doublings, and the 40-element scan tests 4869
+    # candidates past its last accept, in windows up to the 4096 cap
     (k_binomial_system(3), 20000, 300),
     (a_binomial_system(PatternSpec((0, 1, 2, 4))), 12000, 40),
     (a_binomial_system(PatternSpec((0, 2, 3))), 5000, 120),
+    # the first 32 of that scan: complete at scanned = 7131 after a gap of
+    # 4242 (2888 to 7130), found in the first window at the cap
+    (a_binomial_system(PatternSpec((0, 1, 2, 4))), 12000, 32),
 ]
 
 
