@@ -207,6 +207,55 @@ def spectrum(f: GridFunction, keep_coefficients: bool = False) -> SpectrumReport
     return SpectrumReport(alpha, max_nonzero, coeffs if keep_coefficients else None)
 
 
+def _rader_order(N: int) -> np.ndarray | None:
+    """The residues g^m mod N, m = 0..N-2, of a primitive root g, when N is an
+    odd prime and N - 1 has no prime factor above 11; None for every other N.
+
+    For those N a length-(N - 1) transform runs only on pocketfft's dedicated
+    passes (2, 3, 4, 5, 7 and 11), so Rader's two such transforms beat the
+    one of prime length N (through Bluestein at N = 4001).  Raises
+    ``SelfCheckError`` unless the powers hit 1..N-1 exactly once."""
+    if N < 3 or N % 2 == 0 or any(N % p == 0 for p in range(3, math.isqrt(N) + 1, 2)):
+        return None
+    rest, factors = N - 1, []
+    for p in (2, 3, 5, 7, 11):
+        if rest % p == 0:
+            factors.append(p)
+            while rest % p == 0:
+                rest //= p
+    if rest != 1:
+        return None
+    g = next(g for g in range(2, N) if all(pow(g, (N - 1) // p, N) != 1 for p in factors))
+    powers = [1]
+    for _ in range(N - 2):
+        powers.append(powers[-1] * g % N)
+    order = np.array(powers, dtype=np.intp)
+    if not np.array_equal(np.sort(order), np.arange(1, N)):
+        raise SelfCheckError(f"{g} is not a primitive root mod {N}")
+    return order
+
+
+def _rader_transform(z: np.ndarray, kernel: np.ndarray) -> None:
+    """Rader's DFT of prime length N, in place on the rows of z (N + 1
+    columns).  On entry columns 0..N-1 hold a row at x = g^0, ..., g^(N-2),
+    then x = 0, and ``kernel`` is the length-(N - 1) FFT of
+    exp(-2 pi i g^-m / N).  On exit, with M = (N - 1)/2, columns 0..M hold
+    the frequencies 0, g^0, g^-1, ..., g^-(M-1) and columns M+1..N their
+    negatives 0, -g^0, ..., -g^-(M-1), since g^M = -1."""
+    N = z.shape[1] - 1
+    half = N // 2
+    total = z[:, :N].sum(axis=1)
+    # the product of the spectra goes back into z, so that one
+    # length-(N - 1) temporary is alive at a time
+    np.multiply(np.fft.fft(z[:, : N - 1]), kernel, out=z[:, : N - 1])
+    # adds the value at x = 0 to every output of the inverse
+    z[:, 0] += (N - 1) * z[:, N - 1]
+    conv = np.fft.ifft(z[:, : N - 1])
+    z[:, 1 : half + 1] = conv[:, :half]
+    z[:, half + 2 :] = conv[:, half:]
+    z[:, 0] = z[:, half + 1] = total
+
+
 def gowers_norm(f: GridFunction, s: int, center: bool = False) -> float:
     """Box norm of order s in {2, 3}.
 
@@ -216,13 +265,23 @@ def gowers_norm(f: GridFunction, s: int, center: bool = False) -> float:
     O(N^2 log N) and capped by the ``u3_n`` budget.  Two symmetries halve
     the work and keep the sum: g_{N-h} is g_h translated by h and the
     order-2 norm is translation invariant, so only h = 0..N//2 are
-    transformed; and a real row has |ghat(r)| = |ghat(N - r)|, so two rows
-    share one complex FFT and only r = 0..N//2 are read back.  Both sums
-    weight an index 2, except 1 at 0 and at N/2 for even N.  The cost is
-    N//2 + 1 derivative rows in (N//2 + 2) // 2 complex transforms of length
-    N, taken in blocks of shift views of the doubled array; the 1/N scalings
-    are applied once, at the end.  It agrees with the one-FFT-per-shift loop
-    to 1e-12 relative.
+    transformed; and a real row has |ghat(r)| = |ghat(-r)|, so two rows
+    share one complex transform and each pair {r, -r} is read once.  Both
+    sums weight an index 2, except 1 at 0 and at N/2 for even N.  The cost
+    is N//2 + 1 derivative rows in (N//2 + 2) // 2 complex transforms, taken
+    in blocks of shift views of the doubled array; the 1/N scalings are
+    applied once, at the end.
+
+    The transform has two paths, chosen from N alone.  When N is an odd
+    prime and N - 1 has no prime factor above 11, Rader's algorithm takes
+    it: for a primitive root g, the row gathered at x = g^m (m = 0..N-2)
+    is cyclically convolved with exp(-2 pi i g^-m / N) by a forward and an
+    inverse transform of length N - 1, plus the row's value at x = 0; index
+    p of the result is the frequency r = g^-p, and r = 0 is the row sum.
+    Since g^((N-1)/2) = -1, the frequency -r sits (N - 1)/2 indices after
+    r, so the pair {r, -r} is read as (p, p + (N-1)/2).  Every other N takes
+    one numpy FFT of length N, frequencies r = 0..N//2 paired with -r.  Both
+    paths agree with the one-FFT-per-shift loop to 1e-12 relative.
     """
     if s not in (2, 3):
         raise ValueError("only orders 2 and 3 are implemented")
@@ -237,21 +296,37 @@ def gowers_norm(f: GridFunction, s: int, center: bool = False) -> float:
     weight = np.where((j == 0) | (2 * j == N), 1.0, 2.0)
     # row h is the translate x -> f(x + h)
     shifted = sliding_window_view(np.tile(vals, 2), N)
+    order = _rader_order(N)
+    if order is None:
+        at_cols = vals
+    else:
+        # the Rader path gathers the columns x = g^0, ..., g^(N-2), then 0
+        cols = np.append(order, 0)
+        at_cols = vals[cols]
+        kernel = np.fft.fft(np.exp(-2j * np.pi / N * order[-np.arange(N - 1)]))
     # a transform buffer of about 256 KiB; complex row i of a block carries
     # derivative rows h0 + 2i (real part) and h0 + 2i + 1 (imaginary part),
-    # and column N repeats column 0 so that the frequencies 0, -1, ..., -N//2
-    # are one reversed slice
+    # and after the transform columns 0..N//2 and N..N - N//2 (direct) or
+    # N//2 + 1..N (Rader) hold the frequencies r and -r, r = 0 first
     buf = np.empty((max(1, (1 << 18) // (16 * N)), N + 1), dtype=np.complex128)
     acc = 0.0
     for h0 in range(0, half + 1, 2 * len(buf)):
         n = min(2 * len(buf), half + 1 - h0)
         z = buf[: (n + 1) // 2]
-        np.multiply(shifted[h0 : h0 + n : 2], vals, out=z.real[:, :N])
-        np.multiply(shifted[h0 + 1 : h0 + n : 2], vals, out=z.imag[: n // 2, :N])
+        for part, lo in ((z.real, h0), (z.imag[: n // 2], h0 + 1)):
+            rows = shifted[lo : h0 + n : 2]
+            if order is not None:
+                rows = rows.take(cols, axis=1)
+            np.multiply(rows, at_cols, out=part[:, :N])
         z.imag[n // 2 :] = 0
-        z[:, :N] = np.fft.fft(z[:, :N])
-        z[:, N] = z[:, 0]
-        pos, neg = z[:, : half + 1], z[:, N : N - half - 1 : -1]
+        if order is None:
+            z[:, :N] = np.fft.fft(z[:, :N])
+            z[:, N] = z[:, 0]
+            neg = z[:, N : N - half - 1 : -1]
+        else:
+            _rader_transform(z, kernel)
+            neg = z[:, half + 1 :]
+        pos = z[:, : half + 1]
         # |Z(r) + conj Z(-r)|^2 and |Z(r) - conj Z(-r)|^2 are four times the
         # power at r of the real row and of the imaginary row, hence the 16
         # in the final scaling

@@ -28,7 +28,7 @@ from aplab.torus import (
     pattern_cells,
     pattern_probability_exact,
 )
-from aplab.uniformity import GridFunction, lambda_exact
+from aplab.uniformity import GridFunction, gowers_norm, lambda_exact
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -335,3 +335,28 @@ def test_lambda_exact_float_matches_loop(case):
     got = lambda_exact(arg, spec)
     assert isinstance(got, float)
     assert got == oracles.loop_lambda_exact(arg, spec)
+
+
+@st.composite
+def u3_grids(draw):
+    """A float grid of N <= 13 points, with values from a seeded generator and
+    some exact 0s and 1s.  The odd primes 3, 5, 7, 11 and 13 take the Rader
+    transform of ``gowers_norm``; the prime 2 and every composite N take the
+    direct one."""
+    N = draw(st.integers(1, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.random(N)
+    vals[rng.random(N) < 0.1] = 0.0
+    vals[rng.random(N) < 0.1] = 1.0
+    return GridFunction(vals)
+
+
+# N = 11, a Rader-path prime that the drawn examples miss
+@hypothesis.example(GridFunction(np.arange(11) / 10))
+@hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+@hypothesis.given(u3_grids())
+def test_u3_matches_naive(f):
+    for center, vals in ((False, f.values), (True, f.values - f.mean())):
+        got = gowers_norm(f, 3, center=center)
+        want = oracles.naive_gowers(vals, 3)
+        assert abs(got - want) <= 1e-10 * max(want, 1e-30)

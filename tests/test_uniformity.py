@@ -19,6 +19,7 @@ from aplab.torus import (
 )
 from aplab.uniformity import (
     GridFunction,
+    _rader_order,
     _symmetric_ap_rows,
     convergence_experiment,
     discretize,
@@ -236,7 +237,8 @@ class TestGowers:
     def test_fast_u3_matches_naive(self):
         rng = np.random.default_rng(11)
         # odd N has no weight-1 shift or frequency at N/2; N = 1 and 2 are
-        # all weight-1 terms
+        # all weight-1 terms; 3, 5, 7 and 13 take the Rader transform, the
+        # others the direct one
         for n in (6, 12, 18, 24, 1, 2, 3, 5, 7, 13):
             f = GridFunction(rng.random(n))
             fast = gowers_norm(f, 3)
@@ -247,12 +249,14 @@ class TestGowers:
             assert abs(fast - naive) <= 1e-10 * max(abs(naive), 1e-30)
 
     @pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
-    @pytest.mark.parametrize("n", [97, 256, 1009, 4001])
+    @pytest.mark.parametrize("n", [97, 256, 1001, 1009, 1019, 4001])
     def test_u3_matches_loop_reference(self, n, center):
-        # with the kernel's 256 KiB transform buffer, the N//2 + 1 shifts of
-        # none of these N fill a whole number of blocks (at N = 4001 the last
-        # block holds one row); N = 256 has the weight-1 shift and frequency
-        # N/2
+        # 97, 1009 and 4001 take the Rader transform; 256, 1001 = 7 * 11 * 13
+        # and the prime 1019 (1018 = 2 * 509) the direct one.  A 256 KiB
+        # buffer block holds 2 * (2^18 // (16 N)) shifts, so the N//2 + 1
+        # shifts end in a partial block on both paths: 49 of 336 at 97, 1 of
+        # 128 at 256, 21 and 25 of 32 at 1001 and 1009, 30 of 32 at 1019, and
+        # 1 of 8 at 4001.  N = 256 has the weight-1 shift and frequency N/2
         f = quadratic_indicator(n, Fraction(1, 4)) if n == 4001 else GridFunction(
             np.random.default_rng(n).random(n)
         )
@@ -260,6 +264,15 @@ class TestGowers:
         fast = gowers_norm(f, 3, center=center)
         ref = oracles.loop_gowers_u3(vals)
         assert abs(fast - ref) <= 1e-12 * ref
+
+    def test_rader_transform_selection(self):
+        # odd primes N whose N - 1 is 11-smooth; 47, 53 and 59 are not
+        rader = [n for n in range(60) if _rader_order(n) is not None]
+        assert rader == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+        for n in rader + [97, 1009, 4001]:
+            order = _rader_order(n)
+            assert sorted(order) == list(range(1, n))
+            assert order[(n - 1) // 2] == n - 1
 
     def test_norm_nesting(self):
         rng = np.random.default_rng(14)
