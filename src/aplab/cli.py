@@ -291,7 +291,8 @@ def cmd_density(args) -> int:
         _require(args, "--certificate", "torus_coloring", "set")
         Phi = _load_torus_coloring(args.torus_coloring)
         S = residue_set_from_text(_read(args.set))
-        _emit(_exact_report(lambda_tilde_certificate(Phi, S, spec, args.width), "certificate"))
+        A = build_torus_set(Phi, S, spec.k, args.width)
+        _emit(_exact_report(lambda_tilde_certificate(A, spec), "certificate"))
     return EXIT_OK
 
 

@@ -2,11 +2,12 @@
 interlacing -> solution-free residue set -> torus rectangle set -> exact
 certificate plus Monte Carlo estimate.
 
-Every intermediate is re-verified before use, every stage failure names its
-stage, and all randomness is seeded, so reports are byte-reproducible.  The
-default parameters are desk-scale demonstrations; the certificates they emit
-are exact and sound at that scale, and the reports include the ratio against
-the random count rather than asserting which side it lands on.
+Every coloring is re-verified before use and the residue set by the
+certificate itself, every stage failure names its stage, and all randomness
+is seeded, so reports are byte-reproducible.  The default parameters are
+desk-scale demonstrations; the certificates they emit are exact and sound
+at that scale, and the reports include the ratio against the random count
+rather than asserting which side it lands on.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .sets import (
     behrend_set,
     covering_coloring,
     greedy_solution_free_set,
-    verify_solution_free,
 )
 from .torus import (
     DEFAULT_SAMPLES,
@@ -110,18 +110,14 @@ def _verified(name, message, verifier, *args):
 
 
 def _greedy_set(system, r):
-    """Greedy solution-free set of size r, re-verified; the modulus starts at
-    max(64, 4 r^2) and doubles until the scan completes."""
+    """Greedy solution-free set of size r; the modulus starts at max(64,
+    4 r^2) and doubles until the scan completes."""
     m = max(64, 4 * r * r)
     while True:
         res = _stage("greedy-set", greedy_solution_free_set, system, m, r)
         if res.complete:
             break
         m *= 2
-    _verified(
-        "verify-set", "greedy set failed verification",
-        verify_solution_free, res.set, system, "all_nontrivial",
-    )
     return res.set
 
 
@@ -133,9 +129,10 @@ def _check_samples(samples):
 
 def _finish(name, spec, base, Phi, S, samples, seed, width=None):
     A = _stage("torus-set", build_torus_set, Phi, S, spec.k, width)
-    # bound = epsilon * width^(k-1) exactly, so epsilon is recovered below
-    # rather than paying for the exact pattern probability a second time
-    bound = _stage("exact-probability", lambda_tilde_certificate, Phi, S, spec, A.width)
+    # the certificate verifies the slots; bound = epsilon * width^(k-1)
+    # exactly, so epsilon is recovered below rather than paying for the
+    # exact pattern probability a second time
+    bound = _stage("exact-probability", lambda_tilde_certificate, A, spec)
     est = _stage("mc-estimate", lambda_tilde_mc, A, spec, samples, seed)
     return PipelineResult(
         name=name,
@@ -172,10 +169,6 @@ def run_thm2_6(ell: int = 1, base: Coloring | None = None, samples: int = DEFAUL
     Phi = _stage("interlace", interlace_k, psi, 4)
     m = 36 * Phi.r * Phi.r + 1
     S = _stage("residue-set", base9_set, Phi.r, m)
-    _verified(
-        "verify-set", "base-9 set failed verification",
-        verify_solution_free, S, a_binomial_system(spec), "abba_only",
-    )
     return _finish("thm2_6", spec, base, Phi, S, samples, seed)
 
 

@@ -18,6 +18,7 @@ from .colorings import CYCLIC, Coloring, _least_k_pattern
 from .errors import BUDGETS, BudgetExceededError, FormatError, check_budget, data_lines, parse_ints
 from .patterns import (
     BinomialSystem,
+    is_trivial_solution,
     trivial_solution_count,
     zero_sum_partitions,
 )
@@ -203,17 +204,18 @@ class _SolutionCounter:
 
     The number of solutions over (S + {x})^k that use x (x not in S) is the
     sum over nonempty t of T_{[k] - t}[-e(t) x mod m], with e(t) the
-    coefficient sum over t.  The indices -e(t) x mod m are tabulated once
-    for every x and every distinct residue of -e(t), so a window of
-    consecutive candidates costs one gather of 2^k - 1 rows of ``tables`` at
-    slices of rows of ``steps``.
+    coefficient sum over t, so a window of consecutive candidates costs one
+    gather of 2^k - 1 rows of ``tables``.  Its indices are computed per
+    window in int64: -e(t) mod m and x are both below m, so the products are
+    below m^2, which stays below 2^63 for every m up to 3e9, far past any
+    table that the ``greedy_table`` budget admits.
 
     Only proper rows are read.  Each of their counts is at most |S|^(|u|)
-    <= |S|^(k-1) and every index is below m, both of which the
-    ``greedy_table`` budget bounds, so with that budget below 2^31 both
-    arrays are exact in int32.  The full row T_[k] is written by every stage
-    and never read: it is scratch, its counts reach |S|^k, and they may wrap.
-    ``tables`` holds 2^k m entries, which the budget also bounds.
+    <= |S|^(k-1), which the ``greedy_table`` budget bounds, so with that
+    budget below 2^31 ``tables`` is exact in int32.  The full row T_[k] is
+    written by every stage and never read: it is scratch, its counts reach
+    |S|^k, and they may wrap.  ``tables`` holds 2^k m entries, which the
+    budget also bounds.
     """
 
     def __init__(self, system: BinomialSystem, m: int):
@@ -226,17 +228,12 @@ class _SolutionCounter:
         dtype = np.int32 if BUDGETS["greedy_table"].cap < 2**31 else np.int64
         self.tables = np.zeros((full + 1, m), dtype=dtype)
         self.tables[0, 0] = 1
-        shifts = [
-            -sum(self.e[i] for i in range(k) if t >> i & 1) % m for t in range(1, full + 1)
-        ]
-        distinct = sorted(set(shifts))
-        self.steps = (
-            np.array(distinct, dtype=np.int64)[:, None] * np.arange(m, dtype=np.int64) % m
-        ).astype(dtype)
-        # term t of a delta reads row full ^ t at the indices in row
-        # step_rows[t - 1] of steps
+        # term t of a delta reads row full ^ t at the indices shifts[t - 1] * x
+        self.shifts = np.array(
+            [-sum(self.e[i] for i in range(k) if t >> i & 1) % m for t in range(1, full + 1)],
+            dtype=np.int64,
+        )[:, None]
         self.read_rows = (full ^ np.arange(1, full + 1))[:, None]
-        self.step_rows = np.array([distinct.index(c) for c in shifts], dtype=np.intp)
 
     def accept(self, x: int):
         m = self.m
@@ -250,7 +247,7 @@ class _SolutionCounter:
     def deltas(self, lo: int, hi: int) -> np.ndarray:
         """For each candidate x in lo..hi-1 (none of them in S), the number of
         solutions over (S + {x})^k that use x at least once."""
-        terms = self.tables[self.read_rows, self.steps[self.step_rows, lo:hi]]
+        terms = self.tables[self.read_rows, self.shifts * np.arange(lo, hi) % self.m]
         return terms.sum(axis=0, dtype=np.int64)
 
 
@@ -360,9 +357,9 @@ def _count_matches(sums_a, sums_b, m):
     return int((hi - lo).sum())
 
 
-def _find_witness(S, system, reject):
-    """First assignment (lex order over tuples) with zero sum that ``reject``
-    accepts as a violation.  Meet-in-the-middle with a sum dictionary."""
+def _find_witness(S, system):
+    """First nontrivial solution in lex order over tuples from S.
+    Meet-in-the-middle with a sum dictionary."""
     e = system.e
     m = S.modulus
     k = system.k
@@ -376,45 +373,24 @@ def _find_witness(S, system, reject):
         target = (-sum(e[i] * v for i, v in enumerate(combo_a))) % m
         for combo_b in table.get(target, ()):
             full = combo_a + combo_b
-            if reject(full):
+            if not is_trivial_solution(system, full):
                 return full
     return None
 
 
-def verify_solution_free(S: ResidueSet, system: BinomialSystem, mode: str = "all_nontrivial"):
-    """Certify solution-freeness by exact counting.
+def verify_solution_free(S: ResidueSet, system: BinomialSystem):
+    """Certify that no nontrivial solution of the system exists in S
+    (entries may repeat) by exact counting.  Returns None on success, else
+    the lexicographically first nontrivial solution.
 
-    mode "all_nontrivial": no nontrivial solution of the system exists in S
-    (entries may repeat).  mode "abba_only" (4-term systems with e1 = -e4 and
-    e2 = -e3): every solution must have n1 = n4 and n2 = n3.  Returns None on
-    success, else the lexicographically first offending assignment.
-
-    The decision is made by comparing the total match count from
-    meet-in-the-middle partial sums against the closed-form count of allowed
-    solutions, so the quadruple scan is exhaustive without enumerating S^k.
+    The decision compares the total match count from meet-in-the-middle
+    partial sums against the closed-form count of trivial solutions, so the
+    scan is exhaustive without enumerating S^k.
     """
-    from .patterns import is_trivial_solution
-
-    e = system.e
     m = S.modulus
-    t = len(S)
-    if t == 0:
+    if len(S) == 0:
         return None
-    sums_a, sums_b = _half_tables(S.elements, e, m)
-    total = _count_matches(sums_a, sums_b, m)
-    if mode == "all_nontrivial":
-        allowed = trivial_solution_count(system, t)
-        if total == allowed:
-            return None
-        return _find_witness(S, system, lambda v: not is_trivial_solution(system, v))
-    if mode == "abba_only":
-        if system.k != 4 or e[0] != -e[3] or e[1] != -e[2]:
-            raise ValueError("abba_only needs a 4-term system with e1=-e4, e2=-e3")
-        # conforming assignments are exactly (a, b, b, a); each solves the system
-        allowed = t * t
-        if total == allowed:
-            return None
-        return _find_witness(
-            S, system, lambda v: not (v[0] == v[3] and v[1] == v[2])
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    sums_a, sums_b = _half_tables(S.elements, system.e, m)
+    if _count_matches(sums_a, sums_b, m) == trivial_solution_count(system, len(S)):
+        return None
+    return _find_witness(S, system)

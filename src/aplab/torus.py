@@ -33,7 +33,7 @@ from .errors import (
 )
 from .patterns import PatternSpec, a_binomial_system
 from .scan import eval_clauses, predicate_clauses, shift_blocks
-from .sets import ResidueSet
+from .sets import ResidueSet, verify_solution_free
 
 __all__ = [
     "TorusColoring",
@@ -185,16 +185,6 @@ def _sample_blocks(seed: int, count: int, block: int = _MC_BLOCK):
     """
     for b, start in enumerate(range(0, count, block)):
         yield _SampleBlock(seed, b, min(block, count - start), block)
-
-
-def _uniform_blocks(seed: int, count: int, rows: int, block: int = _MC_BLOCK):
-    """The uniforms of ``count`` samples, ``rows`` per sample, as arrays of
-    shape (rows, n) over the blocks of ``_sample_blocks``: all rows of a
-    block at once, for the loops that read every row.  Row r of a block is
-    the row that ``_SampleBlock.row(r)`` draws on demand, byte for byte.
-    """
-    for blk in _sample_blocks(seed, count, block):
-        yield np.array([blk.row(r) for r in range(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +399,14 @@ def pattern_probability_mc(
     subset=None,
 ) -> Estimate:
     """Monte Carlo estimate of the same probability, for cross-checking;
-    sample j is (x, y) from the uniforms of ``_uniform_blocks``."""
+    sample j is (x, y) from rows 0 and 1 of its ``_sample_blocks`` block."""
     offsets = spec.normalized().a
     clauses = predicate_clauses(spec, predicate, subset)
     colors = Phi.as_array
     D = Phi.D
     hits = 0
-    for x, y in _uniform_blocks(seed, samples, 2):
+    for blk in _sample_blocks(seed, samples):
+        x, y = blk.row(0), blk.row(1)
         cols = []
         for a in offsets:
             z = _frac(x + a * y) if a else x
@@ -627,31 +618,42 @@ def lambda_tilde_mc(
     return _estimate(total, total_sq, samples, seed)
 
 
-def lambda_tilde_certificate(
-    Phi: TorusColoring,
-    S: ResidueSet,
-    spec: PatternSpec,
-    width: Fraction | None = None,
-) -> Fraction:
+def lambda_tilde_certificate(A: TorusSet, spec: PatternSpec) -> Fraction:
     """Rigorous upper bound epsilon * width^(k-1) on the progression
-    functional of the torus set built from (Phi, S), with epsilon the exact
-    binomial-pattern probability of Phi.
+    functional of the torus set A, with epsilon the exact binomial-pattern
+    probability of its base coloring.
 
-    Soundness needs the rounding step: the slab width must not exceed
-    ``sound_width``.  Violations raise instead of returning an unsound bound.
+    The bound rests on two conditions, and a ValueError names the one that
+    fails instead of returning an unsound bound: the width is at most
+    ``sound_width``, and the slots are distinct residues with no nontrivial
+    solution of the spec's binomial system (``sets.verify_solution_free``).
+
+    Proof.  Write y_i = s_{c_i}/m + u_i, with c_i the color of x_i, s_c the
+    slot of color c and u_i in [0, w).  On the solution torus sum e_i y_i is
+    an integer, so sum e_i s_{c_i} + m sum e_i u_i is a multiple of m.  Then
+    m sum e_i u_i is an integer too, and |m sum e_i u_i| < m w mass <= 1/2
+    makes it 0: the slots of the colors solve the system mod m.  With no nontrivial solution among the
+    slots the solution is trivial, so the positions split into blocks of
+    equal slot, each with coefficient sum 0.  Distinct slots make equal
+    slots equal colors, and a zero-sum block has at least two positions, so
+    either a block has three or more, a monochromatic zero-sum subset (a
+    subset clause of the binomial predicate), or every block is a pair, a
+    coefficient-negating pairing with paired colors equal (a pairing
+    clause).  So the integrand vanishes unless the colors of x_1..x_k form a
+    binomial pattern, which has probability epsilon over (x0, x1), and
+    given the x_i the y-integral is at most w^(k-1), since y_1..y_{k-1} each
+    lie in an interval of length w.
     """
-    k = spec.k
-    m = S.modulus
-    if width is None:
-        width = _default_width(k, m)
-    width = Fraction(width)
-    limit = sound_width(a_binomial_system(spec), m)
-    if width > limit:
+    system = a_binomial_system(spec)
+    limit = sound_width(system, A.m)
+    if A.width > limit:
         raise ValueError(
             f"width too large for a sound certificate with this system; need width <= {limit}"
         )
-    eps = pattern_probability_exact(Phi, spec, "binomial")
-    return eps * width ** (k - 1)
+    witness = verify_solution_free(ResidueSet(A.m, A.slots), system)
+    if witness is not None:
+        raise ValueError(f"the slots have the nontrivial solution {witness}; no sound certificate")
+    return pattern_probability_exact(A.base, spec, "binomial") * A.width ** (spec.k - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .colorings import INTERVAL, Coloring, verify_symmetric_ap_free
 from .errors import FormatError, SelfCheckError, check_budget, data_lines
 from .patterns import PatternSpec
 from .scan import eval_clauses, predicate_clauses, shift_blocks
-from .torus import DEFAULT_SAMPLES, _frac, _uniform_blocks, lambda_tilde_mc
+from .torus import DEFAULT_SAMPLES, _frac, _sample_blocks, lambda_tilde_mc
 
 __all__ = [
     "GridFunction",
@@ -475,13 +475,13 @@ def extract_coloring(
     progression in the interval ambient.
 
     Failure is a value: the result carries per-cause counts.  Attempt j takes
-    its 2 + r uniforms from the seeded blocks of ``torus._uniform_blocks``,
-    about 2^16 field evaluations to a block, so it depends only on (seed, j)
-    and the declared inputs; attempts are scanned in order, so the first
-    success by attempt index is returned.  Every attempt reads all its
-    uniforms, so all rows of a block are drawn, one row after another with
-    the bytes of a single draw, and the positions x0 + i*x1 mod 1 are taken
-    by ``torus._frac``, bit for bit numpy's ``% 1.0``.
+    its 2 + r uniforms from rows 0..r+1 of its seeded block of
+    ``torus._sample_blocks``, about 2^16 field evaluations to a block, so it
+    depends only on (seed, j) and the declared inputs; attempts are scanned
+    in order, so the first success by attempt index is returned.  Every
+    attempt reads all its uniforms, so all rows of a block are drawn, and
+    the positions x0 + i*x1 mod 1 are taken by ``torus._frac``, bit for bit
+    numpy's ``% 1.0``.
 
     All attempts of a block are checked at once (``_symmetric_ap_rows``),
     and only the attempts that can still change the result, those up to the
@@ -499,8 +499,9 @@ def extract_coloring(
     rejected = 0
     done = 0
     idx = np.arange(N, dtype=np.float64)
-    for u in _uniform_blocks(seed, attempts, 2 + r, max(1, (1 << 16) // (N * r))):
-        x0, x1, ys = u[0], u[1], u[2:].T
+    for blk in _sample_blocks(seed, attempts, max(1, (1 << 16) // (N * r))):
+        x0, x1 = blk.row(0), blk.row(1)
+        ys = np.stack([blk.row(2 + j) for j in range(r)], axis=1)
         nb = len(x0)
         # F values at (attempt, position, palette index)
         xs = _frac(x0[:, None] + idx[None, :] * x1[:, None])

@@ -513,12 +513,24 @@ def sorted_greedy_solution_free_set(system, m, r):
     return tuple(elements), len(elements) >= r, x
 
 
+def eager_uniform_blocks(seed, count, rows, block):
+    """The uniforms of ``count`` samples, ``rows`` per sample, drawn eagerly
+    as (rows, n) arrays: block b holds samples [b*block, b*block + n) and is
+    default_rng(SeedSequence(seed).spawn(...)[b]).random((rows, block))[:, :n].
+    The reference for the library's rows drawn on demand."""
+    starts = range(0, count, block)
+    children = np.random.SeedSequence(seed).spawn(len(starts))
+    for child, start in zip(children, starts):
+        n = min(block, count - start)
+        yield np.random.default_rng(child).random((rows, block))[:, :n]
+
+
 def full_product_lambda_tilde_mc(F, spec, samples, seed=0):
     """Monte Carlo progression functional with all k factors evaluated for
     every sample: the reference for the library's survivor-only product.
-    Same sampler, same uniforms, same sums."""
+    Same uniforms, drawn eagerly, and the same sums."""
     from aplab.patterns import a_binomial_system
-    from aplab.torus import _estimate, _uniform_blocks
+    from aplab.torus import _MC_BLOCK, _estimate
 
     system = a_binomial_system(spec)
     offsets = spec.normalized().a
@@ -526,7 +538,7 @@ def full_product_lambda_tilde_mc(F, spec, samples, seed=0):
     k = system.k
     total = 0.0
     total_sq = 0.0
-    for u in _uniform_blocks(seed, samples, k + 2):
+    for u in eager_uniform_blocks(seed, samples, k + 2, _MC_BLOCK):
         x0, x1, v = u[0], u[1], u[-1]
         ys = list(u[2:-1])
         acc = np.zeros(len(x0))
@@ -546,9 +558,9 @@ def full_product_lambda_tilde_mc(F, spec, samples, seed=0):
 def loop_extract_coloring(F, alpha, k, r, N, seed=0, attempts=1):
     """Randomized extraction with one ``verify_symmetric_ap_free`` call per
     defined attempt: the reference for the library's block-wide rejection.
-    Same sampler and blocks; returns the library's ``ExtractionResult``."""
+    Same uniforms, drawn eagerly, and the same blocks; returns the library's
+    ``ExtractionResult``."""
     from aplab.colorings import INTERVAL, Coloring, verify_symmetric_ap_free
-    from aplab.torus import _uniform_blocks
     from aplab.uniformity import ExtractionResult
 
     threshold = float(alpha) / 2
@@ -556,7 +568,7 @@ def loop_extract_coloring(F, alpha, k, r, N, seed=0, attempts=1):
     rejected = 0
     done = 0
     idx = np.arange(N, dtype=np.float64)
-    for u in _uniform_blocks(seed, attempts, 2 + r, max(1, (1 << 16) // (N * r))):
+    for u in eager_uniform_blocks(seed, attempts, 2 + r, max(1, (1 << 16) // (N * r))):
         x0, x1, ys = u[0], u[1], u[2:].T
         nb = len(x0)
         xs = (x0[:, None] + idx[None, :] * x1[:, None]) % 1.0

@@ -134,7 +134,7 @@ def test_criterion_04_base9_family():
     for r in range(1, 101):
         s = base9_set(r, 36 * r * r + 1)
         assert max(s.elements) <= 9 * r * r
-        assert verify_solution_free(s, sys4, "abba_only") is None
+        assert verify_solution_free(s, sys4) is None
     elapsed = time.monotonic() - t0
     assert elapsed < 30
     assert report(4, True, f"r = 1..100 verified in {elapsed:.1f}s")

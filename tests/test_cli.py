@@ -141,6 +141,29 @@ class TestPipelineChain:
         )
         assert code == 0 and rep["value_rational"] == "1/1056"
 
+    @pytest.mark.parametrize(
+        "residues, message",
+        [
+            # 0..47 mod 97 holds the nontrivial AP4 solution (0, 0, 1, 3)
+            (range(48), "the slots have the nontrivial solution (0, 0, 1, 3)"),
+            (range(3), "need at least 48 residues, got 3"),
+        ],
+        ids=["set_with_a_solution", "short_set"],
+    )
+    def test_certificate_refuses_unsound_set(self, capsys, tmp_path, z22_file, residues, message):
+        phi = tmp_path / "phi.txt"
+        assert main(["interlace", "--input", z22_file, "--k", "4", "--out", str(phi)]) == 0
+        s = tmp_path / "bad.txt"
+        residues = list(residues)
+        s.write_text(f"97 {len(residues)}\n{' '.join(map(str, residues))}\n")
+        capsys.readouterr()
+        code = main(
+            ["density", "--certificate", "--torus-coloring", str(phi), "--set", str(s), "--k", "4"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
     def test_manual_chain_matches_pipeline_at_ell_2(self, capsys, tmp_path):
         # the chain's interlaced file is flat, so density takes the flat
         # scan; the pipeline's interlaced coloring carries digit levels and

@@ -15,7 +15,7 @@ from aplab.pipelines import (
     run_thm2_7,
     z22_coloring,
 )
-from aplab.sets import verify_solution_free
+from aplab.sets import ResidueSet, verify_solution_free
 from aplab.torus import lambda_tilde_certificate, pattern_probability_exact
 
 
@@ -31,12 +31,7 @@ class TestThm26:
     def test_intermediates_verify(self):
         res = run_thm2_6(ell=1, samples=10_000, seed=1)
         assert verify_symmetric_ap_free(res.base, 4) is None
-        assert (
-            verify_solution_free(
-                res.residues, a_binomial_system(res.spec), "abba_only"
-            )
-            is None
-        )
+        assert verify_solution_free(res.residues, a_binomial_system(res.spec)) is None
         assert res.torus_set.first_marginal == res.marginal
 
     def test_rejects_bad_base(self):
@@ -44,6 +39,13 @@ class TestThm26:
         with pytest.raises(StageError) as e:
             run_thm2_6(base=bad, samples=1000)
         assert e.value.stage == "verify-base"
+
+    def test_rejects_set_with_a_solution_in_the_certificate(self, monkeypatch):
+        # 0..r-1 holds (0, 0, 1, 3); the certificate verifies the slots
+        monkeypatch.setattr(pipelines, "base9_set", lambda r, m: ResidueSet(m, tuple(range(r))))
+        with pytest.raises(StageError, match=r"\(0, 0, 1, 3\)") as e:
+            run_thm2_6(samples=1000)
+        assert e.value.stage == "exact-probability"
 
     def test_ell_2_scaling(self):
         # one palette-squaring step multiplies the marginal denominator by
@@ -105,18 +107,19 @@ class TestDeterminism:
 class TestCertificate:
     @pytest.mark.parametrize("name", sorted(PIPELINES))
     def test_one_exact_probability_and_bound_is_certificate(self, name, monkeypatch):
-        # the exact probability dominates a run, so it must be computed once
-        calls = []
+        # the exact probability dominates a run, so it must be computed once;
+        # the residue set is verified once too, by the certificate
+        calls = {"pattern_probability_exact": [], "verify_solution_free": []}
+        for fn in (pattern_probability_exact, verify_solution_free):
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return pattern_probability_exact(*args, **kwargs)
+            def counting(*args, fn=fn, **kwargs):
+                calls[fn.__name__].append(args)
+                return fn(*args, **kwargs)
 
-        for module in (torus, pipelines):
-            monkeypatch.setattr(module, "pattern_probability_exact", counting, raising=False)
+            for module in (torus, pipelines):
+                monkeypatch.setattr(module, fn.__name__, counting, raising=False)
         res = run_pipeline(name, samples=1000)
-        assert len(calls) == 1
+        assert len(calls["pattern_probability_exact"]) == 1
+        assert [S.elements for S, _ in calls["verify_solution_free"]] == [res.residues.elements]
         monkeypatch.undo()
-        assert res.bound == lambda_tilde_certificate(
-            res.interlaced, res.residues, res.spec, res.torus_set.width
-        )
+        assert res.bound == lambda_tilde_certificate(res.torus_set, res.spec)

@@ -18,12 +18,12 @@ from aplab.colorings import (
     verify_mono_pattern_free,
     verify_symmetric_ap_free,
 )
-from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients
-from aplab.sets import greedy_solution_free_set
+from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients, is_k_pattern
+from aplab.sets import base9_set, behrend_set, greedy_solution_free_set
 from aplab.torus import (
     TorusColoring,
     TorusSet,
-    _uniform_blocks,
+    _sample_blocks,
     lambda_tilde_mc,
     pattern_cells,
     pattern_probability_exact,
@@ -33,7 +33,7 @@ from aplab.uniformity import GridFunction, gowers_norm, lambda_exact
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-MC_BLOCK = inspect.signature(_uniform_blocks).parameters["block"].default
+MC_BLOCK = inspect.signature(_sample_blocks).parameters["block"].default
 
 
 def _levelled(levels):
@@ -146,6 +146,23 @@ def test_greedy_set_is_solution_free_and_maximal(case):
         if y not in kept:
             below = tuple(x for x in kept if x < y)
             assert oracles.naive_solution_free((y, *below), system.e, m) is not None, y
+
+
+@hypothesis.settings(derandomize=True, max_examples=12, deadline=None)
+@hypothesis.given(st.integers(1, 12))
+def test_base9_set_is_solution_free(r):
+    S = base9_set(r, 36 * r * r + 1)
+    assert len(S) == r
+    assert oracles.naive_solution_free(S.elements, (1, -3, 3, -1), S.modulus) is None
+
+
+@hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+@hypothesis.given(st.integers(2, 300), st.integers(3, 6))
+def test_behrend_set_is_pattern_free(N, k):
+    S = behrend_set(N, k).elements
+    assert [
+        (x, y, z) for x in S for y in S for z in S if is_k_pattern(x, y, z, k, N)
+    ] == []
 
 
 @st.composite

@@ -149,7 +149,7 @@ class TestGreedy:
     def test_output_always_verifies(self, system, m, r):
         res = greedy_solution_free_set(system, m, r)
         assert res.complete
-        assert verify_solution_free(res.set, system, "all_nontrivial") is None
+        assert verify_solution_free(res.set, system) is None
 
     def test_feasibility_scaling_report(self):
         # find the least power-of-two modulus where greedy reaches r, then
@@ -288,7 +288,7 @@ class TestBase9:
     @pytest.mark.parametrize("r", [3, 10, 25, 48, 77, 100])
     def test_forced_structure(self, r):
         s = base9_set(r, 36 * r * r + 1)
-        assert verify_solution_free(s, k_binomial_system(4), "abba_only") is None
+        assert verify_solution_free(s, k_binomial_system(4)) is None
 
 
 class TestVerifySolutionFree:
@@ -306,7 +306,7 @@ class TestVerifySolutionFree:
     def test_singleton_both_modes(self):
         s = ResidueSet(50, (7,))
         assert verify_solution_free(s, k_binomial_system(4)) is None
-        assert verify_solution_free(s, k_binomial_system(4), "abba_only") is None
+        assert oracles.naive_solution_free(s.elements, (1, -3, 3, -1), 50, "abba_only") is None
 
     def test_matches_naive_scan(self):
         rng = random.Random(19)
@@ -322,19 +322,18 @@ class TestVerifySolutionFree:
                 assert got == expect, (s, system.e)
 
     def test_abba_matches_naive(self):
+        # for AP4 the zero-sum partitions are {0123} and {03}{12}, and
+        # n1 = n2 = n3 = n4 is an (a, b, b, a) too, so "nontrivial" and
+        # "not of the form (a, b, b, a)" give the same verdict and witness
         rng = random.Random(21)
         sys4 = k_binomial_system(4)
         for _ in range(25):
             m = rng.randint(12, 60)
             size = rng.randint(1, 7)
             s = ResidueSet(m, tuple(rng.sample(range(m), size)))
-            got = verify_solution_free(s, sys4, "abba_only")
+            got = verify_solution_free(s, sys4)
             expect = oracles.naive_solution_free(s.elements, sys4.e, m, "abba_only")
             assert got == expect
-
-    def test_abba_requires_negating_shape(self):
-        with pytest.raises(ValueError):
-            verify_solution_free(ResidueSet(40, (0, 1)), k_binomial_system(5), "abba_only")
 
     def test_budget(self, lower_budget):
         lower_budget("verify_half", 1000)

@@ -20,7 +20,6 @@ from aplab.torus import (
     _carry_count,
     _frac,
     _sample_blocks,
-    _uniform_blocks,
     ConstantField,
     DiagonalStrip,
     SlabIndicator,
@@ -45,7 +44,7 @@ def z22():
     return Coloring(CYCLIC, tuple(int(ch) for ch in Z22_COLORING))
 
 
-MC_BLOCK = inspect.signature(_uniform_blocks).parameters["block"].default
+MC_BLOCK = inspect.signature(_sample_blocks).parameters["block"].default
 # sample counts just below, at and just above the first block boundary
 BOUNDARY = (MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1)
 
@@ -356,7 +355,7 @@ class TestTorusSet:
             assert not ts.contains_exact(x, start - Fraction(1, 10**9))
 
     def test_needs_enough_residues(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 2 residues, got 1"):
             build_torus_set(TorusColoring((1, 2)), ResidueSet(5, (0,)), 4)
 
     def test_batch_matches_exact(self):
@@ -506,20 +505,12 @@ class TestSurvivorProduct:
 
 
 class TestSampling:
-    def test_blocks_are_spawned_children(self):
-        # block b of seed s is child b of SeedSequence(s).spawn, so a split
-        # of the blocks over processes draws the same numbers
-        blocks = list(_uniform_blocks(5, 2 * MC_BLOCK + 7, 3))
-        assert [u.shape for u in blocks] == [(3, MC_BLOCK)] * 2 + [(3, 7)]
-        children = np.random.SeedSequence(5).spawn(3)
-        for u, child in zip(blocks, children):
-            want = np.random.default_rng(child).random((3, MC_BLOCK))
-            assert np.array_equal(u, want[:, : u.shape[1]])
-
     @pytest.mark.parametrize("b", [0, 2], ids=["full_block", "short_last_block"])
     def test_rows_read_out_of_order(self, b):
-        # each row is drawn at full block size wherever the stream stands,
-        # so any read order gives the rows of the eager draw
+        # block b of seed s is child b of SeedSequence(s).spawn, so a split
+        # of the blocks over processes draws the same numbers; each row is
+        # drawn at full block size wherever the stream stands, so any read
+        # order gives the rows of the eager draw
         blk = list(_sample_blocks(5, 2 * MC_BLOCK + 7))[b]
         assert blk.n == (MC_BLOCK if b < 2 else 7)
         child = np.random.SeedSequence(5).spawn(b + 1)[b]
@@ -578,24 +569,22 @@ class TestFrac:
 
 class TestCertificate:
     def test_constant_base(self):
-        Phi = TorusColoring((1,))
-        S = ResidueSet(5, (0, 1, 2))
-        cert = lambda_tilde_certificate(Phi, S, PatternSpec.ap(4))
-        assert cert == Fraction(1, (16 * 5) ** 3)
+        A = build_torus_set(TorusColoring((1,)), ResidueSet(5, (0, 1, 2)), 4)
+        assert lambda_tilde_certificate(A, PatternSpec.ap(4)) == Fraction(1, (16 * 5) ** 3)
 
     def test_doubling_modulus_scales_bound(self):
         Phi = TorusColoring((1,))
         spec = PatternSpec.ap(4)
-        c1 = lambda_tilde_certificate(Phi, ResidueSet(5, (0,)), spec)
-        c2 = lambda_tilde_certificate(Phi, ResidueSet(10, (0,)), spec)
+        c1 = lambda_tilde_certificate(build_torus_set(Phi, ResidueSet(5, (0,)), 4), spec)
+        c2 = lambda_tilde_certificate(build_torus_set(Phi, ResidueSet(10, (0,)), 4), spec)
         assert c1 / c2 == 2 ** (spec.k - 1)
 
     def test_consistent_with_mc(self):
         Phi = interlace_k(z22(), 4)
         S = base9_set(Phi.r, 36 * Phi.r**2 + 1)
         spec = PatternSpec.ap(4)
-        cert = lambda_tilde_certificate(Phi, S, spec)
         ts = build_torus_set(Phi, S, 4)
+        cert = lambda_tilde_certificate(ts, spec)
         est = lambda_tilde_mc(ts, spec, 200_000, 0)
         assert est.mean - 4 * est.stderr <= float(cert)
 
@@ -605,8 +594,20 @@ class TestCertificate:
         spec = PatternSpec((0, 1, 2, 4))
         Phi = TorusColoring((1,))
         S = ResidueSet(11, (0, 3))
-        with pytest.raises(ValueError):
-            lambda_tilde_certificate(Phi, S, spec)
+        with pytest.raises(ValueError, match="width too large"):
+            lambda_tilde_certificate(build_torus_set(Phi, S, 4), spec)
         # an explicitly smaller width is accepted
-        val = lambda_tilde_certificate(Phi, S, spec, width=Fraction(1, 18 * 11))
+        val = lambda_tilde_certificate(build_torus_set(Phi, S, 4, Fraction(1, 18 * 11)), spec)
         assert val > 0
+
+    def test_slots_with_a_solution_rejected(self):
+        # 0..47 mod 97 holds the nontrivial AP4 solution 0 - 3*0 + 3*1 - 3
+        A = build_torus_set(interlace_k(z22(), 4), ResidueSet(97, tuple(range(48))), 4)
+        with pytest.raises(ValueError, match=r"nontrivial solution \(0, 0, 1, 3\)"):
+            lambda_tilde_certificate(A, PatternSpec.ap(4))
+
+    def test_repeated_slots_rejected(self):
+        # two colors on one slot: a pattern across them escapes epsilon
+        A = TorusSet(TorusColoring((1, 2)), 5, Fraction(1, 80), (0, 0))
+        with pytest.raises(ValueError, match="distinct"):
+            lambda_tilde_certificate(A, PatternSpec.ap(4))
