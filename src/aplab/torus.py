@@ -119,15 +119,20 @@ def _estimate(total, total_sq, samples: int, seed: int) -> Estimate:
     return Estimate(mean, math.sqrt(max(var, 0.0) / samples), samples, seed)
 
 
-# The Monte Carlo block: 2^14 samples measured as fast as 2^15 and 2^16 and
-# holds the smallest arrays.
+# The Monte Carlo block: 2^14 samples, as fast as any of 2^12..2^16 and with
+# smaller arrays than the larger ones.  Median ms of 7 calls at blocks of
+# 2^12, 2^13, 2^14, 2^15 and 2^16 (one process per estimate, 2-CPU Xeon):
+# the ell = 2 torus set at 1e6 samples 37, 30, 28, 28, 33; the strip at 2e6
+# samples 169, 136, 124, 168, 182; pattern_probability_mc at 2e6 samples
+# 103, 85, 76, 85, 82.
 _MC_BLOCK = 1 << 14
 
 
-def _frac(v):
-    """The fractional part v - floor(v) of a float or float array, bit for
-    bit the value of numpy's ``v % 1.0`` at every finite v, at a tenth of
-    its cost.
+def _frac(v, out=None):
+    """The fractional part v - floor(v) of a float array, bit for bit the
+    value of numpy's ``v % 1.0`` at every finite v, at a tenth of its cost.
+    It is written into ``out`` when given (which may be v itself), else into
+    the one new array that holds floor(v).
 
     Proof.  floor(v) is exact, and so is fmod(v, 1) = v - trunc(v): it keeps
     the bits of v below the units place, which need no more than v's 53.
@@ -144,7 +149,18 @@ def _frac(v):
     both give 1.0 where v - floor(v) rounds up to it (v = -5e-324, say).
     ``test_torus`` checks it at the edge values and across all exponents.
     """
-    return v - np.floor(v)
+    f = np.floor(v)
+    return np.subtract(v, f, out=f if out is None else out)
+
+
+def _cell_index(z, D: int) -> np.ndarray:
+    """The cell min(floor(frac(z) * D), D - 1) of each point z of the circle
+    cut into D cells, as a new int64 array; z is not written.  The clamp
+    acts where frac(z) * D rounds up to D (z = 1 - 2^-53, say)."""
+    t = _frac(z)
+    t *= D
+    cells = t.astype(np.int64)
+    return np.minimum(cells, D - 1, out=cells)
 
 
 class _SampleBlock:
@@ -409,14 +425,18 @@ def pattern_probability_mc(
         x, y = blk.row(0), blk.row(1)
         cols = []
         for a in offsets:
-            z = _frac(x + a * y) if a else x
-            cols.append(colors[np.minimum((z * D).astype(np.int64), D - 1)])
+            cols.append(colors[_cell_index(x + a * y if a else x, D)])
         hits += int(np.count_nonzero(eval_clauses(clauses, cols)))
     return _estimate(hits, hits, samples, seed)
 
 
 # ---------------------------------------------------------------------------
 # torus sets
+
+# The indicator fields (TorusSet, SlabIndicator, DiagonalStrip) work in place
+# in the arrays they allocate, never in xs or ys, and return a new float64
+# array: a comparison written into a float64 ``out`` stores 1.0 and 0.0, as
+# ``astype(np.float64)`` would.
 
 
 @dataclass(frozen=True)
@@ -446,11 +466,12 @@ class TorusSet:
         return self.width
 
     @cached_property
-    def _slot_starts(self) -> np.ndarray:
+    def _cell_starts(self) -> np.ndarray:
+        """The start s_j/m of the y-interval of each of the D cells."""
         color_slot = np.zeros(self.base.r + 1, dtype=np.float64)
         for j, s in enumerate(self.slots, start=1):
             color_slot[j] = s / self.m
-        return color_slot
+        return color_slot[self.base.as_array]
 
     def contains_exact(self, x: Fraction, y: Fraction) -> bool:
         j = self.base.color_at(x)
@@ -461,11 +482,10 @@ class TorusSet:
         return Fraction(int(self.contains_exact(x, y)))
 
     def evaluate_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        D = self.base.D
-        cells = np.minimum((_frac(xs) * D).astype(np.int64), D - 1)
-        cols = self.base.as_array[cells]
-        starts = self._slot_starts[cols]
-        return (_frac(ys - starts) < float(self.width)).astype(np.float64)
+        t = self._cell_starts[_cell_index(xs, self.base.D)]
+        np.subtract(ys, t, out=t)
+        _frac(t, out=t)
+        return np.less(t, float(self.width), out=t)
 
 
 class ConstantField:
@@ -489,7 +509,8 @@ class SlabIndicator:
         self.alpha = Fraction(alpha)
 
     def evaluate_batch(self, xs, ys):
-        return (_frac(ys) < float(self.alpha)).astype(np.float64)
+        t = _frac(ys)
+        return np.less(t, float(self.alpha), out=t)
 
     def contains_exact(self, x, y):
         return Fraction(y) % 1 < self.alpha
@@ -506,7 +527,9 @@ class DiagonalStrip:
         self.alpha = Fraction(alpha)
 
     def evaluate_batch(self, xs, ys):
-        return (_frac(ys - xs) < float(self.alpha)).astype(np.float64)
+        t = np.subtract(ys, xs)
+        _frac(t, out=t)
+        return np.less(t, float(self.alpha), out=t)
 
     def contains_exact(self, x, y):
         return (Fraction(y) - Fraction(x)) % 1 < self.alpha
@@ -563,6 +586,12 @@ def lambda_tilde_mc(
     row k + 1 (v) of its ``_sample_blocks`` block, so the estimate depends
     only on (seed, samples).
 
+    ``F.evaluate_batch(xs, ys)`` must not write into xs or ys.  A row is
+    drawn once per block and the same array is handed to every factor that
+    reads it: while all samples survive, x is row 0 itself at a position
+    a = 0 and y is row 2 + i itself at positions i < k - 1.  F may return
+    one of its inputs; the product is kept in an array of its own.
+
     Only samples that can still change the result are evaluated: the
     product is taken factor by factor, in position order, over the samples
     whose running product is nonzero, and y_k is computed for those alone.
@@ -591,17 +620,23 @@ def lambda_tilde_mc(
         for i, a in enumerate(offsets):
             x = blk.row(0, live)
             if a:
-                x = _frac(x + a * blk.row(1, live))
+                # a x1 + x0 is x0 + a x1 bit for bit: float + and * commute
+                t = np.multiply(blk.row(1, live), a)
+                t += x
+                x = _frac(t, out=t)
             if i < k - 1:
                 y = blk.row(2 + i, live)
             else:
-                acc = np.zeros(len(prod))
+                y = np.zeros(len(prod))
+                t = np.empty(len(prod))
                 for j, ei in enumerate(e[:-1]):
-                    acc += ei * blk.row(2 + j, live)
-                y = _frac(-acc)
+                    y += np.multiply(blk.row(2 + j, live), ei, out=t)
+                np.negative(y, out=y)
+                _frac(y, out=y)
                 if abs(e[-1]) > 1:
-                    y += np.floor(blk.row(k + 1, live) * abs(e[-1]))
-                y = _frac(y / e[-1])
+                    y += np.floor(np.multiply(blk.row(k + 1, live), abs(e[-1]), out=t), out=t)
+                y /= e[-1]
+                _frac(y, out=y)
             prod *= F.evaluate_batch(x, y)
             if np.count_nonzero(prod) < len(prod):
                 keep = np.flatnonzero(prod)

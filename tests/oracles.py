@@ -525,10 +525,50 @@ def eager_uniform_blocks(seed, count, rows, block):
         yield np.random.default_rng(child).random((rows, block))[:, :n]
 
 
+def torus_set_values(A, xs, ys):
+    """1.0 where (xs, ys) lies in the torus set A, else 0.0: the cell of xs
+    mod 1, clamped at D - 1 where (xs mod 1) * D rounds up to D, then the
+    slot start s_j/m of its color j, then (ys - start) mod 1 below the width.
+    The reference for ``TorusSet.evaluate_batch``."""
+    D = A.base.D
+    cells = np.minimum(((xs % 1.0) * D).astype(np.int64), D - 1)
+    color_slot = np.zeros(A.base.r + 1)
+    for j, s in enumerate(A.slots, start=1):
+        color_slot[j] = s / A.m
+    starts = color_slot[np.asarray(A.base.cell_colors)[cells]]
+    return (((ys - starts) % 1.0) < float(A.width)).astype(np.float64)
+
+
+def slab_values(alpha, xs, ys):
+    """1.0 where ys mod 1 < alpha: the reference for
+    ``SlabIndicator.evaluate_batch``."""
+    return ((ys % 1.0) < float(alpha)).astype(np.float64)
+
+
+def strip_values(alpha, xs, ys):
+    """1.0 where (ys - xs) mod 1 < alpha: the reference for
+    ``DiagonalStrip.evaluate_batch``."""
+    return (((ys - xs) % 1.0) < float(alpha)).astype(np.float64)
+
+
+def field_values(F, xs, ys):
+    """F at the points (xs, ys): by the references above for the library's
+    torus sets, slabs and strips, by F's own ``evaluate_batch`` otherwise."""
+    from aplab.torus import DiagonalStrip, SlabIndicator, TorusSet
+
+    if isinstance(F, TorusSet):
+        return torus_set_values(F, xs, ys)
+    if isinstance(F, SlabIndicator):
+        return slab_values(F.alpha, xs, ys)
+    if isinstance(F, DiagonalStrip):
+        return strip_values(F.alpha, xs, ys)
+    return F.evaluate_batch(xs, ys)
+
+
 def full_product_lambda_tilde_mc(F, spec, samples, seed=0):
     """Monte Carlo progression functional with all k factors evaluated for
-    every sample: the reference for the library's survivor-only product.
-    Same uniforms, drawn eagerly, and the same sums."""
+    every sample, by ``field_values``: the reference for the library's
+    survivor-only product.  Same uniforms, drawn eagerly, and the same sums."""
     from aplab.patterns import a_binomial_system
     from aplab.torus import _MC_BLOCK, _estimate
 
@@ -549,7 +589,7 @@ def full_product_lambda_tilde_mc(F, spec, samples, seed=0):
         ys.append(yk)
         prod = np.ones(len(x0))
         for a, yi in zip(offsets, ys):
-            prod *= F.evaluate_batch((x0 + a * x1) % 1.0, yi)
+            prod *= field_values(F, (x0 + a * x1) % 1.0, yi)
         total += float(prod.sum())
         total_sq += float((prod * prod).sum())
     return _estimate(total, total_sq, samples, seed)

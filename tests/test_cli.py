@@ -370,8 +370,9 @@ class TestDeterminism:
 
 class TestMonteCarloBytes:
     """The full stdout of seeded Monte Carlo and extraction runs, pinned at
-    values computed before the float remainder and the row sampler were
-    rewritten: an estimate must not move by a single bit."""
+    values computed before the float remainder, the row sampler and the
+    in-place fields were written: an estimate must not move by a single
+    bit."""
 
     CASES = {
         "lambda_mc_diag": (
@@ -388,6 +389,15 @@ class TestMonteCarloBytes:
             0,
             '{"exact": false, "kind": "lambda-mc", "mean": 0.03076, "samples": 300000, '
             '"seed": 2, "stderr": 0.00031524552219785383, "version": "VERSION"}\n',
+        ),
+        # a torus set over phi.txt with m = 2, width 1/2 and alternating
+        # slots, so about 1/16 of the samples survive every factor
+        "lambda_mc_wide_torus_set": (
+            ["density", "--lambda-mc", "--torus-set", "wide.txt", "--k", "4",
+             "--samples", "300000", "--seed", "3"],
+            0,
+            '{"exact": false, "kind": "lambda-mc", "mean": 0.06254, "samples": 300000, '
+            '"seed": 3, "stderr": 0.0004420744425614792, "version": "VERSION"}\n',
         ),
         "pattern_mc_readme_phi": (
             ["density", "--pattern-mc", "--torus-coloring", "phi.txt", "--k", "4",
@@ -419,6 +429,8 @@ class TestMonteCarloBytes:
         argv, code, want = self.CASES[name]
         monkeypatch.chdir(tmp_path)
         assert main(["interlace", "--input", z22_file, "--k", "4", "--out", "phi.txt"]) == 0
+        slots = " ".join(str(j % 2) for j in range(48))
+        (tmp_path / "wide.txt").write_text(f"phi.txt\n2 1/2\n{slots}\n")
         capsys.readouterr()
         assert main(argv) == code
         assert capsys.readouterr().out == want.replace("VERSION", __version__)

@@ -21,6 +21,8 @@ from aplab.colorings import (
 from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients, is_k_pattern
 from aplab.sets import base9_set, behrend_set, greedy_solution_free_set
 from aplab.torus import (
+    DiagonalStrip,
+    SlabIndicator,
     TorusColoring,
     TorusSet,
     _sample_blocks,
@@ -190,6 +192,63 @@ def test_survivor_product_matches_full_product(case):
     spec, ts, samples, seed = case
     got = lambda_tilde_mc(ts, spec, samples, seed)
     assert got == oracles.full_product_lambda_tilde_mc(ts, spec, samples, seed)
+
+
+# x values whose cell needs care: frac(x) * D rounds up to D at 1 - 2^-53
+# (and frac(-2^-53) is that value), frac(-5e-324) rounds up to 1.0 itself,
+# and negative x or x >= 1 must first be reduced mod 1
+X_EDGES = (1 - 2.0**-53, -(2.0**-53), -5e-324, 0.0, -0.0, 1.0, -1.0, 1 + 2.0**-52, -0.5, 2.75)
+
+
+@st.composite
+def field_cases(draw):
+    """A built-in field and up to 64 points (x, y): a torus set over a
+    coloring of D <= 24 cells with r <= 4 slots mod m <= 12, or a slab or a
+    strip of width in (0, 1]; x random in [-3, 3] or from ``X_EDGES``, and y
+    random or exactly on an edge, the lower or upper end of the y-interval
+    at x (for a strip, x plus that end)."""
+    kind = draw(st.sampled_from(["torus_set", "slab", "strip"]))
+    if kind == "torus_set":
+        D = draw(st.integers(1, 24))
+        r = draw(st.integers(1, min(4, D)))
+        colors = list(range(1, r + 1)) + draw(st.lists(st.integers(1, r), min_size=D - r, max_size=D - r))
+        m = draw(st.integers(1, 12))
+        slots = draw(st.lists(st.integers(0, m - 1), min_size=r, max_size=r))
+        F = TorusSet(TorusColoring(tuple(colors)), m, Fraction(1, m * draw(st.integers(1, 3))), tuple(slots))
+        width = float(F.width)
+
+        def lower(x):
+            return slots[colors[min(int((x % 1.0) * D), D - 1)] - 1] / m
+    else:
+        F = (SlabIndicator if kind == "slab" else DiagonalStrip)(Fraction(draw(st.integers(1, 12)), 12))
+        width = float(F.alpha)
+
+        def lower(x):
+            return x if kind == "strip" else 0.0
+    n = draw(st.integers(1, 64))
+    coordinate = st.floats(-3, 3, allow_nan=False)
+    xs = draw(st.lists(st.one_of(coordinate, st.sampled_from(X_EDGES)), min_size=n, max_size=n))
+    ys = [
+        draw(st.one_of(coordinate, st.sampled_from([lower(x), lower(x) + width, lower(x) + width - 1])))
+        for x in xs
+    ]
+    return F, np.array(xs), np.array(ys)
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(field_cases())
+def test_fields_match_remainder_oracle(case):
+    """Each built-in field gives the bits of its ``% 1.0`` expression in
+    ``oracles``, in a new array, and writes into neither input (both are
+    read-only, so a write raises)."""
+    F, xs, ys = case
+    want = oracles.field_values(F, xs, ys)
+    xs.flags.writeable = False
+    ys.flags.writeable = False
+    got = F.evaluate_batch(xs, ys)
+    assert got.dtype == np.float64 and got.shape == xs.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not np.shares_memory(got, xs) and not np.shares_memory(got, ys)
 
 
 @st.composite

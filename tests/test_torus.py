@@ -1,5 +1,6 @@
 import inspect
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -458,6 +459,14 @@ class RampField:
         return np.where(y < 0.5, y, 0.0)
 
 
+class ReturnsYsField:
+    """F(x, y) = y, returned as the ys array itself: a field may hand back
+    its input, so the product must not start from or write into it."""
+
+    def evaluate_batch(self, xs, ys):
+        return ys
+
+
 def thm26_torus_set(ell):
     """The torus set of ``run_thm2_6(ell)``, built without its exact stage."""
     Phi = interlace_k(tensor_power(z22(), ell), 4)
@@ -484,6 +493,7 @@ SURVIVOR_FIELDS = {
     "zero": lambda: ConstantField(0),
     "smooth": SmoothField,
     "ramp": RampField,
+    "returns_ys": ReturnsYsField,
 }
 
 
@@ -502,6 +512,32 @@ class TestSurvivorProduct:
         for samples in BOUNDARY:
             got = lambda_tilde_mc(F, spec, samples, 7)
             assert got == oracles.full_product_lambda_tilde_mc(F, spec, samples, 7), samples
+
+
+BUILTIN_FIELDS = {
+    "torus_set_ell2": lambda: thm26_torus_set(2),
+    "slab_quarter": lambda: SlabIndicator(Fraction(1, 4)),
+    "strip_quarter": lambda: DiagonalStrip(Fraction(1, 4)),
+}
+
+
+class TestBuiltinFields:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FIELDS))
+    def test_peak_memory_of_one_block(self, name):
+        # the tracemalloc peak of one call on a full Monte Carlo block, the
+        # returned array included: at most about two block-sized arrays at
+        # once; the first call fills the cached tables (the cell starts)
+        F = BUILTIN_FIELDS[name]()
+        rng = np.random.default_rng(2)
+        xs, ys = rng.random(MC_BLOCK), rng.random(MC_BLOCK)
+        F.evaluate_batch(xs, ys)
+        tracemalloc.start()
+        try:
+            F.evaluate_batch(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * MC_BLOCK, f"{peak / (8 * MC_BLOCK):.2f} block arrays"
 
 
 class TestSampling:
