@@ -10,12 +10,9 @@ from .patterns import (
     a_binomial_system,
     a_coefficients,
     enumerate_pairings,
-    is_ap_with_jumps,
     is_k_pattern,
     is_symmetric,
     is_trivial_solution,
-    k_binomial_system,
-    recover_ap,
     zero_sum_subsets,
 )
 from .colorings import (
@@ -69,7 +66,6 @@ from .uniformity import (
     lambda_exact,
     quadratic_indicator,
     spectrum,
-    weyl_sum,
 )
 from .pipelines import PipelineResult, run_pipeline
 

@@ -39,7 +39,6 @@ __all__ = [
     "verify_mono_pattern_free",
     "verify_binomial_pattern_free",
     "verify_abab_abba_free",
-    "mod_behrend_coloring",
     "tensor_power",
     "product_coloring",
     "search_coloring",
@@ -418,37 +417,6 @@ def verify_abab_abba_free(coloring: Coloring, a_bound: int) -> Witness | None:
         return None
     n, d, quad, offsets, kind = best
     return _witness_at(coloring, offsets, n, d, kind, {"quad": quad})
-
-
-# ---------------------------------------------------------------------------
-# digit colorings free of ABAB/ABBA patterns
-
-
-def mod_behrend_coloring(M: int, m: int, a_bound: int) -> Coloring:
-    """Color n in Z/M^m Z by the sum of its squared base-M digits paired with
-    its digits mod a_bound!.
-
-    Along a line of the digit lattice {0..M-1}^m the squared-digit sum is a
-    nontrivial quadratic in the step, so no lattice progression is colored
-    ABAB or asymmetric ABBA.  M must be coprime to a_bound! so that digit
-    sequences of cyclic progressions are jump-progressions whose congruences
-    certify genuine lattice progressions; the coloring then avoids ABAB and
-    asymmetric ABBA patterns for every offset quadruple bounded by a_bound
-    with respect to cyclic progressions, as ``verify_abab_abba_free`` checks.
-    """
-    fac = math.factorial(a_bound)
-    if math.gcd(M, fac) != 1:
-        raise ValueError("M must be coprime to a_bound!")
-    ids = []
-    for n in range(M**m):
-        x, sq, res = n, 0, []
-        for _ in range(m):
-            dig = x % M
-            sq += dig * dig
-            res.append(dig % fac)
-            x //= M
-        ids.append((sq, tuple(res)))
-    return Coloring.from_raw(CYCLIC, ids)
 
 
 # ---------------------------------------------------------------------------

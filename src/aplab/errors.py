@@ -23,7 +23,6 @@ BUDGETS = {
         "D^2 times the cells of a flat scan, or the states times digit pairs of a carry automaton",
     ),
     "u3_n": Budget(4096, "points", "N of an order-3 box norm"),
-    "weyl_work": Budget(100_000_000, "points", "N^s, the grid of a complete exponential sum"),
     "pairing_k": Budget(16, "positions", "k of a pairing enumeration, (k-1)!! candidates"),
     "subset_k": Budget(20, "positions", "k of a zero-sum subset enumeration, 2^k subsets"),
 }
@@ -31,8 +30,7 @@ BUDGETS = {
 
 class BudgetExceededError(RuntimeError):
     """``needed`` exceeds the ``cap`` of budget ``name``: a row of ``BUDGETS``,
-    or a cap derived from the inputs (``covering_translates``) or from int64
-    (``automaton_weights``).
+    or a cap derived from the inputs (``covering_translates``).
 
     Distinct from a negative mathematical answer: callers that exhaust a budget
     learn nothing about existence.
@@ -52,8 +50,8 @@ def check_budget(name: str, needed: int) -> None:
 
 class SelfCheckError(RuntimeError):
     """A computation failed its own consistency check (Parseval for a
-    spectrum, the cell areas of a torus decomposition, a congruence
-    certificate), so its result cannot be trusted."""
+    spectrum, the cell areas of a torus decomposition), so its result cannot
+    be trusted."""
 
 
 class FormatError(ValueError):

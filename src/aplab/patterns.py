@@ -17,13 +17,12 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import SelfCheckError, check_budget
+from .errors import check_budget
 
 __all__ = [
     "PatternSpec",
     "BinomialSystem",
     "Pairing",
-    "k_binomial_system",
     "a_coefficients",
     "a_binomial_system",
     "is_trivial_solution",
@@ -34,8 +33,6 @@ __all__ = [
     "symmetric_pairing",
     "is_symmetric",
     "is_k_pattern",
-    "is_ap_with_jumps",
-    "recover_ap",
 ]
 
 
@@ -105,18 +102,6 @@ class BinomialSystem:
     @property
     def k(self) -> int:
         return len(self.e)
-
-
-def k_binomial_system(k: int) -> BinomialSystem:
-    """Alternating binomial row for the k-term progression, e.g. (1, -3, 3, -1).
-
-    This is ``a_binomial_system(PatternSpec.ap(k))``: for offsets 0..k-1,
-    c_i = (-1)^(k-1-i) i! (k-1-i)!, and clearing denominators leaves the
-    signed binomial coefficients of row k-1.
-    """
-    if k < 3:
-        raise ValueError("k must be at least 3")
-    return a_binomial_system(PatternSpec.ap(k))
 
 
 def a_coefficients(spec: PatternSpec) -> tuple[int, ...]:
@@ -239,14 +224,6 @@ class Pairing:
     def k(self) -> int:
         return 2 * len(self.pairs)
 
-    def partner(self, i: int) -> int:
-        for a, b in self.pairs:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        raise KeyError(i)
-
 
 def symmetric_pairing(k: int) -> Pairing:
     """i paired with k-1-i."""
@@ -311,73 +288,3 @@ def is_k_pattern(n1: int, n2: int, n3: int, k: int, modulus: int | None = None) 
                 return True
     return False
 
-
-def _jump_difference(values, p, modulus=None):
-    diffs = [y - x for x, y in zip(values, values[1:])]
-    if modulus is not None:
-        diffs = [d % modulus for d in diffs]
-    candidates = [diffs[0], diffs[0] - p]
-    if modulus is not None:
-        candidates = [c % modulus for c in candidates]
-    for d in candidates:
-        up = (d + p) % modulus if modulus is not None else d + p
-        if all(x == d or x == up for x in diffs):
-            return d
-    return None
-
-
-def is_ap_with_jumps(values, p: int, modulus: int | None = None) -> bool:
-    """True iff some d has every consecutive difference in {d, d+p}."""
-    values = list(values)
-    if len(values) < 2:
-        return True
-    return _jump_difference(values, p, modulus) is not None
-
-
-def recover_ap(values, p: int, a: int, modulus: int | None = None):
-    """Certify a jump-progression as a genuine progression via congruences
-    modulo a!.
-
-    Requires k <= a, p coprime to a!, and (when given) a modulus divisible
-    by a!.  Certificates, in order: all consecutive differences already equal
-    (the trivial jump counts 0 and k-1); the endpoints agree mod a!; or some
-    inner pair straddles the ends (values[0] == values[j] and
-    values[i] == values[-1] mod a! with 0 < i < j < k-1).  The congruence
-    certificates force the jump count to 0 or k-1, hence a true progression.
-    Returns the common difference, or None when no certificate applies.
-    """
-    values = list(values)
-    k = len(values)
-    if k < 3:
-        raise ValueError("need at least 3 terms")
-    fac = math.factorial(a)
-    if k > a:
-        raise ValueError("sequence length must be at most a")
-    if math.gcd(p % fac, fac) != 1:
-        raise ValueError("jump size must be coprime to a!")
-    if modulus is not None and modulus % fac != 0:
-        raise ValueError("modulus must be a multiple of a!")
-    if _jump_difference(values, p, modulus) is None:
-        return None
-    diffs = [y - x for x, y in zip(values, values[1:])]
-    if modulus is not None:
-        diffs = [d % modulus for d in diffs]
-    uniform = all(d == diffs[0] for d in diffs)
-
-    def cong(x, y):
-        return (x - y) % fac == 0
-
-    clause = uniform or cong(values[0], values[-1])
-    if not clause:
-        for j in range(2, k - 1):
-            for i in range(1, j):
-                if cong(values[0], values[j]) and cong(values[i], values[-1]):
-                    clause = True
-                    break
-            if clause:
-                break
-    if not clause:
-        return None
-    if not uniform:
-        raise SelfCheckError("congruence certificate violated")
-    return diffs[0]

@@ -68,14 +68,14 @@ def shift_blocks(values, offsets, start, stop, shifts=None, sign=1):
         yield e0, views
 
 
-def predicate_clauses(spec: PatternSpec, predicate: str, subset=None):
+def predicate_clauses(spec: PatternSpec, predicate: str):
     """Compile a pattern predicate to a clause list, evaluated as an OR.
 
     Each clause is ("pairing", pairs), meaning every listed index pair shares
     a color, or ("subset", idx), meaning all listed positions share a color.
     "binomial" lists the coefficient-negating pairings (even k only) and then
     the zero-sum coefficient subsets of size >= 3; "symmetric" is the single
-    pairing i <-> k-1-i; "mono" is one subset, all positions by default.
+    pairing i <-> k-1-i; "mono" is the one subset of all positions.
 
     A binomial clause whose equalities imply every equality of an earlier
     clause is dropped (for AP4, subset (0,1,2,3) implies the pairing
@@ -96,10 +96,7 @@ def predicate_clauses(spec: PatternSpec, predicate: str, subset=None):
     if predicate == "symmetric":
         return [("pairing", symmetric_pairing(k).pairs)]
     if predicate == "mono":
-        idx = tuple(subset) if subset is not None else tuple(range(k))
-        if len(idx) < 2:
-            raise ValueError("mono predicate needs at least 2 positions")
-        return [("subset", idx)]
+        return [("subset", tuple(range(k)))]
     raise ValueError(f"unknown predicate {predicate!r}")
 
 

@@ -3,7 +3,10 @@
 Three constructions: digit-sphere sets (Behrend-style) that avoid short
 weighted patterns, greedy sets avoiding nontrivial solutions of an arbitrary
 binomial system, and a base-9 digit set whose only solutions of the 4-term
-system are the forced ones.  A counting-based verifier certifies each.
+system are the forced ones.  A counting-based verifier certifies the last
+two; a digit-sphere set is pattern-free by the argument in ``behrend_set``,
+and ``colorings.verify_mono_pattern_free`` checks it on the coloring with
+the set as one class and every other residue a class of its own.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .colorings import CYCLIC, Coloring, _least_k_pattern
+from .colorings import CYCLIC, Coloring
 from .errors import BUDGETS, BudgetExceededError, FormatError, check_budget, data_lines, parse_ints
 from .patterns import (
     BinomialSystem,
@@ -31,7 +34,6 @@ __all__ = [
     "greedy_solution_free_set",
     "base9_set",
     "verify_solution_free",
-    "verify_set_pattern_free",
     "residue_set_to_text",
     "residue_set_from_text",
 ]
@@ -128,16 +130,6 @@ def behrend_set(N: int, k: int) -> ResidueSet:
             m_dim += 1
         d += 1
     return ResidueSet(N, best[1])
-
-
-def verify_set_pattern_free(S: ResidueSet, k: int):
-    """None if no triple (n1, n2, n3) in S^3, not all equal, satisfies
-    a*n1 + b*n2 = (a+b)*n3 mod m with positive a, b, a+b <= k-1; else the
-    first offending (n1, n2, n3, a, b) in lexicographic order."""
-    elems = np.asarray(S.elements, dtype=np.int64)
-    member = np.zeros(S.modulus, dtype=bool)
-    member[elems] = True
-    return _least_k_pattern(elems, member, k, cyclic=True)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .colorings import Coloring, _digit_levels, _own_levels
-from .errors import (
-    BudgetExceededError, FormatError, SelfCheckError, check_budget, data_lines, parse_ints
-)
+from .errors import FormatError, SelfCheckError, check_budget, data_lines, parse_ints
 from .patterns import PatternSpec, a_binomial_system
 from .scan import eval_clauses, predicate_clauses, shift_blocks
 from .sets import ResidueSet, verify_solution_free
@@ -300,7 +298,6 @@ def pattern_probability_exact(
     Phi: TorusColoring,
     spec: PatternSpec,
     predicate: str = "binomial",
-    subset=None,
 ) -> Fraction:
     """Exact probability over uniform (x, y) on the torus that the colors of
     x + a_1 y, ..., x + a_k y satisfy the predicate.
@@ -320,7 +317,7 @@ def pattern_probability_exact(
     cells = pattern_cells(spec)
     if Phi.levels is None:
         check_budget("exact_work", D * D * len(cells))
-    clauses = predicate_clauses(spec, predicate, subset)
+    clauses = predicate_clauses(spec, predicate)
     if not clauses:
         return Fraction(0)
     if Phi.levels is not None:
@@ -354,22 +351,19 @@ def _carry_count(levels, offsets, cells, clauses) -> Fraction:
 
     All cells run in one pass: cell g starts as the state (g, all clauses)
     with weight area * L, where L is the lcm of the area denominators, so
-    the accepted weight over L D^2 is the probability.  The weights of a
-    level sum to L times its (p, q) prefixes, at most L D^2, which must lie
-    below 2^63 for int64 (for AP4, L = 12, it does up to D = 8.7e8, far
-    above the ``interlace_cells`` cap); above it this raises rather than
-    overflow.  Before each level the transitions so far plus states x b_l^2
-    are checked against ``exact_work``, and a level runs in blocks of at
-    most 2^17 transitions, as ``shift_blocks`` caps a block.
+    the accepted weight over L D^2 is the probability.  The weights are
+    Python integers (an object array), so they stay exact at any D; the
+    weights of a level sum to L times its (p, q) prefixes, at most L D^2.
+    Before each level the transitions so far plus states x b_l^2 are
+    checked against ``exact_work``, and a level runs in blocks of at most
+    2^17 transitions, as ``shift_blocks`` caps a block.
     """
     k = len(offsets)
     D = math.prod(b for b, _ in levels)
     L = math.lcm(*(area.denominator for _, area in cells))
-    if L * D * D >= 2**63:
-        raise BudgetExceededError("automaton_weights", L * D * D, 2**63 - 1)
     a = np.asarray(offsets, dtype=np.int64)
     rows = np.array([(*g, *[1] * len(clauses)) for g, _ in cells], dtype=np.int64)
-    weights = np.array([int(area * L) for _, area in cells], dtype=np.int64)
+    weights = np.array([int(area * L) for _, area in cells], dtype=object)
     work = 0
     for b, level_colors in levels:
         work += len(rows) * b * b
@@ -398,10 +392,10 @@ def _carry_count(levels, offsets, cells, clauses) -> Fraction:
 
 def _merge(rows, weights):
     """The distinct rows of an int64 array, each with the summed weights of
-    its copies (int64 throughout, so the sums are exact)."""
+    its copies, in the weights' dtype (exact for Python-integer weights)."""
     keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    total = np.zeros(len(first), dtype=np.int64)
+    total = np.zeros(len(first), dtype=weights.dtype)
     np.add.at(total, inverse.ravel(), weights)
     return rows[first], total
 
@@ -412,12 +406,11 @@ def pattern_probability_mc(
     predicate: str = "binomial",
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    subset=None,
 ) -> Estimate:
     """Monte Carlo estimate of the same probability, for cross-checking;
     sample j is (x, y) from rows 0 and 1 of its ``_sample_blocks`` block."""
     offsets = spec.normalized().a
-    clauses = predicate_clauses(spec, predicate, subset)
+    clauses = predicate_clauses(spec, predicate)
     colors = Phi.as_array
     D = Phi.D
     hits = 0

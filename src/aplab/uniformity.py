@@ -1,6 +1,6 @@
 """Discretized torus functions on Z/NZ and their statistics: progression
-densities, Fourier spectra, Gowers box norms, convergence tables, exponential
-sums, and randomized extraction of interval colorings.
+densities, Fourier spectra, Gowers box norms, convergence tables, and
+randomized extraction of interval colorings.
 
 Spectra and box norms run in binary64 (the FFT needs floats) with stated
 tolerances; progression densities over indicator or rational grids are exact
@@ -33,7 +33,6 @@ __all__ = [
     "spectrum",
     "gowers_norm",
     "convergence_experiment",
-    "weyl_sum",
     "extract_coloring",
     "grid_to_text",
     "grid_from_text",
@@ -98,12 +97,10 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Mean coefficient and largest nonzero-frequency magnitude; the full
-    table is kept only on request."""
+    """Mean coefficient and largest nonzero-frequency magnitude."""
 
     alpha: float
     max_nonzero: float
-    coefficients: np.ndarray | None = None
 
 
 def discretize(F, N: int, degree: int) -> GridFunction:
@@ -188,8 +185,9 @@ def lambda_exact(fs, spec: PatternSpec):
 # spectra and box norms
 
 
-def spectrum(f: GridFunction, keep_coefficients: bool = False) -> SpectrumReport:
-    """All N Fourier coefficients fhat(r) = E_n f(n) e(-rn/N) by FFT.
+def spectrum(f: GridFunction) -> SpectrumReport:
+    """The mean and the largest nonzero-frequency magnitude of the N Fourier
+    coefficients fhat(r) = E_n f(n) e(-rn/N), computed by FFT.
 
     Every call self-checks Parseval (sum |fhat|^2 == E|f|^2) to 1e-10
     relative; a failure means the transform cannot be trusted.
@@ -204,7 +202,7 @@ def spectrum(f: GridFunction, keep_coefficients: bool = False) -> SpectrumReport
     mags = np.abs(coeffs)
     alpha = float(coeffs[0].real)
     max_nonzero = float(mags[1:].max()) if N > 1 else 0.0
-    return SpectrumReport(alpha, max_nonzero, coeffs if keep_coefficients else None)
+    return SpectrumReport(alpha, max_nonzero)
 
 
 def _rader_order(N: int) -> np.ndarray | None:
@@ -378,56 +376,6 @@ def convergence_experiment(
             row["centered_norm"] = gowers_norm(f, max(degree, 2), center=True)
         rows.append(row)
     return {"reference": float(reference), "reference_kind": ref_kind, "rows": rows}
-
-
-# ---------------------------------------------------------------------------
-# complete exponential sums
-
-
-def weyl_sum(poly: dict, N: int) -> complex:
-    """Normalized complete exponential sum (1/N^s) sum e(P(n)/N) over the full
-    grid, for an integer polynomial in s <= 2 variables.
-
-    ``poly`` maps exponent tuples to integer coefficients, e.g. {(2,): 1} for
-    n^2 or {(1, 1): 1} for n1*n2.
-    """
-    if not poly:
-        return complex(1.0)
-    arities = {len(k) for k in poly}
-    if len(arities) != 1:
-        raise ValueError("all exponent tuples must have the same arity")
-    s = arities.pop()
-    if s not in (1, 2):
-        raise ValueError("only 1 or 2 variables supported")
-    check_budget("weyl_work", N**s)
-
-    def powmod(base: np.ndarray, exp: int) -> np.ndarray:
-        out = np.ones_like(base)
-        b = base % N
-        e = exp
-        while e:
-            if e & 1:
-                out = (out * b) % N
-            b = (b * b) % N
-            e >>= 1
-        return out
-
-    n1 = np.arange(N, dtype=np.int64)
-    if s == 1:
-        vals = np.zeros(N, dtype=np.int64)
-        for (e1,), coef in poly.items():
-            vals = (vals + (coef % N) * powmod(n1, e1)) % N
-    else:
-        vals = np.zeros((N, N), dtype=np.int64)
-        col = n1[:, None]
-        row = n1[None, :]
-        for (e1, e2), coef in poly.items():
-            term = (powmod(col, e1) * powmod(row, e2)) % N
-            vals = (vals + (coef % N) * term) % N
-        vals = vals.ravel()
-    counts = np.bincount(vals, minlength=N)
-    roots = np.exp(2j * np.pi * np.arange(N) / N)
-    return complex(np.dot(counts, roots) / N**s)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def naive_binomial_witness(colors, ambient, spec_offsets, coeffs, e):
     return None
 
 
-def naive_pattern_probability(cell_colors, spec_offsets, coeffs, e, cells, predicate, subset=None):
+def naive_pattern_probability(cell_colors, spec_offsets, coeffs, e, cells, predicate):
     """Exact probability over uniform (x, y) on the circle that the colors at
     x + a_i y satisfy the predicate, for a coloring constant on the D cells
     [j/D, (j+1)/D).
@@ -119,7 +119,7 @@ def naive_pattern_probability(cell_colors, spec_offsets, coeffs, e, cells, predi
     elif predicate == "symmetric":
         pairings, subsets = [sym_pairs(k)], []
     else:
-        pairings, subsets = [], [tuple(subset) if subset is not None else tuple(range(k))]
+        pairings, subsets = [], [tuple(range(k))]
     total = Fraction(0)
     for p in range(D):
         for q in range(D):
@@ -417,7 +417,7 @@ def loop_lambda_exact(fs, spec):
     return Fraction(total, N * N) if indicator else total / (N * N)
 
 
-def loop_pattern_probability(Phi, spec, predicate="binomial", subset=None):
+def loop_pattern_probability(Phi, spec, predicate="binomial"):
     """Exact pattern probability by one 1-D pass per (q, cell) pair: the
     reference for the library's row-blocked kernel, with the same clause
     compiler and the same (s, t) decomposition, O(D^2 * cells)."""
@@ -427,7 +427,7 @@ def loop_pattern_probability(Phi, spec, predicate="binomial", subset=None):
     offsets = spec.normalized().a
     D = Phi.D
     cells = pattern_cells(spec)
-    clauses = predicate_clauses(spec, predicate, subset)
+    clauses = predicate_clauses(spec, predicate)
     if not clauses:
         return Fraction(0)
     doubled = [_doubled(Phi.as_array)] * len(offsets)

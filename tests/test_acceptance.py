@@ -31,7 +31,6 @@ from aplab.patterns import (
     a_binomial_system,
     a_coefficients,
     is_trivial_solution,
-    k_binomial_system,
 )
 from aplab.sets import base9_set, verify_solution_free
 from aplab.torus import (
@@ -122,15 +121,15 @@ def test_criterion_03_coefficient_fixtures():
     assert a_coefficients(PatternSpec((1, 2, 3, 6, 7, 8))) == (
         -420, 120, -120, 120, -120, 420,
     )
-    assert a_binomial_system(PatternSpec((0, 1, 2, 3))) == k_binomial_system(4)
+    assert a_binomial_system(PatternSpec((0, 1, 2, 3))).e == (1, -3, 3, -1)
     pattern = [1, 1, 1, 2, 2, 1, 1, 2, 2, 1, 1, 1, 1, 1]
-    assert is_trivial_solution(k_binomial_system(14), pattern)
+    assert is_trivial_solution(a_binomial_system(PatternSpec.ap(14)), pattern)
     assert report(3, True, "coefficient tuples, system equality, length-14 triviality")
 
 
 def test_criterion_04_base9_family():
     t0 = time.monotonic()
-    sys4 = k_binomial_system(4)
+    sys4 = a_binomial_system(PatternSpec.ap(4))
     for r in range(1, 101):
         s = base9_set(r, 36 * r * r + 1)
         assert max(s.elements) <= 9 * r * r
@@ -241,7 +240,7 @@ def test_criterion_07b_certificate_below_random_count(thm26_result):
 
 def test_criterion_08a_slab_convergence():
     spec = PatternSpec.ap(4)
-    reference = oracles.slab_volume(0.25, k_binomial_system(4).e, gridsize=1 << 10)
+    reference = oracles.slab_volume(0.25, a_binomial_system(PatternSpec.ap(4)).e, gridsize=1 << 10)
     f = quadratic_indicator(4001, Fraction(1, 4))
     lam = float(lambda_exact(f, spec))
     gap = abs(lam - reference)
@@ -344,7 +343,8 @@ def test_criterion_10b_progression_excess(quadratic_demo_large):
     f, lam = quadratic_demo_large
     N = f.N
     mu = Fraction(sum(f.exact), N)
-    limit = oracles.slab_volume(mu, k_binomial_system(4).e, gridsize=1 << 10) / float(mu) ** 4
+    e = a_binomial_system(PatternSpec.ap(4)).e
+    limit = oracles.slab_volume(mu, e, gridsize=1 << 10) / float(mu) ** 4
     ratio = float(lam / mu**4)
     tol = 2 / math.sqrt(N)
     ok = ratio - 1 >= (limit - 1) / 2 and abs(ratio - limit) <= tol

@@ -11,7 +11,7 @@ import pytest
 from aplab.cli import main
 from aplab.colorings import CYCLIC, Z22_COLORING, Coloring, search_coloring, tensor_power
 from aplab.errors import BUDGETS, BudgetExceededError
-from aplab.patterns import PatternSpec, enumerate_pairings, k_binomial_system, zero_sum_subsets
+from aplab.patterns import PatternSpec, a_binomial_system, enumerate_pairings, zero_sum_subsets
 from aplab.pipelines import run_thm2_6
 from aplab.sets import ResidueSet, greedy_solution_free_set, verify_solution_free
 from aplab.torus import (
@@ -21,21 +21,22 @@ from aplab.torus import (
     pattern_probability_exact,
     torus_coloring_to_text,
 )
-from aplab.uniformity import GridFunction, gowers_norm, grid_to_text, weyl_sum
+from aplab.uniformity import GridFunction, gowers_norm, grid_to_text
 
 Z22 = Coloring(CYCLIC, tuple(int(ch) for ch in Z22_COLORING))
 AP4 = PatternSpec.ap(4)
+AP4_SYSTEM = a_binomial_system(AP4)
 TORUS10 = TorusColoring((1, 2) * 5)
 
 # (row, lowered cap, call, amount the call needs)
 CASES = [
     ("tensor_cells", 100, lambda: tensor_power(Z22, 2), 22**2),
     ("exhaustive_n", 10, lambda: search_coloring(12, 4, 3), 12),
-    ("greedy_table", 26, lambda: greedy_solution_free_set(k_binomial_system(4), 100, 3), 3**3),
-    ("greedy_table", 1599, lambda: greedy_solution_free_set(k_binomial_system(4), 100, 3), 1600),
+    ("greedy_table", 26, lambda: greedy_solution_free_set(AP4_SYSTEM, 100, 3), 3**3),
+    ("greedy_table", 1599, lambda: greedy_solution_free_set(AP4_SYSTEM, 100, 3), 1600),
     (
         "verify_half", 99,
-        lambda: verify_solution_free(ResidueSet(1000, tuple(range(10))), k_binomial_system(4)),
+        lambda: verify_solution_free(ResidueSet(1000, tuple(range(10))), AP4_SYSTEM),
         10**2,
     ),
     ("interlace_cells", 100, lambda: interlace_k(Z22, 4), 16 * 22),
@@ -44,9 +45,8 @@ CASES = [
         lambda: pattern_probability_exact(TORUS10, AP4), 10**2 * len(pattern_cells(AP4)),
     ),
     ("u3_n", 64, lambda: gowers_norm(GridFunction.constant(65, Fraction(1, 2)), 3), 65),
-    ("weyl_work", 100, lambda: weyl_sum({(1, 1): 1}, 11), 11**2),
     ("pairing_k", 4, lambda: enumerate_pairings(PatternSpec.ap(6)), 6),
-    ("subset_k", 4, lambda: zero_sum_subsets(k_binomial_system(5)), 5),
+    ("subset_k", 4, lambda: zero_sum_subsets(a_binomial_system(PatternSpec.ap(5))), 5),
 ]
 
 
@@ -106,9 +106,8 @@ CLI_CASES = [
 ]
 
 
-def test_every_row_but_weyl_work_is_reached_by_the_cli():
-    # weyl_sum has no subcommand
-    assert {case[0] for case in CLI_CASES} == set(BUDGETS) - {"weyl_work"}
+def test_every_row_is_reached_by_the_cli():
+    assert {case[0] for case in CLI_CASES} == set(BUDGETS)
 
 
 @pytest.mark.parametrize("name,cap,argv", CLI_CASES, ids=[c[0] for c in CLI_CASES])

@@ -14,7 +14,6 @@ from aplab.colorings import (
     _least_hit,
     coloring_from_text,
     coloring_to_text,
-    mod_behrend_coloring,
     product_coloring,
     search_coloring,
     tensor_power,
@@ -306,16 +305,6 @@ class TestAbabVerifier:
             assert (w is None) == (expect is None)
             if w is not None:
                 assert (w.n, w.d, w.detail["quad"]) == expect
-
-    def test_mod_behrend_cyclic(self):
-        psi = mod_behrend_coloring(7, 2, 4)
-        assert verify_abab_abba_free(psi, 4) is None
-        psi = mod_behrend_coloring(5, 2, 4)
-        assert verify_abab_abba_free(psi, 4) is None
-
-    def test_mod_behrend_requires_coprimality(self):
-        with pytest.raises(ValueError):
-            mod_behrend_coloring(6, 2, 4)  # gcd(6, 24) > 1
 
 
 def _loop_hit(coloring, offsets, clauses, signed=False, bound=None):

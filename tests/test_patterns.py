@@ -11,12 +11,9 @@ from aplab.patterns import (
     a_binomial_system,
     a_coefficients,
     enumerate_pairings,
-    is_ap_with_jumps,
     is_k_pattern,
     is_symmetric,
     is_trivial_solution,
-    k_binomial_system,
-    recover_ap,
     symmetric_pairing,
     trivial_solution_count,
     zero_sum_partitions,
@@ -49,23 +46,23 @@ class TestPatternSpec:
 
 class TestBinomialSystems:
     def test_k4(self):
-        assert k_binomial_system(4).e == (1, -3, 3, -1)
+        assert a_binomial_system(PatternSpec.ap(4)).e == (1, -3, 3, -1)
 
     def test_k3(self):
-        assert k_binomial_system(3).e == (1, -2, 1)
+        assert a_binomial_system(PatternSpec.ap(3)).e == (1, -2, 1)
 
     def test_k5_direct_binomials(self):
-        sys5 = k_binomial_system(5)
+        sys5 = a_binomial_system(PatternSpec.ap(5))
         assert sys5.e == (1, -4, 6, -4, 1)
         assert sum(sys5.e) == 0
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
-            k_binomial_system(2)
+            a_binomial_system(PatternSpec.ap(2))
 
     def test_alternating_binomial_row(self):
         for k in range(3, 21):
-            assert k_binomial_system(k).e == tuple((-1) ** i * comb(k - 1, i) for i in range(k))
+            assert a_binomial_system(PatternSpec.ap(k)).e == tuple((-1) ** i * comb(k - 1, i) for i in range(k))
 
     def test_canonical_invariants(self):
         with pytest.raises(ValueError):
@@ -117,8 +114,11 @@ class TestCoefficients:
 
 class TestABinomialSystem:
     def test_plain_progression_matches_binomial_row(self):
+        # c_i = (-1)^(k-1-i) i! (k-1-i)! for offsets 0..k-1, so (k-1)!/c_i is
+        # the signed binomial row up to one sign
         for k in range(3, 13):
-            assert a_binomial_system(PatternSpec.ap(k)) == k_binomial_system(k)
+            row = tuple(factorial(k - 1) // c for c in a_coefficients(PatternSpec.ap(k)))
+            assert a_binomial_system(PatternSpec.ap(k)).e in (row, tuple(-x for x in row))
 
     def test_three_term(self):
         assert a_binomial_system(PatternSpec((0, 1, 2))).e == (1, -2, 1)
@@ -142,26 +142,26 @@ class TestABinomialSystem:
 
 class TestTrivialSolutions:
     def test_abba_is_trivial(self):
-        sys4 = k_binomial_system(4)
+        sys4 = a_binomial_system(PatternSpec.ap(4))
         assert is_trivial_solution(sys4, (7, 2, 2, 7))
         assert is_trivial_solution(sys4, (0, 0, 0, 0))
 
     def test_k14_exotic_trivial_pattern(self):
-        sys14 = k_binomial_system(14)
+        sys14 = a_binomial_system(PatternSpec.ap(14))
         vals = [1, 1, 1, 2, 2, 1, 1, 2, 2, 1, 1, 1, 1, 1]
         assert is_trivial_solution(sys14, vals)
 
     def test_aabb_not_trivial(self):
-        assert not is_trivial_solution(k_binomial_system(4), (5, 5, 9, 9))
+        assert not is_trivial_solution(a_binomial_system(PatternSpec.ap(4)), (5, 5, 9, 9))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            is_trivial_solution(k_binomial_system(4), (1, 2, 3))
+            is_trivial_solution(a_binomial_system(PatternSpec.ap(4)), (1, 2, 3))
 
     @pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
     def test_palindromes_trivial(self, k):
         rng = random.Random(k)
-        sysk = k_binomial_system(k)
+        sysk = a_binomial_system(PatternSpec.ap(k))
         for _ in range(10):
             half = [rng.randint(0, 9) for _ in range(k // 2)]
             assert is_trivial_solution(sysk, half + half[::-1])
@@ -169,7 +169,7 @@ class TestTrivialSolutions:
     def test_invariant_under_value_permutation(self):
         # relabeling the values preserves triviality
         rng = random.Random(5)
-        sys6 = k_binomial_system(6)
+        sys6 = a_binomial_system(PatternSpec.ap(6))
         for _ in range(50):
             vals = [rng.randint(0, 3) for _ in range(6)]
             perm = {v: i for i, v in enumerate({*vals})}
@@ -179,7 +179,7 @@ class TestTrivialSolutions:
             )
 
     def test_trivial_count_matches_enumeration(self):
-        sys4 = k_binomial_system(4)
+        sys4 = a_binomial_system(PatternSpec.ap(4))
         # over t distinct values the trivial solutions are exactly (a, b, b, a)
         for t in range(1, 6):
             assert trivial_solution_count(sys4, t) == t * t
@@ -189,21 +189,21 @@ class TestTrivialSolutions:
 
 class TestZeroSumSubsets:
     def test_k4_only_full(self):
-        assert zero_sum_subsets(k_binomial_system(4)) == [(0, 1, 2, 3)]
+        assert zero_sum_subsets(a_binomial_system(PatternSpec.ap(4))) == [(0, 1, 2, 3)]
 
     def test_k5_only_full(self):
-        assert zero_sum_subsets(k_binomial_system(5)) == [(0, 1, 2, 3, 4)]
+        assert zero_sum_subsets(a_binomial_system(PatternSpec.ap(5))) == [(0, 1, 2, 3, 4)]
 
     def test_min_size_above_k(self):
-        assert zero_sum_subsets(k_binomial_system(4), min_size=5) == []
+        assert zero_sum_subsets(a_binomial_system(PatternSpec.ap(4)), min_size=5) == []
 
     def test_k14_has_exotic_subset(self):
-        subs = zero_sum_subsets(k_binomial_system(14))
+        subs = zero_sum_subsets(a_binomial_system(PatternSpec.ap(14)))
         assert (3, 4, 7, 8) in subs
         assert comb(13, 3) + comb(13, 7) == comb(13, 4) + comb(13, 8)
 
     def test_lexicographic_order(self):
-        subs = zero_sum_subsets(k_binomial_system(14))
+        subs = zero_sum_subsets(a_binomial_system(PatternSpec.ap(14)))
         assert subs == sorted(subs)
 
 
@@ -250,8 +250,8 @@ class TestPairings:
                 continue
             c = a_coefficients(spec)
             for p in enumerate_pairings(spec):
-                for i in range(spec.k):
-                    assert c[i] == -c[p.partner(i)]
+                for i, j in p.pairs:
+                    assert c[i] == -c[j]
 
     def test_pairing_validation(self):
         with pytest.raises(ValueError):
@@ -287,39 +287,3 @@ class TestKPattern:
         assert is_k_pattern(0, 2, 1, 3)
         assert not is_k_pattern(0, 1, 5, 3)
 
-
-class TestJumpProgressions:
-    def test_plain_progression(self):
-        assert is_ap_with_jumps((0, 3, 6, 9), 1)
-        assert recover_ap((0, 3, 6, 9), 1, 4) == 3
-
-    def test_jumpy_sequence_fails_congruence(self):
-        assert is_ap_with_jumps((0, 3, 7, 10), 1)
-        assert recover_ap((0, 3, 7, 10), 1, 4) is None
-
-    def test_genuine_ap_certified_directly(self):
-        # endpoint congruence fails mod 24, but the differences are uniform
-        assert recover_ap((0, 4, 8, 12), 1, 4) == 4
-
-    def test_second_clause(self):
-        # difference 12: endpoints differ by 36 != 0 mod 24, but the inner
-        # congruences 0 == 24 and 12 == 36 hold mod 24
-        assert recover_ap((0, 12, 24, 36), 1, 4) == 12
-        assert recover_ap(tuple(x % 48 for x in (0, 12, 24, 36)), 1, 4, modulus=48) == 12
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            recover_ap((0, 1, 2, 3, 4), 1, 4)  # k > a
-        with pytest.raises(ValueError):
-            recover_ap((0, 1, 2), 2, 4)  # p shares a factor with a!
-        with pytest.raises(ValueError):
-            recover_ap((0, 1, 2), 1, 3, modulus=10)  # 3! does not divide 10
-
-    def test_not_a_jump_progression(self):
-        assert not is_ap_with_jumps((0, 1, 5, 6), 1)
-        assert recover_ap((0, 1, 5, 6), 1, 4) is None
-
-    def test_cyclic_jumps(self):
-        # 0, 3, 6, 9 mod 12 descending wraps: differences of 9 == -3
-        assert is_ap_with_jumps((0, 9, 6, 3), 12 + 1, modulus=12) in (True, False)
-        assert is_ap_with_jumps((0, 5, 10, 3), 1, modulus=12)

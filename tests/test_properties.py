@@ -62,17 +62,14 @@ def exact_cases(draw):
     colors = draw(st.lists(st.integers(1, r), min_size=D, max_size=D))
     predicates = ["binomial", "mono"] + (["symmetric"] if k % 2 == 0 else [])
     predicate = draw(st.sampled_from(predicates))
-    subset = None
-    if predicate == "mono":
-        subset = draw(st.none() | st.sets(st.integers(0, k - 1), min_size=2).map(sorted).map(tuple))
-    return PatternSpec(a), TorusColoring(tuple(colors)), predicate, subset
+    return PatternSpec(a), TorusColoring(tuple(colors)), predicate
 
 
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
 @hypothesis.given(exact_cases())
 def test_exact_probability_matches_naive(case):
-    spec, tc, predicate, subset = case
-    got = pattern_probability_exact(tc, spec, predicate, subset)
+    spec, tc, predicate = case
+    got = pattern_probability_exact(tc, spec, predicate)
     want = oracles.naive_pattern_probability(
         tc.cell_colors,
         spec.a,
@@ -80,7 +77,6 @@ def test_exact_probability_matches_naive(case):
         a_binomial_system(spec).e,
         pattern_cells(spec),
         predicate,
-        subset,
     )
     assert got == want
 
@@ -101,28 +97,25 @@ def structured_cases(draw):
     a = tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k))))
     predicates = ["binomial", "mono"] + (["symmetric"] if k % 2 == 0 else [])
     predicate = draw(st.sampled_from(predicates))
-    subset = None
-    if predicate == "mono":
-        subset = draw(st.none() | st.sets(st.integers(0, k - 1), min_size=2).map(sorted).map(tuple))
-    return PatternSpec(a), _levelled(levels), predicate, subset
+    return PatternSpec(a), _levelled(levels), predicate
 
 
 # a non-progression spec over D = 6 < 7, a base-1 level, and a spec with
 # several binomial clauses (a clause that fails at one level must stay dead)
 @hypothesis.example(
-    (PatternSpec((0, 1, 4, 5, 8, 9)), _levelled(((2, (1, 2)), (4, (2, 2, 1, 2)))), "binomial", None)
+    (PatternSpec((0, 1, 4, 5, 8, 9)), _levelled(((2, (1, 2)), (4, (2, 2, 1, 2)))), "binomial")
 )
-@hypothesis.example((PatternSpec((0, 2, 3, 7)), _levelled(((2, (1, 2)), (3, (1, 1, 2)))), "binomial", None))
-@hypothesis.example((PatternSpec((0, 2, 3, 7)), _levelled(((2, (1, 2)), (3, (1, 2, 3)))), "symmetric", None))
-@hypothesis.example((PatternSpec((0, 1, 2, 3)), _levelled(((5, (1, 2, 1, 2, 3)), (1, (1,)))), "mono", None))
+@hypothesis.example((PatternSpec((0, 2, 3, 7)), _levelled(((2, (1, 2)), (3, (1, 1, 2)))), "binomial"))
+@hypothesis.example((PatternSpec((0, 2, 3, 7)), _levelled(((2, (1, 2)), (3, (1, 2, 3)))), "symmetric"))
+@hypothesis.example((PatternSpec((0, 1, 2, 3)), _levelled(((5, (1, 2, 1, 2, 3)), (1, (1,)))), "mono"))
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
 @hypothesis.given(structured_cases())
 def test_carry_automaton_matches_flat_scan_and_loop(case):
-    spec, tc, predicate, subset = case
-    got = pattern_probability_exact(tc, spec, predicate, subset)
+    spec, tc, predicate = case
+    got = pattern_probability_exact(tc, spec, predicate)
     flat = TorusColoring(tc.cell_colors)
-    assert got == pattern_probability_exact(flat, spec, predicate, subset)
-    assert got == oracles.loop_pattern_probability(flat, spec, predicate, subset)
+    assert got == pattern_probability_exact(flat, spec, predicate)
+    assert got == oracles.loop_pattern_probability(flat, spec, predicate)
 
 
 @st.composite

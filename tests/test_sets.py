@@ -4,9 +4,9 @@ import tracemalloc
 import pytest
 
 import oracles
-from aplab.colorings import verify_mono_pattern_free
+from aplab.colorings import CYCLIC, Coloring, verify_mono_pattern_free
 from aplab.errors import BUDGETS, BudgetExceededError, FormatError
-from aplab.patterns import PatternSpec, a_binomial_system, k_binomial_system
+from aplab.patterns import PatternSpec, a_binomial_system
 from aplab.sets import (
     GreedyResult,
     _SolutionCounter,
@@ -17,7 +17,6 @@ from aplab.sets import (
     greedy_solution_free_set,
     residue_set_from_text,
     residue_set_to_text,
-    verify_set_pattern_free,
     verify_solution_free,
 )
 
@@ -40,11 +39,19 @@ class TestResidueSet:
             residue_set_from_text("10 3\n1 2")
 
 
+def set_pattern_witness(s: ResidueSet, k: int):
+    """The mono-pattern witness of the coloring with S as one class and every
+    other residue a singleton class: a singleton holds no triple that is not
+    all equal, so this checks S alone."""
+    colors = Coloring.from_raw(CYCLIC, [-1 if x in s.elements else x for x in range(s.modulus)])
+    return verify_mono_pattern_free(colors, k)
+
+
 class TestBehrend:
     def test_small_modulus_hosts_four_elements(self):
         s = behrend_set(9, 3)
         assert len(s) >= 4
-        assert verify_set_pattern_free(s, 3) is None
+        assert set_pattern_witness(s, 3) is None
         # matches the best any 4-element set can do at this modulus
         assert oracles.max_3ap_free_size(9) == 4
 
@@ -55,7 +62,7 @@ class TestBehrend:
     def test_power_of_two_modulus(self):
         s = behrend_set(64, 3)
         assert len(s) >= 8
-        assert verify_set_pattern_free(s, 3) is None
+        assert set_pattern_witness(s, 3) is None
 
     @pytest.mark.parametrize(
         "N,k",
@@ -64,14 +71,16 @@ class TestBehrend:
     def test_pattern_free_across_scales(self, N, k):
         s = behrend_set(N, k)
         assert len(s) >= 1
-        assert verify_set_pattern_free(s, k) is None
+        assert set_pattern_witness(s, k) is None
 
     def test_set_pattern_verifier_catches_violations(self):
         s = ResidueSet(9, (0, 1, 2))
-        w = verify_set_pattern_free(s, 3)
+        w = set_pattern_witness(s, 3)
         assert w is not None
-        n1, n2, n3, a, b = w
+        n1, n2, n3 = w.points
+        a, b = w.detail["a"], w.detail["b"]
         assert (a * n1 + b * n2 - (a + b) * n3) % 9 == 0
+        assert set(w.points) <= set(s.elements)
 
     def test_set_pattern_verifier_matches_naive_oracle(self):
         # S as one color class and every other residue a singleton class, so
@@ -82,9 +91,9 @@ class TestBehrend:
             s = ResidueSet(m, tuple(rng.sample(range(m), rng.randint(1, m))))
             k = rng.randint(3, 6)
             colors = [1 if x in s.elements else 2 + x for x in range(m)]
-            assert verify_set_pattern_free(s, k) == oracles.naive_mono_pattern_witness(
-                colors, "cyclic", k
-            )
+            w = set_pattern_witness(s, k)
+            got = None if w is None else (*w.points, w.detail["a"], w.detail["b"])
+            assert got == oracles.naive_mono_pattern_witness(colors, "cyclic", k)
 
 
 class TestCoveringColoring:
@@ -118,20 +127,20 @@ class TestCoveringColoring:
 
 class TestGreedy:
     def test_small_target(self):
-        res = greedy_solution_free_set(k_binomial_system(4), 1000, 5)
+        res = greedy_solution_free_set(a_binomial_system(PatternSpec.ap(4)), 1000, 5)
         assert res.complete and len(res.set) == 5
-        assert verify_solution_free(res.set, k_binomial_system(4)) is None
+        assert verify_solution_free(res.set, a_binomial_system(PatternSpec.ap(4))) is None
 
     def test_singleton_zero_accepted(self):
-        res = greedy_solution_free_set(k_binomial_system(4), 100, 1)
+        res = greedy_solution_free_set(a_binomial_system(PatternSpec.ap(4)), 100, 1)
         assert res.set.elements == (0,)
 
     def test_pair(self):
-        res = greedy_solution_free_set(k_binomial_system(5), 500, 2)
+        res = greedy_solution_free_set(a_binomial_system(PatternSpec.ap(5)), 500, 2)
         assert res.complete and len(res.set) == 2
 
     def test_infeasible_flag(self):
-        res = greedy_solution_free_set(k_binomial_system(4), 8, 6)
+        res = greedy_solution_free_set(a_binomial_system(PatternSpec.ap(4)), 8, 6)
         assert isinstance(res, GreedyResult)
         assert not res.complete
         assert res.scanned == 8
@@ -139,9 +148,9 @@ class TestGreedy:
     @pytest.mark.parametrize(
         "system,m,r",
         [
-            (k_binomial_system(3), 400, 6),
-            (k_binomial_system(4), 2000, 10),
-            (k_binomial_system(5), 4000, 8),
+            (a_binomial_system(PatternSpec.ap(3)), 400, 6),
+            (a_binomial_system(PatternSpec.ap(4)), 2000, 10),
+            (a_binomial_system(PatternSpec.ap(5)), 4000, 8),
             (a_binomial_system(PatternSpec((0, 1, 2, 4))), 3000, 8),
             (a_binomial_system(PatternSpec((0, 2, 3))), 500, 6),
         ],
@@ -154,7 +163,7 @@ class TestGreedy:
     def test_feasibility_scaling_report(self):
         # find the least power-of-two modulus where greedy reaches r, then
         # check the fitted cubic law is self-consistent for the 4-term system
-        system = k_binomial_system(4)
+        system = a_binomial_system(PatternSpec.ap(4))
         fitted = 0.0
         mins = {}
         for r in range(2, 9):
@@ -171,13 +180,13 @@ class TestGreedy:
         print(f"greedy 4-term feasibility: fitted C={fitted:.2f}, minima={mins}")
 
     def test_pipeline_scale_regression(self):
-        res = greedy_solution_free_set(k_binomial_system(4), 9216, 48)
+        res = greedy_solution_free_set(a_binomial_system(PatternSpec.ap(4)), 9216, 48)
         assert res.complete
 
     def test_table_budget(self, lower_budget):
         lower_budget("greedy_table", 10**4)
         with pytest.raises(BudgetExceededError):
-            greedy_solution_free_set(k_binomial_system(6), 10**6, 50)
+            greedy_solution_free_set(a_binomial_system(PatternSpec.ap(6)), 10**6, 50)
 
     def test_table_memory_budget(self, lower_budget):
         # 2^4 m entries against the budget, checked before any table exists
@@ -185,15 +194,15 @@ class TestGreedy:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError, match=f"needs {16 * m}, "):
-                greedy_solution_free_set(k_binomial_system(4), m, 3)
+                greedy_solution_free_set(a_binomial_system(PatternSpec.ap(4)), m, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
         lower_budget("greedy_table", 1600)
-        assert greedy_solution_free_set(k_binomial_system(4), 100, 3).complete
+        assert greedy_solution_free_set(a_binomial_system(PatternSpec.ap(4)), 100, 3).complete
         with pytest.raises(BudgetExceededError):
-            greedy_solution_free_set(k_binomial_system(4), 101, 3)
+            greedy_solution_free_set(a_binomial_system(PatternSpec.ap(4)), 101, 3)
 
 
 class TestSolutionCounterTables:
@@ -202,11 +211,11 @@ class TestSolutionCounterTables:
     @pytest.mark.parametrize(
         "system,m,accepts",
         [
-            (k_binomial_system(3), 12, (5, 6, 0, 11)),  # -2 * 6
+            (a_binomial_system(PatternSpec.ap(3)), 12, (5, 6, 0, 11)),  # -2 * 6
             (a_binomial_system(PatternSpec((0, 2, 3))), 9, (3, 1, 7)),  # -3 * 3
-            (k_binomial_system(4), 12, (7, 4, 0, 10)),  # -3 * 4 and 3 * 4
+            (a_binomial_system(PatternSpec.ap(4)), 12, (7, 4, 0, 10)),  # -3 * 4 and 3 * 4
             (a_binomial_system(PatternSpec((0, 1, 2, 4))), 16, (5, 2, 11, 14)),  # -8 * 2
-            (k_binomial_system(5), 24, (6, 1, 4, 19)),  # -4 * 6, 6 * 4
+            (a_binomial_system(PatternSpec.ap(5)), 24, (6, 1, 4, 19)),  # -4 * 6, 6 * 4
             (a_binomial_system(PatternSpec((0, 1, 2, 3, 5))), 20, (3, 1, 12, 2)),  # 20 * 1
         ],
     )
@@ -222,19 +231,19 @@ class TestSolutionCounterTables:
 SORTED_REFERENCE_CASES = [
     # the five calls of a benchmark round: thm2_7 and lemma7_10 (AP4), and
     # thm2_5's doubling from m = 2500, whose first two scans are incomplete
-    (k_binomial_system(4), 9216, 48),
-    (k_binomial_system(4), 20736, 72),
-    (k_binomial_system(5), 2500, 25),
-    (k_binomial_system(5), 5000, 25),
-    (k_binomial_system(5), 10000, 25),
+    (a_binomial_system(PatternSpec.ap(4)), 9216, 48),
+    (a_binomial_system(PatternSpec.ap(4)), 20736, 72),
+    (a_binomial_system(PatternSpec.ap(5)), 2500, 25),
+    (a_binomial_system(PatternSpec.ap(5)), 5000, 25),
+    (a_binomial_system(PatternSpec.ap(5)), 10000, 25),
     # TestGreedy's cases
-    (k_binomial_system(4), 1000, 5),
-    (k_binomial_system(4), 100, 1),
-    (k_binomial_system(5), 500, 2),
-    (k_binomial_system(4), 8, 6),
-    (k_binomial_system(3), 400, 6),
-    (k_binomial_system(4), 2000, 10),
-    (k_binomial_system(5), 4000, 8),
+    (a_binomial_system(PatternSpec.ap(4)), 1000, 5),
+    (a_binomial_system(PatternSpec.ap(4)), 100, 1),
+    (a_binomial_system(PatternSpec.ap(5)), 500, 2),
+    (a_binomial_system(PatternSpec.ap(4)), 8, 6),
+    (a_binomial_system(PatternSpec.ap(3)), 400, 6),
+    (a_binomial_system(PatternSpec.ap(4)), 2000, 10),
+    (a_binomial_system(PatternSpec.ap(5)), 4000, 8),
     (a_binomial_system(PatternSpec((0, 1, 2, 4))), 3000, 8),
     (a_binomial_system(PatternSpec((0, 2, 3))), 500, 6),
     # k = 3 and general offsets with scans past 4096 candidates: complete at
@@ -243,7 +252,7 @@ SORTED_REFERENCE_CASES = [
     # admissible candidate; the complete k = 3 scan's largest gap, from 3280
     # to 6561, takes six doublings, and the 40-element scan tests 4869
     # candidates past its last accept, in windows up to the 4096 cap
-    (k_binomial_system(3), 20000, 300),
+    (a_binomial_system(PatternSpec.ap(3)), 20000, 300),
     (a_binomial_system(PatternSpec((0, 1, 2, 4))), 12000, 40),
     (a_binomial_system(PatternSpec((0, 2, 3))), 5000, 120),
     # the first 32 of that scan: complete at scanned = 7131 after a gap of
@@ -261,7 +270,7 @@ class TestGreedyMatchesSortedTables:
 
     def test_feasibility_scan_matches_sorted_reference(self):
         # the (m, r) grid of TestGreedy.test_feasibility_scaling_report
-        system = k_binomial_system(4)
+        system = a_binomial_system(PatternSpec.ap(4))
         for r in range(2, 9):
             for m in (16, 32, 64, 128, 256, 512, 1024, 2048):
                 res = greedy_solution_free_set(system, m, r)
@@ -288,30 +297,30 @@ class TestBase9:
     @pytest.mark.parametrize("r", [3, 10, 25, 48, 77, 100])
     def test_forced_structure(self, r):
         s = base9_set(r, 36 * r * r + 1)
-        assert verify_solution_free(s, k_binomial_system(4)) is None
+        assert verify_solution_free(s, a_binomial_system(PatternSpec.ap(4))) is None
 
 
 class TestVerifySolutionFree:
     def test_tiny_examples(self):
         # {0,1,2}: the spread is too small for a nontrivial solution
         s = ResidueSet(100, (0, 1, 2))
-        assert verify_solution_free(s, k_binomial_system(4)) is None
+        assert verify_solution_free(s, a_binomial_system(PatternSpec.ap(4))) is None
         assert oracles.naive_solution_free((0, 1, 2), (1, -3, 3, -1), 100) is None
         # a full progression is a nontrivial solution of its own system
         s = ResidueSet(100, (0, 1, 2, 3))
-        w = verify_solution_free(s, k_binomial_system(4))
+        w = verify_solution_free(s, a_binomial_system(PatternSpec.ap(4)))
         expect = oracles.naive_solution_free((0, 1, 2, 3), (1, -3, 3, -1), 100)
         assert w == expect is not None
 
     def test_singleton_both_modes(self):
         s = ResidueSet(50, (7,))
-        assert verify_solution_free(s, k_binomial_system(4)) is None
+        assert verify_solution_free(s, a_binomial_system(PatternSpec.ap(4))) is None
         assert oracles.naive_solution_free(s.elements, (1, -3, 3, -1), 50, "abba_only") is None
 
     def test_matches_naive_scan(self):
         rng = random.Random(19)
-        sys4 = k_binomial_system(4)
-        sys3 = k_binomial_system(3)
+        sys4 = a_binomial_system(PatternSpec.ap(4))
+        sys3 = a_binomial_system(PatternSpec.ap(3))
         for _ in range(25):
             m = rng.randint(12, 60)
             size = rng.randint(1, 7)
@@ -326,7 +335,7 @@ class TestVerifySolutionFree:
         # n1 = n2 = n3 = n4 is an (a, b, b, a) too, so "nontrivial" and
         # "not of the form (a, b, b, a)" give the same verdict and witness
         rng = random.Random(21)
-        sys4 = k_binomial_system(4)
+        sys4 = a_binomial_system(PatternSpec.ap(4))
         for _ in range(25):
             m = rng.randint(12, 60)
             size = rng.randint(1, 7)
@@ -339,4 +348,4 @@ class TestVerifySolutionFree:
         lower_budget("verify_half", 1000)
         s = ResidueSet(10**6, tuple(range(500)))
         with pytest.raises(BudgetExceededError):
-            verify_solution_free(s, k_binomial_system(4))
+            verify_solution_free(s, a_binomial_system(PatternSpec.ap(4)))

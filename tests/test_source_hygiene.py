@@ -11,7 +11,10 @@ declared inputs.  The fractional part of a float has one implementation,
 ``torus._frac`` (bit for bit numpy's ``% 1.0`` at a tenth of its cost), so
 no module takes ``% 1.0`` itself; ``tests/oracles.py`` keeps its ``% 1.0``
 as the independent reference that the Monte Carlo paths are checked
-against.
+against.  Every public function is read somewhere in the package or by the
+benchmark's workloads, or is allowlisted with its reason, so the library
+carries no surface that no command, chain, certificate or benchmark
+reaches.
 """
 
 import ast
@@ -122,6 +125,57 @@ def test_check_budget_reads_only_its_row(path):
         and len(node.args) + len(node.keywords) != 2
     ]
     assert bad == [], f"{path.name}: check_budget calls with other than two arguments at {bad}"
+
+
+def _names_read(tree):
+    """(top-level definition name or None, identifier) for every name,
+    attribute and imported name under each top-level statement."""
+    out = set()
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                out.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                out.add((owner, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                out.update((owner, alias.name) for alias in node.names)
+    return out
+
+
+# public functions that nothing in the package calls, each kept for a reason
+UNREACHED_ALLOWED = {
+    "uniformity.grid_to_text": "writer of the documented grid file format",
+    "patterns.is_k_pattern": "the definition test_properties checks behrend_set against",
+}
+
+
+def test_every_public_function_is_reached():
+    """Each function in a module's ``__all__`` is read somewhere in the
+    package outside its own definition (``__init__``'s re-exports do not
+    count), or by the benchmark's workloads."""
+    modules = [p for p in MODULES if p.name != "__init__.py"]
+    workloads = TESTS.parent / "benchmark" / "workloads.py"
+    reads = {p.stem: _names_read(_tree(p)) for p in modules + [workloads]}
+    unreached = []
+    for path in modules:
+        tree = _tree(path)
+        public = {
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+            for elt in node.value.elts
+        }
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in public:
+                continue
+            if not any(
+                name == node.name and (mod, owner) != (path.stem, node.name)
+                for mod, names in reads.items()
+                for owner, name in names
+            ):
+                unreached.append(f"{path.stem}.{node.name}")
+    assert sorted(unreached) == sorted(UNREACHED_ALLOWED), f"unreached public functions: {unreached}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -14,8 +14,8 @@ from aplab.patterns import (
     PatternSpec,
     a_binomial_system,
     a_coefficients,
-    k_binomial_system,
 )
+from aplab.scan import predicate_clauses
 from aplab.sets import ResidueSet, base9_set, covering_coloring
 from aplab.torus import (
     _carry_count,
@@ -155,14 +155,23 @@ class TestDigitLevels:
         with pytest.raises(SelfCheckError):
             TorusColoring(tc.cell_colors, mutated)
 
-    def test_weights_stay_below_2_to_63(self):
+    def test_weights_are_exact_past_2_to_63(self):
+        # L D^2 = 2^61 * 2^2: the two positions share a color exactly when
+        # q = 0, at half of the (p, q) pairs
         clauses = [("subset", (0, 1))]
-        # L D^2 = 2^63 - 1 runs: both positions sit in the one cell
-        at = _carry_count(((1, (1,)),), (0, 1), [((0, 0), Fraction(1, 2**63 - 1))], clauses)
-        assert at == Fraction(1, 2**63 - 1)
-        with pytest.raises(BudgetExceededError) as info:
-            _carry_count(((2, (1, 2)),), (0, 1), [((0, 0), Fraction(1, 2**61))], clauses)
-        assert info.value.needed == 2**63
+        got = _carry_count(((2, (1, 2)),), (0, 1), [((0, 0), Fraction(1, 2**61))], clauses)
+        assert got == Fraction(1, 2**62)
+
+    @pytest.mark.parametrize("ell", [6, 9])
+    def test_thm2_6_levels_give_the_cell_collision_floor(self, ell):
+        # the levels of interlace_k(tensor_power(z22(), ell), 4), where L D^2
+        # is far above 2^63 (D = 16 * 22^ell)
+        phase = (4, (0, 1, 2, 3))
+        levels = (phase, *((22, z22().colors),) * ell, phase)
+        spec = PatternSpec.ap(4)
+        clauses = predicate_clauses(spec, "binomial")
+        got = _carry_count(levels, spec.a, pattern_cells(spec), clauses)
+        assert got == Fraction(1, 3 * 16 * 22**ell)
 
     @pytest.mark.parametrize("predicate", ["binomial", "symmetric", "mono"])
     def test_large_level_runs_in_blocks(self, monkeypatch, predicate):
@@ -258,11 +267,12 @@ class TestExactProbability:
         assert abs(float(exact) - est.mean) <= 4 * max(est.stderr, 1e-9)
 
     def test_mono_subset_predicate(self):
+        # "mono" is the one subset clause of all positions, which implies the
+        # AP4 pairing (0,3)(1,2) of the binomial predicate
         tc = TorusColoring((1, 2, 1, 2))
         spec = PatternSpec.ap(4)
-        full = pattern_probability_exact(tc, spec, "mono")
-        partial = pattern_probability_exact(tc, spec, "mono", subset=(0, 3))
-        assert 0 < full <= partial < 1
+        mono = pattern_probability_exact(tc, spec, "mono")
+        assert 0 < mono < pattern_probability_exact(tc, spec, "binomial") < 1
 
     @pytest.mark.parametrize(
         "a,d_range",
@@ -275,17 +285,14 @@ class TestExactProbability:
         coeffs = a_coefficients(spec)
         e = a_binomial_system(spec).e
         cells = pattern_cells(spec)
-        cases = [("binomial", None), ("symmetric", None), ("mono", None), ("mono", (0, 2, 3))]
         for _ in range(6):
             D = rng.randint(*d_range)
             r = rng.randint(1, min(4, D))
             tc = TorusColoring(tuple(rng.randint(1, r) for _ in range(D)))
-            for predicate, subset in cases:
-                got = pattern_probability_exact(tc, spec, predicate, subset)
-                want = oracles.naive_pattern_probability(
-                    tc.cell_colors, a, coeffs, e, cells, predicate, subset
-                )
-                assert got == want, (tc, predicate, subset)
+            for predicate in ("binomial", "symmetric", "mono"):
+                got = pattern_probability_exact(tc, spec, predicate)
+                want = oracles.naive_pattern_probability(tc.cell_colors, a, coeffs, e, cells, predicate)
+                assert got == want, (tc, predicate)
 
     def test_blocked_matches_loop_reference(self):
         rng = random.Random(6)
@@ -391,7 +398,7 @@ class TestLambdaTildeMC:
     def test_slab_matches_convolution_oracle(self):
         spec = PatternSpec.ap(4)
         est = lambda_tilde_mc(SlabIndicator(Fraction(1, 4)), spec, 1_000_000, 2)
-        want = oracles.slab_volume(0.25, k_binomial_system(4).e, gridsize=1 << 10)
+        want = oracles.slab_volume(0.25, a_binomial_system(PatternSpec.ap(4)).e, gridsize=1 << 10)
         assert abs(est.mean - want) <= 4 * est.stderr
 
     def test_multibranch_system(self):

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from aplab.colorings import CYCLIC, Coloring, Z22_COLORING, verify_symmetric_ap_free
 from aplab.errors import BudgetExceededError, FormatError, SelfCheckError
-from aplab.patterns import PatternSpec, k_binomial_system
+from aplab.patterns import PatternSpec, a_binomial_system
 from aplab.sets import base9_set
 from aplab.torus import (
     ConstantField,
@@ -30,7 +30,6 @@ from aplab.uniformity import (
     lambda_exact,
     quadratic_indicator,
     spectrum,
-    weyl_sum,
 )
 
 
@@ -202,14 +201,14 @@ class TestSpectrum:
         n, length = 60, 30
         vals = [1] * length + [0] * (n - length)
         f = GridFunction(np.array(vals, dtype=float), vals)
-        rep = spectrum(f, keep_coefficients=True)
-        for r in range(n):
-            if r == 0:
-                want = length / n
-            else:
-                w = cmath.exp(-2j * cmath.pi * r / n)
-                want = (1 - w**length) / (1 - w) / n
-            assert abs(rep.coefficients[r] - want) < 1e-12
+        rep = spectrum(f)
+        # fhat(r) = (1 - w^length) / ((1 - w) n) with w = e(-r/n), r != 0
+        closed = []
+        for r in range(1, n):
+            w = cmath.exp(-2j * cmath.pi * r / n)
+            closed.append(abs((1 - w**length) / (1 - w) / n))
+        assert abs(rep.alpha - length / n) < 1e-12
+        assert abs(rep.max_nonzero - max(closed)) < 1e-12
         # half-density interval peaks near 1/pi
         assert rep.max_nonzero == pytest.approx(1 / np.pi, rel=0.02)
 
@@ -297,30 +296,6 @@ class TestGowers:
             gowers_norm(GridFunction.constant(8, 1), 4)
 
 
-class TestWeyl:
-    def test_zero_polynomial(self):
-        assert weyl_sum({}, 50) == 1.0
-        assert abs(weyl_sum({(1,): 0}, 50) - 1.0) < 1e-12
-
-    def test_linear_vanishes(self):
-        for n in (2, 17, 100):
-            assert abs(weyl_sum({(1,): 1}, n)) < 1e-12
-
-    @pytest.mark.parametrize("n", [101, 997, 10007])
-    def test_gauss_sum_magnitude(self, n):
-        val = abs(weyl_sum({(2,): 1}, n))
-        assert abs(val - n**-0.5) < 1e-9
-
-    def test_bilinear(self):
-        # sum over n1 of e(n1 n2 / N) vanishes unless N | n2
-        n = 32
-        assert abs(weyl_sum({(1, 1): 1}, n) - 1 / n) < 1e-12
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            weyl_sum({(1, 1): 1}, 100_000)
-
-
 class TestConvergence:
     def test_constant_rows(self):
         table = convergence_experiment(
@@ -331,7 +306,7 @@ class TestConvergence:
             assert row["centered_norm"] == pytest.approx(0.0, abs=1e-10)
 
     def test_slab_reference_given(self):
-        want = oracles.slab_volume(0.25, k_binomial_system(4).e, gridsize=1 << 10)
+        want = oracles.slab_volume(0.25, a_binomial_system(PatternSpec.ap(4)).e, gridsize=1 << 10)
         table = convergence_experiment(
             SlabIndicator(Fraction(1, 4)), PatternSpec.ap(4), [199, 499], reference=want
         )
