@@ -2,12 +2,14 @@
 interlacing -> solution-free residue set -> torus rectangle set -> exact
 certificate plus Monte Carlo estimate.
 
-Every coloring is re-verified before use and the residue set by the
-certificate itself, every stage failure names its stage, and all randomness
-is seeded, so reports are byte-reproducible.  The default parameters are
-desk-scale demonstrations; the certificates they emit are exact and sound
-at that scale, and the reports include the ratio against the random count
-rather than asserting which side it lands on.
+All chains but thm2_5 verify the base ("verify-base"), thm2_6 also its
+tensor power ("verify-tensor"); the bound rests on neither, epsilon being
+the exact pattern probability of the interlaced coloring.  The certificate
+verifies the residue set, stage failures name their stage, and all
+randomness is seeded, so reports are byte-reproducible.  The default
+parameters are desk-scale demonstrations; the certificates they emit are
+exact and sound at that scale, and the reports include the ratio against
+the random count rather than asserting which side it lands on.
 """
 
 from __future__ import annotations
@@ -127,11 +129,10 @@ def _check_samples(samples):
         raise ValueError("samples must be positive")
 
 
-def _finish(name, spec, base, Phi, S, samples, seed, width=None):
+def _finish(name, spec, base, Phi, S, samples, seed):
+    width = min(_default_width(spec.k, S.modulus), sound_width(a_binomial_system(spec), S.modulus))
     A = _stage("torus-set", build_torus_set, Phi, S, spec.k, width)
-    # the certificate verifies the slots; bound = epsilon * width^(k-1)
-    # exactly, so epsilon is recovered below rather than paying for the
-    # exact pattern probability a second time
+    # bound = epsilon * width^(k-1) exactly: epsilon is recovered, not recomputed
     bound = _stage("exact-probability", lambda_tilde_certificate, A, spec)
     est = _stage("mc-estimate", lambda_tilde_mc, A, spec, samples, seed)
     return PipelineResult(
@@ -267,12 +268,8 @@ def run_lemma7_10(
     span = spec.a[-1] - spec.a[0] + 1
     m_phase = math.factorial(span)
     Phi = _stage("interlace", interlace_m, base, m_phase)
-    system = a_binomial_system(spec)
-    S = _greedy_set(system, Phi.r)
-    # the default slab width 1/(2^k m) is only sound when the coefficient
-    # mass allows; shrink to the sound width otherwise
-    width = min(_default_width(spec.k, S.modulus), sound_width(system, S.modulus))
-    return _finish("lemma7_10", spec, base, Phi, S, samples, seed, width)
+    S = _greedy_set(a_binomial_system(spec), Phi.r)
+    return _finish("lemma7_10", spec, base, Phi, S, samples, seed)
 
 
 PIPELINES = {

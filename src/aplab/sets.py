@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .colorings import CYCLIC, Coloring
-from .errors import BUDGETS, BudgetExceededError, FormatError, check_budget, data_lines, parse_ints
+from .errors import BUDGETS, BudgetExceededError, FormatError, SelfCheckError, check_budget
+from .errors import data_lines, parse_ints
 from .patterns import (
     BinomialSystem,
     is_trivial_solution,
@@ -325,11 +325,23 @@ def base9_set(r: int, m: int) -> ResidueSet:
 # verification
 
 
-def _half_tables(elements, e, m):
-    k = len(e)
+_WITNESS_BLOCK = 1 << 16  # matches read at a time in the witness search
+
+
+def verify_solution_free(S: ResidueSet, system: BinomialSystem):
+    """Certify by exact counting that S holds no nontrivial solution of the
+    system (entries may repeat): None, else the lexicographically first one.
+
+    The half-sum tables (first ceil(k/2) positions, the rest) are in
+    lexicographic tuple order and the second is sorted stably, so their
+    matches (sums cancelling mod m) read back in blocks come in full-tuple
+    order.  S is free iff they number the trivial solutions, a closed form.
+    ``verify_half`` bounds both tables, and so the search.
+    """
+    m, t, e, k = S.modulus, len(S), system.e, system.k
     half = (k + 1) // 2
-    check_budget("verify_half", len(elements) ** half)
-    arr = np.asarray(elements, dtype=np.int64)
+    check_budget("verify_half", t**half)
+    arr = np.asarray(S.elements, dtype=np.int64)
 
     def sums_for(idx):
         sums = np.zeros(1, dtype=np.int64)
@@ -337,52 +349,26 @@ def _half_tables(elements, e, m):
             sums = ((sums[:, None] + e[i] * arr[None, :]) % m).ravel()
         return sums
 
-    return sums_for(range(half)), sums_for(range(half, k))
-
-
-def _count_matches(sums_a, sums_b, m):
+    sums_a, sums_b = sums_for(range(half)), sums_for(range(half, k))
     order = np.argsort(sums_b, kind="stable")
     sb = sums_b[order]
     targets = (-sums_a) % m
-    lo = np.searchsorted(sb, targets, side="left")
-    hi = np.searchsorted(sb, targets, side="right")
-    return int((hi - lo).sum())
-
-
-def _find_witness(S, system):
-    """First nontrivial solution in lex order over tuples from S.
-    Meet-in-the-middle with a sum dictionary."""
-    e = system.e
-    m = S.modulus
-    k = system.k
-    half = (k + 1) // 2
-    b_idx = list(range(half, k))
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for combo in product(S.elements, repeat=len(b_idx)):
-        sm = sum(e[i] * v for i, v in zip(b_idx, combo)) % m
-        table.setdefault(sm, []).append(combo)
-    for combo_a in product(S.elements, repeat=half):
-        target = (-sum(e[i] * v for i, v in enumerate(combo_a))) % m
-        for combo_b in table.get(target, ()):
-            full = combo_a + combo_b
-            if not is_trivial_solution(system, full):
-                return full
-    return None
-
-
-def verify_solution_free(S: ResidueSet, system: BinomialSystem):
-    """Certify that no nontrivial solution of the system exists in S
-    (entries may repeat) by exact counting.  Returns None on success, else
-    the lexicographically first nontrivial solution.
-
-    The decision compares the total match count from meet-in-the-middle
-    partial sums against the closed-form count of trivial solutions, so the
-    scan is exhaustive without enumerating S^k.
-    """
-    m = S.modulus
-    if len(S) == 0:
+    lo, hi = (np.searchsorted(sb, targets, side=side) for side in ("left", "right"))
+    total = int((hi - lo).sum())
+    if total == trivial_solution_count(system, t):
         return None
-    sums_a, sums_b = _half_tables(S.elements, system.e, m)
-    if _count_matches(sums_a, sums_b, m) == trivial_solution_count(system, len(S)):
-        return None
-    return _find_witness(S, system)
+    ends = np.cumsum(hi - lo)
+    for start in range(0, total, _WITNESS_BLOCK):
+        j = np.arange(start, min(start + _WITNESS_BLOCK, total))
+        a = np.searchsorted(ends, j, side="right")
+        b = order[hi[a] - (ends[a] - j)]
+        values = arr[np.stack(np.unravel_index(a * t ** (k - half) + b, (t,) * k), axis=1)]
+        # nontrivial: some position's value class has a nonzero coefficient sum
+        same = values[:, :, None] == values[:, None, :]
+        rows = np.flatnonzero((same @ np.asarray(e)).any(axis=1))
+        if len(rows):
+            witness = tuple(int(x) for x in values[rows[0]])
+            if is_trivial_solution(system, witness):
+                raise SelfCheckError(f"the match {witness} is a trivial solution")
+            return witness
+    raise SelfCheckError(f"{total} matches exceed the trivial count, but none is nontrivial")

@@ -85,11 +85,6 @@ class GridFunction:
         L = math.lcm(*{v.denominator for v in self.exact})
         return L, [v.numerator * (L // v.denominator) for v in self.exact]
 
-    @property
-    def is_indicator(self) -> bool:
-        # L = 1 leaves integers in [0, 1], as the values are checked
-        return self.exact is not None and self._integer_form[0] == 1
-
     @classmethod
     def constant(cls, N: int, alpha) -> "GridFunction":
         return cls(exact=(Fraction(alpha),) * N)

@@ -402,7 +402,7 @@ def loop_lambda_exact(fs, spec):
         fs = [fs] * spec.k
     N = fs[0].N
     offsets = spec.normalized().a
-    indicator = all(f.is_indicator for f in fs)
+    indicator = all(f.exact is not None and all(v in (0, 1) for v in f.exact) for f in fs)
     if indicator:
         doubled = [_doubled([int(v) for v in f.exact]) for f in fs]
     else:

@@ -14,7 +14,6 @@ from aplab.colorings import (
     tensor_power,
     verify_symmetric_ap_free,
 )
-from aplab.patterns import PatternSpec
 from aplab.sets import residue_set_from_text
 from aplab.torus import torus_coloring_from_text
 from aplab.uniformity import GridFunction, gowers_norm, grid_to_text

@@ -4,7 +4,7 @@ import pytest
 
 from aplab import pipelines, torus
 from aplab.colorings import CYCLIC, Coloring, verify_symmetric_ap_free
-from aplab.patterns import PatternSpec, a_binomial_system
+from aplab.patterns import a_binomial_system
 from aplab.pipelines import (
     PIPELINES,
     StageError,
@@ -13,7 +13,6 @@ from aplab.pipelines import (
     run_thm2_5,
     run_thm2_6,
     run_thm2_7,
-    z22_coloring,
 )
 from aplab.sets import ResidueSet, verify_solution_free
 from aplab.torus import lambda_tilde_certificate, pattern_probability_exact

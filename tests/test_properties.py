@@ -19,7 +19,7 @@ from aplab.colorings import (
     verify_symmetric_ap_free,
 )
 from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients, is_k_pattern
-from aplab.sets import base9_set, behrend_set, greedy_solution_free_set
+from aplab.sets import ResidueSet, base9_set, behrend_set, greedy_solution_free_set, verify_solution_free
 from aplab.torus import (
     DiagonalStrip,
     SlabIndicator,
@@ -149,6 +149,27 @@ def test_base9_set_is_solution_free(r):
     S = base9_set(r, 36 * r * r + 1)
     assert len(S) == r
     assert oracles.naive_solution_free(S.elements, (1, -3, 3, -1), S.modulus) is None
+
+
+@st.composite
+def solution_free_cases(draw):
+    """A spec with k <= 5 and a set of t <= 6 residues, modulo a small m
+    (solutions likely) or a large one (solution-free likely)."""
+    spec = draw(st.sampled_from(["0,1,2", "0,1,2,3", "0,1,2,3,4", "0,1,3", "0,1,2,4", "0,2,3,7"]))
+    m = draw(st.one_of(st.integers(1, 40), st.integers(1000, 10**6)))
+    elements = draw(st.sets(st.integers(0, m - 1), max_size=min(m, 6)))
+    return a_binomial_system(PatternSpec.from_string(spec)), ResidueSet(m, tuple(elements))
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+@hypothesis.given(solution_free_cases())
+@hypothesis.example((a_binomial_system(PatternSpec.ap(4)), ResidueSet(97, tuple(range(6)))))
+@hypothesis.example((a_binomial_system(PatternSpec.ap(4)), base9_set(6, 1297)))
+def test_verify_solution_free_matches_naive_scan(case):
+    system, S = case
+    got = verify_solution_free(S, system)
+    assert got == oracles.naive_solution_free(S.elements, system.e, S.modulus)
+    assert got is None or all(type(x) is int for x in got)
 
 
 @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)

@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from aplab.colorings import CYCLIC, Coloring, verify_mono_pattern_free
-from aplab.errors import BUDGETS, BudgetExceededError, FormatError
+from aplab import sets
+from aplab.errors import BUDGETS, BudgetExceededError, FormatError, SelfCheckError
 from aplab.patterns import PatternSpec, a_binomial_system
 from aplab.sets import (
     GreedyResult,
@@ -318,17 +319,46 @@ class TestVerifySolutionFree:
         assert oracles.naive_solution_free(s.elements, (1, -3, 3, -1), 50, "abba_only") is None
 
     def test_matches_naive_scan(self):
+        # AP3-AP5, plus (0,1,3) = (2, -3, 1) and (0,1,2,4) = (3, -8, 6, -1),
+        # whose |e_i| sum past the 2^(k-1) of AP_k (and k = 3, 5 split
+        # into uneven halves)
         rng = random.Random(19)
-        sys4 = a_binomial_system(PatternSpec.ap(4))
-        sys3 = a_binomial_system(PatternSpec.ap(3))
+        systems = [a_binomial_system(PatternSpec.from_string(a)) for a in
+                   ("0,1,2", "0,1,2,3", "0,1,2,3,4", "0,1,3", "0,1,2,4")]
         for _ in range(25):
             m = rng.randint(12, 60)
             size = rng.randint(1, 7)
             s = ResidueSet(m, tuple(rng.sample(range(m), size)))
-            for system in (sys3, sys4):
+            for system in systems:
                 got = verify_solution_free(s, system)
                 expect = oracles.naive_solution_free(s.elements, system.e, m)
                 assert got == expect, (s, system.e)
+                assert got is None or all(type(x) is int for x in got)
+
+    def test_witness_after_the_first_block(self, monkeypatch):
+        # the base-9 digits are AP4-free, and the cluster y + D {0, 1, 2, 3}
+        # (D above every base-9 difference, no small multiple of y near 0 mod
+        # m) adds solutions inside the cluster only; the least is
+        # (y, y, y + D, y + 3D), after the 300 * 304 matches (x, b, b, x)
+        # with x below y and the 301 matches (y, b, b, y) with b <= y
+        y, D, m = 10**9, 10**6, 2**31 - 1
+        s = ResidueSet(m, base9_set(300, m).elements + tuple(y + D * i for i in range(4)))
+        sys4 = a_binomial_system(PatternSpec.ap(4))
+        assert 300 * 304 + 301 > sets._WITNESS_BLOCK
+        for block in (sets._WITNESS_BLOCK, 4096, 91501, 91502):
+            monkeypatch.setattr(sets, "_WITNESS_BLOCK", block)
+            w = verify_solution_free(s, sys4)
+            assert str(w) == "(1000000000, 1000000000, 1001000000, 1003000000)", block
+
+    def test_trivial_witness_is_a_self_check_error(self, monkeypatch):
+        monkeypatch.setattr(sets, "is_trivial_solution", lambda system, values: True)
+        with pytest.raises(SelfCheckError, match="trivial solution"):
+            verify_solution_free(ResidueSet(100, (0, 1, 2, 3)), a_binomial_system(PatternSpec.ap(4)))
+
+    def test_count_without_a_nontrivial_match_is_a_self_check_error(self, monkeypatch):
+        monkeypatch.setattr(sets, "trivial_solution_count", lambda system, t: 0)
+        with pytest.raises(SelfCheckError, match="none is nontrivial"):
+            verify_solution_free(ResidueSet(100, (0, 1, 2)), a_binomial_system(PatternSpec.ap(4)))
 
     def test_abba_matches_naive(self):
         # for AP4 the zero-sum partitions are {0123} and {03}{12}, and

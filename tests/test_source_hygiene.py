@@ -3,18 +3,18 @@
 Soundness guards must hold under ``python -O``, which strips ``assert``
 statements, so the library raises explicitly instead; so do the test
 oracles, whose asserts pytest does not rewrite.  A module-level import that
-the module never reads is dead weight and hides real dependencies.  Every
-resource cap is a row of ``errors.BUDGETS``, and every budget error names
-its budget, so a run says which budget stopped it.  No call overrides a
-row's cap and no module reads the environment, so outputs depend only on
-declared inputs.  The fractional part of a float has one implementation,
-``torus._frac`` (bit for bit numpy's ``% 1.0`` at a tenth of its cost), so
-no module takes ``% 1.0`` itself; ``tests/oracles.py`` keeps its ``% 1.0``
-as the independent reference that the Monte Carlo paths are checked
-against.  Every public function is read somewhere in the package or by the
-benchmark's workloads, or is allowlisted with its reason, so the library
-carries no surface that no command, chain, certificate or benchmark
-reaches.
+the module never reads, in the library or in the tests, is dead weight and
+hides real dependencies.  Every resource cap is a row of ``errors.BUDGETS``,
+and every budget error names its budget, so a run says which budget
+stopped it.  No call overrides a row's cap and no module reads the
+environment, so outputs depend only on declared inputs.  The fractional
+part of a float has one implementation, ``torus._frac`` (bit for bit
+numpy's ``% 1.0`` at a tenth of its cost), so no module takes ``% 1.0``
+itself; ``tests/oracles.py`` keeps its ``% 1.0`` as the independent
+reference that the Monte Carlo paths are checked against.  Every public
+function is read somewhere in the package or by the benchmark's
+workloads, or is allowlisted with its reason, so the library carries no
+surface that no command, chain, certificate or benchmark reaches.
 """
 
 import ast
@@ -58,7 +58,9 @@ def test_no_assert_statements(path):
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+    "path",
+    [p for p in MODULES if p.name != "__init__.py"] + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_no_unused_module_imports(path):
     tree = _tree(path)

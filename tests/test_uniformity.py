@@ -65,7 +65,6 @@ class TestGridFunction:
 
     def test_constant(self):
         f = GridFunction.constant(10, Fraction(1, 4))
-        assert f.is_indicator is False
         assert f.mean() == 0.25
 
     def test_round_trip_exact(self):
