@@ -252,7 +252,7 @@ def cmd_torus_set(args) -> int:
     _emit(
         {
             "out": args.out,
-            "marginal": _rat(ts.first_marginal),
+            "marginal": _rat(ts.width),
             "m": ts.m,
             "colors": Phi.r,
         }
@@ -365,7 +365,7 @@ def cmd_pipeline(args) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "base_coloring.txt").write_text(coloring_to_text(result.base))
-        (out / "interlaced.txt").write_text(torus_coloring_to_text(result.interlaced))
+        (out / "interlaced.txt").write_text(torus_coloring_to_text(result.torus_set.base))
         (out / "residues.txt").write_text(residue_set_to_text(result.residues))
         (out / "torus_set.txt").write_text(
             torus_set_to_text(result.torus_set, "interlaced.txt")
@@ -514,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("pipeline", help="end-to-end construction with certificate")
-    p.add_argument("--name", required=True,
-                   choices=["thm2_6", "thm2_7", "thm2_5", "lemma7_10"])
+    p.add_argument("--name", required=True, choices=list(PIPELINES))
     # no defaults here: an omitted flag takes the runner's own default
     p.add_argument("--ell", type=int)
     p.add_argument("--k", type=int)

@@ -49,9 +49,12 @@ def check_budget(name: str, needed: int) -> None:
 
 
 class SelfCheckError(RuntimeError):
-    """A computation failed its own consistency check (Parseval for a
-    spectrum, the cell areas of a torus decomposition), so its result cannot
-    be trusted."""
+    """A computation failed its own consistency check, so its result cannot
+    be trusted: digit levels that do not reproduce the cell colors
+    (``colorings``), the cell areas of a torus decomposition (``torus``),
+    Parseval for a spectrum, a primitive root of the Rader transform or an
+    extraction that fails its re-check (``uniformity``), or a set-check
+    witness that is trivial or missing (``sets``)."""
 
 
 class FormatError(ValueError):

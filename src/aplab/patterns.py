@@ -144,20 +144,18 @@ def is_trivial_solution(system: BinomialSystem, values) -> bool:
     return all(s == 0 for s in sums.values())
 
 
-def zero_sum_subsets(system: BinomialSystem, min_size: int = 3) -> list[tuple[int, ...]]:
-    """All index subsets I with |I| >= min_size and sum of e_i over I zero.
+def zero_sum_subsets(system: BinomialSystem) -> list[tuple[int, ...]]:
+    """All index subsets I with |I| >= 3 and sum of e_i over I zero.
 
     0-based positions, output in lexicographic order.  Deliberately returns
     every zero-sum subset, including those whose monochromatic event implies
     a pairing; clauses that are implied are pruned only when the clause
     compiler (``scan.predicate_clauses``) builds a predicate.
     """
-    if min_size < 3:
-        raise ValueError("min_size must be at least 3")
     k = system.k
     check_budget("subset_k", k)
     out = []
-    for size in range(min_size, k + 1):
+    for size in range(3, k + 1):
         for idx in combinations(range(k), size):
             if sum(system.e[i] for i in idx) == 0:
                 out.append(idx)

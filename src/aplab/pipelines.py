@@ -37,7 +37,7 @@ from .sets import (
 )
 from .torus import (
     DEFAULT_SAMPLES,
-    TorusColoring,
+    Estimate,
     TorusSet,
     build_torus_set,
     interlace_k,
@@ -64,37 +64,37 @@ def z22_coloring() -> Coloring:
 
 @dataclass
 class PipelineResult:
+    """What a chain built and certified.  The interlaced coloring is
+    ``torus_set.base`` and the marginal ``torus_set.width``; ``estimate`` is
+    the seeded Monte Carlo cross-check of ``bound``."""
+
     name: str
     base: Coloring
-    interlaced: TorusColoring
     residues: ResidueSet
     torus_set: TorusSet
     spec: PatternSpec
     epsilon: Fraction
     bound: Fraction
-    marginal: Fraction
-    mc_mean: float
-    mc_stderr: float
-    samples: int
-    seed: int
+    estimate: Estimate
 
     def certificate(self) -> dict:
         """JSON-ready certificate; exact rationals as 'p/q' strings."""
-        random_count = self.marginal ** self.spec.k
+        width, est = self.torus_set.width, self.estimate
+        random_count = width ** self.spec.k
         return {
             "pipeline": self.name,
             "spec": str(self.spec),
-            "marginal": _rat(self.marginal),
-            "marginal_float": float(self.marginal),
+            "marginal": _rat(width),
+            "marginal_float": float(width),
             "epsilon": _rat(self.epsilon),
             "epsilon_float": float(self.epsilon),
             "bound": _rat(self.bound),
             "bound_float": float(self.bound),
             "bound_over_random": float(self.bound / random_count),
-            "mc_mean": self.mc_mean,
-            "mc_stderr": self.mc_stderr,
-            "samples": self.samples,
-            "seed": self.seed,
+            "mc_mean": est.mean,
+            "mc_stderr": est.stderr,
+            "samples": est.samples,
+            "seed": est.seed,
         }
 
 
@@ -134,21 +134,15 @@ def _finish(name, spec, base, Phi, S, samples, seed):
     A = _stage("torus-set", build_torus_set, Phi, S, spec.k, width)
     # bound = epsilon * width^(k-1) exactly: epsilon is recovered, not recomputed
     bound = _stage("exact-probability", lambda_tilde_certificate, A, spec)
-    est = _stage("mc-estimate", lambda_tilde_mc, A, spec, samples, seed)
     return PipelineResult(
         name=name,
         base=base,
-        interlaced=Phi,
         residues=S,
         torus_set=A,
         spec=spec,
         epsilon=bound / A.width ** (spec.k - 1),
         bound=bound,
-        marginal=A.first_marginal,
-        mc_mean=est.mean,
-        mc_stderr=est.stderr,
-        samples=samples,
-        seed=seed,
+        estimate=_stage("mc-estimate", lambda_tilde_mc, A, spec, samples, seed),
     )
 
 

@@ -87,7 +87,7 @@ def predicate_clauses(spec: PatternSpec, predicate: str):
         clauses = []
         if k % 2 == 0:
             clauses += [("pairing", p.pairs) for p in enumerate_pairings(spec)]
-        clauses += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec), 3)]
+        clauses += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec))]
         kept = []
         for cl in clauses:
             if not any(_implies(cl, e) for e in kept):

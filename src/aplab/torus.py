@@ -92,10 +92,6 @@ class TorusColoring:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.cell_colors, dtype=np.int32)
 
-    def color_at(self, x: Fraction) -> int:
-        j = math.floor((x % 1) * self.D)
-        return self.cell_colors[j]
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -454,10 +450,6 @@ class TorusSet:
         if any(not 0 <= s < self.m for s in slots):
             raise ValueError("slots must be residues mod m")
 
-    @property
-    def first_marginal(self) -> Fraction:
-        return self.width
-
     @cached_property
     def _cell_starts(self) -> np.ndarray:
         """The start s_j/m of the y-interval of each of the D cells."""
@@ -466,13 +458,10 @@ class TorusSet:
             color_slot[j] = s / self.m
         return color_slot[self.base.as_array]
 
-    def contains_exact(self, x: Fraction, y: Fraction) -> bool:
-        j = self.base.color_at(x)
-        start = Fraction(self.slots[j - 1], self.m)
-        return (Fraction(y) - start) % 1 < self.width
-
     def exact_value_at(self, x: Fraction, y: Fraction) -> Fraction:
-        return Fraction(int(self.contains_exact(x, y)))
+        j = self.base.cell_colors[math.floor((x % 1) * self.base.D)]
+        start = Fraction(self.slots[j - 1], self.m)
+        return Fraction(int((Fraction(y) - start) % 1 < self.width))
 
     def evaluate_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         t = self._cell_starts[_cell_index(xs, self.base.D)]
@@ -505,11 +494,8 @@ class SlabIndicator:
         t = _frac(ys)
         return np.less(t, float(self.alpha), out=t)
 
-    def contains_exact(self, x, y):
-        return Fraction(y) % 1 < self.alpha
-
     def exact_value_at(self, x, y):
-        return Fraction(int(self.contains_exact(x, y)))
+        return Fraction(int(Fraction(y) % 1 < self.alpha))
 
 
 class DiagonalStrip:
@@ -524,11 +510,8 @@ class DiagonalStrip:
         _frac(t, out=t)
         return np.less(t, float(self.alpha), out=t)
 
-    def contains_exact(self, x, y):
-        return (Fraction(y) - Fraction(x)) % 1 < self.alpha
-
     def exact_value_at(self, x, y):
-        return Fraction(int(self.contains_exact(x, y)))
+        return Fraction(int((Fraction(y) - Fraction(x)) % 1 < self.alpha))
 
 
 def _default_width(k: int, m: int) -> Fraction:

@@ -85,10 +85,6 @@ class GridFunction:
         L = math.lcm(*{v.denominator for v in self.exact})
         return L, [v.numerator * (L // v.denominator) for v in self.exact]
 
-    @classmethod
-    def constant(cls, N: int, alpha) -> "GridFunction":
-        return cls(exact=(Fraction(alpha),) * N)
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -99,23 +95,14 @@ class SpectrumReport:
 
 
 def discretize(F, N: int, degree: int) -> GridFunction:
-    """f(n) = F(n/N, (n^degree mod N)/N).
-
-    Anything exposing ``exact_value_at`` (torus sets, the bundled fields) is
-    sampled with exact rational coordinates, carrying rational values into
-    the grid; otherwise the batch float path is used.
-    """
+    """f(n) = F(n/N, (n^degree mod N)/N), read from ``F.exact_value_at`` at
+    exact rational coordinates, so the grid carries rational values.  Every
+    torus field (``TorusSet`` and the bundled ones) has that method."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    if hasattr(F, "exact_value_at"):
-        vals = [
-            F.exact_value_at(Fraction(n, N), Fraction(pow(n, degree, N), N))
-            for n in range(N)
-        ]
-        return GridFunction(exact=vals)
-    ys = np.array([pow(int(n), degree, N) for n in range(N)], dtype=np.float64) / N
-    xs = np.arange(N, dtype=np.float64) / N
-    return GridFunction(F.evaluate_batch(xs, ys))
+    return GridFunction(
+        exact=[F.exact_value_at(Fraction(n, N), Fraction(pow(n, degree, N), N)) for n in range(N)]
+    )
 
 
 def quadratic_indicator(N: int, alpha) -> GridFunction:

@@ -189,13 +189,14 @@ def test_criterion_07a_certificate_identity_and_mc(thm26_result):
     expect = res.epsilon * Fraction(1, 16 * m) ** 3
     assert res.bound == expect
     assert res.epsilon == pattern_probability_exact(
-        res.interlaced, PatternSpec.ap(4), "binomial"
+        res.torus_set.base, PatternSpec.ap(4), "binomial"
     )
-    assert res.mc_mean <= float(res.bound) + 4 * res.mc_stderr + 1e-30
+    est = res.estimate
+    assert est.mean <= float(res.bound) + 4 * est.stderr + 1e-30
     assert report(
         "7a",
         True,
-        f"bound = epsilon/(16m)^3 exactly; mc {res.mc_mean:.3g} below bound"
+        f"bound = epsilon/(16m)^3 exactly; mc {est.mean:.3g} below bound"
         f" {float(res.bound):.3g} at 1e7 samples",
     )
 
@@ -217,14 +218,14 @@ def test_criterion_07b_certificate_below_random_count(thm26_result):
     ell = 9 (D about 1.9e13).
     """
     res = thm26_result
-    D = res.interlaced.D
+    D = res.torus_set.base.D
     m = res.residues.modulus
     floor = Fraction(1, 3 * D)
-    assert res.marginal == Fraction(1, 16 * m)
+    assert res.torus_set.width == Fraction(1, 16 * m)
     assert res.epsilon == floor, (
         f"epsilon = {res.epsilon} is above the cell-collision floor 1/(3D) = {floor}"
     )
-    ratio = res.bound / res.marginal**4
+    ratio = res.bound / res.torus_set.width**4
     assert ratio == Fraction(16 * m, 3 * D), (
         f"bound/random = {float(ratio):.2f}, expected the floor 16m/(3D)"
         f" = {16 * m / (3 * D):.2f}"

@@ -44,7 +44,7 @@ CASES = [
         "exact_work", 99,
         lambda: pattern_probability_exact(TORUS10, AP4), 10**2 * len(pattern_cells(AP4)),
     ),
-    ("u3_n", 64, lambda: gowers_norm(GridFunction.constant(65, Fraction(1, 2)), 3), 65),
+    ("u3_n", 64, lambda: gowers_norm(GridFunction(exact=(Fraction(1, 2),) * 65), 3), 65),
     ("pairing_k", 4, lambda: enumerate_pairings(PatternSpec.ap(6)), 6),
     ("subset_k", 4, lambda: zero_sum_subsets(a_binomial_system(PatternSpec.ap(5))), 5),
 ]
@@ -86,7 +86,7 @@ def files(tmp_path):
     torus = tmp_path / "torus.txt"
     torus.write_text(torus_coloring_to_text(TORUS10))
     grid = tmp_path / "grid.txt"
-    grid.write_text(grid_to_text(GridFunction.constant(65, Fraction(1, 2))))
+    grid.write_text(grid_to_text(GridFunction(exact=(Fraction(1, 2),) * 65)))
     return {"Z22": str(z22), "TORUS": str(torus), "GRID": str(grid), "OUT": str(tmp_path / "out")}
 
 

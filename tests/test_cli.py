@@ -230,7 +230,7 @@ class TestPipelineChain:
 class TestDensityAndStats:
     def test_lambda_exact_constant_grid(self, capsys, tmp_path):
         g = tmp_path / "g.txt"
-        g.write_text(grid_to_text(GridFunction.constant(24, Fraction(1, 2))))
+        g.write_text(grid_to_text(GridFunction(exact=(Fraction(1, 2),) * 24)))
         code, rep = run(capsys, ["density", "--lambda-exact", "--grid", str(g), "--k", "4"])
         assert code == 0
         assert rep["exact"] and rep["value_rational"] == "1/16"
@@ -253,7 +253,7 @@ class TestDensityAndStats:
 
     def test_spectrum_cli(self, capsys, tmp_path):
         g = tmp_path / "g.txt"
-        g.write_text(grid_to_text(GridFunction.constant(16, Fraction(1, 4))))
+        g.write_text(grid_to_text(GridFunction(exact=(Fraction(1, 4),) * 16)))
         code, rep = run(capsys, ["spectrum", "--input", str(g)])
         assert code == 0 and rep["alpha"] == pytest.approx(0.25)
 
@@ -263,7 +263,7 @@ class TestDensityAndStats:
         fft = np.fft.fft
         monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: 2 * fft(a, *args, **kw))
         g = tmp_path / "g.txt"
-        g.write_text(grid_to_text(GridFunction.constant(16, Fraction(1, 4))))
+        g.write_text(grid_to_text(GridFunction(exact=(Fraction(1, 4),) * 16)))
         assert main(["spectrum", "--input", str(g)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -213,7 +213,7 @@ class TestBinomialVerifier:
         e = a_binomial_system(spec).e
         # the clause list in its documented order: pairings, then subsets
         clauses = [("pairing", p.pairs) for p in enumerate_pairings(spec)] if len(a) % 2 == 0 else []
-        clauses += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec), 3)]
+        clauses += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec))]
 
         def holds(clause, cs):
             kind, data = clause
@@ -276,7 +276,7 @@ class TestClausePruning:
         spec = PatternSpec(a)
         k = spec.k
         full = [("pairing", p.pairs) for p in enumerate_pairings(spec)] if k % 2 == 0 else []
-        full += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec), 3)]
+        full += [("subset", idx) for idx in zero_sum_subsets(a_binomial_system(spec))]
         pruned = predicate_clauses(spec, "binomial")
         at = [full.index(cl) for cl in pruned]
         assert at == sorted(at)
@@ -288,7 +288,7 @@ class TestClausePruning:
 
     def test_ap4_binomial_is_one_pairing(self):
         assert predicate_clauses(PatternSpec.ap(4), "binomial") == [("pairing", ((0, 3), (1, 2)))]
-        assert len(zero_sum_subsets(a_binomial_system(PatternSpec.ap(4)), 3)) == 1
+        assert len(zero_sum_subsets(a_binomial_system(PatternSpec.ap(4)))) == 1
 
 
 class TestAbabVerifier:

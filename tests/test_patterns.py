@@ -194,9 +194,6 @@ class TestZeroSumSubsets:
     def test_k5_only_full(self):
         assert zero_sum_subsets(a_binomial_system(PatternSpec.ap(5))) == [(0, 1, 2, 3, 4)]
 
-    def test_min_size_above_k(self):
-        assert zero_sum_subsets(a_binomial_system(PatternSpec.ap(4)), min_size=5) == []
-
     def test_k14_has_exotic_subset(self):
         subs = zero_sum_subsets(a_binomial_system(PatternSpec.ap(14)))
         assert (3, 4, 7, 8) in subs

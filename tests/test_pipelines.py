@@ -31,7 +31,9 @@ class TestThm26:
         res = run_thm2_6(ell=1, samples=10_000, seed=1)
         assert verify_symmetric_ap_free(res.base, 4) is None
         assert verify_solution_free(res.residues, a_binomial_system(res.spec)) is None
-        assert res.torus_set.first_marginal == res.marginal
+        cert = res.certificate()
+        assert Fraction(cert["marginal"]) == res.torus_set.width
+        assert (cert["samples"], cert["seed"]) == (res.estimate.samples, res.estimate.seed) == (10_000, 1)
 
     def test_rejects_bad_base(self):
         bad = Coloring(CYCLIC, (1,) * 10)
@@ -53,7 +55,7 @@ class TestThm26:
         r2 = run_thm2_6(ell=2, samples=10_000, seed=0)
         assert r2.epsilon == Fraction(1, 23232)
         assert r1.epsilon / r2.epsilon == 22
-        marg_ratio = r1.marginal / r2.marginal
+        marg_ratio = r1.torus_set.width / r2.torus_set.width
         assert abs(float(marg_ratio) - 9) < 1e-3
         bound_ratio = float(r1.bound / r2.bound)
         assert abs(bound_ratio - 22 * 3**6) < 1.0
@@ -64,7 +66,7 @@ class TestOtherPipelines:
         res = run_thm2_7(samples=20_000, seed=0)
         assert res.name == "thm2_7"
         assert verify_solution_free(res.residues, a_binomial_system(res.spec)) is None
-        assert res.mc_mean <= float(res.bound) + 4 * res.mc_stderr + 1e-30
+        assert res.estimate.mean <= float(res.bound) + 4 * res.estimate.stderr + 1e-30
 
     def test_thm2_5_odd(self):
         res = run_thm2_5(samples=20_000, seed=0)
@@ -78,13 +80,12 @@ class TestOtherPipelines:
 
     def test_lemma7_10_factorial_interlacing(self):
         res = run_lemma7_10(samples=20_000, seed=0)
-        assert res.interlaced.D == 24 * 22
-        assert res.interlaced.r == 72
+        Phi = res.torus_set.base
+        assert Phi.D == 24 * 22
+        assert Phi.r == 72
         # pattern probability is pinned to cell collisions
-        assert res.epsilon <= Fraction(6, res.interlaced.D)
-        assert res.epsilon == pattern_probability_exact(
-            res.interlaced, res.spec, "binomial"
-        )
+        assert res.epsilon <= Fraction(6, Phi.D)
+        assert res.epsilon == pattern_probability_exact(Phi, res.spec, "binomial")
 
     def test_lemma7_10_rejects_pattern_carrying_base(self):
         bad = Coloring(CYCLIC, (1,) * 8)

@@ -12,9 +12,10 @@ part of a float has one implementation, ``torus._frac`` (bit for bit
 numpy's ``% 1.0`` at a tenth of its cost), so no module takes ``% 1.0``
 itself; ``tests/oracles.py`` keeps its ``% 1.0`` as the independent
 reference that the Monte Carlo paths are checked against.  Every public
-function is read somewhere in the package or by the benchmark's
-workloads, or is allowlisted with its reason, so the library carries no
-surface that no command, chain, certificate or benchmark reaches.
+function, and every public method of a public class, is read somewhere in
+the package or by the benchmark's workloads, or is allowlisted with its
+reason, so the library carries no surface that no command, chain,
+certificate or benchmark reaches.
 """
 
 import ast
@@ -130,12 +131,23 @@ def test_check_budget_reads_only_its_row(path):
 
 
 def _names_read(tree):
-    """(top-level definition name or None, identifier) for every name,
-    attribute and imported name under each top-level statement."""
-    out = set()
+    """(owner, identifier) for every name, attribute and imported name.  The
+    owner is the top-level definition that holds it, ``Class.method`` inside
+    a method of a top-level class, or None."""
+    scopes = []
     for stmt in tree.body:
         owner = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
+        if isinstance(stmt, ast.ClassDef):
+            scopes += [(owner, n) for n in stmt.bases + stmt.keywords + stmt.decorator_list]
+            scopes += [
+                (f"{owner}.{n.name}" if isinstance(n, ast.FunctionDef) else owner, n)
+                for n in stmt.body
+            ]
+        else:
+            scopes.append((owner, stmt))
+    out = set()
+    for owner, root in scopes:
+        for node in ast.walk(root):
             if isinstance(node, ast.Name):
                 out.add((owner, node.id))
             elif isinstance(node, ast.Attribute):
@@ -143,6 +155,24 @@ def _names_read(tree):
             elif isinstance(node, ast.ImportFrom):
                 out.update((owner, alias.name) for alias in node.names)
     return out
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of each function in the module's ``__all__``
+    and of each public method, property and classmethod of a class in it."""
+    public = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+        for elt in node.value.elts
+    }
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef) and node.name in public:
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub.name
 
 
 # public functions that nothing in the package calls, each kept for a reason
@@ -153,31 +183,24 @@ UNREACHED_ALLOWED = {
 
 
 def test_every_public_function_is_reached():
-    """Each function in a module's ``__all__`` is read somewhere in the
+    """Each function in a module's ``__all__``, and each public method,
+    property and classmethod of a class in it, is read somewhere in the
     package outside its own definition (``__init__``'s re-exports do not
     count), or by the benchmark's workloads."""
     modules = [p for p in MODULES if p.name != "__init__.py"]
     workloads = TESTS.parent / "benchmark" / "workloads.py"
     reads = {p.stem: _names_read(_tree(p)) for p in modules + [workloads]}
-    unreached = []
-    for path in modules:
-        tree = _tree(path)
-        public = {
-            elt.value
-            for node in tree.body
-            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
-            for elt in node.value.elts
-        }
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name not in public:
-                continue
-            if not any(
-                name == node.name and (mod, owner) != (path.stem, node.name)
-                for mod, names in reads.items()
-                for owner, name in names
-            ):
-                unreached.append(f"{path.stem}.{node.name}")
-    assert sorted(unreached) == sorted(UNREACHED_ALLOWED), f"unreached public functions: {unreached}"
+    unreached = [
+        f"{path.stem}.{qualname}"
+        for path in modules
+        for qualname, name in _public_definitions(_tree(path))
+        if not any(
+            read == name and (mod, owner) != (path.stem, qualname)
+            for mod, names in reads.items()
+            for owner, read in names
+        )
+    ]
+    assert sorted(unreached) == sorted(UNREACHED_ALLOWED), f"unreached public definitions: {unreached}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -343,10 +343,10 @@ class TestTorusSet:
 
     def test_trivial_slab(self):
         ts = self.build_simple()
-        assert ts.first_marginal == Fraction(1, 32)
-        assert ts.contains_exact(Fraction(1, 3), Fraction(0))
-        assert ts.contains_exact(Fraction(1, 3), Fraction(1, 32) - Fraction(1, 1000))
-        assert not ts.contains_exact(Fraction(1, 3), Fraction(1, 32))
+        assert ts.width == Fraction(1, 32)
+        assert ts.exact_value_at(Fraction(1, 3), Fraction(0)) == 1
+        assert ts.exact_value_at(Fraction(1, 3), Fraction(1, 32) - Fraction(1, 1000)) == 1
+        assert ts.exact_value_at(Fraction(1, 3), Fraction(1, 32)) == 0
 
     def test_slice_is_single_interval(self):
         Phi = interlace_k(z22(), 4)
@@ -355,12 +355,12 @@ class TestTorusSet:
         rng = random.Random(3)
         for _ in range(20):
             x = Fraction(rng.randint(0, 10**6), 10**6)
-            j = ts.base.color_at(x)
+            j = ts.base.cell_colors[int(x % 1 * ts.base.D)]
             start = Fraction(ts.slots[j - 1], ts.m)
-            assert ts.contains_exact(x, start)
-            assert ts.contains_exact(x, start + ts.width - Fraction(1, 10**9))
-            assert not ts.contains_exact(x, start + ts.width)
-            assert not ts.contains_exact(x, start - Fraction(1, 10**9))
+            assert ts.exact_value_at(x, start) == 1
+            assert ts.exact_value_at(x, start + ts.width - Fraction(1, 10**9)) == 1
+            assert ts.exact_value_at(x, start + ts.width) == 0
+            assert ts.exact_value_at(x, start - Fraction(1, 10**9)) == 0
 
     def test_needs_enough_residues(self):
         with pytest.raises(ValueError, match="need at least 2 residues, got 1"):
@@ -373,9 +373,7 @@ class TestTorusSet:
         ys = rng.random(500)
         batch = ts.evaluate_batch(xs, ys)
         for x, y, b in zip(xs, ys, batch):
-            assert bool(b) == ts.contains_exact(
-                Fraction(float(x)), Fraction(float(y))
-            )
+            assert b == ts.exact_value_at(Fraction(float(x)), Fraction(float(y)))
 
     def test_file_round_trip(self, tmp_path):
         Phi = interlace_k(z22(), 4)

@@ -64,11 +64,11 @@ class TestGridFunction:
             GridFunction(np.full(2, 0.5), [0.5, 0.5])
 
     def test_constant(self):
-        f = GridFunction.constant(10, Fraction(1, 4))
+        f = GridFunction(exact=(Fraction(1, 4),) * 10)
         assert f.mean() == 0.25
 
     def test_round_trip_exact(self):
-        f = GridFunction.constant(6, Fraction(2, 3))
+        f = GridFunction(exact=(Fraction(2, 3),) * 6)
         back = grid_from_text(grid_to_text(f))
         assert back.exact == f.exact
 
@@ -103,7 +103,7 @@ class TestDiscretize:
         f = discretize(ts, 10_000, 2)
         # marginal is tiny, so the discretized mean stays within the
         # boundary-count tolerance of it
-        assert abs(f.mean() - float(ts.first_marginal)) <= ts.base.D / 10_000
+        assert abs(f.mean() - float(ts.width)) <= ts.base.D / 10_000
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
@@ -112,7 +112,7 @@ class TestDiscretize:
 
 class TestLambdaExact:
     def test_constant_fourth_power(self):
-        f = GridFunction.constant(30, Fraction(1, 4))
+        f = GridFunction(exact=(Fraction(1, 4),) * 30)
         val = lambda_exact(f, PatternSpec.ap(4))
         assert val == Fraction(1, 4) ** 4
 
@@ -179,7 +179,7 @@ class TestLambdaExact:
         assert lambda_exact(f, mirrored) == base
 
     def test_rational_above_512(self):
-        f = GridFunction.constant(600, Fraction(1, 3))
+        f = GridFunction(exact=(Fraction(1, 3),) * 600)
         assert lambda_exact(f, PatternSpec.ap(4)) == Fraction(1, 81)
 
     def test_quadratic_demo_fixture_small(self):
@@ -192,7 +192,7 @@ class TestLambdaExact:
 
 class TestSpectrum:
     def test_constant(self):
-        rep = spectrum(GridFunction.constant(32, Fraction(1, 2)))
+        rep = spectrum(GridFunction(exact=(Fraction(1, 2),) * 32))
         assert rep.alpha == pytest.approx(0.5)
         assert rep.max_nonzero == pytest.approx(0.0, abs=1e-15)
 
@@ -219,7 +219,7 @@ class TestSpectrum:
 
 class TestGowers:
     def test_constant_all_orders(self):
-        f = GridFunction.constant(16, Fraction(1, 3))
+        f = GridFunction(exact=(Fraction(1, 3),) * 16)
         assert gowers_norm(f, 2) == pytest.approx(1 / 3)
         assert gowers_norm(f, 3) == pytest.approx(1 / 3)
         assert gowers_norm(f, 2, center=True) == pytest.approx(0.0, abs=1e-12)
@@ -286,13 +286,13 @@ class TestGowers:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_u3_cap(self):
-        f = GridFunction.constant(8192, Fraction(1, 2))
+        f = GridFunction(exact=(Fraction(1, 2),) * 8192)
         with pytest.raises(BudgetExceededError):
             gowers_norm(f, 3)
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
-            gowers_norm(GridFunction.constant(8, 1), 4)
+            gowers_norm(GridFunction(exact=(Fraction(1),) * 8), 4)
 
 
 class TestConvergence:
