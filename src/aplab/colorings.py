@@ -5,7 +5,11 @@ Witness locating the lexicographically least violation otherwise.  The
 progression verifiers read the blocks of differences of ``scan.shift_blocks``,
 one 2-D numpy pass over every start point per block; the test suite
 cross-checks them against independent naive loop implementations and against
-the one-pass-per-difference loop they replaced.
+the one-pass-per-difference loop they replaced.  A cyclic coloring with two or
+more digit levels (a tensor power) is first counted by the carry automaton
+``scan.carry_count``, the one that also gives ``torus`` its exact pattern
+probability: a count of D proves it free without a scan, and any other count
+leaves the witness to the scan.
 
 Ambients: "cyclic" quantifies progression differences over nonzero residues;
 "interval" quantifies over progressions that fit inside [0, N).  In the
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import FormatError, SelfCheckError, check_budget, data_lines, parse_ints
 from .patterns import PatternSpec, is_symmetric
-from .scan import eval_clauses, predicate_clauses, shift_blocks
+from .scan import carry_count, eval_clauses, predicate_clauses, shift_blocks
 
 __all__ = [
     "CYCLIC",
@@ -268,6 +273,39 @@ def _least_hit(coloring: Coloring, offsets, clauses, signed=False, bound=None):
     return n, d, next(cl for cl in clauses if eval_clauses([cl], at))
 
 
+def _counted_free(coloring: Coloring, offsets, clauses) -> bool:
+    """True when the carry automaton ``scan.carry_count`` shows a cyclic
+    coloring with two or more digit levels free of the clauses at every
+    d != 0; False when it shows a hit, and for every other coloring, which
+    the verifier then scans.
+
+    The automaton runs from the one start cell g = 0 of area 1, so D^2
+    times its result counts the (n, d) in (Z/DZ)^2 at which some clause
+    holds on the colors at n + a_i d.  The row d = 0 adds exactly D: every
+    position then reads the color of n, and every clause of
+    ``scan.predicate_clauses`` holds on a constant tuple (a pairing asks
+    paired colors equal, a subset one color).  The cyclic scan treats every
+    d in 1..D-1 as nontrivial, d = D/2 too when D is even, so each further
+    count is an (n, d) it reports: the coloring is free exactly when the
+    count is D.
+
+    Budget: for k = 4 (the symmetric and the binomial AP4 predicate are
+    one pairing each) a state is the carry vector (c_1, c_2, c_3), with
+    c_i <= a_i from the start g = 0, and its one live clause: at most
+    2 * 3 * 4 = 24 states.  ``tensor_power`` builds ell >= 2 levels of base
+    n = D^(1/ell), or finer ones when the factor has levels, so the
+    transitions are at most 24 * ell * n^2 <= 48 D (ell n^2 <= 2 n^ell at
+    n >= 2), at most 4.8e7 under ``tensor_cells`` (D <= 10^6), far below
+    ``exact_work`` (2.5e9).
+    """
+    levels = coloring.levels
+    if coloring.ambient != CYCLIC or levels is None or len(levels) < 2:
+        return False
+    D = coloring.n
+    start = ((0,) * len(offsets), Fraction(1))
+    return carry_count(levels, offsets, (start,), clauses) * D * D == D
+
+
 def _witness_at(coloring, offsets, n, d, kind, detail=None):
     if coloring.ambient == CYCLIC:
         pts = tuple((n + o * d) % coloring.n for o in offsets)
@@ -303,7 +341,10 @@ def verify_sym_a_ap_free(coloring: Coloring, spec: PatternSpec) -> Witness | Non
 
 def _scan_symmetric(coloring, spec, kind):
     offsets = spec.normalized().a
-    hit = _least_hit(coloring, offsets, predicate_clauses(spec, "symmetric"))
+    clauses = predicate_clauses(spec, "symmetric")
+    if _counted_free(coloring, offsets, clauses):
+        return None
+    hit = _least_hit(coloring, offsets, clauses)
     if hit is None:
         return None
     return _witness_at(coloring, offsets, hit[0], hit[1], kind)
@@ -321,7 +362,7 @@ def verify_binomial_pattern_free(coloring: Coloring, spec: PatternSpec) -> Witne
     """
     offsets = spec.normalized().a
     clauses = predicate_clauses(spec, "binomial")
-    if not clauses:
+    if not clauses or _counted_free(coloring, offsets, clauses):
         return None
     hit = _least_hit(coloring, offsets, clauses, signed=True)
     if hit is None:

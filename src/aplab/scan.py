@@ -1,23 +1,31 @@
-"""The shift-scan kernel over Z/NZ and the pattern predicate compiler.
+"""The shift-scan kernel over Z/NZ, the pattern predicate compiler and the
+carry automaton.
 
 Every exact scan of the package reads the values at n + a_i d for all start
 points n and a block of consecutive differences d at once: the exact pattern
 probability in ``torus`` (with the cell shifts g_i), the verifiers in
 ``colorings`` and ``lambda_exact`` in ``uniformity``.  ``shift_blocks`` is
 that read, and ``predicate_clauses``/``eval_clauses`` compile and evaluate
-the color predicates the scans test.
+the color predicates the scans test.  ``carry_count`` counts the same
+clauses digit by digit on a coloring that carries digit levels, without
+reading its cells; it has two callers, the exact pattern probability of
+``torus`` and the freeness check of the ``colorings`` verifiers.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import check_budget
 from .patterns import (
     PatternSpec, a_binomial_system, enumerate_pairings, symmetric_pairing, zero_sum_subsets
 )
 
-__all__ = ["shift_blocks", "predicate_clauses", "eval_clauses"]
+__all__ = ["shift_blocks", "predicate_clauses", "eval_clauses", "carry_count"]
 
 
 def shift_blocks(values, offsets, start, stop, shifts=None, sign=1):
@@ -128,3 +136,79 @@ def eval_clauses(clauses, cols):
                 m &= cols[data[0]] == cols[i]
         mask = m if mask is None else (mask | m)
     return mask
+
+
+def carry_count(levels, offsets, cells, clauses) -> Fraction:
+    """The weight, over D^2, of the (p, q) in (Z/DZ)^2 at which some clause
+    holds on the colors of the cells p + a_i q + g_i mod D, summed over the
+    ``cells`` (g, area), for a coloring with digit ``levels``; counted digit
+    by digit.  ``offsets`` are the normalized a_i, and 0 <= g_i <= a_i.
+
+    Its two callers: ``torus.pattern_probability_exact`` passes the cells
+    of ``torus.pattern_cells``, and the sum is the exact pattern
+    probability; the ``colorings`` verifiers pass the one cell g = 0 of
+    area 1, and D^2 times the result is the number of (p, q) at which a
+    clause holds.
+
+    Write p, q and the cell indices z_i = p + a_i q + g_i in the mixed radix
+    of the levels.  Digit l of z_i is (p_l + a_i q_l + c_i) mod b_l, where
+    c_i is the carry out of the digits below, and the carry out of digit l
+    is the quotient.  Two cells share a color exactly when every digit color
+    matches, so a clause holds at (p, q) exactly when its equalities hold at
+    every level.  A state is the carry vector plus one 0/1 column per clause
+    still alive; each of the b_l^2 digit pairs (p_l, q_l) moves a state to
+    its next state, a state with no clause alive is dropped, and equal
+    states are merged with their weights summed.  The carries out of the top
+    digit are dropped, which is the reduction mod D.  Carries stay in
+    [0, a_i + 1]: g_i <= a_i, and c <= a + 1 gives p_l + a q_l + c <=
+    b_l (a + 1).
+
+    All cells run in one pass: cell g starts as the state (g, all clauses)
+    with weight area * L, where L is the lcm of the area denominators, so
+    the accepted weight over L D^2 is the probability.  The weights are
+    Python integers (an object array), so they stay exact at any D; the
+    weights of a level sum to L times its (p, q) prefixes, at most L D^2.
+    Before each level the transitions so far plus states x b_l^2 are
+    checked against ``exact_work``, and a level runs in blocks of at most
+    2^17 transitions, as ``shift_blocks`` caps a block.
+    """
+    k = len(offsets)
+    D = math.prod(b for b, _ in levels)
+    L = math.lcm(*(area.denominator for _, area in cells))
+    a = np.asarray(offsets, dtype=np.int64)
+    rows = np.array([(*g, *[1] * len(clauses)) for g, _ in cells], dtype=np.int64)
+    weights = np.array([int(area * L) for _, area in cells], dtype=object)
+    work = 0
+    for b, level_colors in levels:
+        work += len(rows) * b * b
+        check_budget("exact_work", work)
+        dc = np.asarray(level_colors)
+        alive = rows[:, None, k:].astype(bool)
+        step = max(1, (1 << 17) // len(rows))
+        merged = rows[:0], weights[:0]
+        for start in range(0, b * b, step):
+            pairs = np.arange(start, min(b * b, start + step))[:, None]
+            z = rows[:, None, :k] + pairs % b + a * (pairs // b)
+            digit_colors = dc[z % b]
+            cols = [digit_colors[..., i] for i in range(k)]
+            live = alive & np.stack([eval_clauses([cl], cols) for cl in clauses], axis=-1)
+            keep = live.any(axis=-1).ravel()
+            nxt = np.concatenate([z // b, live], axis=-1).reshape(-1, rows.shape[1])
+            w = np.broadcast_to(weights[:, None], live.shape[:2]).ravel()
+            merged = _merge(
+                np.concatenate([merged[0], nxt[keep]]), np.concatenate([merged[1], w[keep]])
+            )
+        rows, weights = merged
+        if not len(rows):
+            return Fraction(0)
+    return Fraction(int(weights.sum()), L * D * D)
+
+
+def _merge(rows, weights):
+    """The distinct rows of an int64 array, each with the summed weights of
+    its copies, in the weights' dtype (exact for Python-integer weights)."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    total = np.zeros(len(first), dtype=weights.dtype)
+    np.add.at(total, inverse.ravel(), weights)
+    return rows[first], total

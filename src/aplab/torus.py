@@ -10,12 +10,13 @@ mod D, and the floor vector is constant on a fixed rational polygonal
 decomposition of the (s, t) unit square that does not depend on (p, q).
 
 The interlacings return colorings that carry their digit structure
-(``TorusColoring.levels``); for those the exact kernel is a carry automaton
-that counts all cells of the decomposition in one pass, digit by digit of
-p, q and the cell indices.  A coloring read from a file has no levels and
-is counted as a flat scan, one cell of the decomposition and one block of
-consecutive q rows of ``scan.shift_blocks`` at a time; the tests use that
-scan as the automaton's cross-check.
+(``TorusColoring.levels``); for those the exact kernel is the carry
+automaton ``scan.carry_count``, which counts all cells of the decomposition
+in one pass, digit by digit of p, q and the cell indices (its other caller
+is the freeness check of the ``colorings`` verifiers).  A coloring read from
+a file has no levels and is counted as a flat scan, one cell of the
+decomposition and one block of consecutive q rows of ``scan.shift_blocks``
+at a time; the tests use that scan as the automaton's cross-check.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .colorings import Coloring, _digit_levels, _own_levels
 from .errors import FormatError, SelfCheckError, check_budget, data_lines, parse_ints
 from .patterns import PatternSpec, a_binomial_system
-from .scan import eval_clauses, predicate_clauses, shift_blocks
+from .scan import carry_count, eval_clauses, predicate_clauses, shift_blocks
 from .sets import ResidueSet, verify_solution_free
 
 __all__ = [
@@ -301,7 +302,7 @@ def pattern_probability_exact(
     Exactness: the (p, q) grid part is a finite count (integers) and the
     (s, t) part contributes the rational cell areas from ``pattern_cells``,
     which are (p, q)-independent.  A coloring with ``levels`` is counted by
-    the carry automaton of ``_carry_count``.  Any other coloring is counted
+    the carry automaton ``scan.carry_count``.  Any other coloring is counted
     cell by cell over the blocks of ``scan.shift_blocks``, where position i
     of row q is c[(p + a_i q + g_i) mod D] at column p, with the colors
     stored as the narrowest unsigned integer type that holds the palette;
@@ -317,7 +318,7 @@ def pattern_probability_exact(
     if not clauses:
         return Fraction(0)
     if Phi.levels is not None:
-        return _carry_count(Phi.levels, offsets, cells, clauses)
+        return carry_count(Phi.levels, offsets, cells, clauses)
     colors = Phi.as_array.astype(np.min_scalar_type(Phi.r))
     total = Fraction(0)
     for g, area in cells:
@@ -326,74 +327,6 @@ def pattern_probability_exact(
             count += int(np.count_nonzero(eval_clauses(clauses, cols)))
         total += area * count
     return total / (D * D)
-
-
-def _carry_count(levels, offsets, cells, clauses) -> Fraction:
-    """The exact pattern probability of a coloring with digit ``levels``,
-    counted digit by digit.
-
-    Write p, q and the cell indices z_i = p + a_i q + g_i in the mixed radix
-    of the levels.  Digit l of z_i is (p_l + a_i q_l + c_i) mod b_l, where
-    c_i is the carry out of the digits below, and the carry out of digit l
-    is the quotient.  Two cells share a color exactly when every digit color
-    matches, so a clause holds at (p, q) exactly when its equalities hold at
-    every level.  A state is the carry vector plus one 0/1 column per clause
-    still alive; each of the b_l^2 digit pairs (p_l, q_l) moves a state to
-    its next state, a state with no clause alive is dropped, and equal
-    states are merged with their weights summed.  The carries out of the top
-    digit are dropped, which is the reduction mod D.  Carries stay in
-    [0, a_i + 1]: g_i <= a_i, and c <= a + 1 gives p_l + a q_l + c <=
-    b_l (a + 1).
-
-    All cells run in one pass: cell g starts as the state (g, all clauses)
-    with weight area * L, where L is the lcm of the area denominators, so
-    the accepted weight over L D^2 is the probability.  The weights are
-    Python integers (an object array), so they stay exact at any D; the
-    weights of a level sum to L times its (p, q) prefixes, at most L D^2.
-    Before each level the transitions so far plus states x b_l^2 are
-    checked against ``exact_work``, and a level runs in blocks of at most
-    2^17 transitions, as ``shift_blocks`` caps a block.
-    """
-    k = len(offsets)
-    D = math.prod(b for b, _ in levels)
-    L = math.lcm(*(area.denominator for _, area in cells))
-    a = np.asarray(offsets, dtype=np.int64)
-    rows = np.array([(*g, *[1] * len(clauses)) for g, _ in cells], dtype=np.int64)
-    weights = np.array([int(area * L) for _, area in cells], dtype=object)
-    work = 0
-    for b, level_colors in levels:
-        work += len(rows) * b * b
-        check_budget("exact_work", work)
-        dc = np.asarray(level_colors)
-        alive = rows[:, None, k:].astype(bool)
-        step = max(1, (1 << 17) // len(rows))
-        merged = rows[:0], weights[:0]
-        for start in range(0, b * b, step):
-            pairs = np.arange(start, min(b * b, start + step))[:, None]
-            z = rows[:, None, :k] + pairs % b + a * (pairs // b)
-            digit_colors = dc[z % b]
-            cols = [digit_colors[..., i] for i in range(k)]
-            live = alive & np.stack([eval_clauses([cl], cols) for cl in clauses], axis=-1)
-            keep = live.any(axis=-1).ravel()
-            nxt = np.concatenate([z // b, live], axis=-1).reshape(-1, rows.shape[1])
-            w = np.broadcast_to(weights[:, None], live.shape[:2]).ravel()
-            merged = _merge(
-                np.concatenate([merged[0], nxt[keep]]), np.concatenate([merged[1], w[keep]])
-            )
-        rows, weights = merged
-        if not len(rows):
-            return Fraction(0)
-    return Fraction(int(weights.sum()), L * D * D)
-
-
-def _merge(rows, weights):
-    """The distinct rows of an int64 array, each with the summed weights of
-    its copies, in the weights' dtype (exact for Python-integer weights)."""
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    total = np.zeros(len(first), dtype=weights.dtype)
-    np.add.at(total, inverse.ravel(), weights)
-    return rows[first], total
 
 
 def pattern_probability_mc(

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -469,7 +470,96 @@ class TestBlockedScan:
             (verify_binomial_pattern_free, cube, PatternSpec.ap(4)),
             (verify_abab_abba_free, square, 8),
         ]:
-            assert _whole(verify(c, arg)) == _whole(loop_scan(verify, c, arg))
+            # the levelled cube is counted; the loop scans its flat copy
+            flat = Coloring(CYCLIC, c.colors)
+            assert _whole(verify(c, arg)) == _whole(loop_scan(verify, flat, arg))
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("the flat scan ran")
+
+
+def _no_count(*args, **kwargs):
+    raise AssertionError("the carry automaton ran")
+
+
+class TestCountedFreeness:
+    """Cyclic colorings with two or more digit levels are decided by the
+    carry automaton's count, D exactly when free; the witness of a count
+    above D, and every other coloring, come from the flat scan."""
+
+    CALLS = [
+        (verify_symmetric_ap_free, 4),
+        (verify_sym_a_ap_free, PatternSpec((0, 1, 3, 4))),
+        (verify_binomial_pattern_free, PatternSpec.ap(4)),
+        (verify_binomial_pattern_free, PatternSpec((0, 1, 2, 4))),
+    ]
+
+    def test_free_fourth_power_without_a_scan(self, monkeypatch):
+        # D = 22^4 = 234,256, where the flat scan would read D^2 = 5.5e10
+        # (n, d) pairs
+        power = tensor_power(z22(), 4)
+        monkeypatch.setattr(colorings, "_least_hit", _no_scan)
+        assert verify_symmetric_ap_free(power, 4) is None
+        assert verify_sym_a_ap_free(power, PatternSpec.ap(4)) is None
+        assert verify_binomial_pattern_free(power, PatternSpec.ap(4)) is None
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_free_powers_without_a_scan(self, monkeypatch, ell):
+        # the flat copy is scanned free under every call, the power is
+        # decided by the count alone
+        power = tensor_power(Coloring(CYCLIC, (1, 2, 3)), ell)
+        flat = Coloring(CYCLIC, power.colors)
+        assert all(verify(flat, arg) is None for verify, arg in self.CALLS)
+        monkeypatch.setattr(colorings, "_least_hit", _no_scan)
+        assert all(verify(power, arg) is None for verify, arg in self.CALLS)
+
+    @pytest.mark.parametrize(
+        "base,ell", [((1, 2, 1, 3), 2), ((1, 2), 3), ((1, 1, 2), 2), ((1, 2, 3), 2), ((1, 2, 2, 1), 2)]
+    )
+    def test_count_is_D_plus_the_nontrivial_hits(self, base, ell):
+        # the d = 0 row is the D constant tuples; each (n, d != 0) at which
+        # a clause holds adds one
+        power = tensor_power(Coloring.from_raw(CYCLIC, base), ell)
+        D = power.n
+        for spec, predicate in [
+            (PatternSpec.ap(4), "symmetric"),
+            (PatternSpec((0, 1, 3, 4)), "symmetric"),
+            (PatternSpec((0, 1, 2, 4)), "binomial"),
+        ]:
+            clauses = predicate_clauses(spec, predicate)
+            hits = sum(
+                bool(scan.eval_clauses(clauses, [power.colors[(n + a * d) % D] for a in spec.a]))
+                for n in range(D)
+                for d in range(1, D)
+            )
+            start = ((0,) * spec.k, Fraction(1))
+            assert scan.carry_count(power.levels, spec.a, (start,), clauses) * D * D == D + hits
+
+    def test_witness_at_half_the_modulus(self):
+        # the tensor square of (1, 2, 1, 3) (D = 16): its least symmetric
+        # witness has 2d = 0 mod D, points n, n + d, n, n + d
+        power = tensor_power(Coloring(CYCLIC, (1, 2, 1, 3)), 2)
+        w = verify_symmetric_ap_free(power, 4)
+        assert (w.n, w.d) == (0, 8) and 2 * w.d % power.n == 0
+        assert w == verify_symmetric_ap_free(Coloring(CYCLIC, power.colors), 4)
+        assert (w.n, w.d) == oracles.naive_symmetric_witness(power.colors, CYCLIC, range(4))
+
+    @pytest.mark.parametrize("base", [Z22_COLORING, "1213"])
+    def test_interval_with_levels_is_scanned(self, monkeypatch, base):
+        power = tensor_power(Coloring(CYCLIC, tuple(int(ch) for ch in base)), 2)
+        interval = Coloring(INTERVAL, power.colors, power.levels)
+        plain = Coloring(INTERVAL, power.colors)
+        want = [_whole(verify(plain, arg)) for verify, arg in self.CALLS]
+        monkeypatch.setattr(colorings, "carry_count", _no_count)
+        assert [_whole(verify(interval, arg)) for verify, arg in self.CALLS] == want
+        assert want[0] is None if base == Z22_COLORING else want[0] is not None
+
+    def test_one_level_is_scanned(self, monkeypatch):
+        single = tensor_power(z22(), 1)
+        assert len(single.levels) == 1
+        monkeypatch.setattr(colorings, "carry_count", _no_count)
+        assert verify_symmetric_ap_free(single, 4) is None
 
 
 class TestConstructions:

@@ -12,10 +12,13 @@ import oracles
 from aplab.colorings import (
     CYCLIC,
     INTERVAL,
+    Z22_COLORING,
     Coloring,
+    tensor_power,
     verify_abab_abba_free,
     verify_binomial_pattern_free,
     verify_mono_pattern_free,
+    verify_sym_a_ap_free,
     verify_symmetric_ap_free,
 )
 from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients, is_k_pattern
@@ -172,6 +175,27 @@ def test_verify_solution_free_matches_naive_scan(case):
     assert got is None or all(type(x) is int for x in got)
 
 
+@st.composite
+def affine_cases(draw):
+    """A set case of ``solution_free_cases`` and an affine map x -> ux + t
+    mod m with u a unit."""
+    system, S = draw(solution_free_cases())
+    m = S.modulus
+    u = draw(st.integers(1, m).filter(lambda x: math.gcd(x, m) == 1))
+    return system, S, u, draw(st.integers(0, m - 1))
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+@hypothesis.given(affine_cases())
+def test_solution_freeness_is_affine_invariant(case):
+    # sum e_i (u x_i + t) = u sum e_i x_i, since the e_i sum to 0, and u is
+    # invertible mod m; x -> ux + t is a bijection, so trivial solutions
+    # (equal values on blocks of zero coefficient sum) map to trivial ones
+    system, S, u, t = case
+    image = ResidueSet(S.modulus, tuple((u * x + t) % S.modulus for x in S.elements))
+    assert (verify_solution_free(image, system) is None) == (verify_solution_free(S, system) is None)
+
+
 @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
 @hypothesis.given(st.integers(2, 300), st.integers(3, 6))
 def test_behrend_set_is_pattern_free(N, k):
@@ -310,6 +334,60 @@ def test_verifiers_match_naive(case):
     else:
         quad = w.detail["quad"]
         assert (*_located(c, w, [x - quad[0] for x in quad]), quad) == want
+
+
+# cyclic bases free of symmetrically colored 4-APs (the least ones
+# ``search_coloring`` finds at n = 2..9 with r <= 3, and the bundled Z/22Z)
+FREE_BASES = [
+    (1, 2),
+    (1, 2, 3),
+    (1, 1, 2, 3),
+    (1, 1, 1, 2, 3),
+    (1, 1, 2, 2, 3, 3),
+    (1, 1, 1, 2, 2, 3, 3),
+    (1, 1, 1, 2, 2, 2, 3, 3),
+    (1, 1, 1, 2, 2, 2, 3, 3, 3),
+    tuple(int(ch) for ch in Z22_COLORING),
+]
+
+
+@st.composite
+def tensor_cases(draw):
+    """The tensor power at ell = 2 or 3 (D = n^ell <= 512) of a cyclic base
+    of n points with r <= 3 colors, drawn from ``FREE_BASES`` or at random."""
+    ell = draw(st.integers(2, 3))
+    n_max = 22 if ell == 2 else 8
+    free = [b for b in FREE_BASES if len(b) <= n_max]
+    n = draw(st.integers(2, n_max))
+    r = draw(st.integers(1, 3))
+    colors = draw(st.one_of(st.sampled_from(free), st.lists(st.integers(1, r), min_size=n, max_size=n)))
+    return tensor_power(Coloring.from_raw(CYCLIC, colors), ell)
+
+
+@hypothesis.settings(derandomize=True, max_examples=25, deadline=None)
+@hypothesis.given(tensor_cases())
+def test_counted_verifiers_match_flat_and_naive(power):
+    # the levelled power is decided by the carry automaton's count, and
+    # named by the scan when the count is not trivial; the same colors
+    # without levels are always scanned
+    flat = Coloring(CYCLIC, power.colors)
+    assert len(power.levels) >= 2 and flat.levels is None
+    sym_a = PatternSpec((0, 1, 3, 4))
+    cases = [
+        (verify_symmetric_ap_free, 4, range(4), oracles.naive_symmetric_witness),
+        (verify_sym_a_ap_free, sym_a, sym_a.a, oracles.naive_symmetric_witness),
+    ]
+    # the AP4 binomial predicate is the symmetric pairing, so the binomial
+    # check takes (0, 1, 2, 4), whose one clause is a subset
+    binomial = PatternSpec((0, 1, 2, 4))
+    coeffs, e = a_coefficients(binomial), a_binomial_system(binomial).e
+    naive = lambda colors, ambient, a: oracles.naive_binomial_witness(colors, ambient, a, coeffs, e)
+    cases.append((verify_binomial_pattern_free, binomial, binomial.a, naive))
+    for verify, arg, offsets, naive in cases:
+        w = verify(power, arg)
+        want = verify(flat, arg)
+        assert (w, w and w.detail) == (want, want and want.detail), arg
+        assert _located(power, w, offsets) == naive(power.colors, CYCLIC, offsets), arg
 
 
 @st.composite

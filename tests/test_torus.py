@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from aplab import torus
+from aplab import scan
 from aplab.colorings import CYCLIC, Coloring, Z22_COLORING, product_coloring, tensor_power
 from aplab.errors import BudgetExceededError, SelfCheckError
 from aplab.patterns import (
@@ -15,10 +15,9 @@ from aplab.patterns import (
     a_binomial_system,
     a_coefficients,
 )
-from aplab.scan import predicate_clauses
+from aplab.scan import carry_count, predicate_clauses
 from aplab.sets import ResidueSet, base9_set, covering_coloring
 from aplab.torus import (
-    _carry_count,
     _frac,
     _sample_blocks,
     ConstantField,
@@ -159,7 +158,7 @@ class TestDigitLevels:
         # L D^2 = 2^61 * 2^2: the two positions share a color exactly when
         # q = 0, at half of the (p, q) pairs
         clauses = [("subset", (0, 1))]
-        got = _carry_count(((2, (1, 2)),), (0, 1), [((0, 0), Fraction(1, 2**61))], clauses)
+        got = carry_count(((2, (1, 2)),), (0, 1), [((0, 0), Fraction(1, 2**61))], clauses)
         assert got == Fraction(1, 2**62)
 
     @pytest.mark.parametrize("ell", [6, 9])
@@ -170,15 +169,15 @@ class TestDigitLevels:
         levels = (phase, *((22, z22().colors),) * ell, phase)
         spec = PatternSpec.ap(4)
         clauses = predicate_clauses(spec, "binomial")
-        got = _carry_count(levels, spec.a, pattern_cells(spec), clauses)
+        got = carry_count(levels, spec.a, pattern_cells(spec), clauses)
         assert got == Fraction(1, 3 * 16 * 22**ell)
 
     @pytest.mark.parametrize("predicate", ["binomial", "symmetric", "mono"])
     def test_large_level_runs_in_blocks(self, monkeypatch, predicate):
         # level 1 has 400^2 digit pairs, more than one block of 2^17
         # transitions; each block is merged into the states so far
-        merge, merges = torus._merge, []
-        monkeypatch.setattr(torus, "_merge", lambda *a: merges.append(1) or merge(*a))
+        merge, merges = scan._merge, []
+        monkeypatch.setattr(scan, "_merge", lambda *a: merges.append(1) or merge(*a))
         rng = random.Random(3)
         phi = Coloring.from_raw(CYCLIC, [rng.randint(1, 3) for _ in range(400)])
         tc = interlace_k(phi, 4)
