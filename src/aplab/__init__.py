@@ -22,7 +22,6 @@ from .colorings import (
     SearchResult,
     Witness,
     Z22_COLORING,
-    product_coloring,
     search_coloring,
     tensor_power,
     verify_abab_abba_free,
@@ -36,7 +35,6 @@ from .sets import (
     ResidueSet,
     base9_set,
     behrend_set,
-    covering_coloring,
     greedy_solution_free_set,
     verify_solution_free,
 )

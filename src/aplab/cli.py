@@ -344,7 +344,7 @@ def cmd_pipeline(args) -> int:
     # each flag, the runner keyword it sets and its value; a flag given to a
     # chain whose runner does not take its keyword is refused
     given = [
-        ("--k", "k", args.k), ("--ell", "ell", args.ell), ("--base-n", "base_n", args.base_n),
+        ("--k", "k", args.k), ("--ell", "ell", args.ell),
         ("--spec", "a", args.spec), ("--base-coloring", "base", args.base_coloring),
         ("--samples", "samples", args.samples), ("--seed", "seed", args.seed),
     ]
@@ -519,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--spec", help="offsets for lemma7_10")
-    p.add_argument("--base-n", type=int, help="base modulus for thm2_5")
     p.add_argument("--base-coloring", help="coloring file overriding the bundled base")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)

@@ -45,7 +45,6 @@ __all__ = [
     "verify_binomial_pattern_free",
     "verify_abab_abba_free",
     "tensor_power",
-    "product_coloring",
     "search_coloring",
     "coloring_to_text",
     "coloring_from_text",
@@ -492,13 +491,6 @@ def tensor_power(coloring: Coloring, ell: int) -> Coloring:
     return Coloring(CYCLIC, tuple(label[inverse].tolist()), _own_levels(coloring) * ell)
 
 
-def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
-    """Common refinement: color n by the pair (c1(n), c2(n))."""
-    if c1.ambient != c2.ambient or c1.n != c2.n:
-        raise ValueError("colorings must share ambient and length")
-    return Coloring.from_raw(c1.ambient, list(zip(c1.colors, c2.colors)))
-
-
 # ---------------------------------------------------------------------------
 # search
 
@@ -570,6 +562,8 @@ def search_coloring(
     """
     if r < 1:
         raise ValueError("r must be at least 1")
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be non-negative")
     offsets = _normalized_offsets(pattern)
     if isinstance(pattern, PatternSpec) and not is_symmetric(pattern):
         raise ValueError("search needs a symmetric spec")

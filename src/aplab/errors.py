@@ -29,8 +29,7 @@ BUDGETS = {
 
 
 class BudgetExceededError(RuntimeError):
-    """``needed`` exceeds the ``cap`` of budget ``name``: a row of ``BUDGETS``,
-    or a cap derived from the inputs (``covering_translates``).
+    """``needed`` exceeds the ``cap`` of budget ``name``, a row of ``BUDGETS``.
 
     Distinct from a negative mathematical answer: callers that exhaust a budget
     learn nothing about existence.

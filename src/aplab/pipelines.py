@@ -2,6 +2,10 @@
 interlacing -> solution-free residue set -> torus rectangle set -> exact
 certificate plus Monte Carlo estimate.
 
+No chain takes a pattern-coloring factor: at desk scale the k >= 6 and
+factored odd-k palettes give greedy sets far over the ``greedy_table``
+budget, so thm2_7 runs at k = 4 and thm2_5 on the one-color base.
+
 All chains but thm2_5 verify the base ("verify-base"), thm2_6 also its
 tensor power ("verify-tensor"); the bound rests on neither, epsilon being
 the exact pattern probability of the interlaced coloring.  The certificate
@@ -22,19 +26,12 @@ from .colorings import (
     CYCLIC,
     Coloring,
     Z22_COLORING,
-    product_coloring,
     tensor_power,
     verify_binomial_pattern_free,
     verify_symmetric_ap_free,
 )
 from .patterns import PatternSpec, a_binomial_system
-from .sets import (
-    ResidueSet,
-    base9_set,
-    behrend_set,
-    covering_coloring,
-    greedy_solution_free_set,
-)
+from .sets import ResidueSet, base9_set, greedy_solution_free_set
 from .torus import (
     DEFAULT_SAMPLES,
     Estimate,
@@ -123,10 +120,13 @@ def _greedy_set(system, r):
     return res.set
 
 
-def _check_samples(samples):
-    """Reject a nonpositive sample count before any stage runs."""
+def _check_pre_stage(samples, seed):
+    """Reject a nonpositive sample count or a negative seed before any stage
+    runs."""
     if samples < 1:
         raise ValueError("samples must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
 
 def _finish(name, spec, base, Phi, S, samples, seed):
@@ -153,7 +153,7 @@ def run_thm2_6(ell: int = 1, base: Coloring | None = None, samples: int = DEFAUL
     tensor power ell -> 16 N^ell-cell interlacing -> base-9 set of size r ->
     rectangle set with marginal 1/(16 m).
     """
-    _check_samples(samples)
+    _check_pre_stage(samples, seed)
     spec = PatternSpec.ap(4)
     base = base or z22_coloring()
     _verified(
@@ -168,67 +168,46 @@ def run_thm2_6(ell: int = 1, base: Coloring | None = None, samples: int = DEFAUL
 
 
 def run_thm2_7(
-    k: int = 4,
     ell: int = 1,
     base: Coloring | None = None,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> PipelineResult:
-    """Even-k chain through the greedy solution-free set.
+    """4-term chain through the greedy solution-free set.
 
-    For k = 4 the pattern-coloring factor is unnecessary (the only zero-sum
-    coefficient subset is the full one, and full-progression monochromatics
-    are already symmetric), so the base coloring alone feeds the interlacing.
-    For k >= 6 a pattern-free covering factor would multiply the palette far
-    beyond the greedy table budget at desk scale; such runs fail with a
-    budget error rather than silently shrinking.
+    base coloring (default the bundled Z/22Z one, no symmetric 4-APs) ->
+    tensor power ell -> 16 N^ell-cell interlacing -> greedy set free of the
+    4-term system.  No pattern-coloring factor is needed at k = 4: the only
+    zero-sum coefficient subset is the full one, and full-progression
+    monochromatics are already symmetric.
     """
-    _check_samples(samples)
-    if k % 2 or k < 4:
-        raise ValueError("k must be even and at least 4")
-    spec = PatternSpec.ap(k)
+    _check_pre_stage(samples, seed)
+    spec = PatternSpec.ap(4)
     base = base or z22_coloring()
     _verified(
-        "verify-base", f"base coloring has a symmetric {k}-AP", verify_symmetric_ap_free, base, k
+        "verify-base", "base coloring has a symmetric 4-AP", verify_symmetric_ap_free, base, 4
     )
     phi = _stage("tensor-power", tensor_power, base, ell)
-    if k > 4:
-        chi = _stage(
-            "pattern-coloring",
-            lambda: covering_coloring(behrend_set(phi.n, k), seed=seed),
-        )
-        phi = _stage("product", product_coloring, phi, chi)
-    Phi = _stage("interlace", interlace_k, phi, k)
+    Phi = _stage("interlace", interlace_k, phi, 4)
     S = _greedy_set(a_binomial_system(spec), Phi.r)
     return _finish("thm2_7", spec, base, Phi, S, samples, seed)
 
 
-def run_thm2_5(
-    k: int = 5,
-    base_n: int = 1,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> PipelineResult:
-    """Odd-k chain: pattern-free covering coloring (trivial at base_n = 1) ->
-    interlacing -> greedy solution-free set.
+def run_thm2_5(k: int = 5, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> PipelineResult:
+    """Odd-k chain: the one-color base -> interlacing -> greedy solution-free
+    set.
 
     Odd k has no pairings, so the binomial-pattern predicate reduces to
-    monochromatic zero-sum subsets.  At the default base_n = 1 the palette is
-    k^2, so for k >= 7 the greedy set's count bound r^(k-1) (49^6 at k = 7)
-    exceeds the ``greedy_table`` budget and the run stops at stage
-    "greedy-set" with a budget error.
+    monochromatic zero-sum subsets.  The palette is k^2, so for k >= 7 the
+    greedy set's count bound r^(k-1) (49^6 at k = 7) exceeds the
+    ``greedy_table`` budget and the run stops at stage "greedy-set" with a
+    budget error.
     """
-    _check_samples(samples)
+    _check_pre_stage(samples, seed)
     if k % 2 == 0 or k < 5:
         raise ValueError("k must be odd and at least 5")
     spec = PatternSpec.ap(k)
-    if base_n == 1:
-        base = Coloring(CYCLIC, (1,))
-    else:
-        base = _stage(
-            "pattern-coloring",
-            lambda: covering_coloring(behrend_set(base_n, k), seed=seed),
-        )
+    base = Coloring(CYCLIC, (1,))
     Phi = _stage("interlace", interlace_k, base, k)
     S = _greedy_set(a_binomial_system(spec), Phi.r)
     return _finish("thm2_5", spec, base, Phi, S, samples, seed)
@@ -250,7 +229,7 @@ def run_lemma7_10(
     patterns; this is verified, not assumed, so with the bundled base a spec
     such as (0,1,3) stops at stage "verify-base" and needs its own ``base``.
     """
-    _check_samples(samples)
+    _check_pre_stage(samples, seed)
     spec = PatternSpec(tuple(a))
     base = base or z22_coloring()
     if base.ambient != CYCLIC:

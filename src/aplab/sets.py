@@ -5,8 +5,9 @@ weighted patterns, greedy sets avoiding nontrivial solutions of an arbitrary
 binomial system, and a base-9 digit set whose only solutions of the 4-term
 system are the forced ones.  A counting-based verifier certifies the last
 two; a digit-sphere set is pattern-free by the argument in ``behrend_set``,
-and ``colorings.verify_mono_pattern_free`` checks it on the coloring with
-the set as one class and every other residue a class of its own.
+and the tests check it with ``colorings.verify_mono_pattern_free`` on the
+coloring with the set as one class and every other residue a class of its
+own.  The module builds sets only, so it imports nothing from ``colorings``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colorings import CYCLIC, Coloring
-from .errors import BUDGETS, BudgetExceededError, FormatError, SelfCheckError, check_budget
+from .errors import BUDGETS, FormatError, SelfCheckError, check_budget
 from .errors import data_lines, parse_ints
 from .patterns import (
     BinomialSystem,
@@ -30,7 +30,6 @@ __all__ = [
     "ResidueSet",
     "GreedyResult",
     "behrend_set",
-    "covering_coloring",
     "greedy_solution_free_set",
     "base9_set",
     "verify_solution_free",
@@ -130,38 +129,6 @@ def behrend_set(N: int, k: int) -> ResidueSet:
             m_dim += 1
         d += 1
     return ResidueSet(N, best[1])
-
-
-# ---------------------------------------------------------------------------
-# covering colorings
-
-
-def covering_coloring(S: ResidueSet, seed: int = 0, max_translates: int | None = None) -> Coloring:
-    """Color Z/mZ by the first random translate of S that covers each point.
-
-    Every color class is a subset of one translate, so it inherits any
-    translation-invariant freeness property of S.  Deterministic for a fixed
-    seed; raises when the translate budget runs out before coverage.
-    """
-    if len(S) == 0:
-        raise ValueError("S must be nonempty")
-    m = S.modulus
-    rng = np.random.default_rng(seed)
-    elems = np.asarray(S.elements, dtype=np.int64)
-    cap = max_translates or max(64, int(8 * m / len(S) * (math.log(m) + 1)))
-    ids = np.zeros(m, dtype=np.int64)
-    uncovered = m
-    used = 0
-    while uncovered:
-        if used >= cap:
-            raise BudgetExceededError("covering_translates", used + 1, cap)
-        t = int(rng.integers(m))
-        pos = (elems + t) % m
-        fresh = pos[ids[pos] == 0]
-        ids[fresh] = used + 1
-        uncovered -= len(fresh)
-        used += 1
-    return Coloring.from_raw(CYCLIC, ids.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +233,7 @@ def greedy_solution_free_set(
 
     Two checks of the ``greedy_table`` budget run before any table is
     allocated: r^(k-1) bounds every table count (and fails fast for the
-    k >= 6 chains), and 2^k m bounds the table memory.
+    odd-k chain at k >= 7), and 2^k m bounds the table memory.
     """
     if m < 2:
         raise ValueError("m must be at least 2")

@@ -103,6 +103,20 @@ class TestSearchCommand:
         code, rep = run(capsys, ["search", "--N", "4", "--k", "4", "--r", "1"])
         assert code == 1 and rep["status"] == "none_exists"
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+    def test_negative_budget_is_a_usage_error(self, capsys, mode):
+        argv = ["search", "--N", "5", "--r", "2", "--mode", mode, "--budget", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: budget must be non-negative\n"
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+    def test_zero_budget_is_accepted_and_exhausts(self, capsys, mode):
+        argv = ["search", "--N", "5", "--r", "2", "--mode", mode, "--budget", "0"]
+        code, rep = run(capsys, argv)
+        assert code == 1 and rep["status"] == "exhausted"
+
 
 class TestPipelineChain:
     def test_manual_chain_matches_pipeline(self, capsys, tmp_path, z22_file):
@@ -565,7 +579,7 @@ class TestStageErrors:
         "argv,stage",
         [
             (["pipeline", "--name", "thm2_6", "--ell", "5"], "tensor-power"),
-            (["pipeline", "--name", "thm2_7", "--k", "6"], "greedy-set"),
+            (["pipeline", "--name", "thm2_5", "--k", "9"], "greedy-set"),
             (["pipeline", "--name", "thm2_5", "--k", "7"], "greedy-set"),
             (["pipeline", "--name", "lemma7_10", "--spec", "0,1,3"], "verify-base"),
         ],
@@ -576,15 +590,14 @@ class TestStageErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"error: stage '{stage}': ")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--name", "thm2_6", "--ell", "2"],
-            ["--name", "thm2_7"],
-            ["--name", "thm2_5"],
-            ["--name", "lemma7_10"],
-        ],
-    )
+    CHAINS = [
+        ["--name", "thm2_6", "--ell", "2"],
+        ["--name", "thm2_7"],
+        ["--name", "thm2_5"],
+        ["--name", "lemma7_10"],
+    ]
+
+    @pytest.mark.parametrize("argv", CHAINS)
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples_rejected_before_any_stage(
         self, capsys, monkeypatch, argv, samples
@@ -600,11 +613,23 @@ class TestStageErrors:
         assert captured.err == "error: samples must be positive\n"
         assert stages == []
 
+    @pytest.mark.parametrize("argv", CHAINS)
+    def test_negative_seed_rejected_before_any_stage(self, capsys, monkeypatch, argv):
+        import aplab.pipelines
+
+        stages = []
+        monkeypatch.setattr(aplab.pipelines, "_stage", lambda name, *a, **kw: stages.append(name))
+        assert main(["pipeline", *argv, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative\n"
+        assert stages == []
+
     @pytest.mark.parametrize(
         "argv,flag",
         [
             (["--name", "lemma7_10", "--ell", "4"], "--ell"),
-            (["--name", "lemma7_10", "--base-n", "9"], "--base-n"),
+            (["--name", "thm2_7", "--k", "6"], "--k"),
             (["--name", "thm2_5", "--spec", "0,1,3"], "--spec"),
             (["--name", "thm2_5", "--base-coloring", "FIXTURE"], "--base-coloring"),
             (["--name", "thm2_6", "--k", "4"], "--k"),
@@ -625,10 +650,10 @@ class TestStageErrors:
         assert stages == []
 
     def test_pipeline_k_zero_is_refused(self, capsys):
-        assert main(["pipeline", "--name", "thm2_7", "--k", "0"]) == 2
+        assert main(["pipeline", "--name", "thm2_5", "--k", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: k must be even and at least 4\n"
+        assert captured.err == "error: k must be odd and at least 5\n"
 
     def test_greedy_table_memory_budget_exits_2(self, capsys, tmp_path):
         out = tmp_path / "s.txt"

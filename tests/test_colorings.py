@@ -15,7 +15,6 @@ from aplab.colorings import (
     _least_hit,
     coloring_from_text,
     coloring_to_text,
-    product_coloring,
     search_coloring,
     tensor_power,
     verify_abab_abba_free,
@@ -33,7 +32,6 @@ from aplab.patterns import (
     zero_sum_subsets,
 )
 from aplab.scan import predicate_clauses
-from aplab.sets import behrend_set, covering_coloring
 
 
 def z22():
@@ -235,10 +233,10 @@ class TestBinomialVerifier:
                 assert not any(holds(cl, w.colors) for cl in clauses[:first])
 
     def test_product_with_pattern_free_factor_spec6(self):
-        # length-6 check on the product of the bundled coloring with a
-        # covering coloring; compare against the naive scan
-        chi = covering_coloring(behrend_set(22, 6), seed=4)
-        c = product_coloring(z22(), chi)
+        # length-6 check on the bundled coloring refined by a pattern-free
+        # factor: behrend_set(22, 6) = {0}, so every point has its own color;
+        # compare against the naive scan
+        c = Coloring(CYCLIC, tuple(range(1, 23)))
         spec = PatternSpec.ap(6)
         w = verify_binomial_pattern_free(c, spec)
         expect = oracles.naive_binomial_witness(
@@ -589,45 +587,6 @@ class TestConstructions:
     def test_tensor_needs_cyclic(self):
         with pytest.raises(ValueError):
             tensor_power(Coloring(INTERVAL, (1, 2)), 2)
-
-    def test_product_with_constant_is_relabel(self):
-        rng = random.Random(2)
-        c = random_coloring(rng)
-        const = Coloring(c.ambient, (1,) * c.n)
-        p = product_coloring(c, const)
-        assert p.colors == Coloring.from_raw(c.ambient, c.colors).colors
-
-    def test_product_pointwise(self):
-        c1 = Coloring(CYCLIC, (1, 2, 1, 2, 1, 2))
-        c2 = Coloring(CYCLIC, (1, 1, 2, 2, 1, 1))
-        p = product_coloring(c1, c2)
-        assert p.r <= 4
-        for i in range(6):
-            for j in range(6):
-                same = c1.colors[i] == c1.colors[j] and c2.colors[i] == c2.colors[j]
-                assert (p.colors[i] == p.colors[j]) == same
-
-    def test_product_ambient_mismatch(self):
-        with pytest.raises(ValueError):
-            product_coloring(Coloring(CYCLIC, (1,)), Coloring(INTERVAL, (1,)))
-
-    def test_refinement_preserves_freeness(self):
-        # if a factor passes a verifier, the product does too
-        rng = random.Random(13)
-        for _ in range(10):
-            c1 = random_coloring(rng, CYCLIC, n_max=20)
-            c2 = random_coloring(rng, CYCLIC, n_max=20)
-            if c1.n != c2.n:
-                continue
-            p = product_coloring(c1, c2)
-            for verifier in (
-                lambda c: verify_symmetric_ap_free(c, 4),
-                lambda c: verify_mono_pattern_free(c, 4),
-                lambda c: verify_binomial_pattern_free(c, PatternSpec.ap(4)),
-                lambda c: verify_abab_abba_free(c, 5),
-            ):
-                if verifier(c1) is None:
-                    assert verifier(p) is None
 
     def test_all_distinct_interval_passes_everything(self):
         for n in (10, 30, 50):

@@ -14,7 +14,6 @@ from aplab.sets import (
     ResidueSet,
     base9_set,
     behrend_set,
-    covering_coloring,
     greedy_solution_free_set,
     residue_set_from_text,
     residue_set_to_text,
@@ -95,35 +94,6 @@ class TestBehrend:
             w = set_pattern_witness(s, k)
             got = None if w is None else (*w.points, w.detail["a"], w.detail["b"])
             assert got == oracles.naive_mono_pattern_witness(colors, "cyclic", k)
-
-
-class TestCoveringColoring:
-    def test_full_set_one_color(self):
-        c = covering_coloring(ResidueSet(12, tuple(range(12))), seed=0)
-        assert c.r == 1
-
-    def test_singleton_gives_all_distinct(self):
-        c = covering_coloring(ResidueSet(9, (0,)), seed=1)
-        assert c.r == 9
-        assert len(set(c.colors)) == 9
-
-    def test_classes_inherit_pattern_freeness(self):
-        s = behrend_set(101, 3)
-        for seed in range(20):
-            c = covering_coloring(s, seed=seed)
-            assert verify_mono_pattern_free(c, 3) is None
-
-    def test_deterministic(self):
-        s = behrend_set(101, 3)
-        assert covering_coloring(s, seed=7) == covering_coloring(s, seed=7)
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError, match="budget covering_translates exceeded"):
-            covering_coloring(ResidueSet(50, (0,)), seed=0, max_translates=3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            covering_coloring(ResidueSet(5, ()), seed=0)
 
 
 class TestGreedy:

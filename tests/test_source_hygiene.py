@@ -90,7 +90,7 @@ def test_caps_live_in_the_budget_table(path):
 @pytest.mark.parametrize("path", NOT_ERRORS, ids=lambda p: p.name)
 def test_budget_errors_name_their_budget(path):
     """``BudgetExceededError`` and ``check_budget`` take the budget's name as
-    a string literal; ``check_budget``'s is a row of the table."""
+    a string literal, a row of the table."""
     bad = []
     for node in ast.walk(_tree(path)):
         if not isinstance(node, ast.Call):
@@ -100,7 +100,7 @@ def test_budget_errors_name_their_budget(path):
             continue
         first = node.args[0] if node.args else None
         name = first.value if isinstance(first, ast.Constant) else None
-        if not isinstance(name, str) or (called == "check_budget" and name not in BUDGETS):
+        if name not in BUDGETS:
             bad.append(node.lineno)
     assert bad == [], f"{path.name}: budget calls without a named budget at lines {bad}"
 

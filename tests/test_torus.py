@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from aplab import scan
-from aplab.colorings import CYCLIC, Coloring, Z22_COLORING, product_coloring, tensor_power
+from aplab.colorings import CYCLIC, Coloring, Z22_COLORING, tensor_power
 from aplab.errors import BudgetExceededError, SelfCheckError
 from aplab.patterns import (
     PatternSpec,
@@ -16,7 +16,7 @@ from aplab.patterns import (
     a_coefficients,
 )
 from aplab.scan import carry_count, predicate_clauses
-from aplab.sets import ResidueSet, base9_set, covering_coloring
+from aplab.sets import ResidueSet, base9_set
 from aplab.torus import (
     _frac,
     _sample_blocks,
@@ -115,9 +115,7 @@ class TestDigitLevels:
         assert interlace_m(square, 4).levels == (phase, *square.levels)
 
     def test_unstructured_colorings_carry_none(self):
-        chi = covering_coloring(ResidueSet(22, (0, 5, 9)), seed=0)
-        assert chi.levels is None
-        assert product_coloring(z22(), chi).levels is None
+        assert Coloring.from_raw(CYCLIC, [1, 2, 2, 3]).levels is None
         tc = interlace_k(z22(), 4)
         assert torus_coloring_from_text(torus_coloring_to_text(tc)).levels is None
 
