@@ -398,6 +398,17 @@ def density(text: str) -> Fraction:
     return value
 
 
+def seed(text: str) -> int:
+    """argparse type for a non-negative integer seed, or a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed {text} is negative")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``aplab`` parser, built on first use and shared by later calls of
@@ -432,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", choices=["cyclic", "interval"], default=CYCLIC)
     p.add_argument("--mode", choices=["exhaustive", "randomized"], default="exhaustive")
     p.add_argument("--budget", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)
 
@@ -477,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--spec")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("gowers", help="box norm of a grid file")
@@ -498,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N-list", required=True)
     p.add_argument("--reference")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(fn=cmd_converge)
 
     p = sub.add_parser(
@@ -509,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--attempts", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_extract)
 
@@ -521,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="offsets for lemma7_10")
     p.add_argument("--base-coloring", help="coloring file overriding the bundled base")
     p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=seed)
     p.add_argument("--out-dir")
     p.set_defaults(fn=cmd_pipeline)
 

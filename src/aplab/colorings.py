@@ -436,6 +436,10 @@ def verify_abab_abba_free(coloring: Coloring, a_bound: int) -> Witness | None:
 
     The quadruple family is closed under reversal, so interval colorings only
     need d >= 1.
+
+    The quads are scanned in increasing order, each by ``_least_hit`` below
+    the least (n, d) found so far, and the scan stops at a hit at (0, 1):
+    no later quad can beat it.
     """
     if a_bound < 4:
         raise ValueError("a_bound must be at least 4")
@@ -453,6 +457,12 @@ def verify_abab_abba_free(coloring: Coloring, a_bound: int) -> Witness | None:
         if hit is not None:
             kind = "abab" if hit[2] == abab else "asymmetric-abba"
             best = (hit[0], hit[1], quad, offsets, kind)
+            # an unsigned scan reads n >= 0 and d >= 1 on both ambients
+            # (cyclic d runs over 1..N-1), so (0, 1) is the least (n, d) it
+            # can return, and every later quad, counting only below it,
+            # would return None
+            if best[:2] == (0, 1):
+                break
     if best is None:
         return None
     n, d, quad, offsets, kind = best
@@ -604,10 +614,12 @@ def _search_dfs(n, r, ambient, constraints, budget):
         if p == n:
             return True
         for c in range(1, min(r, max_used + 1) + 1):
-            nodes += 1
-            if budget is not None and nodes > budget:
+            # an exhausted search unwinds without counting, so it reports
+            # exactly its budget
+            if budget is not None and nodes == budget:
                 exhausted = True
                 return False
+            nodes += 1
             colors[p] = c
             if ok(p) and dfs(p + 1, max(max_used, c)):
                 return True

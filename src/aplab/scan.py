@@ -10,11 +10,16 @@ the color predicates the scans test.  ``carry_count`` counts the same
 clauses digit by digit on a coloring that carries digit levels, without
 reading its cells; it has two callers, the exact pattern probability of
 ``torus`` and the freeness check of the ``colorings`` verifiers.
+``ordered_map`` runs independent blocks of work on every CPU the process
+may use, with the results in block order; the order-3 box norm of
+``uniformity`` is its caller.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +30,58 @@ from .patterns import (
     PatternSpec, a_binomial_system, enumerate_pairings, symmetric_pairing, zero_sum_subsets
 )
 
-__all__ = ["shift_blocks", "predicate_clauses", "eval_clauses", "carry_count"]
+__all__ = ["shift_blocks", "predicate_clauses", "eval_clauses", "carry_count", "ordered_map"]
+
+
+def ordered_map(fn, items) -> list:
+    """[fn(x) for x in items], computed by W workers, W the number of CPUs
+    in the process's affinity mask (``os.cpu_count()`` where the platform
+    has no affinity call).
+
+    The calling thread is one of the workers; the other W - 1 are threads
+    started by this call and joined before it returns, so no thread
+    outlives a call.  Each worker claims the next unclaimed item from a
+    shared counter under a lock and stores its result at the item's index,
+    so the list is in item order whatever order the items finish in.  The
+    first exception raised in a worker stops every worker from claiming
+    another item, and is re-raised here once all of them have stopped.
+    With one worker, or at most one item, no thread is started and the
+    caller runs every item in order.  The workers overlap only where ``fn``
+    releases the GIL, as numpy's transforms and array arithmetic do.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    claimed = 0
+    failed = []
+    lock = threading.Lock()
+
+    def work():
+        nonlocal claimed
+        try:
+            while True:
+                with lock:
+                    if failed or claimed == len(items):
+                        return
+                    i = claimed
+                    claimed += 1
+                results[i] = fn(items[i])
+        except BaseException as exc:
+            with lock:
+                failed.append(exc)
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threads = [threading.Thread(target=work) for _ in range(min(cpus, len(items)) - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[0]
+    return results
 
 
 def shift_blocks(values, offsets, start, stop, shifts=None, sign=1):

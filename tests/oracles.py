@@ -226,6 +226,56 @@ def loop_gowers_u3(values):
     return float((acc / N) ** (1 / 8))
 
 
+def serial_gowers_u3(values):
+    """Order-3 box norm by the library's halved and blocked kernel, its
+    blocks run one after another on one thread into one buffer and added in
+    block order: the bit-for-bit reference for the blocks the library
+    splits over threads.  The transforms are the library's own."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from aplab.uniformity import _rader_order, _rader_transform
+
+    vals = np.asarray(values, dtype=np.float64)
+    N = len(vals)
+    half = N // 2
+    j = np.arange(half + 1)
+    weight = np.where((j == 0) | (2 * j == N), 1.0, 2.0)
+    shifted = sliding_window_view(np.tile(vals, 2), N)
+    order = _rader_order(N)
+    if order is None:
+        at_cols = vals
+    else:
+        cols = np.append(order, 0)
+        at_cols = vals[cols]
+        kernel = np.fft.fft(np.exp(-2j * np.pi / N * order[-np.arange(N - 1)]))
+    buf = np.empty((max(1, (1 << 18) // (16 * N)), N + 1), dtype=np.complex128)
+    acc = 0.0
+    for h0 in range(0, half + 1, 2 * len(buf)):
+        n = min(2 * len(buf), half + 1 - h0)
+        z = buf[: (n + 1) // 2]
+        for part, lo in ((z.real, h0), (z.imag[: n // 2], h0 + 1)):
+            rows = shifted[lo : h0 + n : 2]
+            if order is not None:
+                rows = rows.take(cols, axis=1)
+            np.multiply(rows, at_cols, out=part[:, :N])
+        z.imag[n // 2 :] = 0
+        if order is None:
+            z[:, :N] = np.fft.fft(z[:, :N])
+            z[:, N] = z[:, 0]
+            neg = z[:, N : N - half - 1 : -1]
+        else:
+            _rader_transform(z, kernel)
+            neg = z[:, half + 1 :]
+        pos = z[:, : half + 1]
+        power = pos.real**2 + pos.imag**2 + neg.real**2 + neg.imag**2
+        cross = 2 * (pos.real * neg.real - pos.imag * neg.imag)
+        sums = np.empty((len(z), 2))
+        sums[:, 0] = ((power + cross) ** 2) @ weight
+        sums[:, 1] = ((power - cross) ** 2) @ weight
+        acc += float(weight[h0 : h0 + n] @ sums.ravel()[:n])
+    return float((acc / (16 * float(N) ** 5)) ** (1 / 8))
+
+
 def slab_volume(alpha, e, gridsize=1 << 15):
     """Numeric convolution value of the slab functional: alpha^(k-1) times the
     chance that the coefficient combination of uniform [0, alpha) variables

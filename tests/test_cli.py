@@ -112,6 +112,13 @@ class TestSearchCommand:
         assert captured.err == "error: budget must be non-negative\n"
 
     @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_exhausted_search_reports_its_budget(self, capsys, mode, budget):
+        argv = ["search", "--N", "22", "--k", "4", "--r", "3", "--mode", mode, "--budget", str(budget)]
+        code, rep = run(capsys, argv)
+        assert code == 1 and (rep["status"], rep["nodes"]) == ("exhausted", budget)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
     def test_zero_budget_is_accepted_and_exhausts(self, capsys, mode):
         argv = ["search", "--N", "5", "--r", "2", "--mode", mode, "--budget", "0"]
         code, rep = run(capsys, argv)
@@ -574,6 +581,42 @@ class TestDensityRange:
         assert code == 0 and rep["mean"] == mean
 
 
+class TestNegativeSeed:
+    """A negative --seed is a usage error naming the flag and the value, on
+    every command that takes one; seed 0 is accepted."""
+
+    COMMANDS = [
+        ["density", "--lambda-mc", "--slab", "1/4", "--samples", "10"],
+        ["converge", "--const", "1/2", "--N-list", "8", "--samples", "10"],
+        ["extract", "--const", "1/2", "--alpha", "1/2", "--r", "2", "--N", "8"],
+        ["search", "--N", "8", "--r", "3", "--mode", "randomized"],
+        ["search", "--N", "8", "--r", "3"],
+        ["pipeline", "--name", "thm2_6", "--samples", "10"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: "-".join(a[:3:2]))
+    @pytest.mark.parametrize("value", ["-1", "-7"])
+    def test_negative_exits_2_naming_the_flag(self, capsys, monkeypatch, argv, value):
+        import aplab.pipelines
+
+        stages = []
+        monkeypatch.setattr(aplab.pipelines, "_stage", lambda name, *a, **kw: stages.append(name))
+        assert main([*argv, "--seed", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --seed: seed {value} is negative\n")
+        assert stages == []
+
+    @pytest.mark.parametrize("argv", COMMANDS[:5], ids=lambda a: "-".join(a[:3:2]))
+    def test_zero_is_accepted(self, capsys, argv):
+        code, rep = run(capsys, [*argv, "--seed", "0"])
+        assert code in (0, 1) and rep["seed"] == 0
+
+    def test_non_integer_keeps_the_int_message(self, capsys):
+        assert main(["search", "--N", "8", "--r", "3", "--seed", "x"]) == 2
+        assert capsys.readouterr().err.endswith("error: argument --seed: invalid int value: 'x'\n")
+
+
 class TestStageErrors:
     @pytest.mark.parametrize(
         "argv,stage",
@@ -622,7 +665,7 @@ class TestStageErrors:
         assert main(["pipeline", *argv, "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: seed must be non-negative\n"
+        assert captured.err.endswith("error: argument --seed: seed -1 is negative\n")
         assert stages == []
 
     @pytest.mark.parametrize(

@@ -305,6 +305,33 @@ class TestAbabVerifier:
             if w is not None:
                 assert (w.n, w.d, w.detail["quad"]) == expect
 
+    def test_no_scan_follows_a_hit_at_0_1(self, monkeypatch):
+        # (0, 1) is the least (n, d) an unsigned scan returns, so the quad
+        # loop stops there; a witness elsewhere scans every quad
+        base = Coloring.from_raw(CYCLIC, [Z22_COLORING[(5 * n + 3) % 22] for n in range(22)])
+        far = Coloring.from_raw(CYCLIC, [int(x) for x in "123443211333111344142423333"])
+        cases = [
+            (tensor_power(base, 2), 8, (0, 1), 6),
+            (Coloring(CYCLIC, (1,) * 10), 5, (0, 1), 1),
+            (Coloring(INTERVAL, (1, 2) * 9), 8, (0, 1), 1),
+            (far, 8, (0, 2), 70),
+        ]
+        real = colorings._least_hit
+        for c, a_bound, nd, calls in cases:
+            hits = []
+            monkeypatch.setattr(
+                colorings, "_least_hit", lambda *a, **kw: hits.append(real(*a, **kw)) or hits[-1]
+            )
+            w = verify_abab_abba_free(c, a_bound)
+            assert (w.n, w.d) == nd and len(hits) == calls
+            at = [i for i, h in enumerate(hits) if h is not None and h[:2] == (0, 1)]
+            assert at in ([], [len(hits) - 1])
+            if c.n <= 30:
+                # the witness is the least over every quad
+                assert (w.n, w.d, w.detail["quad"]) == oracles.naive_abab_witness(
+                    c.colors, c.ambient, a_bound
+                )
+
 
 def _loop_hit(coloring, offsets, clauses, signed=False, bound=None):
     """The one-pass-per-difference scan, restricted to hits below ``bound``."""
@@ -612,6 +639,21 @@ class TestSearch:
     def test_budget_exhaustion_distinct_from_refutation(self):
         res = search_coloring(22, 4, 3, budget=5)
         assert res.status == "exhausted"
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_exhausted_search_reports_its_budget(self, mode, budget):
+        res = search_coloring(22, 4, 3, mode=mode, budget=budget, seed=0)
+        assert (res.status, res.nodes) == ("exhausted", budget)
+
+    def test_completed_search_counts_are_budget_free(self):
+        # a search that ends within its budget counts the same nodes as an
+        # unbounded one, down to a budget of exactly that count
+        for args, status, nodes in [((22, 4, 3), "found", 49), ((22, 4, 2), "none_exists", 169)]:
+            for budget in (None, nodes, 10**6):
+                res = search_coloring(*args, budget=budget)
+                assert (res.status, res.nodes) == (status, nodes)
+            assert search_coloring(*args, budget=nodes - 1).status == "exhausted"
 
     def test_oracle_equivalence_small(self):
         for n in range(4, 11):

@@ -96,6 +96,16 @@ class TestOtherPipelines:
         with pytest.raises(ValueError):
             run_pipeline("thm9_9")
 
+    @pytest.mark.parametrize("name", sorted(PIPELINES))
+    def test_negative_seed_rejected_before_any_stage(self, name, monkeypatch):
+        # the CLI refuses a negative --seed while parsing; a library caller
+        # meets this check
+        stages = []
+        monkeypatch.setattr(pipelines, "_stage", lambda stage, *a, **kw: stages.append(stage))
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            run_pipeline(name, seed=-1)
+        assert stages == []
+
 
 class TestDeterminism:
     def test_same_seed_same_certificate(self):

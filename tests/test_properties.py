@@ -528,3 +528,35 @@ def test_u3_matches_naive(f):
         got = gowers_norm(f, 3, center=center)
         want = oracles.naive_gowers(vals, 3)
         assert abs(got - want) <= 1e-10 * max(want, 1e-30)
+
+
+@st.composite
+def blocked_u3_grids(draw):
+    """A float grid whose order-3 norm takes several transform blocks: N is
+    a Rader prime (401, 1009), an even N (600) or an odd composite N
+    (1001 = 7 * 11 * 13), values from a seeded generator with some exact 0s
+    and 1s, and a centring flag."""
+    N = draw(st.sampled_from([401, 1009, 600, 1001]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.random(N)
+    vals[rng.random(N) < 0.1] = 0.0
+    vals[rng.random(N) < 0.1] = 1.0
+    return GridFunction(vals), draw(st.booleans())
+
+
+# in_place False runs numpy 1's copy-in transforms on any numpy
+@pytest.mark.parametrize("in_place", [True, False], ids=["out", "copy"])
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@hypothesis.settings(derandomize=True, max_examples=12, deadline=None)
+@hypothesis.given(blocked_u3_grids())
+def test_u3_blocks_sum_to_the_serial_loop_bit_for_bit(workers, in_place, case):
+    import aplab.scan
+    import aplab.uniformity
+
+    f, center = case
+    vals = f.values - f.mean() if center else f.values
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(aplab.scan.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        m.setattr(aplab.uniformity, "_FFT_TAKES_OUT", in_place and aplab.uniformity._FFT_TAKES_OUT)
+        got = gowers_norm(f, 3, center=center)
+    assert got.hex() == oracles.serial_gowers_u3(vals).hex()

@@ -1,10 +1,16 @@
-"""The shift-scan kernel against one 1-D view per difference."""
+"""The shift-scan kernel against one 1-D view per difference, and the
+ordered map over the CPUs of the affinity mask."""
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import oracles
-from aplab.scan import shift_blocks
+from aplab import scan
+from aplab.scan import ordered_map, shift_blocks
 
 
 def _check(values, offsets, start, stop, shifts=None, sign=1):
@@ -81,3 +87,81 @@ def test_list_of_arrays(sign):
         _check([x, y, x, z], (0, 1, 2, 3), 1, n, shifts=[3, 0, 1, 2], sign=sign)
         _check([x > 500, y > 300, z > 100], (0, 2, 5), 0, n, sign=sign)
         _check([x / 1000.0, y / 1000.0, x / 1000.0], (0, 1, 4), 0, n, sign=sign)
+
+
+@pytest.fixture(params=[1, 2, 5])
+def workers(request, monkeypatch):
+    """W forced through the affinity mask that ``ordered_map`` reads."""
+    monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
+    return request.param
+
+
+def test_ordered_map_is_the_list_comprehension(workers):
+    for items in ([], [7], list(range(50))):
+        assert ordered_map(lambda x: x * x, items) == [x * x for x in items]
+    assert ordered_map(str, iter(range(3))) == ["0", "1", "2"]
+
+
+def test_every_item_claimed_once_under_fast_switching(monkeypatch):
+    # five workers on a shared counter, switching threads every microsecond:
+    # a lost update of the counter would run an item twice or skip one
+    monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            del ran[:]
+            assert ordered_map(lambda x: ran.append(x) or -x, range(300)) == [-x for x in range(300)]
+            assert sorted(ran) == list(range(300))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_start_only_when_two_workers_meet_two_items(workers, monkeypatch):
+    started = []
+    real = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
+    for items in ([], [1], [1, 2], list(range(9))):
+        del started[:]
+        assert ordered_map(abs, items) == items
+        assert len(started) == max(0, min(workers, len(items)) - 1)
+        assert not any(t.is_alive() for t in started)
+
+
+def test_results_in_item_order_when_items_finish_out_of_order(monkeypatch):
+    monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    second_done = threading.Event()
+    finished = []
+
+    def fn(i):
+        # item 0 finishes only after item 1, which the other worker runs
+        if i == 0 and not second_done.wait(10):
+            raise RuntimeError("item 1 never ran beside item 0")
+        finished.append(i)
+        if i == 1:
+            second_done.set()
+        return -i
+
+    assert ordered_map(fn, range(6)) == [0, -1, -2, -3, -4, -5]
+    assert finished.index(1) < finished.index(0)
+
+
+def test_first_exception_reraised_after_every_worker_stops(workers):
+    started, running = [], set()
+
+    def fn(i):
+        started.append(i)
+        running.add(i)
+        if i == 3:
+            raise ValueError("item 3")
+        time.sleep(0.02)
+        running.discard(i)
+        return i
+
+    with pytest.raises(ValueError, match="item 3"):
+        ordered_map(fn, range(40))
+    # no item is still running, and each worker claimed at most one item
+    # after item 3
+    assert running == {3}
+    assert sorted(started)[:4] == [0, 1, 2, 3] and max(started) < 3 + workers

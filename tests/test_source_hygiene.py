@@ -11,7 +11,9 @@ environment, so outputs depend only on declared inputs.  The fractional
 part of a float has one implementation, ``torus._frac`` (bit for bit
 numpy's ``% 1.0`` at a tenth of its cost), so no module takes ``% 1.0``
 itself; ``tests/oracles.py`` keeps its ``% 1.0`` as the independent
-reference that the Monte Carlo paths are checked against.  Every public
+reference that the Monte Carlo paths are checked against.  Threads are
+started in one place, ``scan.ordered_map``, so the library has one parallel
+path and one place where its results are put back in order.  Every public
 function, and every public method of a public class, is read somewhere in
 the package or by the benchmark's workloads, or is allowlisted with its
 reason, so the library carries no surface that no command, chain,
@@ -213,3 +215,17 @@ def test_fractional_part_only_through_frac(path):
         and isinstance(node.right.value, float) and node.right.value == 1.0
     ]
     assert hits == [], f"{path.name}: float remainder % 1.0 at lines {hits}, use torus._frac"
+
+
+def test_threads_start_only_in_ordered_map():
+    """``threading.Thread`` (or a bare ``Thread``) is constructed only inside
+    ``scan.ordered_map``."""
+    sites = [
+        (path.stem, getattr(stmt, "name", None))
+        for path in MODULES
+        for stmt in _tree(path).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Thread"
+    ]
+    assert sites == [("scan", "ordered_map")]
