@@ -47,6 +47,7 @@ from .sets import (
 from .torus import (
     DEFAULT_SAMPLES,
     build_torus_set,
+    certificate_width,
     interlace_k,
     interlace_m,
     lambda_tilde_certificate,
@@ -130,7 +131,7 @@ def _witness_dict(w):
 
 def _spec_arg(args):
     """Pattern from --spec, else the plain --k progression."""
-    return PatternSpec.from_string(args.spec) if args.spec else PatternSpec.ap(args.k)
+    return args.spec or PatternSpec.ap(args.k)
 
 
 def _field_arg(args):
@@ -189,9 +190,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    pattern = PatternSpec.from_string(args.spec) if args.spec else args.k
     res = search_coloring(
-        args.N, pattern, args.r, args.ambient, args.mode, args.budget, args.seed
+        args.N, args.spec or args.k, args.r, args.ambient, args.mode, args.budget, args.seed
     )
     report = {
         "status": res.status,
@@ -291,7 +291,8 @@ def cmd_density(args) -> int:
         _require(args, "--certificate", "torus_coloring", "set")
         Phi = _load_torus_coloring(args.torus_coloring)
         S = residue_set_from_text(_read(args.set))
-        A = build_torus_set(Phi, S, spec.k, args.width)
+        width = certificate_width(spec, S.modulus) if args.width is None else args.width
+        A = build_torus_set(Phi, S, spec.k, width)
         _emit(_exact_report(lambda_tilde_certificate(A, spec), "certificate"))
     return EXIT_OK
 
@@ -356,7 +357,7 @@ def cmd_pipeline(args) -> int:
                 raise ValueError(f"pipeline {args.name!r} takes no {flag}")
             kwargs[key] = val
     if "a" in kwargs:
-        kwargs["a"] = PatternSpec.from_string(kwargs["a"]).a
+        kwargs["a"] = kwargs["a"].a
     if "base" in kwargs:
         kwargs["base"] = _load_coloring(kwargs["base"])
     result = run_pipeline(args.name, **kwargs)
@@ -409,6 +410,15 @@ def seed(text: str) -> int:
     return value
 
 
+def pattern_spec(text: str) -> PatternSpec:
+    """argparse type for a ``--spec`` of offsets such as 0,1,3, or a usage
+    error that names the value."""
+    try:
+        return PatternSpec.from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``aplab`` parser, built on first use and shared by later calls of
@@ -431,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True,
                    choices=["symmetric", "sym-a", "mono", "binomial", "abab-abba"])
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--spec")
+    p.add_argument("--spec", type=pattern_spec)
     p.add_argument("--a-bound", type=int, default=4)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", help="search for a symmetric-pattern-free coloring")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--spec")
+    p.add_argument("--spec", type=pattern_spec)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--ambient", choices=["cyclic", "interval"], default=CYCLIC)
     p.add_argument("--mode", choices=["exhaustive", "randomized"], default="exhaustive")
@@ -452,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, help="modulus for behrend")
     p.add_argument("--m", type=int, help="modulus for base9/greedy")
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--spec")
+    p.add_argument("--spec", type=pattern_spec)
     p.add_argument("--r", type=int, help="target size")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build_set)
@@ -482,11 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="grid file (comma-separate for multilinear)")
     p.add_argument("--torus-coloring")
     p.add_argument("--set")
-    p.add_argument("--width", type=rational)
+    p.add_argument("--width", type=rational,
+                   help="slab width as p/q (default the smaller of 1/(2^k m) and the sound width)")
     p.add_argument("--predicate", default="binomial",
                    choices=["binomial", "symmetric", "mono"])
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--spec")
+    p.add_argument("--spec", type=pattern_spec)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(fn=cmd_density)
@@ -505,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         "converge", parents=[field], help="density/uniformity table over a list of N"
     )
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--spec")
+    p.add_argument("--spec", type=pattern_spec)
     p.add_argument("--N-list", required=True)
     p.add_argument("--reference")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
@@ -529,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     # no defaults here: an omitted flag takes the runner's own default
     p.add_argument("--ell", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--spec", help="offsets for lemma7_10")
+    p.add_argument("--spec", type=pattern_spec, help="offsets for lemma7_10")
     p.add_argument("--base-coloring", help="coloring file overriding the bundled base")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=seed)

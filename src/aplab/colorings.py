@@ -28,9 +28,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import FormatError, SelfCheckError, check_budget, data_lines, parse_ints
+from .errors import FormatError, check_budget, data_lines, parse_ints
 from .patterns import PatternSpec, is_symmetric
-from .scan import carry_count, eval_clauses, predicate_clauses, shift_blocks
+from .scan import carry_count, digit_levels, eval_clauses, predicate_clauses, shift_blocks
 
 __all__ = [
     "CYCLIC",
@@ -65,9 +65,10 @@ class Coloring:
     """A coloring of Z/NZ or of the interval [0, N).
 
     Color ids are exactly 1..r with every id used; constructors that produce
-    sparse ids must relabel first (see ``Coloring.from_raw``).  ``levels``,
-    when known, is the digit structure of the colors (see ``_digit_levels``);
-    it takes no part in equality.
+    sparse ids must relabel first (see ``Coloring.from_raw``).  ``levels`` is
+    the digit structure of the colors: the given levels, checked by
+    ``scan.digit_levels``, or else the one level ``((N, colors),)``.  It
+    takes no part in equality.
     """
 
     ambient: str
@@ -84,8 +85,9 @@ class Coloring:
         used = set(colors)
         if min(used) < 1 or max(used) != len(used):
             raise ValueError("color ids must be exactly 1..r with all used")
-        if self.levels is not None:
-            object.__setattr__(self, "levels", _digit_levels(self.as_array, self.levels))
+        given = self.levels
+        levels = ((len(colors), colors),) if given is None else digit_levels(self.as_array, given)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def n(self) -> int:
@@ -109,48 +111,6 @@ class Coloring:
                 mapping[x] = len(mapping) + 1
             out.append(mapping[x])
         return cls(ambient, tuple(out))
-
-
-def _digit_levels(colors: np.ndarray, levels) -> tuple:
-    """``levels`` as a tuple of (base, digit colors) pairs, least significant
-    digit first, once checked against the cell colors ``colors``.
-
-    Cell j has digits j_0, j_1, ... in the mixed radix of the bases, and
-    level l colors digit j_l by its l-th entry.  The check: the bases
-    multiply to the cell count, each level has one color per digit, and the
-    tuple of a cell's digit colors and the cell's color determine each
-    other, so two cells share a color exactly when every digit color
-    matches.  The tuple is read as a mixed-radix key below the cell count
-    and both maps are written into lookup arrays and read back, O(cells) in
-    numpy.  A failure raises ``SelfCheckError`` (a raise, not an assert, so
-    it also holds under ``python -O``).
-    """
-    levels = tuple((int(b), tuple(int(c) for c in dc)) for b, dc in levels)
-    n = len(colors)
-    if math.prod(b for b, _ in levels) != n or any(len(dc) != b for b, dc in levels):
-        raise SelfCheckError("digit levels do not match the number of cells")
-    key = np.zeros(n, dtype=np.int64)
-    digits = np.arange(n)
-    scale = 1
-    for b, dc in levels:
-        distinct, dense = np.unique(np.asarray(dc), return_inverse=True)
-        key += dense[digits % b] * scale
-        digits //= b
-        scale *= len(distinct)
-    colors = np.asarray(colors, dtype=np.int64)
-    color_of_key = np.zeros(scale, dtype=np.int64)
-    color_of_key[key] = colors
-    key_of_color = np.zeros(int(colors.max()) + 1, dtype=np.int64)
-    key_of_color[colors] = key
-    if not (np.array_equal(color_of_key[key], colors) and np.array_equal(key_of_color[colors], key)):
-        raise SelfCheckError("digit colors and cell colors do not determine each other")
-    return levels
-
-
-def _own_levels(coloring) -> tuple:
-    """The digit levels of a coloring: its ``levels`` when known, else one
-    level of its own colors."""
-    return coloring.levels or ((len(coloring.colors), coloring.colors),)
 
 
 @dataclass(frozen=True)
@@ -292,17 +252,16 @@ def _counted_free(coloring: Coloring, offsets, clauses) -> bool:
     one pairing each) a state is the carry vector (c_1, c_2, c_3), with
     c_i <= a_i from the start g = 0, and its one live clause: at most
     2 * 3 * 4 = 24 states.  ``tensor_power`` builds ell >= 2 levels of base
-    n = D^(1/ell), or finer ones when the factor has levels, so the
+    n = D^(1/ell), or finer ones when the factor has several, so the
     transitions are at most 24 * ell * n^2 <= 48 D (ell n^2 <= 2 n^ell at
     n >= 2), at most 4.8e7 under ``tensor_cells`` (D <= 10^6), far below
     ``exact_work`` (2.5e9).
     """
-    levels = coloring.levels
-    if coloring.ambient != CYCLIC or levels is None or len(levels) < 2:
+    if coloring.ambient != CYCLIC or len(coloring.levels) < 2:
         return False
     D = coloring.n
     start = ((0,) * len(offsets), Fraction(1))
-    return carry_count(levels, offsets, (start,), clauses) * D * D == D
+    return carry_count(coloring.levels, offsets, (start,), clauses) * D * D == D
 
 
 def _witness_at(coloring, offsets, n, d, kind, detail=None):
@@ -312,15 +271,6 @@ def _witness_at(coloring, offsets, n, d, kind, detail=None):
         pts = tuple(n + o * d for o in offsets)
     cols = tuple(coloring.colors[p] for p in pts)
     return Witness(kind, n, d, pts, cols, detail or {})
-
-
-def _normalized_offsets(pattern) -> tuple[int, ...]:
-    if isinstance(pattern, PatternSpec):
-        return pattern.normalized().a
-    k = int(pattern)
-    if k < 3:
-        raise ValueError("k must be at least 3")
-    return tuple(range(k))
 
 
 def verify_symmetric_ap_free(coloring: Coloring, k: int) -> Witness | None:
@@ -361,7 +311,7 @@ def verify_binomial_pattern_free(coloring: Coloring, spec: PatternSpec) -> Witne
     """
     offsets = spec.normalized().a
     clauses = predicate_clauses(spec, "binomial")
-    if not clauses or _counted_free(coloring, offsets, clauses):
+    if _counted_free(coloring, offsets, clauses):
         return None
     hit = _least_hit(coloring, offsets, clauses, signed=True)
     if hit is None:
@@ -480,7 +430,7 @@ def tensor_power(coloring: Coloring, ell: int) -> Coloring:
     Each progression's least significant varying digit is itself a
     progression, so freeness from symmetrically colored progressions is
     preserved.  The result's ``levels`` are ell copies of the factor's
-    levels (one level of its colors when it has none).
+    levels.
     """
     if coloring.ambient != CYCLIC:
         raise ValueError("tensor power needs a cyclic coloring")
@@ -498,7 +448,7 @@ def tensor_power(coloring: Coloring, ell: int) -> Coloring:
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     label = np.empty(len(first), dtype=np.int64)
     label[np.argsort(first)] = np.arange(1, len(first) + 1)
-    return Coloring(CYCLIC, tuple(label[inverse].tolist()), _own_levels(coloring) * ell)
+    return Coloring(CYCLIC, tuple(label[inverse].tolist()), coloring.levels * ell)
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +462,28 @@ class SearchResult:
     nodes: int
 
 
-def _symmetric_constraints(n_amb, offsets, ambient):
-    """Deduplicated symmetric-coloring constraints as pair lists.
+def _normalized_spec(pattern) -> PatternSpec:
+    """The normalized spec of a search pattern, an int k or a PatternSpec."""
+    if isinstance(pattern, PatternSpec):
+        return pattern.normalized()
+    k = int(pattern)
+    if k < 3:
+        raise ValueError("k must be at least 3")
+    return PatternSpec.ap(k)
+
+
+def _symmetric_constraints(n_amb, spec, ambient):
+    """Deduplicated symmetric-coloring constraints as pair lists, one per
+    progression of the normalized ``spec``, from the one pairing clause of
+    ``scan.predicate_clauses(spec, "symmetric")``.
 
     Each constraint holds the index pairs that must NOT all be monochromatic.
     Pairs whose two points coincide are dropped (they hold automatically); a
     constraint with no remaining pairs is violated by every coloring.
     """
-    k = len(offsets)
+    offsets = spec.a
     amax = offsets[-1]
+    [(_, pairing)] = predicate_clauses(spec, "symmetric")
     seen = {}
     always_violated = False
     if ambient == CYCLIC:
@@ -537,8 +500,8 @@ def _symmetric_constraints(n_amb, offsets, ambient):
         else:
             pts = [n + o * d for o in offsets]
         pairs = []
-        for i in range(k // 2):
-            p, q = pts[i], pts[k - 1 - i]
+        for i, j in pairing:
+            p, q = pts[i], pts[j]
             if p != q:
                 pairs.append((min(p, q), max(p, q)))
         key = frozenset(pairs)
@@ -570,16 +533,18 @@ def search_coloring(
     out; exhaustion is reported distinctly from refutation.  Deterministic
     for a fixed (seed, budget).
     """
+    if n < 1:
+        raise ValueError("N must be at least 1")
     if r < 1:
         raise ValueError("r must be at least 1")
     if budget is not None and budget < 0:
         raise ValueError("budget must be non-negative")
-    offsets = _normalized_offsets(pattern)
+    spec = _normalized_spec(pattern)
     if isinstance(pattern, PatternSpec) and not is_symmetric(pattern):
         raise ValueError("search needs a symmetric spec")
-    if len(offsets) % 2:
+    if spec.k % 2:
         raise ValueError("symmetric patterns need even length")
-    constraints, always_violated = _symmetric_constraints(n, offsets, ambient)
+    constraints, always_violated = _symmetric_constraints(n, spec, ambient)
     if always_violated:
         return SearchResult("none_exists", None, 0)
 

@@ -69,7 +69,12 @@ class PatternSpec:
 
     @classmethod
     def from_string(cls, text: str) -> "PatternSpec":
-        return cls(tuple(int(tok) for tok in text.replace(",", " ").split()))
+        """Offsets separated by commas or whitespace, such as "0,1,3"."""
+        try:
+            a = tuple(int(tok) for tok in text.replace(",", " ").split())
+        except ValueError:
+            raise ValueError("offsets must be integers") from None
+        return cls(a)
 
     def __str__(self):
         return ",".join(str(x) for x in self.a)

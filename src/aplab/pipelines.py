@@ -41,8 +41,7 @@ from .torus import (
     interlace_m,
     lambda_tilde_certificate,
     lambda_tilde_mc,
-    sound_width,
-    _default_width,
+    certificate_width,
     _rat,
 )
 
@@ -130,7 +129,7 @@ def _check_pre_stage(samples, seed):
 
 
 def _finish(name, spec, base, Phi, S, samples, seed):
-    width = min(_default_width(spec.k, S.modulus), sound_width(a_binomial_system(spec), S.modulus))
+    width = certificate_width(spec, S.modulus)
     A = _stage("torus-set", build_torus_set, Phi, S, spec.k, width)
     # bound = epsilon * width^(k-1) exactly: epsilon is recovered, not recomputed
     bound = _stage("exact-probability", lambda_tilde_certificate, A, spec)

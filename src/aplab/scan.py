@@ -7,9 +7,10 @@ probability in ``torus`` (with the cell shifts g_i), the verifiers in
 ``colorings`` and ``lambda_exact`` in ``uniformity``.  ``shift_blocks`` is
 that read, and ``predicate_clauses``/``eval_clauses`` compile and evaluate
 the color predicates the scans test.  ``carry_count`` counts the same
-clauses digit by digit on a coloring that carries digit levels, without
-reading its cells; it has two callers, the exact pattern probability of
-``torus`` and the freeness check of the ``colorings`` verifiers.
+clauses digit by digit on the levels that ``digit_levels`` checked, without
+reading the cells.  Its two callers, the exact pattern probability of
+``torus`` and the ``colorings`` verifiers, send it a cyclic coloring of two
+or more levels and scan one of a single level.
 ``ordered_map`` runs independent blocks of work on every CPU the process
 may use, with the results in block order; the order-3 box norm of
 ``uniformity`` is its caller.
@@ -25,12 +26,12 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import check_budget
+from .errors import SelfCheckError, check_budget
 from .patterns import (
     PatternSpec, a_binomial_system, enumerate_pairings, symmetric_pairing, zero_sum_subsets
 )
 
-__all__ = ["shift_blocks", "predicate_clauses", "eval_clauses", "carry_count", "ordered_map"]
+__all__ = ["shift_blocks", "predicate_clauses", "eval_clauses", "digit_levels", "carry_count", "ordered_map"]
 
 
 def ordered_map(fn, items) -> list:
@@ -192,6 +193,43 @@ def eval_clauses(clauses, cols):
                 m &= cols[data[0]] == cols[i]
         mask = m if mask is None else (mask | m)
     return mask
+
+
+def digit_levels(colors: np.ndarray, levels) -> tuple:
+    """``levels`` as a tuple of (base, digit colors) pairs, least significant
+    digit first, once checked against the cell colors ``colors``.
+
+    Cell j has digits j_0, j_1, ... in the mixed radix of the bases, and
+    level l colors digit j_l by its l-th entry.  The check: the bases
+    multiply to the cell count, each level has one color per digit, and the
+    tuple of a cell's digit colors and the cell's color determine each
+    other, so two cells share a color exactly when every digit color
+    matches.  The tuple is read as a mixed-radix key below the cell count
+    and both maps are written into lookup arrays and read back, O(cells) in
+    numpy.  A failure raises ``SelfCheckError`` (a raise, not an assert, so
+    it also holds under ``python -O``).  A coloring given no levels has the
+    one level of its own colors, which needs no check.
+    """
+    levels = tuple((int(b), tuple(int(c) for c in dc)) for b, dc in levels)
+    n = len(colors)
+    if math.prod(b for b, _ in levels) != n or any(len(dc) != b for b, dc in levels):
+        raise SelfCheckError("digit levels do not match the number of cells")
+    key = np.zeros(n, dtype=np.int64)
+    digits = np.arange(n)
+    scale = 1
+    for b, dc in levels:
+        distinct, dense = np.unique(np.asarray(dc), return_inverse=True)
+        key += dense[digits % b] * scale
+        digits //= b
+        scale *= len(distinct)
+    colors = np.asarray(colors, dtype=np.int64)
+    color_of_key = np.zeros(scale, dtype=np.int64)
+    color_of_key[key] = colors
+    key_of_color = np.zeros(int(colors.max()) + 1, dtype=np.int64)
+    key_of_color[colors] = key
+    if not (np.array_equal(color_of_key[key], colors) and np.array_equal(key_of_color[colors], key)):
+        raise SelfCheckError("digit colors and cell colors do not determine each other")
+    return levels
 
 
 def carry_count(levels, offsets, cells, clauses) -> Fraction:

@@ -9,12 +9,12 @@ p, q and s, t in [0, 1), the cell of x + a*y is (p + a*q + floor(s + a*t))
 mod D, and the floor vector is constant on a fixed rational polygonal
 decomposition of the (s, t) unit square that does not depend on (p, q).
 
-The interlacings return colorings that carry their digit structure
-(``TorusColoring.levels``); for those the exact kernel is the carry
+Every coloring carries its digit structure (``TorusColoring.levels``).  For
+the two or more levels of an interlacing the exact kernel is the carry
 automaton ``scan.carry_count``, which counts all cells of the decomposition
-in one pass, digit by digit of p, q and the cell indices (its other caller
-is the freeness check of the ``colorings`` verifiers).  A coloring read from
-a file has no levels and is counted as a flat scan, one cell of the
+in one pass, digit by digit of p, q and the cell indices (its other caller,
+by the same rule, is the ``colorings`` verifiers).  A file's coloring has
+one level of its own colors and is counted as a flat scan, one cell of the
 decomposition and one block of consecutive q rows of ``scan.shift_blocks``
 at a time; the tests use that scan as the automaton's cross-check.
 """
@@ -28,10 +28,10 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .colorings import Coloring, _digit_levels, _own_levels
+from .colorings import Coloring
 from .errors import FormatError, SelfCheckError, check_budget, data_lines, parse_ints
 from .patterns import PatternSpec, a_binomial_system
-from .scan import carry_count, eval_clauses, predicate_clauses, shift_blocks
+from .scan import carry_count, digit_levels, eval_clauses, predicate_clauses, shift_blocks
 from .sets import ResidueSet, verify_solution_free
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "lambda_tilde_mc",
     "lambda_tilde_certificate",
     "sound_width",
+    "certificate_width",
     "torus_coloring_to_text",
     "torus_coloring_from_text",
     "torus_set_to_text",
@@ -63,11 +64,11 @@ DEFAULT_SAMPLES = 1_000_000
 class TorusColoring:
     """Coloring of the circle, constant on [j/D, (j+1)/D) for j = 0..D-1.
 
-    ``levels``, when known, is the digit structure of the cells: (base,
-    digit colors) pairs, least significant digit first, such that two cells
-    share a color exactly when every digit color matches (checked on
-    construction by ``colorings._digit_levels``).  The interlacings attach
-    it; a coloring read from a file has none.  It takes no part in equality.
+    ``levels`` is the digit structure of the cells: (base, digit colors)
+    pairs, least significant digit first, such that two cells share a color
+    exactly when every digit color matches.  The interlacings give theirs,
+    checked by ``scan.digit_levels``; any other coloring has the one level
+    ``((D, cell_colors),)``.  It takes no part in equality.
     """
 
     cell_colors: tuple[int, ...]
@@ -78,8 +79,9 @@ class TorusColoring:
         object.__setattr__(self, "cell_colors", cc)
         if not cc or min(cc) < 1:
             raise ValueError("cell colors must be positive ids")
-        if self.levels is not None:
-            object.__setattr__(self, "levels", _digit_levels(self.as_array, self.levels))
+        given = self.levels
+        levels = ((len(cc), cc),) if given is None else digit_levels(self.as_array, given)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def D(self) -> int:
@@ -222,7 +224,7 @@ def interlace_k(phi: Coloring, k: int) -> TorusColoring:
     b, c = np.divmod(rem, k)
     cells = (a * k + c) * phi.r + phi.as_array[b]
     k_digit = (k, range(k))
-    return TorusColoring(tuple(cells.tolist()), (k_digit, *_own_levels(phi), k_digit))
+    return TorusColoring(tuple(cells.tolist()), (k_digit, *phi.levels, k_digit))
 
 
 def interlace_m(phi: Coloring, m: int) -> TorusColoring:
@@ -237,7 +239,7 @@ def interlace_m(phi: Coloring, m: int) -> TorusColoring:
     check_budget("interlace_cells", D)
     j = np.arange(D)
     cells = phi.as_array[j // m] + phi.r * (j % m)
-    return TorusColoring(tuple(cells.tolist()), ((m, range(m)), *_own_levels(phi)))
+    return TorusColoring(tuple(cells.tolist()), ((m, range(m)), *phi.levels))
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +303,21 @@ def pattern_probability_exact(
 
     Exactness: the (p, q) grid part is a finite count (integers) and the
     (s, t) part contributes the rational cell areas from ``pattern_cells``,
-    which are (p, q)-independent.  A coloring with ``levels`` is counted by
-    the carry automaton ``scan.carry_count``.  Any other coloring is counted
-    cell by cell over the blocks of ``scan.shift_blocks``, where position i
-    of row q is c[(p + a_i q + g_i) mod D] at column p, with the colors
-    stored as the narrowest unsigned integer type that holds the palette;
-    the ``exact_work`` budget bounds D^2 times the cell count.  Exceeding
-    the budget raises rather than truncating.
+    which are (p, q)-independent.  Two or more ``levels`` are counted by the
+    carry automaton ``scan.carry_count``, one level (a file's coloring) cell
+    by cell over the blocks of ``scan.shift_blocks``, where position i of
+    row q is c[(p + a_i q + g_i) mod D] at column p, with the colors stored
+    as the narrowest unsigned integer type that holds the palette; the
+    ``exact_work`` budget bounds D^2 times the cell count.  Exceeding the
+    budget raises rather than truncating.
     """
     offsets = spec.normalized().a
     D = Phi.D
     cells = pattern_cells(spec)
-    if Phi.levels is None:
-        check_budget("exact_work", D * D * len(cells))
+    if len(Phi.levels) >= 2:
+        return carry_count(Phi.levels, offsets, cells, predicate_clauses(spec, predicate))
+    check_budget("exact_work", D * D * len(cells))
     clauses = predicate_clauses(spec, predicate)
-    if not clauses:
-        return Fraction(0)
-    if Phi.levels is not None:
-        return carry_count(Phi.levels, offsets, cells, clauses)
     colors = Phi.as_array.astype(np.min_scalar_type(Phi.r))
     total = Fraction(0)
     for g, area in cells:
@@ -476,6 +475,15 @@ def sound_width(system, m: int) -> Fraction:
     """
     mass = sum(x for x in system.e if x > 0)
     return Fraction(1, 2 * mass * m)
+
+
+def certificate_width(spec: PatternSpec, m: int) -> Fraction:
+    """The width of a certified torus set over residues mod m when none is
+    chosen: the default 1/(2^k m), or ``sound_width`` where that is
+    smaller, which is where the positive coefficient mass exceeds 2^(k-1).
+    A k-term progression has mass 2^(k-2), so it always takes 1/(2^k m).
+    """
+    return min(_default_width(spec.k, m), sound_width(a_binomial_system(spec), m))
 
 
 def lambda_tilde_mc(

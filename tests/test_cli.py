@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -41,8 +42,6 @@ class TestVerifyCommand:
         assert code == 0 and rep["ok"]
 
     def test_distributed_fixture_file(self, capsys):
-        from pathlib import Path
-
         fixture = Path(__file__).resolve().parent.parent / "fixtures" / "z22_coloring.txt"
         code, rep = run(capsys, ["verify", str(fixture), "--pattern", "symmetric", "--k", "4"])
         assert code == 0 and rep["ok"]
@@ -718,3 +717,148 @@ class TestStageErrors:
             "error: stage 'greedy-set': "
             "budget greedy_table exceeded: needs 13841287201, cap 20000000\n"
         )
+
+
+FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "z22_coloring.txt")
+
+
+class TestCertificateDefaultWidth:
+    """Without --width a certificate takes 1/(2^k m), or the sound width
+    where that is smaller; a --width above the sound width is refused."""
+
+    @pytest.fixture()
+    def chain(self, capsys, tmp_path):
+        phi, s = str(tmp_path / "phi.txt"), str(tmp_path / "s.txt")
+        assert main(["interlace", "--input", FIXTURE, "--k", "4", "--out", phi]) == 0
+        argv = ["build-set", "--kind", "greedy", "--spec", "0,1,2,4", "--m", "200000", "--r", "48"]
+        assert main([*argv, "--out", s]) == 0
+        capsys.readouterr()
+        return ["density", "--certificate", "--torus-coloring", phi, "--set", s, "--spec", "0,1,2,4"]
+
+    def test_mass_above_half_certifies_at_the_sound_width(self, capsys, chain):
+        # e = (3, -8, 6, -1) has mass 9 > 2^3, so the default 1/(16 m) is
+        # unsound and 1/(18 m) is taken
+        code, rep = run(capsys, chain)
+        assert code == 0
+        assert run(capsys, [*chain, "--width", "1/3600000"]) == (code, rep)
+
+    def test_width_above_the_sound_width_is_refused(self, capsys, chain):
+        assert main([*chain, "--width", "1/3599999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("need width <= 1/3600000\n")
+
+
+class TestSpecUsageError:
+    """A --spec that is not an increasing list of integers is a usage error
+    naming the flag and the value, on every command that takes one."""
+
+    COMMANDS = [
+        ["verify", FIXTURE, "--pattern", "binomial"],
+        ["search", "--N", "8", "--r", "3"],
+        ["build-set", "--kind", "greedy", "--m", "64", "--r", "3", "--out", "unwritten.txt"],
+        ["density", "--lambda-mc", "--slab", "1/4", "--samples", "10"],
+        ["converge", "--const", "1/2", "--N-list", "8", "--samples", "10"],
+        ["pipeline", "--name", "lemma7_10", "--samples", "10"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    @pytest.mark.parametrize(
+        "value,reason",
+        [("0,x,2", "offsets must be integers"), ("3,2,1", "offsets must be strictly increasing")],
+    )
+    def test_exits_2_naming_flag_and_value(self, capsys, tmp_path, monkeypatch, argv, value, reason):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--spec", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --spec: invalid value '{value}': {reason}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSearchSize:
+    @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_below_one_exits_2(self, capsys, mode, n):
+        assert main(["search", "--N", n, "--r", "3", "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: N must be at least 1\n"
+
+
+class TestCommandPaths:
+    """Commands that no other test runs to completion: exit code, report
+    keys and the file each writes."""
+
+    CASES = [
+        (
+            ["build-set", "--kind", "greedy", "--k", "4", "--m", "2000", "--r", "8", "--out", "OUT"],
+            0, ["complete", "kind", "modulus", "out", "scanned", "size", "version"], "residues",
+        ),
+        (
+            ["build-set", "--kind", "greedy", "--k", "4", "--m", "64", "--r", "48", "--out", "OUT"],
+            1, ["complete", "infeasible_at_budget", "kind", "scanned", "version"], None,
+        ),
+        (
+            ["build-set", "--kind", "behrend", "--N", "1000", "--k", "3", "--out", "OUT"],
+            0, ["kind", "modulus", "out", "size", "version"], "residues",
+        ),
+        (
+            ["interlace", "--input", FIXTURE, "--m", "3", "--out", "OUT"],
+            0, ["D", "colors", "out", "version"], "torus-coloring",
+        ),
+        (
+            ["verify", FIXTURE, "--pattern", "mono", "--k", "4"],
+            1, ["input", "ok", "pattern", "version", "witness"], None,
+        ),
+        (
+            ["verify", FIXTURE, "--pattern", "abab-abba", "--a-bound", "5"],
+            1, ["input", "ok", "pattern", "version", "witness"], None,
+        ),
+        (
+            ["density", "--lambda-exact", "--grid", "GRID", "--k", "3"],
+            0, ["exact", "kind", "value", "version"], None,
+        ),
+        (
+            ["pipeline", "--name", "thm2_7", "--base-coloring", FIXTURE, "--samples", "10", "--out-dir", "OUT"],
+            0,
+            [
+                "bound", "bound_float", "bound_over_random", "epsilon", "epsilon_float", "marginal",
+                "marginal_float", "mc_mean", "mc_stderr", "out_dir", "pipeline", "samples", "seed",
+                "spec", "version",
+            ],
+            "artifacts",
+        ),
+    ]
+
+    IDS = [
+        "greedy", "greedy-infeasible", "behrend", "interlace-m", "verify-mono", "verify-abab-abba",
+        "lambda-exact-float", "pipeline-base-coloring",
+    ]
+
+    @pytest.mark.parametrize("argv,code,keys,written", CASES, ids=IDS)
+    def test_runs(self, capsys, tmp_path, argv, code, keys, written):
+        out = tmp_path / "out"
+        grid = tmp_path / "grid.txt"
+        grid.write_text("5\n0.5\n0.25\n1.0\n0.0\n0.75\n")
+        argv = [{"OUT": str(out), "GRID": str(grid)}.get(a, a) for a in argv]
+        got, rep = run(capsys, argv)
+        assert got == code
+        assert sorted(rep) == keys
+        if written is None:
+            assert not out.exists()
+        elif written == "residues":
+            S = residue_set_from_text(out.read_text())
+            assert (S.modulus, len(S)) == (rep["modulus"], rep["size"])
+        elif written == "torus-coloring":
+            tc = torus_coloring_from_text(out.read_text())
+            assert (tc.D, tc.r) == (rep["D"], rep["colors"]) == (66, 9)
+        else:
+            names = sorted(p.name for p in out.iterdir())
+            assert names == [
+                "base_coloring.txt", "certificate.json", "interlaced.txt", "residues.txt",
+                "torus_set.txt",
+            ]
+            assert coloring_from_text((out / "base_coloring.txt").read_text()).colors == Z22_DIGITS
+        if argv[0] == "density":
+            assert rep["exact"] is False and rep["value"] == 0.125

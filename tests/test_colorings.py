@@ -698,3 +698,9 @@ class TestSearch:
     def test_exhaustive_cap(self):
         with pytest.raises(BudgetExceededError):
             search_coloring(100, 4, 3)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_size_below_one_is_refused(self, mode, n):
+        with pytest.raises(ValueError, match="^N must be at least 1$"):
+            search_coloring(n, 4, 3, mode=mode)

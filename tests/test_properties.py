@@ -22,6 +22,7 @@ from aplab.colorings import (
     verify_symmetric_ap_free,
 )
 from aplab.patterns import PatternSpec, a_binomial_system, a_coefficients, is_k_pattern
+from aplab.scan import predicate_clauses
 from aplab.sets import ResidueSet, base9_set, behrend_set, greedy_solution_free_set, verify_solution_free
 from aplab.torus import (
     DiagonalStrip,
@@ -205,6 +206,21 @@ def test_behrend_set_is_pattern_free(N, k):
     ] == []
 
 
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(st.sets(st.integers(-10, 30), min_size=3, max_size=8))
+def test_every_admitted_predicate_has_a_clause(offsets):
+    # the binomial system's coefficients sum to 0, so all k positions form
+    # a zero-sum subset, and pruning keeps the first clause; "symmetric" is
+    # admitted at even k only
+    spec = PatternSpec(tuple(sorted(offsets)))
+    predicates = ["binomial", "mono"] + (["symmetric"] if spec.k % 2 == 0 else [])
+    for predicate in predicates:
+        assert predicate_clauses(spec, predicate), (spec, predicate)
+    if spec.k % 2:
+        with pytest.raises(ValueError):
+            predicate_clauses(spec, "symmetric")
+
+
 @st.composite
 def survivor_cases(draw):
     """A spec with k <= 5 offsets in 0..7, a torus set over a coloring of
@@ -369,9 +385,9 @@ def tensor_cases(draw):
 def test_counted_verifiers_match_flat_and_naive(power):
     # the levelled power is decided by the carry automaton's count, and
     # named by the scan when the count is not trivial; the same colors
-    # without levels are always scanned
+    # as one level are always scanned
     flat = Coloring(CYCLIC, power.colors)
-    assert len(power.levels) >= 2 and flat.levels is None
+    assert len(power.levels) >= 2 and len(flat.levels) == 1
     sym_a = PatternSpec((0, 1, 3, 4))
     cases = [
         (verify_symmetric_ap_free, 4, range(4), oracles.naive_symmetric_witness),

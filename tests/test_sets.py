@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -7,7 +8,7 @@ import oracles
 from aplab.colorings import CYCLIC, Coloring, verify_mono_pattern_free
 from aplab import sets
 from aplab.errors import BUDGETS, BudgetExceededError, FormatError, SelfCheckError
-from aplab.patterns import PatternSpec, a_binomial_system
+from aplab.patterns import PatternSpec, a_binomial_system, is_k_pattern
 from aplab.sets import (
     GreedyResult,
     _SolutionCounter,
@@ -72,6 +73,25 @@ class TestBehrend:
         s = behrend_set(N, k)
         assert len(s) >= 1
         assert set_pattern_witness(s, k) is None
+
+    def test_sphere_shell_wins_at_ten_million(self):
+        # d = 9, m = 3 in base B = 25 * 8 + 1 = 201: the 18 digit vectors of
+        # squared norm 65 beat the {0,1}-cube, which has 16 elements here
+        s = behrend_set(10**7, 26)
+        digits = [(x % 201, x // 201 % 201, x // 201**2) for x in s.elements]
+        assert len(s) == 18 and all(x < 201**3 for x in s.elements)
+        assert {sum(d * d for d in v) for v in digits} == {65}
+        assert max(max(v) for v in digits) == 8
+        S = s.elements
+        assert not any(is_k_pattern(x, y, z, 26, s.modulus) for x in S for y in S for z in S)
+
+    def test_cube_wins_at_a_million(self):
+        # B = 26 for d = 2; four digits fit below N / 25, and every shell of
+        # the larger d is smaller than the 16-element cube
+        s = behrend_set(10**6, 26)
+        weights = (1, 26, 26**2, 26**3)
+        bits = itertools.product((0, 1), repeat=4)
+        assert s.elements == tuple(sorted(sum(w * b for w, b in zip(weights, v)) for v in bits))
 
     def test_set_pattern_verifier_catches_violations(self):
         s = ResidueSet(9, (0, 1, 2))

@@ -17,7 +17,9 @@ path and one place where its results are put back in order.  Every public
 function, and every public method of a public class, is read somewhere in
 the package or by the benchmark's workloads, or is allowlisted with its
 reason, so the library carries no surface that no command, chain,
-certificate or benchmark reaches.
+certificate or benchmark reaches.  No module imports a private name of
+another module unless it is allowlisted with its reason, so each module's
+public names are its boundary.
 """
 
 import ast
@@ -229,3 +231,33 @@ def test_threads_start_only_in_ordered_map():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Thread"
     ]
     assert sites == [("scan", "ordered_map")]
+
+
+# private names one module imports from another, each shared for a reason
+PRIVATE_IMPORTS_ALLOWED = {
+    "uniformity <- torus._frac": "the one fractional part, shared with the Monte Carlo fields",
+    "uniformity <- torus._sample_blocks": "the one seeded block stream, shared with extraction",
+    "cli <- torus._rat": "the exact-rational text of reports",
+    "pipelines <- torus._rat": "the exact-rational text of certificates",
+}
+
+
+def _private_imports(path):
+    """'importer <- module.name' for every private name that the module at
+    ``path`` imports, at any depth, from another module of the package."""
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if not (node.level or module == "aplab" or module.startswith("aplab.")):
+            continue
+        source = module.removeprefix("aplab").lstrip(".")
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not name.endswith("__"):
+                yield f"{path.stem} <- {source + '.' if source else ''}{name}"
+
+
+def test_private_names_stay_in_their_module():
+    found = sorted(hit for path in MODULES for hit in _private_imports(path))
+    assert found == sorted(PRIVATE_IMPORTS_ALLOWED), f"private imports across modules: {found}"

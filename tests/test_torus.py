@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from aplab import scan
+from aplab import scan, torus
 from aplab.colorings import CYCLIC, Coloring, Z22_COLORING, tensor_power
 from aplab.errors import BudgetExceededError, SelfCheckError
 from aplab.patterns import (
@@ -26,6 +26,7 @@ from aplab.torus import (
     TorusColoring,
     TorusSet,
     build_torus_set,
+    certificate_width,
     interlace_k,
     interlace_m,
     lambda_tilde_certificate,
@@ -114,10 +115,12 @@ class TestDigitLevels:
         assert interlace_k(square, 4).levels == (phase, *square.levels, phase)
         assert interlace_m(square, 4).levels == (phase, *square.levels)
 
-    def test_unstructured_colorings_carry_none(self):
-        assert Coloring.from_raw(CYCLIC, [1, 2, 2, 3]).levels is None
+    def test_unstructured_colorings_carry_their_own_level(self):
+        c = Coloring.from_raw(CYCLIC, [1, 2, 2, 3])
+        assert c.levels == ((4, (1, 2, 2, 3)),)
         tc = interlace_k(z22(), 4)
-        assert torus_coloring_from_text(torus_coloring_to_text(tc)).levels is None
+        flat = torus_coloring_from_text(torus_coloring_to_text(tc))
+        assert flat.levels == ((tc.D, tc.cell_colors),)
 
     def test_levels_take_no_part_in_equality(self):
         tc = interlace_k(z22(), 4)
@@ -143,6 +146,19 @@ class TestDigitLevels:
             TorusColoring(cells, levels)
         with pytest.raises(SelfCheckError):
             Coloring(CYCLIC, cells, levels)
+
+    @pytest.mark.parametrize("predicate", ["binomial", "symmetric", "mono"])
+    def test_one_level_takes_the_flat_scan(self, monkeypatch, predicate):
+        # a hand-built one-level coloring: the flat scan gives the loop
+        # oracle's value and the automaton's, which is not consulted
+        rng = random.Random(11)
+        cells = Coloring.from_raw(CYCLIC, [rng.randint(1, 3) for _ in range(30)]).colors
+        tc = TorusColoring(cells, ((30, cells),))
+        spec = PatternSpec.ap(4)
+        counted = carry_count(tc.levels, spec.a, pattern_cells(spec), predicate_clauses(spec, predicate))
+        monkeypatch.setattr(torus, "carry_count", lambda *a: pytest.fail("the automaton ran"))
+        got = pattern_probability_exact(tc, spec, predicate)
+        assert got == oracles.loop_pattern_probability(tc, spec, predicate) == counted
 
     def test_mutated_interlacing_raises(self):
         tc = interlace_k(tensor_power(z22(), 2), 4)
@@ -637,6 +653,21 @@ class TestCertificate:
         # an explicitly smaller width is accepted
         val = lambda_tilde_certificate(build_torus_set(Phi, S, 4, Fraction(1, 18 * 11)), spec)
         assert val > 0
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_certificate_width_of_a_progression_is_the_default(self, k):
+        # mass 2^(k-2) puts the sound width at 1/(2^(k-1) m), twice the default
+        for m in (5, 97, 82945):
+            assert certificate_width(PatternSpec.ap(k), m) == Fraction(1, 2**k * m)
+
+    def test_certificate_width_above_half_mass_is_the_sound_width(self):
+        # e = (3, -8, 6, -1) has mass 9 > 2^3: 1/(18 m) < 1/(16 m)
+        spec = PatternSpec((0, 1, 2, 4))
+        assert certificate_width(spec, 11) == Fraction(1, 18 * 11)
+        Phi = TorusColoring((1,))
+        S = ResidueSet(11, (0, 3))
+        A = build_torus_set(Phi, S, 4, certificate_width(spec, 11))
+        assert lambda_tilde_certificate(A, spec) > 0
 
     def test_slots_with_a_solution_rejected(self):
         # 0..47 mod 97 holds the nontrivial AP4 solution 0 - 3*0 + 3*1 - 3
