@@ -68,17 +68,20 @@ class TorusColoring:
     pairs, least significant digit first, such that two cells share a color
     exactly when every digit color matches.  The interlacings give theirs,
     checked by ``scan.digit_levels``; any other coloring has the one level
-    ``((D, cell_colors),)``.  It takes no part in equality.
+    ``((D, cell_colors),)``.  It takes no part in equality, nor does the
+    palette size ``r``, the largest color, computed once with the cells.
     """
 
     cell_colors: tuple[int, ...]
     levels: tuple | None = field(default=None, compare=False, repr=False)
+    r: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cc = tuple(int(c) for c in self.cell_colors)
         object.__setattr__(self, "cell_colors", cc)
         if not cc or min(cc) < 1:
             raise ValueError("cell colors must be positive ids")
+        object.__setattr__(self, "r", max(cc))
         given = self.levels
         levels = ((len(cc), cc),) if given is None else digit_levels(self.as_array, given)
         object.__setattr__(self, "levels", levels)
@@ -86,10 +89,6 @@ class TorusColoring:
     @property
     def D(self) -> int:
         return len(self.cell_colors)
-
-    @property
-    def r(self) -> int:
-        return max(self.cell_colors)
 
     @cached_property
     def as_array(self) -> np.ndarray:
@@ -354,10 +353,29 @@ def pattern_probability_mc(
 # ---------------------------------------------------------------------------
 # torus sets
 
-# The indicator fields (TorusSet, SlabIndicator, DiagonalStrip) work in place
-# in the arrays they allocate, never in xs or ys, and return a new float64
-# array: a comparison written into a float64 ``out`` stores 1.0 and 0.0, as
-# ``astype(np.float64)`` would.
+# A field is any object with ``evaluate_batch(xs, ys)``, its finite values at
+# the points (xs, ys); ``uniformity.discretize`` also reads its
+# ``exact_value_at(x, y)``.  The indicator fields
+# (TorusSet, SlabIndicator, DiagonalStrip) work in place in the arrays they
+# allocate, never in xs or ys, and return a new float64 array: a comparison
+# written into a float64 ``out`` stores 1.0 and 0.0, as ``astype(np.float64)``
+# would.  A field may also have ``y_support(ys)``: the indices, ascending, of
+# a superset of the ys in [0, 1) at which ``evaluate_batch`` is nonzero for
+# some x.  ``lambda_tilde_mc`` then draws x only at those indices; TorusSet
+# has it, and every other field is evaluated at every sample as before.
+
+
+def _float_above(v: Fraction) -> float:
+    """The least float >= v."""
+    f = float(v)
+    return f if Fraction(f) >= v else math.nextafter(f, math.inf)
+
+
+def _member(sorted_values: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each entry of v is one of the (nonempty, sorted) values."""
+    pos = np.searchsorted(sorted_values, v)
+    np.minimum(pos, len(sorted_values) - 1, out=pos)
+    return sorted_values[pos] == v
 
 
 @dataclass(frozen=True)
@@ -400,6 +418,73 @@ class TorusSet:
         np.subtract(ys, t, out=t)
         _frac(t, out=t)
         return np.less(t, float(self.width), out=t)
+
+    @cached_property
+    def _support(self):
+        """The sorted distinct slots and the thresholds (hi, lo, wrap) of
+        ``y_support``, or None where the margin is too wide to use."""
+        m = self.m
+        if m >= 2**50:
+            return None
+        delta = Fraction(m, 2**51)
+        hi = _float_above(m * self.width + delta)
+        lo = -_float_above(delta - 1)
+        wrap = _float_above(m * self.width + delta - 1)
+        return np.array(sorted(set(self.slots)), dtype=np.int64), hi, lo, wrap
+
+    def y_support(self, ys: np.ndarray) -> np.ndarray:
+        """The indices, ascending, of the ys that ``evaluate_batch`` can map
+        to 1 at some x: each y within a margin of [s/m, s/m + width) for a
+        used slot s.  It is a superset, exact up to that margin; ys must lie
+        in [0, 1), else ValueError.  Memory is O(r) plus a few block-sized
+        arrays: the slots are matched by ``searchsorted``, with no table of
+        size m.
+
+        Proof.  Write c = fl(s/m) and W = fl(width) for the floats that
+        ``evaluate_batch`` compares, and d = fl(y - c), g = _frac(d).  As
+        |y - c| < 1, d is within 2^-54 of y - c and lies in (-1, 1); g is d
+        itself when d >= 0 and fl(d + 1), within 2^-54 of d + 1, when d < 0.
+        So g = y - c + n' + e with n' in {0, 1} and |e| <= 2^-53, while
+        |c - s/m| <= 2^-54 and W <= width + 2^-54.  A value 1 needs
+        0 <= g < W, hence y in [s/m + n - 2^-52, s/m + n + width + 2^-52)
+        with n = -n'.  The row computes u = fl(y m), within 2^-53 m of y m,
+        and its split into q = floor(u) and f = u - q is exact (u >= 0).
+        With delta = m 2^-51 > m (2^-52 + 2^-53), the integer S = s + n m
+        then satisfies u - m width - delta < S < u + delta.  For delta < 1
+        (m < 2^50 here; larger m return every index) and m width <= 1 that
+        leaves three cases:
+        - S = q, possible only when f < m width + delta;
+        - S = q + 1, y just below a slot start, only when f > 1 - delta;
+        - S = q - 1, only when f < m width + delta - 1 (width near 1/m),
+          where q = 0 wraps to slot m - 1.
+        The thresholds are those reals rounded outward to floats (hi, lo,
+        wrap), so each test keeps every f that the real bound keeps, and the
+        slot of a case is S mod m.  ``test_torus`` checks the edges.
+        """
+        if not len(ys):
+            return np.zeros(0, dtype=np.int64)
+        if not (ys.min() >= 0 and ys.max() < 1):
+            raise ValueError("y_support needs ys in [0, 1)")
+        if self._support is None:
+            return np.arange(len(ys))
+        slots, hi, lo, wrap = self._support
+        m = self.m
+        u = np.multiply(ys, m)
+        q = np.floor(u)
+        f = np.subtract(u, q, out=u)
+        near = np.less(f, hi)
+        near |= np.greater(f, lo)
+        idx = np.flatnonzero(near)
+        f = f[idx]
+        q = q[idx].astype(np.int64)
+        below = f > lo
+        # S = q + 1 just below a slot start, else S = q
+        keep = _member(slots, (q + below) % m)
+        if lo < hi:
+            keep |= below & (f < hi) & _member(slots, q % m)
+        if wrap > 0:
+            keep |= (f < wrap) & _member(slots, (q - 1) % m)
+        return idx[keep]
 
 
 class ConstantField:
@@ -507,34 +592,45 @@ def lambda_tilde_mc(
     drawn once per block and the same array is handed to every factor that
     reads it: while all samples survive, x is row 0 itself at a position
     a = 0 and y is row 2 + i itself at positions i < k - 1.  F may return
-    one of its inputs; the product is kept in an array of its own.
+    one of its inputs; the product is kept in an array of its own, a copy
+    of the first factor (1.0 * v is v, bit for bit, for every finite v).
 
     Only samples that can still change the result are evaluated: the
     product is taken factor by factor, in position order, over the samples
     whose running product is nonzero, and y_k is computed for those alone.
+    A field with ``y_support`` (a TorusSet) is asked first which samples
+    can survive the first factor, from row 2 (y_1) alone: F(x, y_1) is 0
+    for every x at the others, so they are dropped before any x is drawn.
     Each surviving sample goes through the same floating-point operations
     as a full evaluation, and the sums run over the block with the dropped
-    samples as zeros, so the estimate is bit-identical to multiplying all k
-    factors for every sample (F must take finite values).
+    samples as zeros (a block where none survives adds nothing, as adding
+    +0.0 to a sum that is never -0.0 changes no bit), so the estimate is
+    bit-identical to multiplying all k factors for every sample (F must
+    take finite values).
 
     The rows are drawn on demand, each at full block size, so a block draws
-    only the rows its survivors read, with the bytes of the eager draw:
-    none past row 2 when no sample survives the first factor, no row 1 for
-    a position a = 0 (x0 + 0*x1 mod 1 is x0, bit for bit), and no row k + 1
-    when |e_k| = 1 (the branch is then 0, and adding 0.0 to a fractional
-    part changes no bit).
+    only the rows its survivors read, with the bytes of the eager draw.  A
+    block of a field with ``y_support`` draws row 2 first and row 0 only if
+    some y_1 is in the support; every other block draws row 0 and row 2.
+    None past row 2 is drawn when no sample survives the first factor, no
+    row 1 for a position a = 0 (x0 + 0*x1 mod 1 is x0, bit for bit), and
+    no row k + 1 when |e_k| = 1 (the branch is then 0, and adding 0.0 to a
+    fractional part changes no bit).
     """
     system = a_binomial_system(spec)
     offsets = spec.normalized().a
     e = system.e
     k = system.k
+    support = F.y_support if hasattr(F, "y_support") else None
     total = 0.0
     total_sq = 0.0
     for blk in _sample_blocks(seed, samples):
         # live: block indices of the surviving samples, None while all survive
-        live = None
-        prod = np.ones(blk.n)
+        live = None if support is None else support(blk.row(2))
+        prod = None
         for i, a in enumerate(offsets):
+            if live is not None and not len(live):
+                break
             x = blk.row(0, live)
             if a:
                 # a x1 + x0 is x0 + a x1 bit for bit: float + and * commute
@@ -544,8 +640,8 @@ def lambda_tilde_mc(
             if i < k - 1:
                 y = blk.row(2 + i, live)
             else:
-                y = np.zeros(len(prod))
-                t = np.empty(len(prod))
+                y = np.zeros(len(x))
+                t = np.empty(len(x))
                 for j, ei in enumerate(e[:-1]):
                     y += np.multiply(blk.row(2 + j, live), ei, out=t)
                 np.negative(y, out=y)
@@ -554,19 +650,25 @@ def lambda_tilde_mc(
                     y += np.floor(np.multiply(blk.row(k + 1, live), abs(e[-1]), out=t), out=t)
                 y /= e[-1]
                 _frac(y, out=y)
-            prod *= F.evaluate_batch(x, y)
-            if np.count_nonzero(prod) < len(prod):
-                keep = np.flatnonzero(prod)
+            v = F.evaluate_batch(x, y)
+            if prod is None:
+                prod = np.array(v, dtype=np.float64)
+            else:
+                prod *= v
+            nonzero = prod != 0
+            if not nonzero.all():
+                keep = np.flatnonzero(nonzero)
                 prod = prod[keep]
                 live = keep if live is None else live[keep]
-                if not len(keep):
-                    break
-        if live is not None:
+        if live is None:
+            full = prod
+        elif len(live):
             full = np.zeros(blk.n)
             full[live] = prod
-            prod = full
-        total += float(prod.sum())
-        total_sq += float((prod * prod).sum())
+        else:
+            continue
+        total += float(full.sum())
+        total_sq += float((full * full).sum())
     return _estimate(total, total_sq, samples, seed)
 
 

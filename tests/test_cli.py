@@ -418,6 +418,16 @@ class TestMonteCarloBytes:
             '{"exact": false, "kind": "lambda-mc", "mean": 0.06254, "samples": 300000, '
             '"seed": 3, "stderr": 0.0004420744425614792, "version": "VERSION"}\n',
         ),
+        # m = 5, width 1/10 and slots 0, 1, 2: the y-support keeps about 3
+        # in 10 samples, and 24 of 300000 survive every factor (pinned before
+        # the support was written)
+        "lambda_mc_mid_torus_set": (
+            ["density", "--lambda-mc", "--torus-set", "mid.txt", "--k", "4",
+             "--samples", "300000", "--seed", "4"],
+            0,
+            '{"exact": false, "kind": "lambda-mc", "mean": 8e-05, "samples": 300000, '
+            '"seed": 4, "stderr": 1.6329305623757363e-05, "version": "VERSION"}\n',
+        ),
         "pattern_mc_readme_phi": (
             ["density", "--pattern-mc", "--torus-coloring", "phi.txt", "--k", "4",
              "--samples", "300000", "--seed", "5"],
@@ -450,6 +460,8 @@ class TestMonteCarloBytes:
         assert main(["interlace", "--input", z22_file, "--k", "4", "--out", "phi.txt"]) == 0
         slots = " ".join(str(j % 2) for j in range(48))
         (tmp_path / "wide.txt").write_text(f"phi.txt\n2 1/2\n{slots}\n")
+        mid_slots = " ".join(str(j % 3) for j in range(48))
+        (tmp_path / "mid.txt").write_text(f"phi.txt\n5 1/10\n{mid_slots}\n")
         capsys.readouterr()
         assert main(argv) == code
         assert capsys.readouterr().out == want.replace("VERSION", __version__)

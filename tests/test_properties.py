@@ -224,23 +224,29 @@ def test_every_admitted_predicate_has_a_clause(offsets):
 @st.composite
 def survivor_cases(draw):
     """A spec with k <= 5 offsets in 0..7, a torus set over a coloring of
-    D <= 24 cells with r <= 4 slots mod m <= 12 (wide, so samples survive
-    some factors and die at others), a sample count of up to two Monte
-    Carlo blocks plus one sample, and a seed."""
+    D <= 24 cells with r <= 4 slots, a sample count of up to two Monte
+    Carlo blocks plus one sample, and a seed.  The set is wide (m <= 12,
+    width at least 1/(3m)), so samples survive some factors and die at
+    others, or narrow (m <= 10^6 on a log scale, width 1/(16m)), so the
+    y-support rejects most samples before any x is drawn."""
     k = draw(st.integers(3, 5))
     a = tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k))))
     D = draw(st.integers(1, 24))
     r = draw(st.integers(1, min(4, D)))
     colors = list(range(1, r + 1)) + draw(st.lists(st.integers(1, r), min_size=D - r, max_size=D - r))
-    m = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 10 ** draw(st.integers(0, 6))))
+        width = Fraction(1, 16 * m)
+    else:
+        m = draw(st.integers(1, 12))
+        width = Fraction(1, m * draw(st.integers(1, 3)))
     slots = draw(st.lists(st.integers(0, m - 1), min_size=r, max_size=r))
-    width = Fraction(1, m * draw(st.integers(1, 3)))
     ts = TorusSet(TorusColoring(tuple(colors)), m, width, tuple(slots))
     samples = draw(st.integers(1, 2 * MC_BLOCK + 1))
     return PatternSpec(a), ts, samples, draw(st.integers(0, 2**32 - 1))
 
 
-@hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
 @hypothesis.given(survivor_cases())
 def test_survivor_product_matches_full_product(case):
     spec, ts, samples, seed = case

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -34,6 +35,7 @@ from aplab.torus import (
     pattern_cells,
     pattern_probability_exact,
     pattern_probability_mc,
+    sound_width,
     torus_coloring_from_text,
     torus_coloring_to_text,
     torus_set_from_text,
@@ -398,6 +400,156 @@ class TestTorusSet:
             text, lambda ref: torus_coloring_from_text((tmp_path / ref).read_text())
         )
         assert back == ts
+
+
+def ulp_walk(v, steps=4):
+    """v and the floats up to ``steps`` ulps above and below it."""
+    out = [v]
+    for direction in (math.inf, -math.inf):
+        w = v
+        for _ in range(steps):
+            w = math.nextafter(w, direction)
+            out.append(w)
+    return out
+
+
+def support_edge_ys(m, width, slots):
+    """y = 0, y = 1 - 2^-53, and the floats within 4 ulps of s/m and of
+    s/m + width for each slot s, kept in [0, 1)."""
+    ys = {0.0, 1 - 2.0**-53}
+    for s in slots:
+        for edge in (Fraction(s, m), Fraction(s, m) + width):
+            ys.update(ulp_walk(float(edge)))
+    return np.array(sorted(y for y in ys if 0 <= y < 1))
+
+
+def one_color_per_cell(m, width, slots):
+    """A torus set over the coloring 1, 2, ..., r of r cells, so that one x
+    per cell meets every color."""
+    return TorusSet(TorusColoring(tuple(range(1, len(slots) + 1))), m, width, tuple(slots))
+
+
+def hit_ys(A, ys):
+    """Indices of the ys at which ``evaluate_batch`` is 1 for some x.  The
+    value depends on x only through the color of its cell, so one x per
+    color, at the middle of the first cell of that color, covers them all."""
+    D = A.base.D
+    _, first = np.unique(A.base.as_array, return_index=True)
+    hit = np.zeros(len(ys), dtype=bool)
+    for x in (first + 0.5) / D:
+        hit |= A.evaluate_batch(np.full(len(ys), x), ys) == 1
+    return np.flatnonzero(hit)
+
+
+# moduli with slot starts s/m whose float times m rounds below s (1/49 * 49
+# is 1 - 2^-53), primes, the chains' moduli and m up to 10^7
+SUPPORT_MODULI = (1, 2, 3, 5, 7, 49, 97, 1000, 82945, 746497, 999983, 10**7 - 1, 10**7)
+
+
+def support_slots(m, ends="both"):
+    """Slots 0, 1, m - 2 and m - 1 and a seeded spread between them; without
+    slot 0 (``ends="last"``) or without slot m - 1 (``ends="first"``), so
+    that a y near 0 or near 1 can meet only the slot at the other end."""
+    rng = random.Random(m)
+    slots = {0, 1 % m, max(m - 2, 0), m - 1} | {rng.randrange(m) for _ in range(24)}
+    slots -= {"both": set(), "last": {0}, "first": {m - 1}}[ends]
+    return sorted(slots)
+
+
+def narrow_set(m):
+    return one_color_per_cell(m, Fraction(1, 16 * m), support_slots(m))
+
+
+NARROW_SETS = {
+    "m49": lambda: narrow_set(49),
+    "m97": lambda: narrow_set(97),
+    "m746497": lambda: narrow_set(746497),
+    "thm26_ell2": lambda: thm26_torus_set(2),
+}
+
+
+class TestYSupport:
+    """``TorusSet.y_support`` keeps every y that some x maps to 1, at the
+    float edges of the slot intervals."""
+
+    @pytest.mark.parametrize(
+        "m, ends",
+        # m = 1 has the one slot 0, at both ends
+        [(m, ends) for m in SUPPORT_MODULI for ends in ("both", "first", "last") if m > 1 or ends == "both"],
+    )
+    @pytest.mark.parametrize("width_name", ["certificate", "sound", "full"])
+    def test_superset_at_the_float_edges(self, m, ends, width_name):
+        spec = PatternSpec.ap(4)
+        width = {
+            "certificate": certificate_width(spec, m),
+            "sound": sound_width(a_binomial_system(spec), m),
+            # width 1/m: y near 0 also meets slot m - 1 in floats
+            "full": Fraction(1, m),
+        }[width_name]
+        slots = support_slots(m, ends)
+        A = one_color_per_cell(m, width, slots)
+        ys = support_edge_ys(m, width, slots)
+        hits = hit_ys(A, ys)
+        support = A.y_support(ys)
+        assert len(hits), "no edge y meets the set"
+        missed = np.setdiff1d(hits, support)
+        assert not len(missed), f"support misses ys {ys[missed].tolist()}"
+        assert np.all(np.diff(support) > 0)
+
+    @pytest.mark.parametrize("name", sorted(NARROW_SETS))
+    def test_equals_the_hits_away_from_the_edges(self, name):
+        # seeded uniforms fall nowhere near the margin, so the superset is
+        # exactly the set of ys that some x maps to 1; about a third of
+        # these ys, each within a width of a slot interval, meet it
+        A = NARROW_SETS[name]()
+        starts = np.array(A.slots, dtype=np.float64) / A.m
+        offsets = np.random.default_rng(A.m).random(1 << 16) * 3 - 1
+        ys = (np.resize(starts, 1 << 16) + offsets * float(A.width)) % 1.0
+        hits = hit_ys(A, ys)
+        assert len(ys) // 4 < len(hits) < len(ys) // 2
+        assert np.array_equal(A.y_support(ys), hits)
+
+    def test_blocks_draw_row_0_only_where_the_support_holds_a_sample(self, monkeypatch):
+        blocks = []
+
+        def recording(seed, count):
+            for blk in _sample_blocks(seed, count):
+                blocks.append(blk)
+                yield blk
+
+        monkeypatch.setattr(torus, "_sample_blocks", recording)
+        A = thm26_torus_set(2)
+        lambda_tilde_mc(A, PatternSpec.ap(4), 40 * MC_BLOCK, 0)
+        drawn = [sorted(blk._rows) for blk in blocks]
+        empty = [not len(A.y_support(blk.row(2))) for blk in blocks]
+        assert all(rows == [2] for rows, e in zip(drawn, empty) if e)
+        assert all({0, 2} <= set(rows) for rows, e in zip(drawn, empty) if not e)
+        assert 0 < sum(empty) < len(blocks)
+
+    @pytest.mark.parametrize("bad", [-(2.0**-60), 1.0, 1.5, np.nan])
+    def test_ys_outside_the_unit_interval_raise(self, bad):
+        A = one_color_per_cell(7, Fraction(1, 7), [0, 6])
+        with pytest.raises(ValueError, match=r"ys in \[0, 1\)"):
+            A.y_support(np.array([0.5, bad]))
+
+    def test_empty_and_huge_modulus(self):
+        A = one_color_per_cell(7, Fraction(1, 7), [0, 6])
+        assert len(A.y_support(np.zeros(0))) == 0
+        # past m = 2^50 the margin is too wide to use: every y is kept
+        huge = one_color_per_cell(2**50, Fraction(1, 2**50), [0])
+        assert np.array_equal(huge.y_support(np.array([0.25, 0.5])), [0, 1])
+
+    def test_peak_memory_of_one_block(self):
+        A = thm26_torus_set(2)
+        ys = np.random.default_rng(2).random(MC_BLOCK)
+        A.y_support(ys)
+        tracemalloc.start()
+        try:
+            A.y_support(ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * MC_BLOCK, f"{peak / (8 * MC_BLOCK):.2f} block arrays"
 
 
 class TestLambdaTildeMC:
