@@ -461,9 +461,7 @@ class TorusSet:
         wrap), so each test keeps every f that the real bound keeps, and the
         slot of a case is S mod m.  ``test_torus`` checks the edges.
         """
-        if not len(ys):
-            return np.zeros(0, dtype=np.int64)
-        if not (ys.min() >= 0 and ys.max() < 1):
+        if len(ys) and not (ys.min() >= 0 and ys.max() < 1):
             raise ValueError("y_support needs ys in [0, 1)")
         if self._support is None:
             return np.arange(len(ys))
