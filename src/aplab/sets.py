@@ -3,8 +3,9 @@
 Three constructions: digit-sphere sets (Behrend-style) that avoid short
 weighted patterns, greedy sets avoiding nontrivial solutions of an arbitrary
 binomial system, and a base-9 digit set whose only solutions of the 4-term
-system are the forced ones.  A counting-based verifier certifies the last
-two; a digit-sphere set is pattern-free by the argument in ``behrend_set``,
+system are the forced ones.  One verifier certifies the last two, by a
+digit proof where the digits decide and by exact counting otherwise; a
+digit-sphere set is pattern-free by the argument in ``behrend_set``,
 and the tests check it with ``colorings.verify_mono_pattern_free`` on the
 coloring with the set as one class and every other residue a class of its
 own.  The module builds sets only, so it imports nothing from ``colorings``.
@@ -295,28 +296,88 @@ def base9_set(r: int, m: int) -> ResidueSet:
 _WITNESS_BLOCK = 1 << 16  # matches read at a time in the witness search
 
 
-def verify_solution_free(S: ResidueSet, system: BinomialSystem):
-    """Certify by exact counting that S holds no nontrivial solution of the
-    system (entries may repeat): None, else the lexicographically first one.
+def _tuple_sums(values: np.ndarray, coefs, m=None) -> np.ndarray:
+    """sum_i coefs[i] v_i over all tuples v of the values, in lexicographic
+    tuple order, reduced mod m when m is given."""
+    sums = np.zeros(1, dtype=np.int64)
+    for c in coefs:
+        sums = (sums[:, None] + c * values[None, :]).ravel()
+        if m is not None:
+            sums %= m
+    return sums
 
-    The half-sum tables (first ceil(k/2) positions, the rest) are in
-    lexicographic tuple order and the second is sorted stably, so their
+
+def _digit_proof(S: ResidueSet, system: BinomialSystem) -> bool:
+    """Whether the base-B digits of S prove it free of nontrivial solutions.
+
+    Let M be the positive coefficient mass (sum of the positive e_i, equal
+    to minus the sum of the negative ones), and suppose:
+    - every element of S has base-B digits in an alphabet A;
+    - B > M max(A) and m > M max(S);
+    - the common refinement of the equal-value partitions of all solutions
+      of the system in A^k has only blocks of zero coefficient sum.
+    Then S is free.  No wrap: for x in S^k, |sum e_i x_i| <= M max(S) < m,
+    so a solution mod m is one over Z.  No carry: with x_i = sum_j d_ij B^j,
+    sum e_i x_i = sum_j c_j B^j with column sums c_j = sum_i e_i d_ij and
+    |c_j| <= M max(A) < B; the least j with c_j != 0 would have B | c_j, so
+    every c_j is 0, and every digit column (d_1j, ..., d_kj) is a solution
+    in A^k.  Columns: x_i = x_l exactly when every column has d_ij = d_lj,
+    so the equal-value partition of x is the common refinement of its
+    columns' partitions, which is coarser than that of all solutions in
+    A^k.  Its blocks are unions of zero-sum blocks, so x is trivial.
+
+    The rule for B and A: B = M d + 1, the least base in which digits up to
+    d cannot carry, for the least d >= 1 at which the digits of S are at
+    most d, and A the digits that occur (padded to the length of max(S)).
+    d is tried only while (d + 1)^k, which bounds |A|^k, is at most
+    t^ceil(k/2), the size of a half table of the meet in the middle that
+    the ``verify_half`` budget has admitted: the column enumeration costs
+    no more than the check it spares.  False means undecided, not that S
+    has a solution.
+    """
+    e, k, t = system.e, system.k, len(S)
+    mass = sum(c for c in e if c > 0)
+    top = S.elements[-1] if t else 0
+    if mass * top >= S.modulus:
+        return False
+    cap = t ** ((k + 1) // 2)
+    arr = np.asarray(S.elements, dtype=np.int64)
+    d = 1
+    while (d + 1) ** k <= cap:
+        base = mass * d + 1
+        places = 1
+        while base**places <= top:
+            places += 1
+        digits = arr[:, None] // base ** np.arange(places, dtype=np.int64) % base
+        if digits.max() <= d:
+            alphabet = np.flatnonzero(np.bincount(digits.ravel()))
+            solutions = np.flatnonzero(_tuple_sums(alphabet, e) == 0)
+            cols = alphabet[np.stack(np.unravel_index(solutions, (len(alphabet),) * k), axis=1)]
+            same = (cols[:, :, None] == cols[:, None, :]).all(axis=0)
+            return not (same @ np.asarray(e)).any()
+        d += 1
+    return False
+
+
+def verify_solution_free(S: ResidueSet, system: BinomialSystem):
+    """Certify that S holds no nontrivial solution of the system (entries
+    may repeat): None, else the lexicographically first one.
+
+    ``verify_half`` bounds the work.  First the digit proof
+    (``_digit_proof``): where the digits of S prove it free, the answer is
+    None.  Every set it leaves undecided is counted exactly by meet in the
+    middle.  The half-sum tables (first ceil(k/2) positions, the rest) are
+    in lexicographic tuple order and the second is sorted stably, so their
     matches (sums cancelling mod m) read back in blocks come in full-tuple
     order.  S is free iff they number the trivial solutions, a closed form.
-    ``verify_half`` bounds both tables, and so the search.
     """
     m, t, e, k = S.modulus, len(S), system.e, system.k
     half = (k + 1) // 2
     check_budget("verify_half", t**half)
+    if _digit_proof(S, system):
+        return None
     arr = np.asarray(S.elements, dtype=np.int64)
-
-    def sums_for(idx):
-        sums = np.zeros(1, dtype=np.int64)
-        for i in idx:
-            sums = ((sums[:, None] + e[i] * arr[None, :]) % m).ravel()
-        return sums
-
-    sums_a, sums_b = sums_for(range(half)), sums_for(range(half, k))
+    sums_a, sums_b = _tuple_sums(arr, e[:half], m), _tuple_sums(arr, e[half:], m)
     order = np.argsort(sums_b, kind="stable")
     sb = sums_b[order]
     targets = (-sums_a) % m

@@ -70,18 +70,27 @@ class TorusColoring:
     checked by ``scan.digit_levels``; any other coloring has the one level
     ``((D, cell_colors),)``.  It takes no part in equality, nor does the
     palette size ``r``, the largest color, computed once with the cells.
+    The interlacings pass their cells as the int array they compute: it is
+    kept as ``as_array``, and ``cell_colors`` is its ``tolist()``.
     """
 
-    cell_colors: tuple[int, ...]
+    cell_colors: tuple[int, ...] | np.ndarray
     levels: tuple | None = field(default=None, compare=False, repr=False)
     r: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        cc = tuple(int(c) for c in self.cell_colors)
+        arr = self.cell_colors if isinstance(self.cell_colors, np.ndarray) else None
+        if arr is None:
+            cc = tuple(int(c) for c in self.cell_colors)
+            low, high = (min(cc), max(cc)) if cc else (0, 0)
+        else:
+            cc = tuple(arr.tolist())
+            low, high = (int(arr.min()), int(arr.max())) if cc else (0, 0)
+            object.__setattr__(self, "as_array", arr)
         object.__setattr__(self, "cell_colors", cc)
-        if not cc or min(cc) < 1:
+        if low < 1:
             raise ValueError("cell colors must be positive ids")
-        object.__setattr__(self, "r", max(cc))
+        object.__setattr__(self, "r", high)
         given = self.levels
         levels = ((len(cc), cc),) if given is None else digit_levels(self.as_array, given)
         object.__setattr__(self, "levels", levels)
@@ -223,7 +232,7 @@ def interlace_k(phi: Coloring, k: int) -> TorusColoring:
     b, c = np.divmod(rem, k)
     cells = (a * k + c) * phi.r + phi.as_array[b]
     k_digit = (k, range(k))
-    return TorusColoring(tuple(cells.tolist()), (k_digit, *phi.levels, k_digit))
+    return TorusColoring(cells, (k_digit, *phi.levels, k_digit))
 
 
 def interlace_m(phi: Coloring, m: int) -> TorusColoring:
@@ -238,7 +247,7 @@ def interlace_m(phi: Coloring, m: int) -> TorusColoring:
     check_budget("interlace_cells", D)
     j = np.arange(D)
     cells = phi.as_array[j // m] + phi.r * (j % m)
-    return TorusColoring(tuple(cells.tolist()), ((m, range(m)), *phi.levels))
+    return TorusColoring(cells, ((m, range(m)), *phi.levels))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +372,11 @@ def pattern_probability_mc(
 # a superset of the ys in [0, 1) at which ``evaluate_batch`` is nonzero for
 # some x.  ``lambda_tilde_mc`` then draws x only at those indices; TorusSet
 # has it, and every other field is evaluated at every sample as before.
+# TorusSet's runs in two stages: a lookup of bucket floor(y 2^16) in a table
+# that marks every bucket within 2^-50 of a used slot interval, then its
+# fine test on the ys of marked buckets alone; the fine test keeps no y
+# farther than 2^-50 from a slot interval, so the indices are the fine
+# test's over the whole row (the proof is in ``TorusSet.y_support``).
 
 
 def _float_above(v: Fraction) -> float:
@@ -432,13 +446,52 @@ class TorusSet:
         wrap = _float_above(m * self.width + delta - 1)
         return np.array(sorted(set(self.slots)), dtype=np.int64), hi, lo, wrap
 
+    @cached_property
+    def _buckets(self) -> np.ndarray:
+        """``y_support``'s bucket table: entry b of 2^16 is True when [b/2^16,
+        (b+1)/2^16) meets [s/m - 2^-50, s/m + width + 2^-50) mod 1 for a used
+        slot s (m < 2^50).
+
+        Exact in int64 over the distinct slots.  Write 2^16 s = A m + R with
+        0 <= R < m, in two steps of 2^8 so that no product passes 2^58.  The
+        first bucket is floor(2^16 s/m - 2^-34) = A - [R < m 2^-34].  With
+        2^16 width + 2^-34 = n + f (n an integer, 0 <= f < 1) the last is
+        floor(2^16 (s/m + width) + 2^-34) = A + n + [R >= m (1 - f)]; each
+        bracket compares R with an integer threshold, the ceiling of its
+        right side.  Buckets are marked from the first to the last, mod 2^16,
+        so a slot interval that crosses 1 also marks the buckets at 0.
+        """
+        m = self.m
+        slots = self._support[0]
+        a, rem = np.divmod(slots << 8, m)
+        b, rem = np.divmod(rem << 8, m)
+        start = (a << 8) + b
+        g = 2**16 * self.width + Fraction(1, 2**34)
+        n = math.floor(g)
+        first = start - (rem < math.ceil(Fraction(m, 2**34)))
+        last = start + n + (rem >= math.ceil(m * (1 - (g - n))))
+        # first + j for j = 0 .. last - first, clamped at last (already marked)
+        marks = np.minimum(first[:, None] + np.arange(n + 3), last[:, None])
+        table = np.zeros(2**16, dtype=bool)
+        table[marks & (2**16 - 1)] = True
+        return table
+
     def y_support(self, ys: np.ndarray) -> np.ndarray:
         """The indices, ascending, of the ys that ``evaluate_batch`` can map
         to 1 at some x: each y within a margin of [s/m, s/m + width) for a
         used slot s.  It is a superset, exact up to that margin; ys must lie
-        in [0, 1), else ValueError.  Memory is O(r) plus a few block-sized
-        arrays: the slots are matched by ``searchsorted``, with no table of
-        size m.
+        in [0, 1), else ValueError.  Memory is O(r) plus a 64 KiB table and
+        a few block-sized arrays: the slots are matched by ``searchsorted``,
+        with no table of size m.
+
+        Two stages.  The bucket stage reads entry floor(y 2^16) of
+        ``_buckets``: y 2^16 is exact in floats (a power-of-two scaling) and
+        lies in [0, 2^16), so its truncation is that floor.  The fine test
+        below then runs only on the ys of marked buckets.  It keeps a y only
+        within 2^-50 of a used slot interval (the margin, at the end of the
+        proof), and every bucket that meets such a widened interval is
+        marked, so the bucket stage drops only ys that the fine test drops
+        too: the indices are those of the fine test over the whole row.
 
         Proof.  Write c = fl(s/m) and W = fl(width) for the floats that
         ``evaluate_batch`` compares, and d = fl(y - c), g = _frac(d).  As
@@ -460,6 +513,16 @@ class TorusSet:
         The thresholds are those reals rounded outward to floats (hi, lo,
         wrap), so each test keeps every f that the real bound keeps, and the
         slot of a case is S mod m.  ``test_torus`` checks the edges.
+
+        The margin, from the same thresholds: hi < m width + delta + 2^-52,
+        lo >= 1 - delta - 2^-53 and wrap < m width + delta - 1 + 2^-52 (each
+        is within an ulp of its real bound, whose size is below 2), and
+        y m = q + f + e' with |e'| <= 2^-53 m.  A y kept with S = q or
+        S = q - 1 has S - 2^-53 m <= y m < S + m width + delta + 2^-52 +
+        2^-53 m; one kept with S = q + 1 has S - delta - 2^-53 - 2^-53 m <
+        y m < S + 2^-53 m.  Divided by m >= 1, both put y in [S/m - 2^-50,
+        S/m + width + 2^-50), as 2^-51 + 2^-52 + 2^-53 < 2^-50; and S/m is
+        s/m up to a whole turn.
         """
         if len(ys) and not (ys.min() >= 0 and ys.max() < 1):
             raise ValueError("y_support needs ys in [0, 1)")
@@ -467,14 +530,15 @@ class TorusSet:
             return np.arange(len(ys))
         slots, hi, lo, wrap = self._support
         m = self.m
-        u = np.multiply(ys, m)
+        idx = np.flatnonzero(self._buckets[(ys * 2.0**16).astype(np.intp)])
+        u = np.multiply(ys[idx], m)
         q = np.floor(u)
         f = np.subtract(u, q, out=u)
         near = np.less(f, hi)
         near |= np.greater(f, lo)
-        idx = np.flatnonzero(near)
-        f = f[idx]
-        q = q[idx].astype(np.int64)
+        idx = idx[near]
+        f = f[near]
+        q = q[near].astype(np.int64)
         below = f > lo
         # S = q + 1 just below a slot start, else S = q
         keep = _member(slots, (q + below) % m)

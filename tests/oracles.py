@@ -7,6 +7,7 @@ run d over 1..N-1, interval scans over positive d (both signs for the
 binomial predicate).
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -587,6 +588,37 @@ def torus_set_values(A, xs, ys):
         color_slot[j] = s / A.m
     starts = color_slot[np.asarray(A.base.cell_colors)[cells]]
     return (((ys - starts) % 1.0) < float(A.width)).astype(np.float64)
+
+
+def fine_y_support(A, ys):
+    """The indices, ascending, of the ys that the fine test of
+    ``TorusSet.y_support`` keeps, run alone over the whole row: with
+    u = fl(y m) = q + f, slot q mod m where f < hi, slot q + 1 mod m where
+    f > lo, and slot q - 1 mod m where f < wrap, each a used slot; hi, lo
+    and wrap are m width + delta, 1 - delta and m width + delta - 1 (delta =
+    m 2^-51) rounded outward to floats.  Every index for m >= 2^50.  The
+    reference for the library's bucket stage, which must change no index."""
+    m = A.m
+    if m >= 2**50:
+        return np.arange(len(ys))
+
+    def above(v):
+        f = float(v)
+        return f if Fraction(f) >= v else math.nextafter(f, math.inf)
+
+    delta = Fraction(m, 2**51)
+    hi = above(m * A.width + delta)
+    lo = -above(delta - 1)
+    wrap = above(m * A.width + delta - 1)
+    slots = np.array(sorted(set(A.slots)), dtype=np.int64)
+    u = ys * m
+    q = np.floor(u)
+    f = u - q
+    q = q.astype(np.int64)
+    keep = (f < hi) & np.isin(q % m, slots)
+    keep |= (f > lo) & np.isin((q + 1) % m, slots)
+    keep |= (f < wrap) & np.isin((q - 1) % m, slots)
+    return np.flatnonzero(keep)
 
 
 def slab_values(alpha, xs, ys):

@@ -2,6 +2,7 @@
 examples; skipped when Hypothesis is not installed."""
 
 import inspect
+import itertools
 import math
 from fractions import Fraction
 
@@ -174,6 +175,50 @@ def test_verify_solution_free_matches_naive_scan(case):
     got = verify_solution_free(S, system)
     assert got == oracles.naive_solution_free(S.elements, system.e, S.modulus)
     assert got is None or all(type(x) is int for x in got)
+
+
+@st.composite
+def digit_set_cases(draw):
+    """A system with k <= 5 and a set of numbers whose base-B digits lie in
+    {0, ..., d}, with B drawn at, below and above M d + 1 (M the positive
+    coefficient mass), sometimes one element with the digit d + 1, and a
+    modulus above, at or below M max(S).  The naive scan reads t^k tuples,
+    so t <= 21, 10 and 6 for k = 3, 4 and 5 (about 10^4 tuples at most);
+    and t^ceil(k/2) >= (d + 1)^k, so that the digit proof may run."""
+    spec = draw(st.sampled_from(["0,1,2", "0,1,3", "0,1,2,3", "0,1,2,4", "0,1,2,3,4"]))
+    system = a_binomial_system(PatternSpec.from_string(spec))
+    k, mass = system.k, sum(c for c in system.e if c > 0)
+    t_max = {3: 21, 4: 10, 5: 6}[k]
+
+    def t_min(d):
+        return next(t for t in itertools.count(1) if t ** ((k + 1) // 2) >= (d + 1) ** k)
+
+    d = draw(st.sampled_from([d for d in (1, 2, 3) if t_min(d) <= t_max]))
+    base = max(d + 2, mass * d + draw(st.sampled_from([1, 0, -1])))
+    places = next(p for p in itertools.count(1) if (d + 1) ** p >= t_max)
+    pool = [
+        sum(digit * base**j for j, digit in enumerate(digits))
+        for digits in itertools.product(range(d + 1), repeat=places)
+    ]
+    elements = set(draw(st.lists(st.sampled_from(pool), min_size=t_min(d), max_size=t_max, unique=True)))
+    if draw(st.sampled_from([False, False, True])):
+        elements = set(sorted(elements)[: t_max - 1]) | {(d + 1) * base ** draw(st.integers(0, places - 1))}
+    top = max(elements)
+    m = max(top + 1, mass * top + draw(st.sampled_from([1, top, 0, -1])))
+    return system, ResidueSet(m, tuple(elements))
+
+
+@hypothesis.settings(derandomize=True, max_examples=120, deadline=None)
+@hypothesis.given(digit_set_cases())
+@hypothesis.example((a_binomial_system(PatternSpec.ap(4)), base9_set(9, 36 * 81 + 1)))
+@hypothesis.example((a_binomial_system(PatternSpec.ap(5)), ResidueSet(10**4, (0, 1, 5, 6, 25, 26))))
+def test_digit_proof_matches_naive_scan(case):
+    """``verify_solution_free`` on digit sets, both those its digit proof
+    decides (the base-9 example) and those it leaves to meet in the middle
+    (the base-5 {0, 1} example, where 5 <= M = 8)."""
+    system, S = case
+    got = verify_solution_free(S, system)
+    assert got == oracles.naive_solution_free(S.elements, system.e, S.modulus)
 
 
 @st.composite

@@ -12,6 +12,7 @@ from aplab.patterns import PatternSpec, a_binomial_system, is_k_pattern
 from aplab.sets import (
     GreedyResult,
     _SolutionCounter,
+    _digit_proof,
     ResidueSet,
     base9_set,
     behrend_set,
@@ -369,3 +370,106 @@ class TestVerifySolutionFree:
         s = ResidueSet(10**6, tuple(range(500)))
         with pytest.raises(BudgetExceededError):
             verify_solution_free(s, a_binomial_system(PatternSpec.ap(4)))
+
+
+AP4 = a_binomial_system(PatternSpec.ap(4))
+AP5 = a_binomial_system(PatternSpec.ap(5))
+
+
+def digit_numbers(base, digits, count):
+    """The first ``count`` numbers whose base-``base`` digits all lie in
+    ``digits`` (a set of digits that holds 0), in increasing order: the
+    base-|digits| expansion of i, read digit by digit through the sorted
+    digits in base ``base``."""
+    alphabet = sorted(digits)
+    out = []
+    for i in range(count):
+        x, place = 0, 1
+        while i:
+            i, j = divmod(i, len(alphabet))
+            x += alphabet[j] * place
+            place *= base
+        out.append(x)
+    return tuple(out)
+
+
+class TestDigitProof:
+    """``verify_solution_free`` returns None from the digit proof alone only
+    where the proof holds; every other set goes to meet in the middle."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: base9_set(48, 36 * 48**2 + 1),  # thm2_6 at ell = 1
+            lambda: base9_set(144, 36 * 144**2 + 1),  # thm2_6 at ell = 2
+            lambda: greedy_solution_free_set(AP4, 9216, 48).set,  # thm2_7
+            lambda: greedy_solution_free_set(AP4, 20736, 72).set,  # lemma7_10
+        ],
+        ids=["thm2_6-ell1", "thm2_6-ell2", "thm2_7", "lemma7_10"],
+    )
+    def test_proves_the_ap4_chain_sets(self, build):
+        # base 9 = 4 * 2 + 1, digits {0, 1, 2}, m > 4 max(S)
+        S = build()
+        assert _digit_proof(S, AP4)
+        assert verify_solution_free(S, AP4) is None
+
+    @pytest.mark.parametrize(
+        "build, system",
+        [
+            # thm2_5: base-5 digits {0, 1}, but 5 <= 8 = M
+            (lambda: greedy_solution_free_set(AP5, 10000, 25).set, AP5),
+            # 3 elements: 3^4 column tuples exceed the 3^2 of a half table
+            (lambda: ResidueSet(100, (0, 1, 2)), AP4),
+            (lambda: ResidueSet(50, (7,)), AP4),
+            (lambda: ResidueSet(10, ()), AP4),
+        ],
+        ids=["thm2_5", "three", "singleton", "empty"],
+    )
+    def test_leaves_these_free_sets_to_meet_in_the_middle(self, build, system):
+        S = build()
+        assert not _digit_proof(S, system)
+        assert verify_solution_free(S, system) is None
+
+    @pytest.mark.parametrize(
+        "S",
+        [
+            # an element with digit 3: (0, 1, 2, 3) is a progression
+            ResidueSet(10**6, digit_numbers(9, {0, 1, 2}, 15) + (3,)),
+            # base 5 = M * 1 + 1 read with the digit 2: 0 + 3*2 = 6 carries
+            ResidueSet(49, (0, 1, 2, 5, 6, 7, 12)),
+            # m = M max(S): (x, 0, x, 0) with x = max(S) wraps to 4x = 0
+            ResidueSet(4 * 20, digit_numbers(9, {0, 1, 2}, 9)),
+            # base-4 digits {0, 1}, and 4 = M max(A): 4 + 3*0 = 1 + 3*1 carries
+            ResidueSet(100, digit_numbers(4, {0, 1}, 4)),
+        ],
+        ids=["digit-3", "digit-2-in-base-5", "m-equals-M-max-S", "B-equals-M-max-A"],
+    )
+    def test_sets_past_each_condition_are_not_claimed_free(self, S):
+        assert not _digit_proof(S, AP4)
+        witness = verify_solution_free(S, AP4)
+        assert witness is not None
+        assert witness == oracles.naive_solution_free(S.elements, AP4.e, S.modulus)
+
+    def test_agrees_with_meet_in_the_middle_up_to_100_elements(self, monkeypatch):
+        # digit sets of t <= 100 elements, in bases at and around M d + 1,
+        # moduli at and around M max(S); meet in the middle alone is the
+        # reference (checked against the naive scan above)
+        rng = random.Random(33)
+        systems = [a_binomial_system(PatternSpec.from_string(a)) for a in ("0,1,2", "0,1,2,3", "0,1,3", "0,1,2,3,4")]
+        cases = []
+        for _ in range(60):
+            system = rng.choice(systems)
+            mass = sum(c for c in system.e if c > 0)
+            d = rng.randint(1, 3)
+            base = max(d + 1, mass * d + rng.randint(-1, 1))
+            digits = {0, *rng.sample(range(1, d + 1), rng.randint(1, d))}
+            pool = digit_numbers(base, digits, 200)
+            elements = tuple(rng.sample(pool, rng.randint(1, 100)))
+            top = max(elements)
+            m = max(top + 1, mass * top + rng.randint(-2, 2 * top))
+            cases.append((ResidueSet(m, elements), system))
+        got = [verify_solution_free(S, system) for S, system in cases]
+        proved = sum(_digit_proof(S, system) for S, system in cases)
+        monkeypatch.setattr(sets, "_digit_proof", lambda S, system: False)
+        assert got == [verify_solution_free(S, system) for S, system in cases]
+        assert 0 < proved < len(cases)

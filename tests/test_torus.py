@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -550,6 +551,95 @@ class TestYSupport:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * MC_BLOCK, f"{peak / (8 * MC_BLOCK):.2f} block arrays"
+
+
+@cache
+def bucket_edge_ys():
+    """Each bucket edge b/2^16 of ``y_support`` and the floats within 4 ulps
+    of it, kept in [0, 1)."""
+    edges = np.arange(2**16) / 2**16
+    walks = [edges]
+    for direction in (np.inf, -np.inf):
+        w = edges
+        for _ in range(4):
+            w = np.nextafter(w, direction)
+            walks.append(w)
+    ys = np.concatenate(walks)
+    return np.unique(ys[(ys >= 0) & (ys < 1)])
+
+
+def near_slot_ys(A, seed, n=1 << 14):
+    """Seeded ys within a width of the slot intervals, in [0, 1)."""
+    starts = np.array(A.slots, dtype=np.float64) / A.m
+    offsets = np.random.default_rng(seed).random(n) * 3 - 1
+    ys = (np.resize(starts, n) + offsets * float(A.width)) % 1.0
+    ys[ys >= 1] = 0.0  # -tiny % 1.0 rounds to 1.0
+    return ys
+
+
+def edge_slots(m):
+    """Slots whose intervals start or end on, just below or just above
+    bucket edges: for a seeded spread of edges b/2^16, one of the slots
+    s - 1, s and s + 1 around s = floor(b m/2^16) each (no neighbour that
+    would mark the edge's buckets for it), plus m - 1."""
+    edges = random.Random(m).sample(range(1, 2**16), 72)
+    return sorted({(b * m >> 16) + j % 3 - 1 for j, b in enumerate(edges)} | {m - 1})
+
+
+# at m = 3 2^16 and 2^20 every 3rd and every 16th slot starts exactly on a
+# bucket edge; at m = 2^49 + 1 the slot starts, and the ends at width 1/m,
+# come within 2^-49 of the edges, from either side
+EDGE_MODULI = (3 * 2**16, 2**20, 2**49 + 1)
+
+
+class TestYSupportBuckets:
+    """The bucket stage of ``TorusSet.y_support`` changes no index: the
+    result equals the fine test run alone (``oracles.fine_y_support``)."""
+
+    @pytest.mark.parametrize(
+        "m, ends", [(m, ends) for m in SUPPORT_MODULI for ends in ("both", "first", "last") if m > 1 or ends == "both"]
+    )
+    @pytest.mark.parametrize("width_name", ["certificate", "sound", "full"])
+    def test_equals_the_fine_test_on_the_edge_tests_sets(self, m, ends, width_name):
+        spec = PatternSpec.ap(4)
+        width = {
+            "certificate": certificate_width(spec, m),
+            "sound": sound_width(a_binomial_system(spec), m),
+            "full": Fraction(1, m),
+        }[width_name]
+        slots = support_slots(m, ends)
+        A = one_color_per_cell(m, width, slots)
+        rows = (
+            support_edge_ys(m, width, slots),
+            near_slot_ys(A, m),
+            np.random.default_rng(m).random(1 << 14),
+        )
+        for ys in rows:
+            assert np.array_equal(A.y_support(ys), oracles.fine_y_support(A, ys))
+
+    @pytest.mark.parametrize("m", EDGE_MODULI)
+    @pytest.mark.parametrize("width_name", ["certificate", "full"])
+    def test_equals_the_fine_test_at_the_bucket_edges(self, m, width_name):
+        width = certificate_width(PatternSpec.ap(4), m) if width_name == "certificate" else Fraction(1, m)
+        A = one_color_per_cell(m, width, edge_slots(m))
+        for ys in (bucket_edge_ys(), support_edge_ys(m, width, A.slots), near_slot_ys(A, m)):
+            support = A.y_support(ys)
+            assert np.array_equal(support, oracles.fine_y_support(A, ys))
+            assert len(support)
+
+    @pytest.mark.parametrize("name", sorted(NARROW_SETS))
+    def test_equals_the_fine_test_on_random_rows(self, name):
+        A = NARROW_SETS[name]()
+        rng = np.random.default_rng(7)
+        for ys in (rng.random(1 << 16), near_slot_ys(A, 7, 1 << 16), bucket_edge_ys()):
+            assert np.array_equal(A.y_support(ys), oracles.fine_y_support(A, ys))
+
+    def test_table_marks_at_most_two_buckets_per_slot(self):
+        # at the chain's width 1/(16m), far below 2^-16, a widened slot
+        # interval meets one bucket, or two where it crosses an edge
+        A = thm26_torus_set(2)
+        A.y_support(np.zeros(1))
+        assert 0 < np.count_nonzero(A._buckets) <= 2 * len(set(A.slots))
 
 
 class TestLambdaTildeMC:
