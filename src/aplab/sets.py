@@ -330,21 +330,24 @@ def _digit_proof(S: ResidueSet, system: BinomialSystem) -> bool:
     d cannot carry, for the least d >= 1 at which the digits of S are at
     most d, and A the digits that occur (padded to the length of max(S)).
     d is tried only while (d + 1)^k, which bounds |A|^k, is at most
-    t^ceil(k/2), the size of a half table of the meet in the middle that
-    the ``verify_half`` budget has admitted: the column enumeration costs
-    no more than the check it spares.  False means undecided, not that S
-    has a solution.
+    min(t^ceil(k/2), the ``verify_half`` cap): the column enumeration costs
+    no more than a half table of the meet in the middle it spares, nor than
+    the budget admits.  False means undecided, not that S has a solution.
     """
     e, k, t = system.e, system.k, len(S)
     mass = sum(c for c in e if c > 0)
     top = S.elements[-1] if t else 0
     if mass * top >= S.modulus:
         return False
-    cap = t ** ((k + 1) // 2)
+    cap = min(t ** ((k + 1) // 2), BUDGETS["verify_half"].cap)
     arr = np.asarray(S.elements, dtype=np.int64)
     d = 1
     while (d + 1) ** k <= cap:
         base = mass * d + 1
+        # the last digits alone rule out most bases, in one pass over S
+        if (arr % base).max() > d:
+            d += 1
+            continue
         places = 1
         while base**places <= top:
             places += 1
@@ -364,18 +367,20 @@ def verify_solution_free(S: ResidueSet, system: BinomialSystem):
     may repeat): None, else the lexicographically first one.
 
     ``verify_half`` bounds the work.  First the digit proof
-    (``_digit_proof``): where the digits of S prove it free, the answer is
-    None.  Every set it leaves undecided is counted exactly by meet in the
-    middle.  The half-sum tables (first ceil(k/2) positions, the rest) are
-    in lexicographic tuple order and the second is sorted stably, so their
-    matches (sums cancelling mod m) read back in blocks come in full-tuple
-    order.  S is free iff they number the trivial solutions, a closed form.
+    (``_digit_proof``), whose enumeration the budget bounds too: where the
+    digits of S prove it free, the answer is None, also for a set too
+    large for the half tables.  Every set it leaves undecided is counted
+    exactly by meet in the middle, once the budget admits its half tables.
+    These (first ceil(k/2) positions, the rest) are in lexicographic tuple
+    order and the second is sorted stably, so their matches (sums
+    cancelling mod m) read back in blocks come in full-tuple order.  S is
+    free iff they number the trivial solutions, a closed form.
     """
     m, t, e, k = S.modulus, len(S), system.e, system.k
-    half = (k + 1) // 2
-    check_budget("verify_half", t**half)
     if _digit_proof(S, system):
         return None
+    half = (k + 1) // 2
+    check_budget("verify_half", t**half)
     arr = np.asarray(S.elements, dtype=np.int64)
     sums_a, sums_b = _tuple_sums(arr, e[:half], m), _tuple_sums(arr, e[half:], m)
     order = np.argsort(sums_b, kind="stable")

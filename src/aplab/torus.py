@@ -368,28 +368,10 @@ def pattern_probability_mc(
 # (TorusSet, SlabIndicator, DiagonalStrip) work in place in the arrays they
 # allocate, never in xs or ys, and return a new float64 array: a comparison
 # written into a float64 ``out`` stores 1.0 and 0.0, as ``astype(np.float64)``
-# would.  A field may also have ``y_support(ys)``: the indices, ascending, of
-# a superset of the ys in [0, 1) at which ``evaluate_batch`` is nonzero for
-# some x.  ``lambda_tilde_mc`` then draws x only at those indices; TorusSet
-# has it, and every other field is evaluated at every sample as before.
-# TorusSet's runs in two stages: a lookup of bucket floor(y 2^16) in a table
-# that marks every bucket within 2^-50 of a used slot interval, then its
-# fine test on the ys of marked buckets alone; the fine test keeps no y
-# farther than 2^-50 from a slot interval, so the indices are the fine
-# test's over the whole row (the proof is in ``TorusSet.y_support``).
-
-
-def _float_above(v: Fraction) -> float:
-    """The least float >= v."""
-    f = float(v)
-    return f if Fraction(f) >= v else math.nextafter(f, math.inf)
-
-
-def _member(sorted_values: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Whether each entry of v is one of the (nonempty, sorted) values."""
-    pos = np.searchsorted(sorted_values, v)
-    np.minimum(pos, len(sorted_values) - 1, out=pos)
-    return sorted_values[pos] == v
+# would.  A field may also have ``y_buckets``, a table of 2^16 bools in
+# which bucket floor(y 2^16) is marked wherever ``evaluate_batch`` can be
+# nonzero at y for some x; ``lambda_tilde_mc`` then draws only the samples
+# whose y_1 lies in a marked bucket.  TorusSet has it.
 
 
 @dataclass(frozen=True)
@@ -434,23 +416,21 @@ class TorusSet:
         return np.less(t, float(self.width), out=t)
 
     @cached_property
-    def _support(self):
-        """The sorted distinct slots and the thresholds (hi, lo, wrap) of
-        ``y_support``, or None where the margin is too wide to use."""
-        m = self.m
-        if m >= 2**50:
-            return None
-        delta = Fraction(m, 2**51)
-        hi = _float_above(m * self.width + delta)
-        lo = -_float_above(delta - 1)
-        wrap = _float_above(m * self.width + delta - 1)
-        return np.array(sorted(set(self.slots)), dtype=np.int64), hi, lo, wrap
+    def y_buckets(self) -> np.ndarray:
+        """The bucket table: entry b of 2^16 is True when [b/2^16, (b+1)/2^16)
+        meets [s/m - 2^-50, s/m + width + 2^-50) mod 1 for a used slot s, and
+        every entry is True when m >= 2^50 (below it, the int64 steps stay
+        under 2^58).
 
-    @cached_property
-    def _buckets(self) -> np.ndarray:
-        """``y_support``'s bucket table: entry b of 2^16 is True when [b/2^16,
-        (b+1)/2^16) meets [s/m - 2^-50, s/m + width + 2^-50) mod 1 for a used
-        slot s (m < 2^50).
+        Sound: ``evaluate_batch`` is 1 at (x, y), y in [0, 1), only within
+        2^-52 of a used slot interval, so never in an unmarked bucket.  Write
+        c = fl(s/m) and W = fl(width) for the floats that it compares, and
+        d = fl(y - c), g = _frac(d).  As |y - c| < 1, d is within 2^-54 of
+        y - c and lies in (-1, 1); g is d itself when d >= 0 and fl(d + 1),
+        within 2^-54 of d + 1, when d < 0.  So g = y - c + n' + e with n' in
+        {0, 1} and |e| <= 2^-53, while |c - s/m| <= 2^-54 and W <= width +
+        2^-54.  A value 1 needs 0 <= g < W, hence y in [s/m + n - 2^-52, s/m
+        + n + width + 2^-52) with n = -n'.
 
         Exact in int64 over the distinct slots.  Write 2^16 s = A m + R with
         0 <= R < m, in two steps of 2^8 so that no product passes 2^58.  The
@@ -462,7 +442,9 @@ class TorusSet:
         so a slot interval that crosses 1 also marks the buckets at 0.
         """
         m = self.m
-        slots = self._support[0]
+        if m >= 2**50:
+            return np.ones(2**16, dtype=bool)
+        slots = np.array(sorted(set(self.slots)), dtype=np.int64)
         a, rem = np.divmod(slots << 8, m)
         b, rem = np.divmod(rem << 8, m)
         start = (a << 8) + b
@@ -475,78 +457,6 @@ class TorusSet:
         table = np.zeros(2**16, dtype=bool)
         table[marks & (2**16 - 1)] = True
         return table
-
-    def y_support(self, ys: np.ndarray) -> np.ndarray:
-        """The indices, ascending, of the ys that ``evaluate_batch`` can map
-        to 1 at some x: each y within a margin of [s/m, s/m + width) for a
-        used slot s.  It is a superset, exact up to that margin; ys must lie
-        in [0, 1), else ValueError.  Memory is O(r) plus a 64 KiB table and
-        a few block-sized arrays: the slots are matched by ``searchsorted``,
-        with no table of size m.
-
-        Two stages.  The bucket stage reads entry floor(y 2^16) of
-        ``_buckets``: y 2^16 is exact in floats (a power-of-two scaling) and
-        lies in [0, 2^16), so its truncation is that floor.  The fine test
-        below then runs only on the ys of marked buckets.  It keeps a y only
-        within 2^-50 of a used slot interval (the margin, at the end of the
-        proof), and every bucket that meets such a widened interval is
-        marked, so the bucket stage drops only ys that the fine test drops
-        too: the indices are those of the fine test over the whole row.
-
-        Proof.  Write c = fl(s/m) and W = fl(width) for the floats that
-        ``evaluate_batch`` compares, and d = fl(y - c), g = _frac(d).  As
-        |y - c| < 1, d is within 2^-54 of y - c and lies in (-1, 1); g is d
-        itself when d >= 0 and fl(d + 1), within 2^-54 of d + 1, when d < 0.
-        So g = y - c + n' + e with n' in {0, 1} and |e| <= 2^-53, while
-        |c - s/m| <= 2^-54 and W <= width + 2^-54.  A value 1 needs
-        0 <= g < W, hence y in [s/m + n - 2^-52, s/m + n + width + 2^-52)
-        with n = -n'.  The row computes u = fl(y m), within 2^-53 m of y m,
-        and its split into q = floor(u) and f = u - q is exact (u >= 0).
-        With delta = m 2^-51 > m (2^-52 + 2^-53), the integer S = s + n m
-        then satisfies u - m width - delta < S < u + delta.  For delta < 1
-        (m < 2^50 here; larger m return every index) and m width <= 1 that
-        leaves three cases:
-        - S = q, possible only when f < m width + delta;
-        - S = q + 1, y just below a slot start, only when f > 1 - delta;
-        - S = q - 1, only when f < m width + delta - 1 (width near 1/m),
-          where q = 0 wraps to slot m - 1.
-        The thresholds are those reals rounded outward to floats (hi, lo,
-        wrap), so each test keeps every f that the real bound keeps, and the
-        slot of a case is S mod m.  ``test_torus`` checks the edges.
-
-        The margin, from the same thresholds: hi < m width + delta + 2^-52,
-        lo >= 1 - delta - 2^-53 and wrap < m width + delta - 1 + 2^-52 (each
-        is within an ulp of its real bound, whose size is below 2), and
-        y m = q + f + e' with |e'| <= 2^-53 m.  A y kept with S = q or
-        S = q - 1 has S - 2^-53 m <= y m < S + m width + delta + 2^-52 +
-        2^-53 m; one kept with S = q + 1 has S - delta - 2^-53 - 2^-53 m <
-        y m < S + 2^-53 m.  Divided by m >= 1, both put y in [S/m - 2^-50,
-        S/m + width + 2^-50), as 2^-51 + 2^-52 + 2^-53 < 2^-50; and S/m is
-        s/m up to a whole turn.
-        """
-        if len(ys) and not (ys.min() >= 0 and ys.max() < 1):
-            raise ValueError("y_support needs ys in [0, 1)")
-        if self._support is None:
-            return np.arange(len(ys))
-        slots, hi, lo, wrap = self._support
-        m = self.m
-        idx = np.flatnonzero(self._buckets[(ys * 2.0**16).astype(np.intp)])
-        u = np.multiply(ys[idx], m)
-        q = np.floor(u)
-        f = np.subtract(u, q, out=u)
-        near = np.less(f, hi)
-        near |= np.greater(f, lo)
-        idx = idx[near]
-        f = f[near]
-        q = q[near].astype(np.int64)
-        below = f > lo
-        # S = q + 1 just below a slot start, else S = q
-        keep = _member(slots, (q + below) % m)
-        if lo < hi:
-            keep |= below & (f < hi) & _member(slots, q % m)
-        if wrap > 0:
-            keep |= (f < wrap) & _member(slots, (q - 1) % m)
-        return idx[keep]
 
 
 class ConstantField:
@@ -633,6 +543,60 @@ def certificate_width(spec: PatternSpec, m: int) -> Fraction:
     return min(_default_width(spec.k, m), sound_width(a_binomial_system(spec), m))
 
 
+class _Batch:
+    """Rows drawn in full, read like those of a ``_SampleBlock``."""
+
+    def __init__(self, rows):
+        self.n = len(rows[0])
+        self._rows = rows
+
+    def row(self, r: int, at=None) -> np.ndarray:
+        """Row r, or its entries at the indices ``at`` when given."""
+        got = self._rows[r]
+        return got if at is None else got[at]
+
+
+# The batch of the samples drawn in marked buckets: 2^10, so that one call
+# of ``lambda_tilde_mc`` on a torus set holds about ten arrays of 8 KiB, well
+# under one Monte Carlo block row (128 KiB), and a batch draws in about
+# 35 us (2-CPU Xeon; 20 us at 2^8, 110 us at 2^12).
+_BUCKET_BATCH = 1 << 10
+
+
+def _bucket_batches(table: np.ndarray, seed: int, count: int, rows: int):
+    """The samples among ``count`` whose y_1 lies in a bucket of ``table``,
+    as ``_Batch``es of up to ``_BUCKET_BATCH``, read like ``_sample_blocks``.
+
+    One stream per call, that of default_rng(SeedSequence(seed)), which is
+    none of the ``_sample_blocks`` children.  Each batch draws, in this
+    order, ``_BUCKET_BATCH`` each of: geometric gaps with p = marked/2^16
+    from one picked sample to the next; y_1 = (b 2^37 + u) 2^-53, with b
+    uniform over the marked buckets and then u uniform below 2^37; and
+    ``rows`` rows of uniforms, x0, x1, y_2..y_{k-1} and the branch.  So the
+    samples are picked independently with probability p, exactly up to the
+    rounding of the geometric draw, and a picked y_1 is uniform on the grid
+    of 2^-53 that ``random()`` draws from, restricted to the marked
+    buckets.  The batch becomes rows 0 (x0), 1 (x1), 2..k (y_1..y_{k-1})
+    and k + 1 (the branch), cut to its samples below count: every batch
+    draws the same whatever count is, so a run of more samples extends a
+    shorter one.
+    """
+    marked = np.flatnonzero(table)
+    p = len(marked) / 2**16
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    start = 0  # the first sample the batch can pick
+    while start < count:
+        picked = np.cumsum(rng.geometric(p, _BUCKET_BATCH))
+        # sample start - 1 + picked[j] is below count
+        n = int(np.searchsorted(picked, count - start, side="right"))
+        start += int(picked[-1])
+        y1 = marked[rng.integers(0, len(marked), _BUCKET_BATCH)] << 37
+        y1 |= rng.integers(0, 2**37, _BUCKET_BATCH)
+        x0, x1, *ys = (rng.random(_BUCKET_BATCH)[:n] for _ in range(rows))
+        if n:
+            yield _Batch([x0, x1, y1[:n] * 2.0**-53, *ys])
+
+
 def lambda_tilde_mc(
     F,
     spec: PatternSpec,
@@ -650,6 +614,14 @@ def lambda_tilde_mc(
     row k + 1 (v) of its ``_sample_blocks`` block, so the estimate depends
     only on (seed, samples).
 
+    A field with ``y_buckets`` (a TorusSet) is 0 at every x wherever y_1 is
+    in an unmarked bucket, so such a sample adds exactly 0 and is not
+    drawn: the samples come from ``_bucket_batches`` instead, which picks
+    each of the ``samples`` with the probability of a marked bucket and
+    draws y_1 in the marked buckets.  The estimate then has the
+    distribution of the unconditioned one, and it too depends only on
+    (seed, samples), but its values are those of its own stream.
+
     ``F.evaluate_batch(xs, ys)`` must not write into xs or ys.  A row is
     drawn once per block and the same array is handed to every factor that
     reads it: while all samples survive, x is row 0 itself at a position
@@ -660,35 +632,34 @@ def lambda_tilde_mc(
     Only samples that can still change the result are evaluated: the
     product is taken factor by factor, in position order, over the samples
     whose running product is nonzero, and y_k is computed for those alone.
-    A field with ``y_support`` (a TorusSet) is asked first which samples
-    can survive the first factor, from row 2 (y_1) alone: F(x, y_1) is 0
-    for every x at the others, so they are dropped before any x is drawn.
     Each surviving sample goes through the same floating-point operations
     as a full evaluation, and the sums run over the block with the dropped
     samples as zeros (a block where none survives adds nothing, as adding
     +0.0 to a sum that is never -0.0 changes no bit), so the estimate is
-    bit-identical to multiplying all k factors for every sample (F must
-    take finite values).
+    bit-identical to multiplying all k factors for every sample of every
+    block (F must take finite values).
 
-    The rows are drawn on demand, each at full block size, so a block draws
-    only the rows its survivors read, with the bytes of the eager draw.  A
-    block of a field with ``y_support`` draws row 2 first and row 0 only if
-    some y_1 is in the support; every other block draws row 0 and row 2.
-    None past row 2 is drawn when no sample survives the first factor, no
-    row 1 for a position a = 0 (x0 + 0*x1 mod 1 is x0, bit for bit), and
-    no row k + 1 when |e_k| = 1 (the branch is then 0, and adding 0.0 to a
-    fractional part changes no bit).
+    The rows of a ``_sample_blocks`` block are drawn on demand, each at full
+    block size, so a block draws only the rows its survivors read, with the
+    bytes of the eager draw: none past row 2 when no sample survives the
+    first factor, no row 1 for a position a = 0 (x0 + 0*x1 mod 1 is x0, bit
+    for bit), and no row k + 1 when |e_k| = 1 (the branch is then 0, and
+    adding 0.0 to a fractional part changes no bit).  ``_bucket_batches``
+    skips the branch row on the same grounds.
     """
     system = a_binomial_system(spec)
     offsets = spec.normalized().a
     e = system.e
     k = system.k
-    support = F.y_support if hasattr(F, "y_support") else None
+    if hasattr(F, "y_buckets"):
+        blocks = _bucket_batches(F.y_buckets, seed, samples, k + (abs(e[-1]) > 1))
+    else:
+        blocks = _sample_blocks(seed, samples)
     total = 0.0
     total_sq = 0.0
-    for blk in _sample_blocks(seed, samples):
+    for blk in blocks:
         # live: block indices of the surviving samples, None while all survive
-        live = None if support is None else support(blk.row(2))
+        live = None
         prod = None
         for i, a in enumerate(offsets):
             if live is not None and not len(live):

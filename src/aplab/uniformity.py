@@ -109,8 +109,9 @@ def discretize(F, N: int, degree: int) -> GridFunction:
 def quadratic_indicator(N: int, alpha) -> GridFunction:
     """Indicator of {n : n^2 mod N < alpha*N}, the classical Fourier-uniform
     set with skewed 4-term progression count."""
-    frac = Fraction(alpha)
-    return GridFunction(exact=[int(Fraction(pow(n, 2, N), N) < frac) for n in range(N)])
+    # n^2 mod N / N < num/den, compared in integers (den > 0)
+    num, den = Fraction(alpha).as_integer_ratio()
+    return GridFunction(exact=[int(pow(n, 2, N) * den < num * N) for n in range(N)])
 
 
 # ---------------------------------------------------------------------------

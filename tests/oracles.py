@@ -7,7 +7,6 @@ run d over 1..N-1, interval scans over positive d (both signs for the
 binomial predicate).
 """
 
-import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -590,37 +589,6 @@ def torus_set_values(A, xs, ys):
     return (((ys - starts) % 1.0) < float(A.width)).astype(np.float64)
 
 
-def fine_y_support(A, ys):
-    """The indices, ascending, of the ys that the fine test of
-    ``TorusSet.y_support`` keeps, run alone over the whole row: with
-    u = fl(y m) = q + f, slot q mod m where f < hi, slot q + 1 mod m where
-    f > lo, and slot q - 1 mod m where f < wrap, each a used slot; hi, lo
-    and wrap are m width + delta, 1 - delta and m width + delta - 1 (delta =
-    m 2^-51) rounded outward to floats.  Every index for m >= 2^50.  The
-    reference for the library's bucket stage, which must change no index."""
-    m = A.m
-    if m >= 2**50:
-        return np.arange(len(ys))
-
-    def above(v):
-        f = float(v)
-        return f if Fraction(f) >= v else math.nextafter(f, math.inf)
-
-    delta = Fraction(m, 2**51)
-    hi = above(m * A.width + delta)
-    lo = -above(delta - 1)
-    wrap = above(m * A.width + delta - 1)
-    slots = np.array(sorted(set(A.slots)), dtype=np.int64)
-    u = ys * m
-    q = np.floor(u)
-    f = u - q
-    q = q.astype(np.int64)
-    keep = (f < hi) & np.isin(q % m, slots)
-    keep |= (f > lo) & np.isin((q + 1) % m, slots)
-    keep |= (f < wrap) & np.isin((q - 1) % m, slots)
-    return np.flatnonzero(keep)
-
-
 def slab_values(alpha, xs, ys):
     """1.0 where ys mod 1 < alpha: the reference for
     ``SlabIndicator.evaluate_batch``."""
@@ -647,31 +615,83 @@ def field_values(F, xs, ys):
     return F.evaluate_batch(xs, ys)
 
 
+def full_product(F, spec, x0, x1, ys, v):
+    """The product of the k factors of F at each sample, from its uniforms
+    x0, x1, y_1..y_{k-1} and v (the branch, read only when |e_k| > 1), each
+    factor evaluated by ``field_values`` for every sample."""
+    from aplab.patterns import a_binomial_system
+
+    e = a_binomial_system(spec).e
+    acc = np.zeros(len(x0))
+    for ei, yi in zip(e[:-1], ys):
+        acc += ei * yi
+    branch = np.floor(v * abs(e[-1])) if abs(e[-1]) > 1 else 0.0
+    yk = (((-acc) % 1.0) + branch) / e[-1] % 1.0
+    prod = np.ones(len(x0))
+    for a, yi in zip(spec.normalized().a, [*ys, yk]):
+        prod *= field_values(F, (x0 + a * x1) % 1.0, yi)
+    return prod
+
+
 def full_product_lambda_tilde_mc(F, spec, samples, seed=0):
     """Monte Carlo progression functional with all k factors evaluated for
     every sample, by ``field_values``: the reference for the library's
     survivor-only product.  Same uniforms, drawn eagerly, and the same sums."""
-    from aplab.patterns import a_binomial_system
     from aplab.torus import _MC_BLOCK, _estimate
 
-    system = a_binomial_system(spec)
-    offsets = spec.normalized().a
-    e = system.e
-    k = system.k
+    k = spec.k
     total = 0.0
     total_sq = 0.0
     for u in eager_uniform_blocks(seed, samples, k + 2, _MC_BLOCK):
-        x0, x1, v = u[0], u[1], u[-1]
-        ys = list(u[2:-1])
-        acc = np.zeros(len(x0))
-        for ei, yi in zip(e[:-1], ys):
-            acc += ei * yi
-        branch = np.floor(v * abs(e[-1]))
-        yk = (((-acc) % 1.0) + branch) / e[-1] % 1.0
-        ys.append(yk)
-        prod = np.ones(len(x0))
-        for a, yi in zip(offsets, ys):
-            prod *= field_values(F, (x0 + a * x1) % 1.0, yi)
+        prod = full_product(F, spec, u[0], u[1], u[2:-1], u[-1])
+        total += float(prod.sum())
+        total_sq += float((prod * prod).sum())
+    return _estimate(total, total_sq, samples, seed)
+
+
+def bucket_draws(A, rows, samples, seed=0):
+    """The samples of the torus set A drawn in marked buckets, drawn
+    eagerly: per batch of B = ``torus._BUCKET_BATCH``, the indices below
+    ``samples`` of the picked samples and their uniforms x0, x1, y_1 and
+    ``rows`` - 2 more rows (y_2..y_{k-1}, and the branch when |e_k| > 1).
+
+    From default_rng(SeedSequence(seed)), per batch: B geometric gaps with
+    p = marked/2^16, the first index being the gap minus 1; B buckets b
+    drawn among the marked ones, then B offsets u below 2^37, y_1 = (b 2^37
+    + u)/2^53 in Python integers; then ``rows`` rows of B uniforms, x0, x1
+    and the rest.  The reference for the library's conditioned draw."""
+    from aplab.torus import _BUCKET_BATCH as B
+
+    marked = np.flatnonzero(A.y_buckets)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    last = -1
+    while last + 1 < samples:
+        idx = last + np.cumsum(rng.geometric(len(marked) / 2**16, B))
+        last = int(idx[-1])
+        buckets = marked[rng.integers(0, len(marked), B)].tolist()
+        offsets = rng.integers(0, 2**37, B).tolist()
+        y1 = np.array([(b * 2**37 + u) / 2**53 for b, u in zip(buckets, offsets)])
+        u = rng.random((rows, B))
+        keep = idx < samples
+        yield idx[keep], [u[0][keep], u[1][keep], y1[keep], *u[2:, keep]]
+
+
+def bucket_lambda_tilde_mc(A, spec, samples, seed=0):
+    """Monte Carlo progression functional of the torus set A over the
+    samples of ``bucket_draws``, all k factors evaluated for every picked
+    sample by ``field_values``: the reference for the library's draw in
+    marked buckets and its survivor-only product.  The sums run over the
+    picked samples of each batch."""
+    from aplab.patterns import a_binomial_system
+    from aplab.torus import _estimate
+
+    k = spec.k
+    branch = abs(a_binomial_system(spec).e[-1]) > 1
+    total = 0.0
+    total_sq = 0.0
+    for _, u in bucket_draws(A, k + branch, samples, seed):
+        v = u[-1] if branch else None
+        prod = full_product(A, spec, u[0], u[1], u[2 : k + 1], v)
         total += float(prod.sum())
         total_sq += float((prod * prod).sum())
     return _estimate(total, total_sq, samples, seed)

@@ -272,8 +272,8 @@ def survivor_cases(draw):
     D <= 24 cells with r <= 4 slots, a sample count of up to two Monte
     Carlo blocks plus one sample, and a seed.  The set is wide (m <= 12,
     width at least 1/(3m)), so samples survive some factors and die at
-    others, or narrow (m <= 10^6 on a log scale, width 1/(16m)), so the
-    y-support rejects most samples before any x is drawn."""
+    others, or narrow (m <= 10^6 on a log scale, width 1/(16m)), so few
+    buckets are marked and most samples are never drawn."""
     k = draw(st.integers(3, 5))
     a = tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k))))
     D = draw(st.integers(1, 24))
@@ -296,7 +296,7 @@ def survivor_cases(draw):
 def test_survivor_product_matches_full_product(case):
     spec, ts, samples, seed = case
     got = lambda_tilde_mc(ts, spec, samples, seed)
-    assert got == oracles.full_product_lambda_tilde_mc(ts, spec, samples, seed)
+    assert got == oracles.bucket_lambda_tilde_mc(ts, spec, samples, seed)
 
 
 # x values whose cell needs care: frac(x) * D rounds up to D at 1 - 2^-53

@@ -450,6 +450,17 @@ class TestDigitProof:
         assert witness is not None
         assert witness == oracles.naive_solution_free(S.elements, AP4.e, S.modulus)
 
+    def test_proves_a_set_past_the_verify_half_budget(self):
+        # 4,473 elements: the half tables would need 4473^2 = 20,007,729
+        # sums, over the cap, but the digits prove the set free
+        S = ResidueSet(38_290_401, digit_numbers(9, {0, 1, 2}, 4473))
+        assert S.modulus == 4 * S.elements[-1] + 1
+        assert verify_solution_free(S, AP4) is None
+        # 12 has the base-9 digit 3, so the set is left to the budget
+        T = ResidueSet(S.modulus, tuple(sorted(set(S.elements) - {9} | {12})))
+        with pytest.raises(BudgetExceededError, match="^budget verify_half exceeded: needs 20007729, cap 20000000$"):
+            verify_solution_free(T, AP4)
+
     def test_agrees_with_meet_in_the_middle_up_to_100_elements(self, monkeypatch):
         # digit sets of t <= 100 elements, in bases at and around M d + 1,
         # moduli at and around M max(S); meet in the middle alone is the

@@ -3,7 +3,6 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 import pytest
@@ -51,6 +50,9 @@ def z22():
 MC_BLOCK = inspect.signature(_sample_blocks).parameters["block"].default
 # sample counts just below, at and just above the first block boundary
 BOUNDARY = (MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1)
+# the same for the batches of the draw in marked buckets, where every bucket
+# is marked (each sample is drawn)
+BUCKET_BOUNDARY = (torus._BUCKET_BATCH - 1, torus._BUCKET_BATCH, torus._BUCKET_BATCH + 1)
 
 
 def random_torus_coloring(rng, d_max=40, r_max=6):
@@ -469,105 +471,6 @@ NARROW_SETS = {
 }
 
 
-class TestYSupport:
-    """``TorusSet.y_support`` keeps every y that some x maps to 1, at the
-    float edges of the slot intervals."""
-
-    @pytest.mark.parametrize(
-        "m, ends",
-        # m = 1 has the one slot 0, at both ends
-        [(m, ends) for m in SUPPORT_MODULI for ends in ("both", "first", "last") if m > 1 or ends == "both"],
-    )
-    @pytest.mark.parametrize("width_name", ["certificate", "sound", "full"])
-    def test_superset_at_the_float_edges(self, m, ends, width_name):
-        spec = PatternSpec.ap(4)
-        width = {
-            "certificate": certificate_width(spec, m),
-            "sound": sound_width(a_binomial_system(spec), m),
-            # width 1/m: y near 0 also meets slot m - 1 in floats
-            "full": Fraction(1, m),
-        }[width_name]
-        slots = support_slots(m, ends)
-        A = one_color_per_cell(m, width, slots)
-        ys = support_edge_ys(m, width, slots)
-        hits = hit_ys(A, ys)
-        support = A.y_support(ys)
-        assert len(hits), "no edge y meets the set"
-        missed = np.setdiff1d(hits, support)
-        assert not len(missed), f"support misses ys {ys[missed].tolist()}"
-        assert np.all(np.diff(support) > 0)
-
-    @pytest.mark.parametrize("name", sorted(NARROW_SETS))
-    def test_equals_the_hits_away_from_the_edges(self, name):
-        # seeded uniforms fall nowhere near the margin, so the superset is
-        # exactly the set of ys that some x maps to 1; about a third of
-        # these ys, each within a width of a slot interval, meet it
-        A = NARROW_SETS[name]()
-        starts = np.array(A.slots, dtype=np.float64) / A.m
-        offsets = np.random.default_rng(A.m).random(1 << 16) * 3 - 1
-        ys = (np.resize(starts, 1 << 16) + offsets * float(A.width)) % 1.0
-        hits = hit_ys(A, ys)
-        assert len(ys) // 4 < len(hits) < len(ys) // 2
-        assert np.array_equal(A.y_support(ys), hits)
-
-    def test_blocks_draw_row_0_only_where_the_support_holds_a_sample(self, monkeypatch):
-        blocks = []
-
-        def recording(seed, count):
-            for blk in _sample_blocks(seed, count):
-                blocks.append(blk)
-                yield blk
-
-        monkeypatch.setattr(torus, "_sample_blocks", recording)
-        A = thm26_torus_set(2)
-        lambda_tilde_mc(A, PatternSpec.ap(4), 40 * MC_BLOCK, 0)
-        drawn = [sorted(blk._rows) for blk in blocks]
-        empty = [not len(A.y_support(blk.row(2))) for blk in blocks]
-        assert all(rows == [2] for rows, e in zip(drawn, empty) if e)
-        assert all({0, 2} <= set(rows) for rows, e in zip(drawn, empty) if not e)
-        assert 0 < sum(empty) < len(blocks)
-
-    @pytest.mark.parametrize("bad", [-(2.0**-60), 1.0, 1.5, np.nan])
-    def test_ys_outside_the_unit_interval_raise(self, bad):
-        A = one_color_per_cell(7, Fraction(1, 7), [0, 6])
-        with pytest.raises(ValueError, match=r"ys in \[0, 1\)"):
-            A.y_support(np.array([0.5, bad]))
-
-    def test_empty_and_huge_modulus(self):
-        A = one_color_per_cell(7, Fraction(1, 7), [0, 6])
-        assert len(A.y_support(np.zeros(0))) == 0
-        # past m = 2^50 the margin is too wide to use: every y is kept
-        huge = one_color_per_cell(2**50, Fraction(1, 2**50), [0])
-        assert np.array_equal(huge.y_support(np.array([0.25, 0.5])), [0, 1])
-
-    def test_peak_memory_of_one_block(self):
-        A = thm26_torus_set(2)
-        ys = np.random.default_rng(2).random(MC_BLOCK)
-        A.y_support(ys)
-        tracemalloc.start()
-        try:
-            A.y_support(ys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * 8 * MC_BLOCK, f"{peak / (8 * MC_BLOCK):.2f} block arrays"
-
-
-@cache
-def bucket_edge_ys():
-    """Each bucket edge b/2^16 of ``y_support`` and the floats within 4 ulps
-    of it, kept in [0, 1)."""
-    edges = np.arange(2**16) / 2**16
-    walks = [edges]
-    for direction in (np.inf, -np.inf):
-        w = edges
-        for _ in range(4):
-            w = np.nextafter(w, direction)
-            walks.append(w)
-    ys = np.concatenate(walks)
-    return np.unique(ys[(ys >= 0) & (ys < 1)])
-
-
 def near_slot_ys(A, seed, n=1 << 14):
     """Seeded ys within a width of the slot intervals, in [0, 1)."""
     starts = np.array(A.slots, dtype=np.float64) / A.m
@@ -575,6 +478,16 @@ def near_slot_ys(A, seed, n=1 << 14):
     ys = (np.resize(starts, n) + offsets * float(A.width)) % 1.0
     ys[ys >= 1] = 0.0  # -tiny % 1.0 rounds to 1.0
     return ys
+
+
+def bucket_edge_ys(A):
+    """The bucket edges b/2^16 within two buckets of an end s/m or s/m +
+    width of a slot interval of A, and the floats within 4 ulps of each,
+    kept in [0, 1); the edge at 0 is also walked down from 1."""
+    ends = [Fraction(s, A.m) + w for s in set(A.slots) for w in (0, A.width)]
+    edges = {(math.floor(end * 2**16) + j) % 2**16 for end in ends for j in range(-2, 3)}
+    edges = [b / 2**16 for b in edges] + ([1.0] if 0 in edges else [])
+    return np.array(sorted({y for edge in edges for y in ulp_walk(edge) if 0 <= y < 1}))
 
 
 def edge_slots(m):
@@ -592,54 +505,69 @@ def edge_slots(m):
 EDGE_MODULI = (3 * 2**16, 2**20, 2**49 + 1)
 
 
-class TestYSupportBuckets:
-    """The bucket stage of ``TorusSet.y_support`` changes no index: the
-    result equals the fine test run alone (``oracles.fine_y_support``)."""
+def width_named(name, m):
+    return {
+        "certificate": certificate_width(PatternSpec.ap(4), m),
+        "sound": sound_width(a_binomial_system(PatternSpec.ap(4)), m),
+        # width 1/m: y near 0 also meets slot m - 1 in floats
+        "full": Fraction(1, m),
+    }[name]
+
+
+def assert_hits_are_marked(A):
+    """Every y at the float edges of the slot intervals, at the bucket edges
+    near them and within a width of them that some x maps to 1 lies in a
+    marked bucket of ``A.y_buckets``; floor(y 2^16) is exact in floats."""
+    ys = np.concatenate([support_edge_ys(A.m, A.width, A.slots), bucket_edge_ys(A), near_slot_ys(A, A.m)])
+    hits = ys[hit_ys(A, ys)]
+    assert len(hits), "no y meets the set"
+    unmarked = hits[~A.y_buckets[(hits * 2**16).astype(np.intp)]]
+    assert not len(unmarked), f"ys {unmarked.tolist()} meet the set in unmarked buckets"
+
+
+class TestYBuckets:
+    """``TorusSet.y_buckets`` marks the bucket of every y that some x maps
+    to 1, which is what the draw in marked buckets rests on."""
 
     @pytest.mark.parametrize(
-        "m, ends", [(m, ends) for m in SUPPORT_MODULI for ends in ("both", "first", "last") if m > 1 or ends == "both"]
+        "m, ends",
+        # m = 1 has the one slot 0, at both ends
+        [(m, ends) for m in SUPPORT_MODULI for ends in ("both", "first", "last") if m > 1 or ends == "both"],
     )
     @pytest.mark.parametrize("width_name", ["certificate", "sound", "full"])
-    def test_equals_the_fine_test_on_the_edge_tests_sets(self, m, ends, width_name):
-        spec = PatternSpec.ap(4)
-        width = {
-            "certificate": certificate_width(spec, m),
-            "sound": sound_width(a_binomial_system(spec), m),
-            "full": Fraction(1, m),
-        }[width_name]
-        slots = support_slots(m, ends)
-        A = one_color_per_cell(m, width, slots)
-        rows = (
-            support_edge_ys(m, width, slots),
-            near_slot_ys(A, m),
-            np.random.default_rng(m).random(1 << 14),
-        )
-        for ys in rows:
-            assert np.array_equal(A.y_support(ys), oracles.fine_y_support(A, ys))
+    def test_hits_are_marked_at_the_float_edges(self, m, ends, width_name):
+        assert_hits_are_marked(one_color_per_cell(m, width_named(width_name, m), support_slots(m, ends)))
 
     @pytest.mark.parametrize("m", EDGE_MODULI)
     @pytest.mark.parametrize("width_name", ["certificate", "full"])
-    def test_equals_the_fine_test_at_the_bucket_edges(self, m, width_name):
-        width = certificate_width(PatternSpec.ap(4), m) if width_name == "certificate" else Fraction(1, m)
-        A = one_color_per_cell(m, width, edge_slots(m))
-        for ys in (bucket_edge_ys(), support_edge_ys(m, width, A.slots), near_slot_ys(A, m)):
-            support = A.y_support(ys)
-            assert np.array_equal(support, oracles.fine_y_support(A, ys))
-            assert len(support)
+    def test_hits_are_marked_at_the_bucket_edges(self, m, width_name):
+        assert_hits_are_marked(one_color_per_cell(m, width_named(width_name, m), edge_slots(m)))
+
+    def test_hit_past_the_end_of_an_interval_is_marked(self):
+        # at m = 2^49 - 1 and width 1/m the end (s + 1)/m of this slot lies
+        # 2^-65 below the last bucket edge 1 - 2^-16, and a y on that edge
+        # meets the set in floats, one bucket past the interval
+        m = 2**49 - 1
+        A = one_color_per_cell(m, Fraction(1, m), [((2**16 - 1) * m >> 16) - 1])
+        assert len(hit_ys(A, np.array([1 - 2.0**-16]))) == 1
+        assert_hits_are_marked(A)
 
     @pytest.mark.parametrize("name", sorted(NARROW_SETS))
-    def test_equals_the_fine_test_on_random_rows(self, name):
-        A = NARROW_SETS[name]()
-        rng = np.random.default_rng(7)
-        for ys in (rng.random(1 << 16), near_slot_ys(A, 7, 1 << 16), bucket_edge_ys()):
-            assert np.array_equal(A.y_support(ys), oracles.fine_y_support(A, ys))
+    def test_hits_are_marked_on_the_narrow_sets(self, name):
+        assert_hits_are_marked(NARROW_SETS[name]())
 
-    def test_table_marks_at_most_two_buckets_per_slot(self):
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_at_most_two_buckets_per_slot_at_the_chain_width(self, ell):
         # at the chain's width 1/(16m), far below 2^-16, a widened slot
         # interval meets one bucket, or two where it crosses an edge
-        A = thm26_torus_set(2)
-        A.y_support(np.zeros(1))
-        assert 0 < np.count_nonzero(A._buckets) <= 2 * len(set(A.slots))
+        A = thm26_torus_set(ell)
+        assert 0 < np.count_nonzero(A.y_buckets) <= 2 * len(set(A.slots))
+
+    @pytest.mark.parametrize("m", [2**50, 2**50 + 1, 2**60])
+    def test_every_bucket_is_marked_from_two_to_the_fifty(self, m):
+        assert one_color_per_cell(m, Fraction(1, m), [0]).y_buckets.all()
+        below = 2**50 - 1
+        assert not one_color_per_cell(below, Fraction(1, below), [0]).y_buckets.all()
 
 
 class TestLambdaTildeMC:
@@ -693,11 +621,18 @@ class TestLambdaTildeMC:
         est = lambda_tilde_mc(DiagonalStrip(Fraction(1, 2)), PatternSpec.ap(4), 200_000, 4)
         assert 0 <= est.mean <= 1
 
-    def test_prefix_consistent(self):
+    @pytest.mark.parametrize("name", ["slab", "torus_set_wide"])
+    def test_prefix_consistent(self, name):
         # sample j is the same whatever the total, so one more sample adds
-        # 0 or 1 hit of the 0/1 product, also across a block boundary
-        F, spec = SlabIndicator(Fraction(1, 2)), PatternSpec.ap(4)
-        for n in BOUNDARY:
+        # 0 or 1 hit of the 0/1 product, also across a block boundary; the
+        # wide set draws every sample in a marked bucket, so its counts
+        # cross a batch of that draw
+        F, counts = {
+            "slab": (SlabIndicator(Fraction(1, 2)), BOUNDARY),
+            "torus_set_wide": (wide_torus_set(), BUCKET_BOUNDARY),
+        }[name]
+        spec = PatternSpec.ap(4)
+        for n in counts:
             hits = [round(lambda_tilde_mc(F, spec, s, 1).mean * s) for s in (n, n + 1)]
             assert hits[1] - hits[0] in (0, 1), (n, hits)
 
@@ -735,10 +670,18 @@ def thm26_torus_set(ell):
 
 def wide_torus_set():
     """A torus set over the ell = 1 interlacing with slabs of width 1/2, so
-    about 2^-k of the samples survive every factor and the last factors
-    read rows 3..k+1 at survivors only."""
+    every bucket is marked, about 2^-k of the samples survive every factor
+    and the last factors read rows 3..k+1 at survivors only."""
     Phi = interlace_k(z22(), 4)
     return TorusSet(Phi, 2, Fraction(1, 2), tuple(j % 2 for j in range(Phi.r)))
+
+
+def mid_torus_set():
+    """m = 5, width 1/10 and slots 0, 1, 2 over the ell = 1 interlacing:
+    about 3 in 10 buckets are marked, and about 1 in 10^4 samples survives
+    every factor."""
+    Phi = interlace_k(z22(), 4)
+    return TorusSet(Phi, 5, Fraction(1, 10), tuple(j % 3 for j in range(Phi.r)))
 
 
 SURVIVOR_FIELDS = {
@@ -767,11 +710,67 @@ class TestSurvivorProduct:
         "offsets", [(0, 1, 2, 3), (0, 1, 2, 3, 4), (0, 1, 2, 4), (0, 2, 3)]
     )
     def test_equals_full_product(self, field, offsets):
+        # a torus set is drawn in its marked buckets, a plain field in blocks
         F = SURVIVOR_FIELDS[field]()
         spec = PatternSpec(offsets)
-        for samples in BOUNDARY:
-            got = lambda_tilde_mc(F, spec, samples, 7)
-            assert got == oracles.full_product_lambda_tilde_mc(F, spec, samples, 7), samples
+        if isinstance(F, TorusSet):
+            oracle, counts = oracles.bucket_lambda_tilde_mc, BOUNDARY + BUCKET_BOUNDARY
+        else:
+            oracle, counts = oracles.full_product_lambda_tilde_mc, BOUNDARY
+        for samples in counts:
+            assert lambda_tilde_mc(F, spec, samples, 7) == oracle(F, spec, samples, 7), samples
+
+
+DISTRIBUTION_SETS = {
+    "torus_set_wide": wide_torus_set,
+    "torus_set_mid": mid_torus_set,
+    "thm26_ell1": lambda: thm26_torus_set(1),
+}
+
+
+class TestBucketDraw:
+    """The draw in marked buckets has the distribution of the draw of every
+    sample, extends a shorter run, and holds no block-sized array."""
+
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTION_SETS))
+    def test_agrees_with_every_sample_drawn(self, name):
+        A = DISTRIBUTION_SETS[name]()
+        spec, n, seed = PatternSpec.ap(4), 400_000, 11
+        got = lambda_tilde_mc(A, spec, n, seed)
+        want = oracles.full_product_lambda_tilde_mc(A, spec, n, seed)
+        assert abs(got.mean - want.mean) <= 5 * math.hypot(got.stderr, want.stderr), (got, want)
+        p = np.count_nonzero(A.y_buckets) / 2**16
+        drawn = sum(len(idx) for idx, _ in oracles.bucket_draws(A, spec.k, n, seed))
+        assert abs(drawn - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (drawn, n * p)
+
+    def test_a_longer_run_extends_a_shorter_one(self):
+        # counts just below, at and just past the last sample of the first
+        # batch: the rows of each are a prefix of those of a longer run
+        A = mid_torus_set()
+        last = int(next(oracles.bucket_draws(A, 4, 10**6, 5))[0][-1])
+
+        def rows(count):
+            batches = list(torus._bucket_batches(A.y_buckets, 5, count, 4))
+            return [np.concatenate([blk.row(r) for blk in batches]) for r in range(5)]
+
+        longer = rows(last + 4 * torus._BUCKET_BATCH)
+        for count, drawn in ((last, torus._BUCKET_BATCH - 1), (last + 1, torus._BUCKET_BATCH)):
+            got = rows(count)
+            assert len(got[0]) == drawn
+            assert all(np.array_equal(g, w[: len(g)]) for g, w in zip(got, longer))
+
+    def test_peak_memory_of_one_call(self):
+        # once the bucket table and the cell starts are built, a call at
+        # 10^6 samples holds less than one Monte Carlo block row
+        A, spec = thm26_torus_set(2), PatternSpec.ap(4)
+        lambda_tilde_mc(A, spec, 10**6, 0)
+        tracemalloc.start()
+        try:
+            lambda_tilde_mc(A, spec, 10**6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * MC_BLOCK, f"{peak / 1024:.1f} KiB"
 
 
 BUILTIN_FIELDS = {

@@ -92,6 +92,14 @@ class TestDiscretize:
         f2 = quadratic_indicator(97, Fraction(1, 4))
         assert f1.exact == f2.exact
 
+    @pytest.mark.parametrize("N", [1, 2, 97, 1000, 10007])
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(5, 7), Fraction(1)])
+    def test_quadratic_indicator_is_the_rational_comparison(self, N, alpha):
+        # the definition: 1 where the rational n^2 mod N / N is below alpha
+        want = tuple(int(Fraction(pow(n, 2, N), N) < alpha) for n in range(N))
+        got = quadratic_indicator(N, alpha).exact
+        assert got == want and all(type(v) is int for v in got)
+
     def test_degree_from_spec_length(self):
         # degree 3 pulls cubes
         f = discretize(SlabIndicator(Fraction(1, 2)), 11, 3)
