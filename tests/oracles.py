@@ -7,6 +7,7 @@ run d over 1..N-1, interval scans over positive d (both signs for the
 binomial predicate).
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -647,6 +648,26 @@ def full_product_lambda_tilde_mc(F, spec, samples, seed=0):
         total += float(prod.sum())
         total_sq += float((prod * prod).sum())
     return _estimate(total, total_sq, samples, seed)
+
+
+def exact_y_buckets(A):
+    """The bucket table of the torus set A in exact rationals: bucket b of
+    2^16 is marked when [b/2^16, (b+1)/2^16) meets [s/m - 2^-50, s/m + width
+    + 2^-50) mod 1 for a slot s, and every bucket is marked when m >= 2^50.
+    The reference for ``TorusSet.y_buckets``."""
+    table = np.zeros(2**16, dtype=bool)
+    if A.m >= 2**50:
+        table[:] = True
+        return table
+    margin = Fraction(1, 2**50)
+    for s in set(A.slots):
+        lo = (Fraction(s, A.m) - margin) * 2**16
+        hi = (Fraction(s, A.m) + A.width + margin) * 2**16
+        # the buckets b with b < hi and b + 1 > lo
+        first, last = math.floor(lo), math.ceil(hi) - 1
+        for b in range(first, min(last, first + 2**16 - 1) + 1):
+            table[b % 2**16] = True
+    return table
 
 
 def bucket_draws(A, rows, samples, seed=0):

@@ -538,10 +538,26 @@ class TestYBuckets:
     def test_hits_are_marked_at_the_float_edges(self, m, ends, width_name):
         assert_hits_are_marked(one_color_per_cell(m, width_named(width_name, m), support_slots(m, ends)))
 
+    @pytest.mark.parametrize(
+        "m, ends", [(m, ends) for m in SUPPORT_MODULI for ends in ("both", "first", "last") if m > 1 or ends == "both"]
+    )
+    @pytest.mark.parametrize("width_name", ["certificate", "sound", "full"])
+    def test_table_equals_the_exact_one_on_the_edge_tests_sets(self, m, ends, width_name):
+        # the int64 steps mark exactly the buckets that the widened slot
+        # intervals meet, by ``oracles.exact_y_buckets`` in rationals
+        A = one_color_per_cell(m, width_named(width_name, m), support_slots(m, ends))
+        assert np.array_equal(A.y_buckets, oracles.exact_y_buckets(A))
+
     @pytest.mark.parametrize("m", EDGE_MODULI)
     @pytest.mark.parametrize("width_name", ["certificate", "full"])
     def test_hits_are_marked_at_the_bucket_edges(self, m, width_name):
         assert_hits_are_marked(one_color_per_cell(m, width_named(width_name, m), edge_slots(m)))
+
+    @pytest.mark.parametrize("m", EDGE_MODULI)
+    @pytest.mark.parametrize("width_name", ["certificate", "full"])
+    def test_table_equals_the_exact_one_at_the_bucket_edges(self, m, width_name):
+        A = one_color_per_cell(m, width_named(width_name, m), edge_slots(m))
+        assert np.array_equal(A.y_buckets, oracles.exact_y_buckets(A))
 
     def test_hit_past_the_end_of_an_interval_is_marked(self):
         # at m = 2^49 - 1 and width 1/m the end (s + 1)/m of this slot lies
@@ -551,6 +567,7 @@ class TestYBuckets:
         A = one_color_per_cell(m, Fraction(1, m), [((2**16 - 1) * m >> 16) - 1])
         assert len(hit_ys(A, np.array([1 - 2.0**-16]))) == 1
         assert_hits_are_marked(A)
+        assert np.array_equal(A.y_buckets, oracles.exact_y_buckets(A))
 
     @pytest.mark.parametrize("name", sorted(NARROW_SETS))
     def test_hits_are_marked_on_the_narrow_sets(self, name):
