@@ -478,14 +478,13 @@ def _symmetric_constraints(n_amb, spec, ambient):
     ``scan.predicate_clauses(spec, "symmetric")``.
 
     Each constraint holds the index pairs that must NOT all be monochromatic.
-    Pairs whose two points coincide are dropped (they hold automatically); a
-    constraint with no remaining pairs is violated by every coloring.
+    Pairs whose two points coincide are dropped (they hold automatically),
+    and so is a constraint left with none (see ``_always_violated``).
     """
     offsets = spec.a
     amax = offsets[-1]
     [(_, pairing)] = predicate_clauses(spec, "symmetric")
     seen = {}
-    always_violated = False
     if ambient == CYCLIC:
         nds = ((n, d) for n in range(n_amb) for d in range(1, n_amb))
     else:
@@ -508,10 +507,19 @@ def _symmetric_constraints(n_amb, spec, ambient):
         if key in seen:
             continue
         seen[key] = tuple(sorted(set(pairs)))
-        if not pairs:
-            always_violated = True
-    constraints = [c for c in seen.values() if c]
-    return constraints, always_violated
+    return [c for c in seen.values() if c]
+
+
+def _always_violated(n_amb, spec, ambient) -> bool:
+    """Whether some progression has all its symmetric pairs on one point
+    each, which no coloring avoids: never in the interval, where offsets are
+    distinct; mod N, pair (i, k-1-i) is one point iff N/gcd(N, a_{k-1-i} - a_i)
+    divides d, so some d in 1..N-1 works iff the lcm of these is below N,
+    that is iff N and all the a_{k-1-i} - a_i have a common factor."""
+    if ambient != CYCLIC:
+        return False
+    a = spec.a
+    return math.gcd(n_amb, *(a[-1 - i] - a[i] for i in range(len(a) // 2))) > 1
 
 
 def search_coloring(
@@ -544,17 +552,17 @@ def search_coloring(
         raise ValueError("search needs a symmetric spec")
     if spec.k % 2:
         raise ValueError("symmetric patterns need even length")
-    constraints, always_violated = _symmetric_constraints(n, spec, ambient)
-    if always_violated:
+    if mode not in ("exhaustive", "randomized"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if _always_violated(n, spec, ambient):
         return SearchResult("none_exists", None, 0)
 
     if mode == "exhaustive":
         check_budget("exhaustive_n", n)
-        return _search_dfs(n, r, ambient, constraints, budget)
-    if mode == "randomized":
-        rounds = 10_000 if budget is None else budget
-        return _search_randomized(n, r, ambient, constraints, rounds, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+        return _search_dfs(n, r, ambient, _symmetric_constraints(n, spec, ambient), budget)
+    rounds = 10_000 if budget is None else budget
+    constraints = _symmetric_constraints(n, spec, ambient)
+    return _search_randomized(n, r, ambient, constraints, rounds, seed)
 
 
 def _search_dfs(n, r, ambient, constraints, budget):

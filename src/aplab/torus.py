@@ -168,44 +168,17 @@ def _cell_index(z, D: int) -> np.ndarray:
     return np.minimum(cells, D - 1, out=cells)
 
 
-class _SampleBlock:
-    """The uniforms of one block of n samples, read row by row.
-
-    Row r of block b is draws [r*block, (r+1)*block) of the PCG64 stream
-    of default_rng(SeedSequence(seed, spawn_key=(b,))), the b-th child of
-    SeedSequence(seed).spawn, cut to its first n entries: row r of the eager
-    ``rng.random((rows, block))[:, :n]``.  A row is drawn on its first read,
-    always at full block size, after moving the stream to its start with
-    ``bit_generator.advance`` (forward or back), and kept for the rest of the
-    block; so a loop draws only the rows it reads and gets the same bytes.
-    """
-
-    def __init__(self, seed: int, b: int, n: int, block: int):
-        self.n = n
-        self._block = block
-        self._rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        self._at = 0  # stream position, in draws
-        self._rows = {}
-
-    def row(self, r: int, at=None) -> np.ndarray:
-        """Row r, or its entries at the indices ``at`` when given."""
-        got = self._rows.get(r)
-        if got is None:
-            if r * self._block != self._at:
-                self._rng.bit_generator.advance(r * self._block - self._at)
-            got = self._rows[r] = self._rng.random(self._block)[: self.n]
-            self._at = (r + 1) * self._block
-        return got if at is None else got[at]
-
-
-def _sample_blocks(seed: int, count: int, block: int = _MC_BLOCK):
-    """The ``_SampleBlock``s of ``count`` samples, consecutive blocks of
-    n <= ``block`` samples: sample j sees the same uniforms whatever
+def _sample_blocks(seed: int, count: int, rows: int, block: int = _MC_BLOCK):
+    """The uniforms of ``count`` samples, one (rows, n) array per block of
+    n <= ``block`` samples: ``random((rows, block))[:, :n]`` of block b's
+    default_rng(SeedSequence(seed, spawn_key=(b,))), the b-th child of
+    SeedSequence(seed).spawn.  Sample j sees the same uniforms whatever
     ``count`` is, so an estimate depends only on (seed, count).  Yields
     nothing when count < 1.
     """
     for b, start in enumerate(range(0, count, block)):
-        yield _SampleBlock(seed, b, min(block, count - start), block)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        yield rng.random((rows, block))[:, : min(block, count - start)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +317,13 @@ def pattern_probability_mc(
     seed: int = 0,
 ) -> Estimate:
     """Monte Carlo estimate of the same probability, for cross-checking;
-    sample j is (x, y) from rows 0 and 1 of its ``_sample_blocks`` block."""
+    sample j is (x, y) from the two rows of its ``_sample_blocks`` block."""
     offsets = spec.normalized().a
     clauses = predicate_clauses(spec, predicate)
     colors = Phi.as_array
     D = Phi.D
     hits = 0
-    for blk in _sample_blocks(seed, samples):
-        x, y = blk.row(0), blk.row(1)
+    for x, y in _sample_blocks(seed, samples, 2):
         cols = []
         for a in offsets:
             cols.append(colors[_cell_index(x + a * y if a else x, D)])
@@ -543,19 +515,6 @@ def certificate_width(spec: PatternSpec, m: int) -> Fraction:
     return min(_default_width(spec.k, m), sound_width(a_binomial_system(spec), m))
 
 
-class _Batch:
-    """Rows drawn in full, read like those of a ``_SampleBlock``."""
-
-    def __init__(self, rows):
-        self.n = len(rows[0])
-        self._rows = rows
-
-    def row(self, r: int, at=None) -> np.ndarray:
-        """Row r, or its entries at the indices ``at`` when given."""
-        got = self._rows[r]
-        return got if at is None else got[at]
-
-
 # The batch of the samples drawn in marked buckets: 2^10, so that one call
 # of ``lambda_tilde_mc`` on a torus set holds about ten arrays of 8 KiB, well
 # under one Monte Carlo block row (128 KiB), and a batch draws in about
@@ -565,17 +524,17 @@ _BUCKET_BATCH = 1 << 10
 
 def _bucket_batches(table: np.ndarray, seed: int, count: int, rows: int):
     """The samples among ``count`` whose y_1 lies in a bucket of ``table``,
-    as ``_Batch``es of up to ``_BUCKET_BATCH``, read like ``_sample_blocks``.
+    as lists of ``rows`` rows of up to ``_BUCKET_BATCH``, like ``_sample_blocks``.
 
     One stream per call, that of default_rng(SeedSequence(seed)), which is
     none of the ``_sample_blocks`` children.  Each batch draws, in this
     order, ``_BUCKET_BATCH`` each of: geometric gaps with p = marked/2^16
     from one picked sample to the next; y_1 = (b 2^37 + u) 2^-53, with b
     uniform over the marked buckets and then u uniform below 2^37; and
-    ``rows`` rows of uniforms, x0, x1, y_2..y_{k-1} and the branch.  So the
-    samples are picked independently with probability p, exactly up to the
-    rounding of the geometric draw, and a picked y_1 is uniform on the grid
-    of 2^-53 that ``random()`` draws from, restricted to the marked
+    ``rows`` - 1 rows of uniforms, x0, x1, y_2..y_{k-1} and the branch.  So
+    the samples are picked independently with probability p, exactly up to
+    the rounding of the geometric draw, and a picked y_1 is uniform on the
+    grid of 2^-53 that ``random()`` draws from, restricted to the marked
     buckets.  The batch becomes rows 0 (x0), 1 (x1), 2..k (y_1..y_{k-1})
     and k + 1 (the branch), cut to its samples below count: every batch
     draws the same whatever count is, so a run of more samples extends a
@@ -592,9 +551,9 @@ def _bucket_batches(table: np.ndarray, seed: int, count: int, rows: int):
         start += int(picked[-1])
         y1 = marked[rng.integers(0, len(marked), _BUCKET_BATCH)] << 37
         y1 |= rng.integers(0, 2**37, _BUCKET_BATCH)
-        x0, x1, *ys = (rng.random(_BUCKET_BATCH)[:n] for _ in range(rows))
+        x0, x1, *ys = rng.random((rows - 1, _BUCKET_BATCH))[:, :n]
         if n:
-            yield _Batch([x0, x1, y1[:n] * 2.0**-53, *ys])
+            yield [x0, x1, y1[:n] * 2.0**-53, *ys]
 
 
 def lambda_tilde_mc(
@@ -611,8 +570,8 @@ def lambda_tilde_mc(
     e_k y_k = -sum_{i<k} e_i y_i, the branch being floor(|e_k| v) for one
     more uniform v (uniform up to 2^-53).  Sample j takes these k + 2
     uniforms from row 0 (x0), row 1 (x1), rows 2..k (y_1..y_{k-1}) and
-    row k + 1 (v) of its ``_sample_blocks`` block, so the estimate depends
-    only on (seed, samples).
+    row k + 1 (v, drawn only when |e_k| > 1) of its ``_sample_blocks``
+    block, so the estimate depends only on (seed, samples).
 
     A field with ``y_buckets`` (a TorusSet) is 0 at every x wherever y_1 is
     in an unmarked bucket, so such a sample adds exactly 0 and is not
@@ -638,49 +597,46 @@ def lambda_tilde_mc(
     +0.0 to a sum that is never -0.0 changes no bit), so the estimate is
     bit-identical to multiplying all k factors for every sample of every
     block (F must take finite values).
-
-    The rows of a ``_sample_blocks`` block are drawn on demand, each at full
-    block size, so a block draws only the rows its survivors read, with the
-    bytes of the eager draw: none past row 2 when no sample survives the
-    first factor, no row 1 for a position a = 0 (x0 + 0*x1 mod 1 is x0, bit
-    for bit), and no row k + 1 when |e_k| = 1 (the branch is then 0, and
-    adding 0.0 to a fractional part changes no bit).  ``_bucket_batches``
-    skips the branch row on the same grounds.
     """
     system = a_binomial_system(spec)
     offsets = spec.normalized().a
     e = system.e
     k = system.k
+    rows = k + 1 + (abs(e[-1]) > 1)
     if hasattr(F, "y_buckets"):
-        blocks = _bucket_batches(F.y_buckets, seed, samples, k + (abs(e[-1]) > 1))
+        blocks = _bucket_batches(F.y_buckets, seed, samples, rows)
     else:
-        blocks = _sample_blocks(seed, samples)
+        blocks = _sample_blocks(seed, samples, rows)
     total = 0.0
     total_sq = 0.0
     for blk in blocks:
         # live: block indices of the surviving samples, None while all survive
         live = None
         prod = None
+
+        def row(r):
+            return blk[r] if live is None else blk[r][live]
+
         for i, a in enumerate(offsets):
             if live is not None and not len(live):
                 break
-            x = blk.row(0, live)
+            x = row(0)
             if a:
                 # a x1 + x0 is x0 + a x1 bit for bit: float + and * commute
-                t = np.multiply(blk.row(1, live), a)
+                t = np.multiply(row(1), a)
                 t += x
                 x = _frac(t, out=t)
             if i < k - 1:
-                y = blk.row(2 + i, live)
+                y = row(2 + i)
             else:
                 y = np.zeros(len(x))
                 t = np.empty(len(x))
                 for j, ei in enumerate(e[:-1]):
-                    y += np.multiply(blk.row(2 + j, live), ei, out=t)
+                    y += np.multiply(row(2 + j), ei, out=t)
                 np.negative(y, out=y)
                 _frac(y, out=y)
                 if abs(e[-1]) > 1:
-                    y += np.floor(np.multiply(blk.row(k + 1, live), abs(e[-1]), out=t), out=t)
+                    y += np.floor(np.multiply(row(k + 1), abs(e[-1]), out=t), out=t)
                 y /= e[-1]
                 _frac(y, out=y)
             v = F.evaluate_batch(x, y)
@@ -696,7 +652,7 @@ def lambda_tilde_mc(
         if live is None:
             full = prod
         elif len(live):
-            full = np.zeros(blk.n)
+            full = np.zeros(len(blk[0]))
             full[live] = prod
         else:
             continue

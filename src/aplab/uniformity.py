@@ -452,9 +452,8 @@ def extract_coloring(
     its 2 + r uniforms from rows 0..r+1 of its seeded block of
     ``torus._sample_blocks``, about 2^16 field evaluations to a block, so it
     depends only on (seed, j) and the declared inputs; attempts are scanned
-    in order, so the first success by attempt index is returned.  Every
-    attempt reads all its uniforms, so all rows of a block are drawn, and
-    the positions x0 + i*x1 mod 1 are taken by ``torus._frac``, bit for bit
+    in order, so the first success by attempt index is returned.  The
+    positions x0 + i*x1 mod 1 are taken by ``torus._frac``, bit for bit
     numpy's ``% 1.0``.
 
     All attempts of a block are checked at once (``_symmetric_ap_rows``),
@@ -473,9 +472,9 @@ def extract_coloring(
     rejected = 0
     done = 0
     idx = np.arange(N, dtype=np.float64)
-    for blk in _sample_blocks(seed, attempts, max(1, (1 << 16) // (N * r))):
-        x0, x1 = blk.row(0), blk.row(1)
-        ys = np.stack([blk.row(2 + j) for j in range(r)], axis=1)
+    for blk in _sample_blocks(seed, attempts, 2 + r, max(1, (1 << 16) // (N * r))):
+        x0, x1 = blk[0], blk[1]
+        ys = blk[2:].T
         nb = len(x0)
         # F values at (attempt, position, palette index)
         xs = _frac(x0[:, None] + idx[None, :] * x1[:, None])

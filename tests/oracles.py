@@ -41,6 +41,16 @@ def _nd_candidates(N, offsets, cyclic, signed=False):
                 yield n, d
 
 
+def symmetric_always_violated(N, offsets, cyclic):
+    """Does some progression (n, d) of ``offsets`` in [N] have every pair of
+    the symmetric pairing on one point?  Direct scan over (n, d)."""
+    for n, d in _nd_candidates(N, offsets, cyclic):
+        pts = _points(n, d, offsets, N, cyclic)
+        if pts is not None and all(pts[i] == pts[j] for i, j in sym_pairs(len(offsets))):
+            return True
+    return False
+
+
 def naive_symmetric_witness(colors, ambient, offsets):
     """First (n, d) in lex order whose pattern is symmetrically colored."""
     N = len(colors)
@@ -567,8 +577,9 @@ def sorted_greedy_solution_free_set(system, m, r):
 def eager_uniform_blocks(seed, count, rows, block):
     """The uniforms of ``count`` samples, ``rows`` per sample, drawn eagerly
     as (rows, n) arrays: block b holds samples [b*block, b*block + n) and is
-    default_rng(SeedSequence(seed).spawn(...)[b]).random((rows, block))[:, :n].
-    The reference for the library's rows drawn on demand."""
+    default_rng(SeedSequence(seed).spawn(...)[b]).random((rows, block))[:, :n],
+    the children spawned all at once.  The reference for
+    ``torus._sample_blocks``, which builds each child from its spawn key."""
     starts = range(0, count, block)
     children = np.random.SeedSequence(seed).spawn(len(starts))
     for child, start in zip(children, starts):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from aplab import __version__
+from aplab import __version__, colorings
 from aplab.cli import build_parser, main
 from aplab.colorings import (
     CYCLIC,
@@ -797,6 +797,16 @@ class TestSearchSize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: N must be at least 1\n"
+
+    def test_over_budget_exits_2_before_constraints(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("constraints built over budget")
+
+        monkeypatch.setattr(colorings, "_symmetric_constraints", unreachable)
+        assert main(["search", "--N", "1000", "--r", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: budget exhaustive_n exceeded: needs 1000, cap 64\n"
 
 
 class TestCommandPaths:

@@ -624,6 +624,18 @@ class TestConstructions:
             assert verify_abab_abba_free(c, 6) is None
 
 
+# symmetric offsets: a_i + a_{k-1-i} is the same for every i
+SYMMETRIC_OFFSETS = [
+    (0, 1, 2, 3),
+    (0, 1, 3, 4),
+    (0, 2, 3, 5),
+    (0, 1, 4, 5),
+    (0, 3, 4, 7),
+    (0, 1, 2, 3, 4, 5),
+    (0, 1, 3, 5, 7, 8),
+]
+
+
 class TestSearch:
     def test_bundled_size_is_reachable(self):
         res = search_coloring(22, 4, 3)
@@ -699,8 +711,29 @@ class TestSearch:
         with pytest.raises(BudgetExceededError):
             search_coloring(100, 4, 3)
 
+    @pytest.mark.parametrize("offsets", SYMMETRIC_OFFSETS)
+    @pytest.mark.parametrize("ambient", [CYCLIC, INTERVAL])
+    def test_always_violated_matches_the_scan(self, offsets, ambient):
+        # the closed form against the (n, d) scan; a search there is refuted
+        # at once, whatever r and the mode
+        spec = PatternSpec(offsets).normalized()
+        for n in range(1, 41):
+            want = oracles.symmetric_always_violated(n, spec.a, ambient == CYCLIC)
+            assert colorings._always_violated(n, spec, ambient) == want, n
+            if want:
+                for mode in ("exhaustive", "randomized"):
+                    res = search_coloring(n, spec, n, ambient=ambient, mode=mode)
+                    assert (res.status, res.coloring, res.nodes) == ("none_exists", None, 0)
+
     @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
     @pytest.mark.parametrize("n", [0, -3])
     def test_size_below_one_is_refused(self, mode, n):
         with pytest.raises(ValueError, match="^N must be at least 1$"):
             search_coloring(n, 4, 3, mode=mode)
+
+    @pytest.mark.parametrize("n", [9, 10], ids=["searchable", "always_violated"])
+    def test_unknown_mode_is_refused(self, n):
+        # (0, 1, 3, 4) at even N is decided without a search, but not for
+        # a mode that does not exist
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            search_coloring(n, PatternSpec((0, 1, 3, 4)), 3, mode="bogus")

@@ -233,6 +233,25 @@ def test_threads_start_only_in_ordered_map():
     assert sites == [("scan", "ordered_map")]
 
 
+def test_seeded_streams_start_only_in_the_samplers():
+    """``default_rng`` and ``SeedSequence`` are constructed only by the
+    seeded samplers: the Monte Carlo blocks, the draw in marked buckets and
+    randomized search."""
+    sites = {
+        (path.stem, getattr(stmt, "name", None))
+        for path in MODULES
+        for stmt in _tree(path).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("default_rng", "SeedSequence")
+    }
+    assert sorted(sites) == [
+        ("colorings", "_search_randomized"),
+        ("torus", "_bucket_batches"),
+        ("torus", "_sample_blocks"),
+    ]
+
+
 # private names one module imports from another, each shared for a reason
 PRIVATE_IMPORTS_ALLOWED = {
     "uniformity <- torus._frac": "the one fractional part, shared with the Monte Carlo fields",

@@ -767,8 +767,8 @@ class TestBucketDraw:
         last = int(next(oracles.bucket_draws(A, 4, 10**6, 5))[0][-1])
 
         def rows(count):
-            batches = list(torus._bucket_batches(A.y_buckets, 5, count, 4))
-            return [np.concatenate([blk.row(r) for blk in batches]) for r in range(5)]
+            batches = list(torus._bucket_batches(A.y_buckets, 5, count, 5))
+            return [np.concatenate([blk[r] for blk in batches]) for r in range(5)]
 
         longer = rows(last + 4 * torus._BUCKET_BATCH)
         for count, drawn in ((last, torus._BUCKET_BATCH - 1), (last + 1, torus._BUCKET_BATCH)):
@@ -818,19 +818,17 @@ class TestBuiltinFields:
 
 class TestSampling:
     @pytest.mark.parametrize("b", [0, 2], ids=["full_block", "short_last_block"])
-    def test_rows_read_out_of_order(self, b):
+    def test_blocks_are_the_spawned_children(self, b):
         # block b of seed s is child b of SeedSequence(s).spawn, so a split
-        # of the blocks over processes draws the same numbers; each row is
-        # drawn at full block size wherever the stream stands, so any read
-        # order gives the rows of the eager draw
-        blk = list(_sample_blocks(5, 2 * MC_BLOCK + 7))[b]
-        assert blk.n == (MC_BLOCK if b < 2 else 7)
+        # of the blocks over processes draws the same numbers, and it holds
+        # the rows of the eager reference draw
+        count = 2 * MC_BLOCK + 7
+        blk = list(_sample_blocks(5, count, 4))[b]
+        assert blk.shape == (4, MC_BLOCK if b < 2 else 7)
         child = np.random.SeedSequence(5).spawn(b + 1)[b]
-        want = np.random.default_rng(child).random((4, MC_BLOCK))[:, : blk.n]
-        for r in (3, 0, 1, 3):
-            assert np.array_equal(blk.row(r), want[r]), r
-        at = np.array([blk.n - 1, 0, 2])
-        assert np.array_equal(blk.row(2, at), want[2][at])
+        want = np.random.default_rng(child).random((4, MC_BLOCK))[:, : blk.shape[1]]
+        assert np.array_equal(blk, want)
+        assert np.array_equal(blk, list(oracles.eager_uniform_blocks(5, count, 4, MC_BLOCK))[b])
 
     def test_pattern_mc_prefix_consistent(self):
         # the mono probability of a nearly constant coloring is large, so
