@@ -6,11 +6,12 @@ No chain takes a pattern-coloring factor: at desk scale the k >= 6 and
 factored odd-k palettes give greedy sets far over the ``greedy_table``
 budget, so thm2_7 runs at k = 4 and thm2_5 on the one-color base.
 
-All chains but thm2_5 verify the base ("verify-base"), thm2_6 also its
-tensor power ("verify-tensor"); the bound rests on neither, epsilon being
-the exact pattern probability of the interlaced coloring.  The certificate
-verifies the residue set, stage failures name their stage, and all
-randomness is seeded, so reports are byte-reproducible.  The default
+Every chain verifies its base against the spec's binomial predicate (for
+AP4, no symmetric 4-AP; stage "verify-base"), and every tensored chain also
+verifies its power ("verify-tensor"); the bound rests on neither, epsilon
+being the exact pattern probability of the interlaced coloring.  The
+certificate verifies the residue set, stage failures name their stage, and
+all randomness is seeded, so reports are byte-reproducible.  The default
 parameters are desk-scale demonstrations; the certificates they emit are
 exact and sound at that scale, and the reports include the ratio against
 the random count rather than asserting which side it lands on.
@@ -28,7 +29,6 @@ from .colorings import (
     Z22_COLORING,
     tensor_power,
     verify_binomial_pattern_free,
-    verify_symmetric_ap_free,
 )
 from .patterns import PatternSpec, a_binomial_system
 from .sets import ResidueSet, base9_set, greedy_solution_free_set
@@ -101,15 +101,17 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def _verified(name, message, verifier, *args):
-    """Run a verifier as stage ``name``; a witness fails the stage."""
-    if _stage(name, verifier, *args) is not None:
+def _verified(name, message, coloring, spec):
+    """Check ``coloring`` against the spec's binomial predicate as stage
+    ``name``; a witness fails the stage."""
+    if _stage(name, verify_binomial_pattern_free, coloring, spec) is not None:
         raise StageError(name, ValueError(message))
 
 
-def _greedy_set(system, r):
-    """Greedy solution-free set of size r; the modulus starts at max(64,
-    4 r^2) and doubles until the scan completes."""
+def _greedy_set(spec, r):
+    """Greedy set of size r free of the spec's binomial system; the modulus
+    starts at max(64, 4 r^2) and doubles until the scan completes."""
+    system = a_binomial_system(spec)
     m = max(64, 4 * r * r)
     while True:
         res = _stage("greedy-set", greedy_solution_free_set, system, m, r)
@@ -119,16 +121,29 @@ def _greedy_set(system, r):
     return res.set
 
 
-def _check_pre_stage(samples, seed):
-    """Reject a nonpositive sample count or a negative seed before any stage
-    runs."""
+def _chain(name, spec, base, ell, interlace, residue_set, samples, seed):
+    """Run one chain and certify what it builds.
+
+    A nonpositive sample count, a negative seed and a non-cyclic base are
+    refused before any stage runs.  The stages are "verify-base", then
+    "tensor-power" and "verify-tensor" when ``ell`` is given, "interlace",
+    the stages of ``residue_set`` (called with the interlaced palette size),
+    "torus-set" at ``certificate_width``, "exact-probability" and
+    "mc-estimate".
+    """
     if samples < 1:
         raise ValueError("samples must be positive")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-
-
-def _finish(name, spec, base, Phi, S, samples, seed):
+    if base.ambient != CYCLIC:
+        raise ValueError("base must be cyclic")
+    _verified("verify-base", "base coloring has a binomial pattern for this spec", base, spec)
+    psi = base
+    if ell is not None:
+        psi = _stage("tensor-power", tensor_power, base, ell)
+        _verified("verify-tensor", "tensor power lost freeness", psi, spec)
+    Phi = _stage("interlace", interlace, psi)
+    S = residue_set(Phi.r)
     width = certificate_width(spec, S.modulus)
     A = _stage("torus-set", build_torus_set, Phi, S, spec.k, width)
     # bound = epsilon * width^(k-1) exactly: epsilon is recovered, not recomputed
@@ -152,18 +167,12 @@ def run_thm2_6(ell: int = 1, base: Coloring | None = None, samples: int = DEFAUL
     tensor power ell -> 16 N^ell-cell interlacing -> base-9 set of size r ->
     rectangle set with marginal 1/(16 m).
     """
-    _check_pre_stage(samples, seed)
-    spec = PatternSpec.ap(4)
-    base = base or z22_coloring()
-    _verified(
-        "verify-base", "base coloring has a symmetric 4-AP", verify_symmetric_ap_free, base, 4
+    return _chain(
+        "thm2_6", PatternSpec.ap(4), base or z22_coloring(), ell,
+        lambda psi: interlace_k(psi, 4),
+        lambda r: _stage("residue-set", base9_set, r, 36 * r * r + 1),
+        samples, seed,
     )
-    psi = _stage("tensor-power", tensor_power, base, ell)
-    _verified("verify-tensor", "tensor power lost freeness", verify_symmetric_ap_free, psi, 4)
-    Phi = _stage("interlace", interlace_k, psi, 4)
-    m = 36 * Phi.r * Phi.r + 1
-    S = _stage("residue-set", base9_set, Phi.r, m)
-    return _finish("thm2_6", spec, base, Phi, S, samples, seed)
 
 
 def run_thm2_7(
@@ -180,16 +189,11 @@ def run_thm2_7(
     zero-sum coefficient subset is the full one, and full-progression
     monochromatics are already symmetric.
     """
-    _check_pre_stage(samples, seed)
     spec = PatternSpec.ap(4)
-    base = base or z22_coloring()
-    _verified(
-        "verify-base", "base coloring has a symmetric 4-AP", verify_symmetric_ap_free, base, 4
+    return _chain(
+        "thm2_7", spec, base or z22_coloring(), ell,
+        lambda psi: interlace_k(psi, 4), lambda r: _greedy_set(spec, r), samples, seed,
     )
-    phi = _stage("tensor-power", tensor_power, base, ell)
-    Phi = _stage("interlace", interlace_k, phi, 4)
-    S = _greedy_set(a_binomial_system(spec), Phi.r)
-    return _finish("thm2_7", spec, base, Phi, S, samples, seed)
 
 
 def run_thm2_5(k: int = 5, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> PipelineResult:
@@ -202,14 +206,13 @@ def run_thm2_5(k: int = 5, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Pip
     ``greedy_table`` budget and the run stops at stage "greedy-set" with a
     budget error.
     """
-    _check_pre_stage(samples, seed)
     if k % 2 == 0 or k < 5:
         raise ValueError("k must be odd and at least 5")
     spec = PatternSpec.ap(k)
-    base = Coloring(CYCLIC, (1,))
-    Phi = _stage("interlace", interlace_k, base, k)
-    S = _greedy_set(a_binomial_system(spec), Phi.r)
-    return _finish("thm2_5", spec, base, Phi, S, samples, seed)
+    return _chain(
+        "thm2_5", spec, Coloring(CYCLIC, (1,)), None,
+        lambda psi: interlace_k(psi, k), lambda r: _greedy_set(spec, r), samples, seed,
+    )
 
 
 def run_lemma7_10(
@@ -228,20 +231,12 @@ def run_lemma7_10(
     patterns; this is verified, not assumed, so with the bundled base a spec
     such as (0,1,3) stops at stage "verify-base" and needs its own ``base``.
     """
-    _check_pre_stage(samples, seed)
     spec = PatternSpec(tuple(a))
-    base = base or z22_coloring()
-    if base.ambient != CYCLIC:
-        raise ValueError("base must be cyclic")
-    _verified(
-        "verify-base", "base coloring has a binomial pattern for this spec",
-        verify_binomial_pattern_free, base, spec,
+    m_phase = math.factorial(spec.a[-1] - spec.a[0] + 1)
+    return _chain(
+        "lemma7_10", spec, base or z22_coloring(), None,
+        lambda psi: interlace_m(psi, m_phase), lambda r: _greedy_set(spec, r), samples, seed,
     )
-    span = spec.a[-1] - spec.a[0] + 1
-    m_phase = math.factorial(span)
-    Phi = _stage("interlace", interlace_m, base, m_phase)
-    S = _greedy_set(a_binomial_system(spec), Phi.r)
-    return _finish("lemma7_10", spec, base, Phi, S, samples, seed)
 
 
 PIPELINES = {

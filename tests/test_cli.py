@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -470,6 +471,141 @@ class TestMonteCarloBytes:
             assert (tmp_path / "c.txt").read_text() == "interval\n12 5\n123344511233\n"
 
 
+class TestPipelineBytes:
+    """The full stdout, and the SHA-256 of each --out-dir file, of every
+    chain at --samples 1000 --seed 0, pinned before the four chains shared
+    one driver: the driver must not move a byte.  The version is hashed as
+    the word VERSION, so a release does not move a pin."""
+
+    RUNS = {
+        "thm2_6-ell1": (
+            ["--name", "thm2_6", "--ell", "1"],
+            '{"bound": "1/2468280434155143168000", "bound_float": 4.05140350408476e-22, '
+            '"bound_over_random": 1256.7424242424242, "epsilon": "1/1056", '
+            '"epsilon_float": 0.000946969696969697, "marginal": "1/1327120", '
+            '"marginal_float": 7.535113629513533e-07, "mc_mean": 0.0, "mc_stderr": 0.0, '
+            '"out_dir": "out", "pipeline": "thm2_6", "samples": 1000, "seed": 0, '
+            '"spec": "0,1,2,3", "version": "VERSION"}\n',
+            {
+                "base_coloring.txt": "b4fb1b76abe155ebc9c26e44fdefdf90149c54f4e952bd4118d909f09bd3b009",
+                "certificate.json": "d9337dbdceaeb88ef535499286f14e6274748b1d6f90347058ec2afb87985248",
+                "interlaced.txt": "9c44a2da96f2d4e9cbf2ca32a1b8eac607f25105a2d9c863a7dc2acc343a6db1",
+                "residues.txt": "da0198f9c800d0e169f990886912162d47b726004f65988ce8d193292a8a5d49",
+                "torus_set.txt": "738700ac8544149bd096070bacb782ca7b496d827e49a3023f193cf7ca4ee374",
+            },
+        ),
+        "thm2_6-ell2": (
+            ["--name", "thm2_6", "--ell", "2"],
+            '{"bound": "1/39585008924864200494022656", "bound_float": 2.526208853200178e-26, '
+            '"bound_over_random": 514.116391184573, "epsilon": "1/23232", '
+            '"epsilon_float": 4.304407713498623e-05, "marginal": "1/11943952", '
+            '"marginal_float": 8.372438201359148e-08, "mc_mean": 0.0, "mc_stderr": 0.0, '
+            '"out_dir": "out", "pipeline": "thm2_6", "samples": 1000, "seed": 0, '
+            '"spec": "0,1,2,3", "version": "VERSION"}\n',
+            {
+                "base_coloring.txt": "b4fb1b76abe155ebc9c26e44fdefdf90149c54f4e952bd4118d909f09bd3b009",
+                "certificate.json": "d56b853a40b1b8d6caf9e3ab4d00e9f40c7e2acb74fd001d89d09b7d23346cf7",
+                "interlaced.txt": "0029ae7a4d62f4b83e38ffd63527b99d81ba3b84ab8fe2bb929f2eb6d85f2337",
+                "residues.txt": "6bddea870b71fcdf3056c70cfec632c0078baff1ffda4ffcb8a935871b4de916",
+                "torus_set.txt": "393b30c524b3940129fce0d66d4270e65f4e80436b5a4f4fee87f2bddb2e82ef",
+            },
+        ),
+        "thm2_7-ell1": (
+            ["--name", "thm2_7", "--ell", "1"],
+            '{"bound": "1/3385721757364125696", "bound_float": 2.953579979881532e-19, '
+            '"bound_over_random": 139.63636363636363, "epsilon": "1/1056", '
+            '"epsilon_float": 0.000946969696969697, "marginal": "1/147456", '
+            '"marginal_float": 6.781684027777777e-06, "mc_mean": 0.0, "mc_stderr": 0.0, '
+            '"out_dir": "out", "pipeline": "thm2_7", "samples": 1000, "seed": 0, '
+            '"spec": "0,1,2,3", "version": "VERSION"}\n',
+            {
+                "base_coloring.txt": "b4fb1b76abe155ebc9c26e44fdefdf90149c54f4e952bd4118d909f09bd3b009",
+                "certificate.json": "3f40370594719e9a46bd84488ff60751c48a63b387887b3ca04bdb4170b0fd69",
+                "interlaced.txt": "9c44a2da96f2d4e9cbf2ca32a1b8eac607f25105a2d9c863a7dc2acc343a6db1",
+                "residues.txt": "880e4d6b074e98f4a3ce61367c39e1693f48ed9228370c5eebee2df3fdeb4da2",
+                "torus_set.txt": "bd7bda1c060ce3275cef02f91a7ef48acc6d7b233548c00bab41b3819f24b66a",
+            },
+        ),
+        "thm2_7-ell2": (
+            ["--name", "thm2_7", "--ell", "2"],
+            '{"bound": "1/54300205544605847912448", "bound_float": 1.8416136549953436e-23, '
+            '"bound_over_random": 57.12396694214876, "epsilon": "1/23232", '
+            '"epsilon_float": 4.304407713498623e-05, "marginal": "1/1327104", '
+            '"marginal_float": 7.535204475308642e-07, "mc_mean": 0.0, "mc_stderr": 0.0, '
+            '"out_dir": "out", "pipeline": "thm2_7", "samples": 1000, "seed": 0, '
+            '"spec": "0,1,2,3", "version": "VERSION"}\n',
+            {
+                "base_coloring.txt": "b4fb1b76abe155ebc9c26e44fdefdf90149c54f4e952bd4118d909f09bd3b009",
+                "certificate.json": "f709489fcc52296938fe45e4ba40f805e04bb5ed4afb48bfb16e38fc2b724503",
+                "interlaced.txt": "0029ae7a4d62f4b83e38ffd63527b99d81ba3b84ab8fe2bb929f2eb6d85f2337",
+                "residues.txt": "ce26ec72111467994445ac64b288a55f1efbffeb7630af85a60726a1ce25b294",
+                "torus_set.txt": "3d731ebc220337018246d9678618e34a34f19877fa8d8617eb1ab50c77ee1a14",
+            },
+        ),
+        "thm2_5": (
+            ["--name", "thm2_5"],
+            '{"bound": "1/1048576000000000000000000", "bound_float": 9.5367431640625e-25, '
+            '"bound_over_random": 3200.0, "epsilon": "1/100", "epsilon_float": 0.01, '
+            '"marginal": "1/320000", "marginal_float": 3.125e-06, "mc_mean": 0.0, '
+            '"mc_stderr": 0.0, "out_dir": "out", "pipeline": "thm2_5", "samples": 1000, '
+            '"seed": 0, "spec": "0,1,2,3,4", "version": "VERSION"}\n',
+            {
+                "base_coloring.txt": "9dfc858461d2cb19fd06d6b169c47acd8e0aaceccccd0d20cb9185e20807a7eb",
+                "certificate.json": "923cb8ad32441e4c5f0fdb2bf8f2b757eccef79ce9c4201c17a72056f7b347b6",
+                "interlaced.txt": "64a99dfaf9e57e7b41d74efb1606f75630812e99dd26a651215a7ca7d35f76ec",
+                "residues.txt": "876d50d7922dd37445ee32ce0bbd49839ff74174eb4083208c40a1bfeacc26ba",
+                "torus_set.txt": "5e04f2fc34b8e51ad60e9590953e2431d4029f6ff110f923c1e191ede7ee5c24",
+            },
+        ),
+        "lemma7_10": (
+            ["--name", "lemma7_10"],
+            '{"bound": "1/57848230338713616384", "bound_float": 1.7286613508222958e-20, '
+            '"bound_over_random": 209.45454545454547, "epsilon": "1/1584", '
+            '"epsilon_float": 0.0006313131313131314, "marginal": "1/331776", '
+            '"marginal_float": 3.0140817901234566e-06, "mc_mean": 0.0, "mc_stderr": 0.0, '
+            '"out_dir": "out", "pipeline": "lemma7_10", "samples": 1000, "seed": 0, '
+            '"spec": "0,1,2,3", "version": "VERSION"}\n',
+            {
+                "base_coloring.txt": "b4fb1b76abe155ebc9c26e44fdefdf90149c54f4e952bd4118d909f09bd3b009",
+                "certificate.json": "dc2c673b231698a686290c99ecdea95296dbd292c3efd43c228e3c43c6b15db2",
+                "interlaced.txt": "3a10a517512f40558bd464b6a2d139e1acb7732b6e4ecc9058dda3e79a955044",
+                "residues.txt": "92edf5250be47aca8cca6b6e77b2f4c8e77c3fa78b5261510141e3f32ce69fe4",
+                "torus_set.txt": "582e4570e0f396c8765a14eb1eb43ace46f6fdd655188f5e48ec394a4a543cad",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_stdout_and_files_pinned(self, capsys, tmp_path, monkeypatch, name):
+        argv, want, digests = self.RUNS[name]
+        monkeypatch.chdir(tmp_path)
+        argv = ["pipeline", *argv, "--samples", "1000", "--seed", "0", "--out-dir", "out"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want.replace("VERSION", __version__)
+        got = {
+            p.name: hashlib.sha256(p.read_text().replace(__version__, "VERSION").encode()).hexdigest()
+            for p in (tmp_path / "out").iterdir()
+        }
+        assert got == digests
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_certificate_replays_from_the_files(self, capsys, tmp_path, monkeypatch, name):
+        # density --certificate over the chain's own interlaced coloring and
+        # residue set recomputes the bound the chain certified
+        monkeypatch.chdir(tmp_path)
+        argv = ["pipeline", *self.RUNS[name][0], "--samples", "1000", "--out-dir", "out"]
+        code, cert = run(capsys, argv)
+        assert code == 0
+        code, rep = run(
+            capsys,
+            [
+                "density", "--certificate", "--torus-coloring", "out/interlaced.txt",
+                "--set", "out/residues.txt", "--spec", cert["spec"],
+            ],
+        )
+        assert code == 0 and rep["value_rational"] == cert["bound"]
+
+
 class TestMalformedToken:
     """A token that is not a number is a format error at its physical line
     (blank lines counted), in each of the five data-file readers."""
@@ -702,6 +838,20 @@ class TestStageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: pipeline '{argv[1]}' takes no {flag}\n"
+        assert stages == []
+
+    @pytest.mark.parametrize("name", ["thm2_6", "thm2_7", "lemma7_10"])
+    def test_interval_base_refused_before_any_stage(self, capsys, monkeypatch, tmp_path, name):
+        import aplab.pipelines
+
+        stages = []
+        monkeypatch.setattr(aplab.pipelines, "_stage", lambda name, *a, **kw: stages.append(name))
+        base = tmp_path / "interval.txt"
+        base.write_text("interval\n12 5\n123344511233\n")
+        assert main(["pipeline", "--name", name, "--base-coloring", str(base)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: base must be cyclic\n"
         assert stages == []
 
     def test_pipeline_k_zero_is_refused(self, capsys):

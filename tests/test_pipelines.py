@@ -41,6 +41,13 @@ class TestThm26:
             run_thm2_6(base=bad, samples=1000)
         assert e.value.stage == "verify-base"
 
+    @pytest.mark.parametrize("run", [run_thm2_6, run_thm2_7])
+    def test_rejects_tensor_power_with_a_symmetric_4ap(self, run, monkeypatch):
+        monkeypatch.setattr(pipelines, "tensor_power", lambda base, ell: Coloring(CYCLIC, (1,) * 10))
+        with pytest.raises(StageError, match="tensor power lost freeness") as e:
+            run(samples=1000)
+        assert e.value.stage == "verify-tensor"
+
     def test_rejects_set_with_a_solution_in_the_certificate(self, monkeypatch):
         # 0..r-1 holds (0, 0, 1, 3); the certificate verifies the slots
         monkeypatch.setattr(pipelines, "base9_set", lambda r, m: ResidueSet(m, tuple(range(r))))
@@ -105,6 +112,31 @@ class TestOtherPipelines:
         with pytest.raises(ValueError, match="^seed must be non-negative$"):
             run_pipeline(name, seed=-1)
         assert stages == []
+
+
+class TestStageOrder:
+    """Each chain at its defaults runs the stages ``_chain`` documents, in
+    order; every doubling of the greedy set's modulus is one more
+    "greedy-set"."""
+
+    TAIL = ["torus-set", "exact-probability", "mc-estimate"]
+    TENSORED = ["verify-base", "tensor-power", "verify-tensor", "interlace"]
+    ORDERS = {
+        "thm2_6": [*TENSORED, "residue-set", *TAIL],
+        "thm2_7": [*TENSORED, "greedy-set", *TAIL],
+        "thm2_5": ["verify-base", "interlace", "greedy-set", "greedy-set", "greedy-set", *TAIL],
+        "lemma7_10": ["verify-base", "interlace", "greedy-set", *TAIL],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PIPELINES))
+    def test_stages_run_in_order(self, name, monkeypatch):
+        stages = []
+        stage = pipelines._stage
+        monkeypatch.setattr(
+            pipelines, "_stage", lambda n, *a, **kw: stages.append(n) or stage(n, *a, **kw)
+        )
+        run_pipeline(name, samples=1000)
+        assert stages == self.ORDERS[name]
 
 
 class TestDeterminism:
