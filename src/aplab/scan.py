@@ -22,6 +22,7 @@ import math
 import os
 import threading
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -146,7 +147,21 @@ def predicate_clauses(spec: PatternSpec, predicate: str):
     clause is dropped (for AP4, subset (0,1,2,3) implies the pairing
     (0,3)(1,2)): wherever it holds the earlier clause holds too, so neither
     the OR nor the first clause that holds at a point changes.
+
+    Each (offsets, predicate) compiles once per process; the ``pairing_k``
+    and ``subset_k`` budgets that the compile checks are checked at every
+    call, so a lowered cap refuses a cached predicate too.
     """
+    if predicate == "binomial":
+        if spec.k % 2 == 0:
+            check_budget("pairing_k", spec.k)
+        check_budget("subset_k", spec.k)
+    return list(_predicate_clauses(spec.a, predicate))
+
+
+@cache
+def _predicate_clauses(offsets: tuple[int, ...], predicate: str) -> tuple:
+    spec = PatternSpec(offsets)
     k = spec.k
     if predicate == "binomial":
         clauses = []
@@ -157,11 +172,11 @@ def predicate_clauses(spec: PatternSpec, predicate: str):
         for cl in clauses:
             if not any(_implies(cl, e) for e in kept):
                 kept.append(cl)
-        return kept
+        return tuple(kept)
     if predicate == "symmetric":
-        return [("pairing", symmetric_pairing(k).pairs)]
+        return (("pairing", symmetric_pairing(k).pairs),)
     if predicate == "mono":
-        return [("subset", tuple(range(k)))]
+        return (("subset", tuple(range(k))),)
     raise ValueError(f"unknown predicate {predicate!r}")
 
 

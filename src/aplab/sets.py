@@ -149,8 +149,10 @@ class _SolutionCounter:
 
     Row u of ``tables`` (a bitmask below 2^k) is T_u: T_u[s] is the number of
     tuples over S on the positions in u whose weighted sum sum_{i in u} e_i n_i
-    is s mod m (T_empty is 1 at s = 0).  Accepting x updates the rows in
-    place, one position at a time, as a subset-product transform:
+    is s mod m (T_empty is 1 at s = 0).  Rows are stored centred: column j
+    holds residue (j - off) mod m with off = m // 2, so residue s sits at
+    column (s + off) mod m.  Accepting x updates the rows in place, one
+    position at a time, as a subset-product transform:
 
         for i in 0..k-1, for every v containing i:
             T_v[s] += T_{v - i}[s - e_i x mod m]
@@ -159,16 +161,37 @@ class _SolutionCounter:
     S + {x} and the others from S; stage i extends position i.  Bit i splits
     the rows of ``tables.reshape(2^(k-1-i), 2, 2^i, m)``: ``[:, 0]`` holds the
     rows without i (the sources) and ``[:, 1]`` the rows with i (the
-    destinations), in matching order, so a stage is one cyclic shift of one
-    strided view into a disjoint one: two slice adds, 2k per accept.
+    destinations), in matching order, so a stage is one shift of one strided
+    view into a disjoint one.
+
+    The window.  Let M be the positive coefficient mass (the sum of the
+    positive e_i, equal to minus the sum of the negative ones), top the
+    largest value accepted so far (a running maximum, since accepts need not
+    come in order) and w = M top.  A tuple over values in [0, top] on the
+    positions in any u has an integer weighted sum in [-w, w]: its positive
+    terms add to at most M top and its negative ones to at least -M top.
+    While 2w < m these 2w + 1 integers are distinct residues, and with
+    off = m // 2 they sit at the columns off - w .. off + w, all inside
+    [0, m) (w < m/2 gives off - w >= 0 and off + w < m), so every row is
+    zero outside that window.  The sources of stage i are rows without bit
+    i whose tuples draw from S + {x}, all of whose values are at most top,
+    so they lie in the window; a destination's tuples do too, so the shift
+    by the integer c = e_i x moves every nonzero source column (off + s, s
+    in [-w, w]) to the destination column off + s + c with no wrap, and a
+    shifted column outside the window carries a source zero.  So the stage
+    is one slice add over the overlap of the window with its shift by c,
+    and clipping to that overlap adds only zeros outside it.  Once 2w >= m
+    a stage is the cyclic shift by e_i x mod m, two slice adds, which is
+    the same update in the centred layout.
 
     The number of solutions over (S + {x})^k that use x (x not in S) is the
     sum over nonempty t of T_{[k] - t}[-e(t) x mod m], with e(t) the
     coefficient sum over t, so a window of consecutive candidates costs one
-    gather of 2^k - 1 rows of ``tables``.  Its indices are computed per
-    window in int64: -e(t) mod m and x are both below m, so the products are
-    below m^2, which stays below 2^63 for every m up to 3e9, far past any
-    table that the ``greedy_table`` budget admits.
+    gather of 2^k - 1 rows of ``tables``.  Its column indices
+    (-e(t) mod m) x + off are computed per window in int64: -e(t) mod m, x
+    and off are all below m, so they are below m^2 + m, which stays below
+    2^63 for every m up to 3e9, far past any table that the
+    ``greedy_table`` budget admits.
 
     Only proper rows are read.  Each of their counts is at most |S|^(|u|)
     <= |S|^(k-1), which the ``greedy_table`` budget bounds, so with that
@@ -184,11 +207,14 @@ class _SolutionCounter:
         self.e = system.e
         self.k = k
         self.m = m
+        self.mass = sum(c for c in self.e if c > 0)
+        self.top = 0
+        self.off = m // 2
         full = (1 << k) - 1
         dtype = np.int32 if BUDGETS["greedy_table"].cap < 2**31 else np.int64
         self.tables = np.zeros((full + 1, m), dtype=dtype)
-        self.tables[0, 0] = 1
-        # term t of a delta reads row full ^ t at the indices shifts[t - 1] * x
+        self.tables[0, self.off] = 1
+        # term t of a delta reads row full ^ t at the columns shifts[t - 1] * x + off
         self.shifts = np.array(
             [-sum(self.e[i] for i in range(k) if t >> i & 1) % m for t in range(1, full + 1)],
             dtype=np.int64,
@@ -196,18 +222,26 @@ class _SolutionCounter:
         self.read_rows = (full ^ np.arange(1, full + 1))[:, None]
 
     def accept(self, x: int):
-        m = self.m
+        m, off = self.m, self.off
+        self.top = max(self.top, x)
+        w = self.mass * self.top
         for i in range(self.k):
-            c = self.e[i] * x % m
             stage = self.tables.reshape(-1, 2, 1 << i, m)
             src, dst = stage[:, 0], stage[:, 1]
-            dst[..., c:] += src[..., : m - c]
-            dst[..., :c] += src[..., m - c :]
+            if 2 * w < m:
+                c = self.e[i] * x
+                lo, hi = off + max(-w, c - w), off + min(w, c + w) + 1
+                dst[..., lo:hi] += src[..., lo - c : hi - c]
+            else:
+                c = self.e[i] * x % m
+                dst[..., c:] += src[..., : m - c]
+                dst[..., :c] += src[..., m - c :]
 
     def deltas(self, lo: int, hi: int) -> np.ndarray:
         """For each candidate x in lo..hi-1 (none of them in S), the number of
         solutions over (S + {x})^k that use x at least once."""
-        terms = self.tables[self.read_rows, self.shifts * np.arange(lo, hi) % self.m]
+        cols = (self.shifts * np.arange(lo, hi) + self.off) % self.m
+        terms = self.tables[self.read_rows, cols]
         return terms.sum(axis=0, dtype=np.int64)
 
 

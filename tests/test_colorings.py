@@ -289,6 +289,23 @@ class TestClausePruning:
         assert predicate_clauses(PatternSpec.ap(4), "binomial") == [("pairing", ((0, 3), (1, 2)))]
         assert len(zero_sum_subsets(a_binomial_system(PatternSpec.ap(4)))) == 1
 
+    @pytest.mark.parametrize("predicate", ["binomial", "symmetric", "mono"])
+    def test_mutating_a_returned_list_leaves_the_next_call(self, predicate):
+        spec = PatternSpec((0, 1, 2, 3, 4, 5))
+        first = predicate_clauses(spec, predicate)
+        want = list(first)
+        first.append(("subset", (0, 1, 2)))
+        first.pop(0)
+        assert predicate_clauses(spec, predicate) == want
+
+    @pytest.mark.parametrize("name", ["pairing_k", "subset_k"])
+    def test_lowered_budget_refuses_a_compiled_predicate(self, lower_budget, name):
+        spec = PatternSpec.ap(6)
+        predicate_clauses(spec, "binomial")
+        lower_budget(name, 5)
+        with pytest.raises(BudgetExceededError, match=f"budget {name} exceeded: needs 6, cap 5"):
+            predicate_clauses(spec, "binomial")
+
 
 class TestAbabVerifier:
     def test_constant_rejected(self):

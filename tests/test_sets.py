@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracles
@@ -209,6 +210,16 @@ class TestSolutionCounterTables:
             (a_binomial_system(PatternSpec((0, 1, 2, 4))), 16, (5, 2, 11, 14)),  # -8 * 2
             (a_binomial_system(PatternSpec.ap(5)), 24, (6, 1, 4, 19)),  # -4 * 6, 6 * 4
             (a_binomial_system(PatternSpec((0, 1, 2, 3, 5))), 20, (3, 1, 12, 2)),  # 20 * 1
+            # windowed stages while 2 M top < m, M the positive coefficient
+            # mass, then modular ones; top is the running maximum, so the
+            # out-of-order accepts keep the window of the largest value
+            (a_binomial_system(PatternSpec.ap(4)), 101, (3, 0, 5, 1, 12, 40)),
+            (a_binomial_system(PatternSpec.ap(5)), 200, (2, 0, 7, 3, 11, 30)),
+            (a_binomial_system(PatternSpec((0, 2, 3))), 64, (1, 4, 0, 9, 20)),
+            # 2 M top reaches m - 1, then m, at the accept of 12
+            (a_binomial_system(PatternSpec.ap(4)), 97, (0, 12, 5)),
+            (a_binomial_system(PatternSpec.ap(4)), 96, (0, 12, 5)),
+            (a_binomial_system(PatternSpec.ap(4)), 98, (12, 0, 5)),
         ],
     )
     def test_tables_match_enumerated_histograms(self, system, m, accepts):
@@ -217,7 +228,9 @@ class TestSolutionCounterTables:
             counter.accept(accepts[n - 1])
             want = oracles.subset_sum_histograms(accepts[:n], system.e, m)
             for u, hist in want.items():
-                assert counter.tables[u].tolist() == hist, (accepts[:n], u)
+                # column j of a row holds residue (j - m // 2) mod m
+                row = np.roll(counter.tables[u], -(m // 2))
+                assert row.tolist() == hist, (accepts[:n], u)
 
 
 SORTED_REFERENCE_CASES = [
