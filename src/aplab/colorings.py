@@ -132,11 +132,13 @@ class Witness:
 
 
 def coloring_to_text(c: Coloring) -> str:
-    if c.r <= 35:
+    r = c.r
+    if r <= 35:
         body = "".join(_B36[x] for x in c.colors)
     else:
-        body = " ".join(str(x) for x in c.colors)
-    return f"{c.ambient}\n{c.n} {c.r}\n{body}\n"
+        names = [str(x) for x in range(r + 1)]
+        body = " ".join([names[x] for x in c.colors])
+    return f"{c.ambient}\n{c.n} {r}\n{body}\n"
 
 
 def coloring_from_text(text: str) -> Coloring:

@@ -162,7 +162,8 @@ class _SolutionCounter:
     the rows of ``tables.reshape(2^(k-1-i), 2, 2^i, m)``: ``[:, 0]`` holds the
     rows without i (the sources) and ``[:, 1]`` the rows with i (the
     destinations), in matching order, so a stage is one shift of one strided
-    view into a disjoint one.
+    view into a disjoint one.  ``stages`` holds the k (source, destination)
+    view pairs, built once with the table.
 
     The window.  Let M be the positive coefficient mass (the sum of the
     positive e_i, equal to minus the sum of the negative ones), top the
@@ -186,12 +187,33 @@ class _SolutionCounter:
 
     The number of solutions over (S + {x})^k that use x (x not in S) is the
     sum over nonempty t of T_{[k] - t}[-e(t) x mod m], with e(t) the
-    coefficient sum over t, so a window of consecutive candidates costs one
-    gather of 2^k - 1 rows of ``tables``.  Its column indices
-    (-e(t) mod m) x + off are computed per window in int64: -e(t) mod m, x
-    and off are all below m, so they are below m^2 + m, which stays below
-    2^63 for every m up to 3e9, far past any table that the
-    ``greedy_table`` budget admits.
+    coefficient sum over t: t is the set of positions that hold x.
+
+    Classes of equal terms.  T_u depends on u only through the multiset of
+    its coefficients: renaming positions with equal coefficients maps tuples
+    to tuples with the same weighted sum.  The multiset of [k] - t is that
+    of the system less that of t, and the coefficients sum to zero, so
+    -e(t) = e([k] - t): terms t and t' with equal coefficient multisets are
+    equal at every x.  When the multiset of the system is closed under
+    negation (AP4, AP6) and t' has the negation of t's multiset, [k] - t'
+    has the negation of that of [k] - t, so T_{[k] - t'}(s) =
+    T_{[k] - t}(-s); term t' reads it at -e(t') x = e(t) x, which is
+    T_{[k] - t} read at -e(t) x, the term of t.  So t and t' share a class
+    when their multisets are equal or, for a closed system only, negations
+    of each other.  Without closure negated terms may differ: the pattern
+    (0,1,2,4,5) gives e = (3,-10,10,-5,2), where t = {1} and t' = {2} have
+    negated multisets, but [k] - t has {3,10,-5,2} and [k] - t' has
+    {3,-10,-5,2}, not its negation.  ``deltas`` reads one term per class,
+    the one with the least t, and weights it by the class size: AP4 goes
+    from 15 terms to 9, AP5 from 31 to 17 and AP6 from 63 to 35.
+
+    The columns.  A term t reads column (-e(t) mod m) x + off mod m of row
+    [k] - t, found in the flattened ``tables`` at ([k] - t) m plus that
+    column, so a window of consecutive candidates costs one ``take``.  The
+    indices are computed in int64: -e(t) mod m, x and off are all below m,
+    so the column before reduction is below m^2 + m, and the flat index is
+    below 2^k m; both stay below 2^63 for every m up to 3e9, far past any
+    table that the ``greedy_table`` budget admits.
 
     Only proper rows are read.  Each of their counts is at most |S|^(|u|)
     <= |S|^(k-1), which the ``greedy_table`` budget bounds, so with that
@@ -205,7 +227,6 @@ class _SolutionCounter:
         k = system.k
         check_budget("greedy_table", (1 << k) * m)
         self.e = system.e
-        self.k = k
         self.m = m
         self.mass = sum(c for c in self.e if c > 0)
         self.top = 0
@@ -214,35 +235,46 @@ class _SolutionCounter:
         dtype = np.int32 if BUDGETS["greedy_table"].cap < 2**31 else np.int64
         self.tables = np.zeros((full + 1, m), dtype=dtype)
         self.tables[0, self.off] = 1
-        # term t of a delta reads row full ^ t at the columns shifts[t - 1] * x + off
+        self.stages = []
+        for i in range(k):
+            stage = self.tables.reshape(-1, 2, 1 << i, m)
+            self.stages.append((stage[:, 0], stage[:, 1]))
+        closed = sorted(self.e) == sorted(-c for c in self.e)
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for t in range(1, full + 1):
+            key = tuple(sorted(self.e[i] for i in range(k) if t >> i & 1))
+            if closed:
+                key = min(key, tuple(sorted(-c for c in key)))
+            classes.setdefault(key, []).append(t)
+        # the terms of each class, least first; deltas reads the least
+        self.classes = list(classes.values())
+        self.weights = np.array([len(ts) for ts in self.classes], dtype=np.int64)
+        reps = [ts[0] for ts in self.classes]
         self.shifts = np.array(
-            [-sum(self.e[i] for i in range(k) if t >> i & 1) % m for t in range(1, full + 1)],
-            dtype=np.int64,
+            [-sum(self.e[i] for i in range(k) if t >> i & 1) % m for t in reps], dtype=np.int64
         )[:, None]
-        self.read_rows = (full ^ np.arange(1, full + 1))[:, None]
+        self.rows = np.array([(full ^ t) * m for t in reps], dtype=np.int64)[:, None]
+        self.flat = self.tables.reshape(-1)
 
     def accept(self, x: int):
         m, off = self.m, self.off
         self.top = max(self.top, x)
         w = self.mass * self.top
-        for i in range(self.k):
-            stage = self.tables.reshape(-1, 2, 1 << i, m)
-            src, dst = stage[:, 0], stage[:, 1]
+        for e_i, (src, dst) in zip(self.e, self.stages):
             if 2 * w < m:
-                c = self.e[i] * x
+                c = e_i * x
                 lo, hi = off + max(-w, c - w), off + min(w, c + w) + 1
                 dst[..., lo:hi] += src[..., lo - c : hi - c]
             else:
-                c = self.e[i] * x % m
+                c = e_i * x % m
                 dst[..., c:] += src[..., : m - c]
                 dst[..., :c] += src[..., m - c :]
 
     def deltas(self, lo: int, hi: int) -> np.ndarray:
         """For each candidate x in lo..hi-1 (none of them in S), the number of
         solutions over (S + {x})^k that use x at least once."""
-        cols = (self.shifts * np.arange(lo, hi) + self.off) % self.m
-        terms = self.tables[self.read_rows, cols]
-        return terms.sum(axis=0, dtype=np.int64)
+        cols = (self.shifts * np.arange(lo, hi) + self.off) % self.m + self.rows
+        return self.weights @ self.flat.take(cols)
 
 
 def greedy_solution_free_set(

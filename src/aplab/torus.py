@@ -710,7 +710,9 @@ def _rat(x) -> str:
 
 
 def torus_coloring_to_text(tc: TorusColoring) -> str:
-    body = " ".join(str(c) for c in tc.cell_colors)
+    # one name per distinct id (ids need not be dense), looked up per cell
+    names = {c: str(c) for c in set(tc.cell_colors)}
+    body = " ".join([names[c] for c in tc.cell_colors])
     return f"{tc.D} {tc.r}\n{body}\n"
 
 

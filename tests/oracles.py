@@ -373,6 +373,16 @@ def subset_sum_histograms(elements, e, m):
     return out
 
 
+def solutions_using(elements, x, e, m):
+    """The tuples over (elements + {x})^k that use x at least once and have
+    sum_i e_i n_i = 0 mod m, counted by enumerating every tuple (x is not
+    one of ``elements``)."""
+    count = 0
+    for combo in product([*elements, x], repeat=len(e)):
+        if x in combo and sum(c * v for c, v in zip(e, combo)) % m == 0:
+            count += 1
+    return count
+
 def max_3ap_free_size(N):
     """Largest 3-AP-free subset of Z/NZ by depth-first search (small N)."""
     best = 0

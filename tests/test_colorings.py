@@ -69,6 +69,19 @@ class TestColoringType:
         c = Coloring.from_raw(CYCLIC, list(range(40)))
         assert coloring_from_text(coloring_to_text(c)) == c
 
+    @pytest.mark.parametrize("r", [36, 37, 100, 1000, 1234])
+    @pytest.mark.parametrize("ambient", [CYCLIC, INTERVAL])
+    def test_wide_text_matches_the_decimal_join(self, r, ambient):
+        # every id 1..r once, then 3r more drawn at random, shuffled
+        rng = random.Random(r)
+        ids = list(range(1, r + 1)) + [rng.randint(1, r) for _ in range(3 * r)]
+        rng.shuffle(ids)
+        c = Coloring(ambient, tuple(ids))
+        text = coloring_to_text(c)
+        body = " ".join(str(x) for x in ids)
+        assert text == f"{ambient}\n{len(ids)} {r}\n{body}\n"
+        assert coloring_from_text(text) == c
+
     def test_format_errors(self):
         with pytest.raises(FormatError):
             coloring_from_text("cyclic\n3 2\n12")  # wrong length

@@ -233,6 +233,66 @@ class TestSolutionCounterTables:
                 assert row.tolist() == hist, (accepts[:n], u)
 
 
+AP4, AP5, AP6 = (a_binomial_system(PatternSpec.ap(k)) for k in (4, 5, 6))
+# e = (3, -10, 10, -5, 2): not closed under negation, but with the pair 10, -10
+NEGATED_PAIR = a_binomial_system(PatternSpec((0, 1, 2, 4, 5)))
+
+
+class TestSolutionCounterDeltas:
+    @pytest.mark.parametrize(
+        "system,m,accepts",
+        [
+            (AP4, 61, (3, 17, 40, 52)),
+            (AP4, 120, (0, 5, 1)),  # windowed stages: 2 M top = 40 < m
+            (AP5, 53, (2, 9, 30)),
+            (AP5, 150, (0, 7, 3)),  # 2 M top = 112 < m
+            (AP6, 37, (4, 11, 29)),
+            (a_binomial_system(PatternSpec((0, 1, 3))), 50, (1, 6, 22, 31, 44)),
+            (a_binomial_system(PatternSpec((0, 1, 2, 4))), 64, (0, 7, 19, 50)),
+            (NEGATED_PAIR, 41, (5, 13, 27)),
+        ],
+    )
+    def test_matches_enumeration(self, system, m, accepts):
+        counter = _SolutionCounter(system, m)
+        for a in accepts:
+            counter.accept(a)
+        got = np.concatenate([counter.deltas(lo, min(m, lo + 7)) for lo in range(0, m, 7)])
+        for x in range(m):
+            if x not in accepts:
+                assert got[x] == oracles.solutions_using(accepts, x, system.e, m), x
+
+    @pytest.mark.parametrize(
+        "system,classes",
+        [
+            (AP4, 9),
+            (AP6, 35),
+            (AP5, 17),
+            (a_binomial_system(PatternSpec((0, 1, 3))), 7),
+            (a_binomial_system(PatternSpec((0, 1, 2, 4))), 15),
+            (NEGATED_PAIR, 31),
+        ],
+    )
+    def test_every_term_equals_its_class_representative(self, system, classes):
+        m = 53
+        counter = _SolutionCounter(system, m)
+        for a in random.Random(system.k).sample(range(m), 5):
+            counter.accept(a)
+        full = (1 << system.k) - 1
+        assert len(counter.classes) == classes
+        assert sorted(t for ts in counter.classes for t in ts) == list(range(1, full + 1))
+        assert counter.weights.tolist() == [len(ts) for ts in counter.classes]
+        x = np.arange(m)
+
+        def term(t):
+            # the read of term t at every x: row [k] - t, column -e(t) x + off
+            shift = -sum(c for i, c in enumerate(system.e) if t >> i & 1) % m
+            return counter.tables[full ^ t, (shift * x + m // 2) % m].tolist()
+
+        for ts in counter.classes:
+            for t in ts[1:]:
+                assert term(t) == term(ts[0]), (ts, t)
+
+
 SORTED_REFERENCE_CASES = [
     # the five calls of a benchmark round: thm2_7 and lemma7_10 (AP4), and
     # thm2_5's doubling from m = 2500, whose first two scans are incomplete

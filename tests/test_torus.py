@@ -110,6 +110,23 @@ class TestInterlacing:
         tc = interlace_k(z22(), 4)
         assert torus_coloring_from_text(torus_coloring_to_text(tc)) == tc
 
+    @pytest.mark.parametrize("r", [1, 9, 10, 36, 999, 1000, 4321])
+    def test_text_matches_the_decimal_join(self, r):
+        # colors need not cover 1..r; the largest is r
+        rng = random.Random(r)
+        cells = [rng.randint(1, r) for _ in range(2 * r)] + [r]
+        rng.shuffle(cells)
+        for tc in (TorusColoring(tuple(cells)), TorusColoring(np.array(cells))):
+            text = torus_coloring_to_text(tc)
+            body = " ".join(str(c) for c in cells)
+            assert text == f"{len(cells)} {r}\n{body}\n"
+            assert torus_coloring_from_text(text) == tc
+
+    def test_text_of_sparse_ids_past_the_cell_count(self):
+        tc = TorusColoring((3, 10**12, 7))
+        assert torus_coloring_to_text(tc) == f"3 {10**12}\n3 {10**12} 7\n"
+        assert torus_coloring_from_text(torus_coloring_to_text(tc)) == tc
+
 
 class TestDigitLevels:
     def test_constructions_attach_their_levels(self):
