@@ -217,29 +217,6 @@ def _rader_order(N: int) -> np.ndarray | None:
     return order
 
 
-def _rader_transform(z: np.ndarray, kernel: np.ndarray) -> None:
-    """Rader's DFT of prime length N, in place on the rows of z (N + 1
-    columns).  On entry columns 0..N-1 hold a row at x = g^0, ..., g^(N-2),
-    then x = 0, and ``kernel`` is the length-(N - 1) FFT of
-    exp(-2 pi i g^-m / N).  On exit, with M = (N - 1)/2, columns 0..M hold
-    the frequencies 0, g^0, g^-1, ..., g^-(M-1) and columns M+1..N their
-    negatives 0, -g^0, ..., -g^-(M-1), since g^M = -1."""
-    N = z.shape[1] - 1
-    half = N // 2
-    total = z[:, :N].sum(axis=1)
-    conv = z[:, : N - 1]
-    _transform_in_place(np.fft.fft, conv)
-    conv *= kernel
-    # adds the value at x = 0 to every output of the inverse
-    conv[:, 0] += (N - 1) * z[:, N - 1]
-    _transform_in_place(np.fft.ifft, conv)
-    # the convolution moves one column right, its upper half first, so that
-    # no column is read after it is written
-    z[:, half + 2 :] = conv[:, half:]
-    z[:, 1 : half + 1] = conv[:, :half]
-    z[:, 0] = z[:, half + 1] = total
-
-
 # numpy 2 transforms into a given array (``out=``); numpy 1, the floor,
 # returns a new one
 _FFT_TAKES_OUT = int(np.__version__.split(".")[0]) >= 2
@@ -251,15 +228,25 @@ def _transform_in_place(transform, a: np.ndarray) -> None:
     the returned array on numpy 1, the same values either way.
 
     In place, a box-norm block allocates no temporary of transform size.
-    Measured at N = 4001 on a 2-CPU Linux host: the two 256 KiB results of
-    a block, each freed at once, had glibc trim and re-fault its heap on
-    every block, 30,000 to 50,000 page faults and about a quarter of the
-    time of a call, and two threads faulting at once ran little faster
-    than one."""
+    Measured at N = 4001 on a 2-CPU Linux host with the 256 KiB buffers of
+    an earlier block size: the two results of a block, each freed at once,
+    had glibc trim and re-fault its heap on every block, 30,000 to 50,000
+    page faults and about a quarter of the time of a call, and two threads
+    faulting at once ran little faster than one.  The 512 KiB results of
+    today's blocks stay below glibc's trim threshold: on the same host the
+    copy-in path took 400-520 minor faults and 64-70 ms a call, against
+    500-640 faults and 60-63 ms in place (medians of 15 calls)."""
     if _FFT_TAKES_OUT:
         transform(a, out=a)
     else:
         a[...] = transform(a)
+
+
+def _sum_of_squares(a: np.ndarray) -> float:
+    """The sum of the squares of a contiguous float array, by ``einsum``,
+    which runs its own loop; a BLAS dot would wake the BLAS thread pool
+    inside the box-norm workers."""
+    return float(np.einsum("i,i", a, a))
 
 
 def gowers_norm(f: GridFunction, s: int, center: bool = False) -> float:
@@ -278,23 +265,43 @@ def gowers_norm(f: GridFunction, s: int, center: bool = False) -> float:
     in blocks of shift views of the doubled array; the 1/N scalings are
     applied once, at the end.
 
-    The blocks, a 256 KiB transform buffer each, are split by
-    ``scan.ordered_map`` over every CPU of the process's affinity mask.  A
-    worker transforms into a buffer of its own and only reads the shared
-    arrays; each block reduces to one float, and the caller adds those in
-    block order.  The blocks are fixed by N alone, so the value is the
-    same, bit for bit, on any number of CPUs.
+    A block takes R = 2^19 // (16 N) complex rows, a 512 KiB transform
+    buffer (8 rows, 16 shifts, at N = 4001), and a float buffer of 2R rows,
+    for the gathered rows and then the reduction, both held by each worker of
+    ``scan.ordered_map``, which splits the blocks over every CPU of the
+    process's affinity mask.  A worker only reads the shared arrays; each
+    block reduces to one float, and the caller adds those in block order.
+    The blocks are fixed by N alone, so the value is the same, bit for bit,
+    on any number of CPUs.
 
     The transform has two paths, chosen from N alone.  When N is an odd
     prime and N - 1 has no prime factor above 11, Rader's algorithm takes
-    it: for a primitive root g, the row gathered at x = g^m (m = 0..N-2)
-    is cyclically convolved with exp(-2 pi i g^-m / N) by a forward and an
-    inverse transform of length N - 1, plus the row's value at x = 0; index
-    p of the result is the frequency r = g^-p, and r = 0 is the row sum.
-    Since g^((N-1)/2) = -1, the frequency -r sits (N - 1)/2 indices after
-    r, so the pair {r, -r} is read as (p, p + (N-1)/2).  Every other N takes
-    one numpy FFT of length N, frequencies r = 0..N//2 paired with -r.  Both
-    paths agree with the one-FFT-per-shift loop to 1e-12 relative.
+    it: for a primitive root g, the block's rows are gathered at x = g^m
+    (m = 0..N-2) by one ``take``, multiplied by f there into the real and
+    imaginary parts of the transform buffer, and cyclically convolved with
+    exp(-2 pi i g^-m / N) by an in-place forward and inverse transform of
+    length N - 1, the value at x = 0 added to every output through column 0
+    in between.  Column p of the result is then the frequency r = g^-p, and
+    since g^M = -1 for M = (N - 1)/2, column p + M is -r: the pair {r, -r}
+    is read where the inverse transform leaves it, as (p, p + M).  The
+    frequency 0 is column 0 of the forward transform, the sum of the
+    gathered row, plus the value at x = 0.  Every other N takes one numpy
+    FFT of length N, read as the pairs {r, N - r} for r = 1..(N - 1)//2 and
+    the frequencies 0 and N/2 (even N), which pair with themselves.
+
+    With Z(r) the complex transform of two packed rows a + i b,
+    u = Z(r) + conj Z(-r) = 2 ahat(r) and v = Z(r) - conj Z(-r) =
+    2i bhat(r).  They are written over the gathered rows, squared in
+    place, and one sum of squares gives the block's sum of |u|^4 and |v|^4;
+    a zero row pads the imaginary part of an odd block, so its v is 0.  A
+    row's share is 2 sum|u|^4 over the pairs plus 16 times the fourth
+    powers of its self-paired frequencies, which is 16 times its sum of
+    |ghat(r)|^4 over all r; the block adds every share twice and takes the
+    shift 0 and N/2 shares, of weight 1, off once.  No sum is a BLAS call:
+    from the workers a float ``@`` wakes the BLAS library's own thread pool
+    (measured at N = 4001 on a 2-CPU Linux host, fresh processes: a call
+    took 136-152 ms with an ``@`` reduction against 71-80 ms without).
+    Both paths agree with the one-FFT-per-shift loop to 1e-12 relative.
     """
     if s not in (2, 3):
         raise ValueError("only orders 2 and 3 are implemented")
@@ -305,60 +312,71 @@ def gowers_norm(f: GridFunction, s: int, center: bool = False) -> float:
         return float(np.sum(np.abs(coeffs) ** 4) ** 0.25)
     check_budget("u3_n", N)
     half = N // 2
-    j = np.arange(half + 1)
-    weight = np.where((j == 0) | (2 * j == N), 1.0, 2.0)
+    pairs = (N - 1) // 2
     # row h is the translate x -> f(x + h)
     shifted = sliding_window_view(np.tile(vals, 2), N)
     order = _rader_order(N)
-    if order is None:
-        at_cols = vals
-    else:
-        # the Rader path gathers the columns x = g^0, ..., g^(N-2), then 0
-        cols = np.append(order, 0)
-        at_cols = vals[cols]
+    if order is not None:
+        at_cols = vals[order]
         kernel = np.fft.fft(np.exp(-2j * np.pi / N * order[-np.arange(N - 1)]))
-    # a transform buffer of about 256 KiB per worker, plus one for the
-    # gathered rows on the Rader path; complex row i of a block carries
-    # derivative rows h0 + 2i (real part) and h0 + 2i + 1 (imaginary part),
-    # and after the transform columns 0..N//2 and N..N - N//2 (direct) or
-    # N//2 + 1..N (Rader) hold the frequencies r and -r, r = 0 first
-    shape = (max(1, (1 << 18) // (16 * N)), N + 1)
+    width = N if order is None else N - 1
+    self_cols = (0, half) if order is None and N % 2 == 0 else (0,)
+    rows = max(1, (1 << 19) // (16 * N))
     own = threading.local()
 
     def block(h0):
-        if not hasattr(own, "buf"):
-            own.buf = np.empty(shape, dtype=np.complex128)
-            own.gathered = np.empty(shape[:1] + (N,)) if order is not None else None
-        n = min(2 * shape[0], half + 1 - h0)
-        z = own.buf[: (n + 1) // 2]
-        for part, lo in ((z.real, h0), (z.imag[: n // 2], h0 + 1)):
-            rows = shifted[lo : h0 + n : 2]
-            if order is not None:
-                # every index is in range, so mode "clip" takes the same
-                # values; unlike "raise" it writes into ``out`` unbuffered
-                rows = rows.take(cols, axis=1, out=own.gathered[: len(rows)], mode="clip")
-            np.multiply(rows, at_cols, out=part[:, :N])
-        z.imag[n // 2 :] = 0
+        if not hasattr(own, "z"):
+            own.z = np.empty((rows, width), dtype=np.complex128)
+            own.work = np.empty(2 * rows * width)
+        n = min(2 * rows, half + 1 - h0)
+        z = own.z[: (n + 1) // 2]
         if order is None:
-            _transform_in_place(np.fft.fft, z[:, :N])
-            z[:, N] = z[:, 0]
-            neg = z[:, N : N - half - 1 : -1]
+            rows_at, f_at = shifted[h0 : h0 + n], vals
         else:
-            _rader_transform(z, kernel)
-            neg = z[:, half + 1 :]
-        pos = z[:, : half + 1]
-        # |Z(r) + conj Z(-r)|^2 and |Z(r) - conj Z(-r)|^2 are four times the
-        # power at r of the real row and of the imaginary row, hence the 16
-        # in the final scaling
-        power = pos.real**2 + pos.imag**2 + neg.real**2 + neg.imag**2
-        cross = 2 * (pos.real * neg.real - pos.imag * neg.imag)
-        sums = np.empty((len(z), 2))
-        sums[:, 0] = ((power + cross) ** 2) @ weight
-        sums[:, 1] = ((power - cross) ** 2) @ weight
-        return float(weight[h0 : h0 + n] @ sums.ravel()[:n])
+            # every index is in range, so mode "clip" takes the same values;
+            # unlike "raise" it writes into ``out`` unbuffered
+            g = own.work[: n * width].reshape(n, width)
+            rows_at = shifted[h0 : h0 + n].take(order, axis=1, out=g, mode="clip")
+            f_at = at_cols
+        # complex row i carries derivative rows h0 + 2i and h0 + 2i + 1
+        np.multiply(rows_at[::2], f_at, out=z.real)
+        np.multiply(rows_at[1::2], f_at, out=z.imag[: n // 2])
+        z.imag[n // 2 :] = 0
+        _transform_in_place(np.fft.fft, z)
+        # the self-paired frequencies of derivative row h0 + j, read as the
+        # real (even j) or imaginary (odd j) part of a column of the forward
+        # transform: column 0 is the row sum
+        selfs = [z[:, c : c + 1].view(np.float64).flatten()[:n] for c in self_cols]
+        if order is None:
+            pos, neg = z[:, 1 : pairs + 1], z[:, N - 1 : N - 1 - pairs : -1]
+        else:
+            at_zero = vals[0] * vals[h0 : h0 + n]
+            selfs[0] += at_zero
+            z *= kernel
+            # adds the value at x = 0 to every output of the inverse
+            z.real[:, 0] += (N - 1) * at_zero[::2]
+            z.imag[: n // 2, 0] += (N - 1) * at_zero[1::2]
+            _transform_in_place(np.fft.ifft, z)
+            pos, neg = z[:, :pairs], z[:, pairs:]
+        # rows 2i and 2i + 1 of uv are u and v of complex row i, so row j
+        # is derivative row h0 + j
+        flat = own.work[: 2 * len(z) * 2 * pairs]
+        uv = flat.view(np.complex128).reshape(len(z), 2, pairs)
+        np.conjugate(neg, out=neg)
+        np.add(pos, neg, out=uv[:, 0])
+        np.subtract(pos, neg, out=uv[:, 1])
+        np.multiply(uv, uv, out=uv)
+        squares = [a * a for a in selfs]
+        total = 2 * (2 * _sum_of_squares(flat) + 16 * sum(_sum_of_squares(q) for q in squares))
+        # the shifts 0 and N/2 (even N) have weight 1
+        for j in (-h0, N - half - h0):
+            if 0 <= j < n:
+                row = flat[2 * pairs * j : 2 * pairs * (j + 1)]
+                total -= 2 * _sum_of_squares(row) + 16 * sum(q[j] * q[j] for q in squares)
+        return total
 
     acc = 0.0
-    for part in ordered_map(block, range(0, half + 1, 2 * shape[0])):
+    for part in ordered_map(block, range(0, half + 1, 2 * rows)):
         acc += part
     return float((acc / (16 * float(N) ** 5)) ** (1 / 8))
 

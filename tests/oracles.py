@@ -239,51 +239,69 @@ def loop_gowers_u3(values):
 
 def serial_gowers_u3(values):
     """Order-3 box norm by the library's halved and blocked kernel, its
-    blocks run one after another on one thread into one buffer and added in
-    block order: the bit-for-bit reference for the blocks the library
-    splits over threads.  The transforms are the library's own."""
+    blocks run one after another on one thread into one pair of buffers and
+    added in block order: the bit-for-bit reference for the blocks the
+    library splits over threads.  The transforms return new arrays, which
+    hold the values numpy 2 writes in place."""
     from numpy.lib.stride_tricks import sliding_window_view
 
-    from aplab.uniformity import _rader_order, _rader_transform
+    from aplab.uniformity import _rader_order
 
     vals = np.asarray(values, dtype=np.float64)
     N = len(vals)
     half = N // 2
-    j = np.arange(half + 1)
-    weight = np.where((j == 0) | (2 * j == N), 1.0, 2.0)
+    pairs = (N - 1) // 2
     shifted = sliding_window_view(np.tile(vals, 2), N)
     order = _rader_order(N)
-    if order is None:
-        at_cols = vals
-    else:
-        cols = np.append(order, 0)
-        at_cols = vals[cols]
+    if order is not None:
+        at_cols = vals[order]
         kernel = np.fft.fft(np.exp(-2j * np.pi / N * order[-np.arange(N - 1)]))
-    buf = np.empty((max(1, (1 << 18) // (16 * N)), N + 1), dtype=np.complex128)
+    width = N if order is None else N - 1
+    self_cols = (0, half) if order is None and N % 2 == 0 else (0,)
+    rows = max(1, (1 << 19) // (16 * N))
+    buf = np.empty((rows, width), dtype=np.complex128)
+    work = np.empty(2 * rows * width)
+
+    def sum_of_squares(a):
+        return float(np.einsum("i,i", a, a))
+
     acc = 0.0
-    for h0 in range(0, half + 1, 2 * len(buf)):
-        n = min(2 * len(buf), half + 1 - h0)
+    for h0 in range(0, half + 1, 2 * rows):
+        n = min(2 * rows, half + 1 - h0)
         z = buf[: (n + 1) // 2]
-        for part, lo in ((z.real, h0), (z.imag[: n // 2], h0 + 1)):
-            rows = shifted[lo : h0 + n : 2]
-            if order is not None:
-                rows = rows.take(cols, axis=1)
-            np.multiply(rows, at_cols, out=part[:, :N])
-        z.imag[n // 2 :] = 0
         if order is None:
-            z[:, :N] = np.fft.fft(z[:, :N])
-            z[:, N] = z[:, 0]
-            neg = z[:, N : N - half - 1 : -1]
+            rows_at, f_at = shifted[h0 : h0 + n], vals
         else:
-            _rader_transform(z, kernel)
-            neg = z[:, half + 1 :]
-        pos = z[:, : half + 1]
-        power = pos.real**2 + pos.imag**2 + neg.real**2 + neg.imag**2
-        cross = 2 * (pos.real * neg.real - pos.imag * neg.imag)
-        sums = np.empty((len(z), 2))
-        sums[:, 0] = ((power + cross) ** 2) @ weight
-        sums[:, 1] = ((power - cross) ** 2) @ weight
-        acc += float(weight[h0 : h0 + n] @ sums.ravel()[:n])
+            rows_at = shifted[h0 : h0 + n].take(order, axis=1)
+            f_at = at_cols
+        np.multiply(rows_at[::2], f_at, out=z.real)
+        np.multiply(rows_at[1::2], f_at, out=z.imag[: n // 2])
+        z.imag[n // 2 :] = 0
+        z[...] = np.fft.fft(z)
+        selfs = [z[:, c : c + 1].view(np.float64).flatten()[:n] for c in self_cols]
+        if order is None:
+            pos, neg = z[:, 1 : pairs + 1], z[:, N - 1 : N - 1 - pairs : -1]
+        else:
+            at_zero = vals[0] * vals[h0 : h0 + n]
+            selfs[0] += at_zero
+            z *= kernel
+            z.real[:, 0] += (N - 1) * at_zero[::2]
+            z.imag[: n // 2, 0] += (N - 1) * at_zero[1::2]
+            z[...] = np.fft.ifft(z)
+            pos, neg = z[:, :pairs], z[:, pairs:]
+        flat = work[: 2 * len(z) * 2 * pairs]
+        uv = flat.view(np.complex128).reshape(len(z), 2, pairs)
+        np.conjugate(neg, out=neg)
+        np.add(pos, neg, out=uv[:, 0])
+        np.subtract(pos, neg, out=uv[:, 1])
+        np.multiply(uv, uv, out=uv)
+        squares = [a * a for a in selfs]
+        total = 2 * (2 * sum_of_squares(flat) + 16 * sum(sum_of_squares(q) for q in squares))
+        for j in (-h0, N - half - h0):
+            if 0 <= j < n:
+                row = flat[2 * pairs * j : 2 * pairs * (j + 1)]
+                total -= 2 * sum_of_squares(row) + 16 * sum(q[j] * q[j] for q in squares)
+        acc += total
     return float((acc / (16 * float(N) ** 5)) ** (1 / 8))
 
 

@@ -255,14 +255,15 @@ class TestGowers:
             assert abs(fast - naive) <= 1e-10 * max(abs(naive), 1e-30)
 
     @pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
-    @pytest.mark.parametrize("n", [97, 256, 1001, 1009, 1019, 4001])
+    @pytest.mark.parametrize("n", [3, 97, 256, 1001, 1009, 1019, 4001])
     def test_u3_matches_loop_reference(self, n, center):
-        # 97, 1009 and 4001 take the Rader transform; 256, 1001 = 7 * 11 * 13
-        # and the prime 1019 (1018 = 2 * 509) the direct one.  A 256 KiB
-        # buffer block holds 2 * (2^18 // (16 N)) shifts, so the N//2 + 1
-        # shifts end in a partial block on both paths: 49 of 336 at 97, 1 of
-        # 128 at 256, 21 and 25 of 32 at 1001 and 1009, 30 of 32 at 1019, and
-        # 1 of 8 at 4001.  N = 256 has the weight-1 shift and frequency N/2
+        # 3, 97, 1009 and 4001 take the Rader transform; 256, 1001 = 7 * 11 * 13
+        # and the prime 1019 (1018 = 2 * 509) the direct one.  A 512 KiB
+        # buffer block holds 2 * (2^19 // (16 N)) shifts, so the N//2 + 1
+        # shifts end in a partial block on both paths: 2 of 21844 at 3, 49
+        # of 674 at 97, 129 of 256 at 256, 53 and 57 of 64 at 1001 and 1009,
+        # 62 of 64 at 1019, and 1 of 16 at 4001.  N = 256 has the weight-1
+        # shift and frequency N/2; N = 3 has M = 1 pair of frequencies
         f = quadratic_indicator(n, Fraction(1, 4)) if n == 4001 else GridFunction(
             np.random.default_rng(n).random(n)
         )
@@ -270,6 +271,23 @@ class TestGowers:
         fast = gowers_norm(f, 3, center=center)
         ref = oracles.loop_gowers_u3(vals)
         assert abs(fast - ref) <= 1e-12 * ref
+
+    # on one worker every block runs on one thread, so the padded imaginary
+    # row of an odd last block would hold the previous block's values were it
+    # not zeroed: 1009 ends in a block of 57 shifts, 4001 in one of a single
+    # shift (2001 = 125 * 16 + 1); 3 is one block of 2 shifts with M = 1
+    @pytest.mark.parametrize("n", [3, 1009, 4001])
+    def test_u3_block_edges_on_one_worker(self, n, monkeypatch):
+        import aplab.scan
+
+        monkeypatch.setattr(aplab.scan.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        f = quadratic_indicator(n, Fraction(1, 4)) if n == 4001 else GridFunction(
+            np.random.default_rng(n).random(n)
+        )
+        fast = gowers_norm(f, 3)
+        ref = oracles.loop_gowers_u3(f.values)
+        assert abs(fast - ref) <= 1e-12 * ref
+        assert fast.hex() == oracles.serial_gowers_u3(f.values).hex()
 
     def test_rader_transform_selection(self):
         # odd primes N whose N - 1 is 11-smooth; 47, 53 and 59 are not
