@@ -560,7 +560,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (
-        FormatError, BudgetExceededError, SelfCheckError, ValueError, OSError, StageError
+        FormatError, BudgetExceededError, SelfCheckError, ValueError, OverflowError, OSError,
+        StageError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -68,38 +67,36 @@ class Coloring:
     sparse ids must relabel first (see ``Coloring.from_raw``).  ``levels`` is
     the digit structure of the colors: the given levels, checked by
     ``scan.digit_levels``, or else the one level ``((N, colors),)``.  It
-    takes no part in equality.
+    takes no part in equality, nor do ``r`` and the int64 array ``as_array``
+    of the colors, which is converted once; ``colors`` is its ``tolist()``.
     """
 
     ambient: str
-    colors: tuple[int, ...]
+    colors: tuple[int, ...] | np.ndarray
     levels: tuple | None = field(default=None, compare=False, repr=False)
+    r: int = field(init=False, compare=False, repr=False)
+    as_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        colors = tuple(int(c) for c in self.colors)
+        arr = np.asarray(self.colors, dtype=np.int64)
+        colors = tuple(arr.tolist())
         object.__setattr__(self, "colors", colors)
         if self.ambient not in (CYCLIC, INTERVAL):
             raise ValueError(f"unknown ambient {self.ambient!r}")
         if not colors:
             raise ValueError("coloring must be nonempty")
-        used = set(colors)
-        if min(used) < 1 or max(used) != len(used):
+        r = int(arr.max())
+        if arr.min() < 1 or r != len(set(colors)):
             raise ValueError("color ids must be exactly 1..r with all used")
+        object.__setattr__(self, "as_array", arr)
+        object.__setattr__(self, "r", r)
         given = self.levels
-        levels = ((len(colors), colors),) if given is None else digit_levels(self.as_array, given)
+        levels = ((len(colors), colors),) if given is None else digit_levels(arr, given)
         object.__setattr__(self, "levels", levels)
 
     @property
     def n(self) -> int:
         return len(self.colors)
-
-    @property
-    def r(self) -> int:
-        return max(self.colors)
-
-    @cached_property
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.colors, dtype=np.int32)
 
     @classmethod
     def from_raw(cls, ambient, ids) -> "Coloring":
@@ -136,8 +133,7 @@ def coloring_to_text(c: Coloring) -> str:
     if r <= 35:
         body = "".join(_B36[x] for x in c.colors)
     else:
-        names = [str(x) for x in range(r + 1)]
-        body = " ".join([names[x] for x in c.colors])
+        body = " ".join(map(str, c.colors))
     return f"{c.ambient}\n{c.n} {r}\n{body}\n"
 
 
@@ -267,10 +263,8 @@ def _counted_free(coloring: Coloring, offsets, clauses) -> bool:
 
 
 def _witness_at(coloring, offsets, n, d, kind, detail=None):
-    if coloring.ambient == CYCLIC:
-        pts = tuple((n + o * d) % coloring.n for o in offsets)
-    else:
-        pts = tuple(n + o * d for o in offsets)
+    # an interval progression's points already lie in [0, N)
+    pts = tuple((n + o * d) % coloring.n for o in offsets)
     cols = tuple(coloring.colors[p] for p in pts)
     return Witness(kind, n, d, pts, cols, detail or {})
 
@@ -450,7 +444,7 @@ def tensor_power(coloring: Coloring, ell: int) -> Coloring:
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     label = np.empty(len(first), dtype=np.int64)
     label[np.argsort(first)] = np.arange(1, len(first) + 1)
-    return Coloring(CYCLIC, tuple(label[inverse].tolist()), coloring.levels * ell)
+    return Coloring(CYCLIC, label[inverse], coloring.levels * ell)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +474,9 @@ def _symmetric_constraints(n_amb, spec, ambient):
     ``scan.predicate_clauses(spec, "symmetric")``.
 
     Each constraint holds the index pairs that must NOT all be monochromatic.
-    Pairs whose two points coincide are dropped (they hold automatically),
-    and so is a constraint left with none (see ``_always_violated``).
+    Pairs whose two points coincide are dropped (they hold automatically).
+    None is left empty: ``search_coloring`` first decides by
+    ``_always_violated`` whether some progression has no pair left.
     """
     offsets = spec.a
     amax = offsets[-1]
@@ -496,10 +491,7 @@ def _symmetric_constraints(n_amb, spec, ambient):
             for n in range(n_amb - amax * d)
         )
     for n, d in nds:
-        if ambient == CYCLIC:
-            pts = [(n + o * d) % n_amb for o in offsets]
-        else:
-            pts = [n + o * d for o in offsets]
+        pts = [(n + o * d) % n_amb for o in offsets]
         pairs = []
         for i, j in pairing:
             p, q = pts[i], pts[j]
@@ -509,7 +501,7 @@ def _symmetric_constraints(n_amb, spec, ambient):
         if key in seen:
             continue
         seen[key] = tuple(sorted(set(pairs)))
-    return [c for c in seen.values() if c]
+    return list(seen.values())
 
 
 def _always_violated(n_amb, spec, ambient) -> bool:
@@ -521,7 +513,8 @@ def _always_violated(n_amb, spec, ambient) -> bool:
     if ambient != CYCLIC:
         return False
     a = spec.a
-    return math.gcd(n_amb, *(a[-1 - i] - a[i] for i in range(len(a) // 2))) > 1
+    [(_, pairing)] = predicate_clauses(spec, "symmetric")
+    return math.gcd(n_amb, *(a[j] - a[i] for i, j in pairing)) > 1
 
 
 def search_coloring(

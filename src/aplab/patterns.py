@@ -238,11 +238,9 @@ def symmetric_pairing(k: int) -> Pairing:
 def is_symmetric(spec: PatternSpec) -> bool:
     """k even and a_1 + a_k = a_2 + a_{k-1} = ..."""
     a = spec.a
-    k = spec.k
-    if k % 2:
+    if spec.k % 2:
         return False
-    s = a[0] + a[-1]
-    return all(a[i] + a[k - 1 - i] == s for i in range(k // 2))
+    return len({a[i] + a[j] for i, j in symmetric_pairing(spec.k).pairs}) == 1
 
 
 def enumerate_pairings(spec: PatternSpec) -> list[Pairing]:

@@ -69,39 +69,30 @@ class TorusColoring:
     exactly when every digit color matches.  The interlacings give theirs,
     checked by ``scan.digit_levels``; any other coloring has the one level
     ``((D, cell_colors),)``.  It takes no part in equality, nor does the
-    palette size ``r``, the largest color, computed once with the cells.
-    The interlacings pass their cells as the int array they compute: it is
-    kept as ``as_array``, and ``cell_colors`` is its ``tolist()``.
+    palette size ``r``, the largest color.  The cells are converted once, to
+    the int64 array ``as_array``, and ``cell_colors`` is its ``tolist()``.
     """
 
     cell_colors: tuple[int, ...] | np.ndarray
     levels: tuple | None = field(default=None, compare=False, repr=False)
     r: int = field(init=False, compare=False, repr=False)
+    as_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        arr = self.cell_colors if isinstance(self.cell_colors, np.ndarray) else None
-        if arr is None:
-            cc = tuple(int(c) for c in self.cell_colors)
-            low, high = (min(cc), max(cc)) if cc else (0, 0)
-        else:
-            cc = tuple(arr.tolist())
-            low, high = (int(arr.min()), int(arr.max())) if cc else (0, 0)
-            object.__setattr__(self, "as_array", arr)
-        object.__setattr__(self, "cell_colors", cc)
-        if low < 1:
+        arr = np.asarray(self.cell_colors, dtype=np.int64)
+        cc = tuple(arr.tolist())
+        if not cc or arr.min() < 1:
             raise ValueError("cell colors must be positive ids")
-        object.__setattr__(self, "r", high)
+        object.__setattr__(self, "cell_colors", cc)
+        object.__setattr__(self, "as_array", arr)
+        object.__setattr__(self, "r", int(arr.max()))
         given = self.levels
-        levels = ((len(cc), cc),) if given is None else digit_levels(self.as_array, given)
+        levels = ((len(cc), cc),) if given is None else digit_levels(arr, given)
         object.__setattr__(self, "levels", levels)
 
     @property
     def D(self) -> int:
         return len(self.cell_colors)
-
-    @cached_property
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.cell_colors, dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -187,40 +178,42 @@ def _sample_blocks(seed: int, count: int, rows: int, block: int = _MC_BLOCK):
 
 def interlace_k(phi: Coloring, k: int) -> TorusColoring:
     """Cut the circle into k blocks and fill each with k interlaced copies of
-    phi, every copy on its own palette: cell j of D = k^2 N gets color
-    (a*k + c)*r + phi(b) where j = a*kN + b*k + c.
+    phi, every copy on its own palette: ``_interlace`` with k phases and k
+    blocks.
 
     A pattern whose colors match forces matching block and phase digits, which
     in turn forces the phi positions to form a matching progression; with a
     pattern-free phi only cell collisions remain, so the pattern probability
-    is O(1/N).  The levels are the phase c, phi's own levels, and the block
-    a.
+    is O(1/N).
     """
     if k < 3:
         raise ValueError("k must be at least 3")
-    n_amb = phi.n
-    D = k * k * n_amb
-    check_budget("interlace_cells", D)
-    a, rem = np.divmod(np.arange(D), k * n_amb)
-    b, c = np.divmod(rem, k)
-    cells = (a * k + c) * phi.r + phi.as_array[b]
-    k_digit = (k, range(k))
-    return TorusColoring(cells, (k_digit, *phi.levels, k_digit))
+    return _interlace(phi, k, k)
 
 
 def interlace_m(phi: Coloring, m: int) -> TorusColoring:
-    """Interlace m palette-disjoint copies of a cyclic phi: cell j of D = mN
-    gets color phi(j // m) + r * (j mod m).  The levels are the phase
-    j mod m, then phi's own levels."""
+    """Interlace m palette-disjoint copies of a cyclic phi: ``_interlace``
+    with m phases and one block, so cell j of D = mN gets color
+    phi(j // m) + r * (j mod m)."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if phi.ambient != "cyclic":
         raise ValueError("interlace_m needs a cyclic coloring")
-    D = m * phi.n
+    return _interlace(phi, m, 1)
+
+
+def _interlace(phi: Coloring, phases: int, blocks: int) -> TorusColoring:
+    """Cell j = a*phases*N + b*phases + c of D = blocks*phases*N gets color
+    (a*phases + c)*r + phi(b).  The levels are the phase c, phi's own levels,
+    then the block a when there is more than one block."""
+    n_amb = phi.n
+    D = blocks * phases * n_amb
     check_budget("interlace_cells", D)
-    j = np.arange(D)
-    cells = phi.as_array[j // m] + phi.r * (j % m)
-    return TorusColoring(cells, ((m, range(m)), *phi.levels))
+    a, rem = np.divmod(np.arange(D), phases * n_amb)
+    b, c = np.divmod(rem, phases)
+    cells = (a * phases + c) * phi.r + phi.as_array[b]
+    block_digit = ((blocks, range(blocks)),) if blocks > 1 else ()
+    return TorusColoring(cells, ((phases, range(phases)), *phi.levels, *block_digit))
 
 
 # ---------------------------------------------------------------------------

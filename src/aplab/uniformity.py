@@ -45,26 +45,24 @@ PARSEVAL_RTOL = 1e-10
 class GridFunction:
     """A length-N sequence of values in [0, 1] on Z/NZ.
 
-    Carries exact rational values (ints or Fractions) alongside the float
-    array when the source supports it (torus sets, constants); the float
-    values are then the exact ones converted, and are derived from them when
-    not given.  Exact values make the progression density an exact rational.
+    Built from float ``values`` or from ``exact`` rational values (ints or
+    Fractions; torus sets, constants), not both.  The float array of exact
+    values is the exact ones converted.  Exact values make the progression
+    density an exact rational.
     """
 
     def __init__(self, values=None, exact=None):
         self.exact = tuple(exact) if exact is not None else None
         if self.exact is not None:
+            if values is not None:
+                raise ValueError("give float values or exact values, not both")
             # one conversion per distinct object: a parsed file or a constant
             # grid shares a few
             uniq = {id(v): v for v in self.exact}
             if not all(isinstance(v, (int, Fraction)) for v in uniq.values()):
                 raise ValueError("exact values must be ints or Fractions")
             floats = {key: float(v) for key, v in uniq.items()}
-            converted = np.array([floats[id(v)] for v in self.exact], dtype=np.float64)
-            if values is None:
-                values = converted
-            elif not np.array_equal(converted, values):
-                raise ValueError("exact values must equal the float values")
+            values = np.array([floats[id(v)] for v in self.exact], dtype=np.float64)
         self.values = np.asarray(values, dtype=np.float64)
         if self.values.ndim != 1 or len(self.values) == 0:
             raise ValueError("values must be a nonempty 1-D sequence")

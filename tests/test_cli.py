@@ -667,6 +667,31 @@ class TestMissingModeFlag:
         assert captured.err == f"error: {mode} needs {flag}\n"
 
 
+class TestColorIdsPastInt64:
+    """A color id past the int64 range, in a coloring or a torus-coloring
+    file, is an error of the file: exit 2, not a traceback."""
+
+    BIG = 2**63
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--pattern-exact", "--k", "4", "--torus-coloring", "tc.txt"],
+            ["torus-set", "--coloring", "tc.txt", "--set", "s.txt", "--k", "4", "--out", "A.txt"],
+            ["verify", "c.txt", "--pattern", "symmetric", "--k", "4"],
+        ],
+    )
+    def test_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tc.txt").write_text(f"2 {self.BIG}\n1 {self.BIG}\n")
+        (tmp_path / "c.txt").write_text(f"cyclic\n1 {self.BIG}\n{self.BIG}\n")
+        (tmp_path / "s.txt").write_text("97 2\n0 1\n")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 class TestZeroDenominator:
     """A p/0 rational, in a file or a flag, is a format or usage error."""
 

@@ -501,7 +501,7 @@ def indicator_cases(draw):
 @hypothesis.given(indicator_cases())
 def test_lambda_exact_indicator_matches_naive(case):
     spec, grids = case
-    fs = [GridFunction(np.array(g, dtype=np.float64), g) for g in grids]
+    fs = [GridFunction(exact=g) for g in grids]
     got = lambda_exact(fs[0] if len(fs) == 1 else fs, spec)
     want = oracles.naive_lambda(grids * (spec.k // len(grids)), spec.a, len(grids[0]))
     assert isinstance(got, Fraction)
@@ -536,7 +536,7 @@ _BIG = Fraction(5 * 10**21, 10**22 + 1)
 @hypothesis.given(rational_cases())
 def test_lambda_exact_rational_matches_naive(case):
     spec, grids = case
-    fs = [GridFunction(np.array([float(v) for v in g]), g) for g in grids]
+    fs = [GridFunction(exact=g) for g in grids]
     got = lambda_exact(fs[0] if len(fs) == 1 else fs, spec)
     want = oracles.naive_lambda(grids * (spec.k // len(grids)), spec.a, len(grids[0]))
     assert isinstance(got, Fraction)

@@ -9,7 +9,7 @@ import oracles
 from aplab.colorings import CYCLIC, Coloring, verify_mono_pattern_free
 from aplab import sets
 from aplab.errors import BUDGETS, BudgetExceededError, FormatError, SelfCheckError
-from aplab.patterns import PatternSpec, a_binomial_system, is_k_pattern
+from aplab.patterns import BinomialSystem, PatternSpec, a_binomial_system, is_k_pattern
 from aplab.sets import (
     GreedyResult,
     _SolutionCounter,
@@ -323,6 +323,10 @@ SORTED_REFERENCE_CASES = [
     # the first 32 of that scan: complete at scanned = 7131 after a gap of
     # 4242 (2888 to 7130), found in the first window at the cap
     (a_binomial_system(PatternSpec((0, 1, 2, 4))), 12000, 32),
+    # the Sidon equation: its terms {0,2}, {0,3}, {1,2}, {1,3} form one class
+    # of weight 4 with e(t) = 0, and the set is the start of the Mian-Chowla
+    # sequence less one, 0, 1, 3, 7, 12, 20, 30, 44, 65, 80, 96, 122
+    (BinomialSystem((1, 1, -1, -1)), 1000, 12),
 ]
 
 

@@ -127,6 +127,16 @@ class TestInterlacing:
         assert torus_coloring_to_text(tc) == f"3 {10**12}\n3 {10**12} 7\n"
         assert torus_coloring_from_text(torus_coloring_to_text(tc)) == tc
 
+    def test_ids_past_int32_count_as_small_ones(self):
+        spec = PatternSpec.ap(4)
+        big, small = TorusColoring((1, 3 * 10**9, 1)), TorusColoring((1, 2, 1))
+        for predicate in ("binomial", "symmetric", "mono"):
+            want = pattern_probability_exact(small, spec, predicate)
+            assert pattern_probability_exact(big, spec, predicate) == want
+        assert pattern_probability_mc(big, spec, samples=1000) == pattern_probability_mc(
+            small, spec, samples=1000
+        )
+
 
 class TestDigitLevels:
     def test_constructions_attach_their_levels(self):

@@ -37,7 +37,7 @@ def random_grid(rng, n_max=64, indicator=False):
     n = rng.randint(4, n_max)
     if indicator:
         vals = [rng.randint(0, 1) for _ in range(n)]
-        return GridFunction(np.array(vals, dtype=float), vals)
+        return GridFunction(exact=vals)
     return GridFunction(np.array([rng.random() for _ in range(n)]))
 
 
@@ -55,13 +55,11 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(np.zeros((2, 2)))
 
-    def test_exact_values_must_match_floats(self):
+    def test_floats_or_exact_values_not_both(self):
         with pytest.raises(ValueError):
-            GridFunction(np.full(5, 0.5), [Fraction(1, 3)] * 5)
+            GridFunction(np.full(5, 0.5), [Fraction(1, 2)] * 5)
         with pytest.raises(ValueError):
-            GridFunction(np.full(5, 1.0), [2] * 5)
-        with pytest.raises(ValueError):
-            GridFunction(np.full(2, 0.5), [0.5, 0.5])
+            GridFunction(exact=[0.5, 0.5])
 
     def test_constant(self):
         f = GridFunction(exact=(Fraction(1, 4),) * 10)
@@ -126,7 +124,7 @@ class TestLambdaExact:
 
     def test_two_element_set_in_z5(self):
         vals = [1, 1, 0, 0, 0]
-        f = GridFunction(np.array(vals, dtype=float), vals)
+        f = GridFunction(exact=vals)
         assert lambda_exact(f, PatternSpec.ap(3)) == Fraction(2, 25)
 
     def test_matches_naive_oracle(self):
@@ -142,7 +140,7 @@ class TestLambdaExact:
         spec = PatternSpec((0, 1, 3))
         fs = [random_grid(rng, n_max=16, indicator=True) for _ in range(3)]
         n = min(f.N for f in fs)
-        fs = [GridFunction(f.values[:n], f.exact[:n]) for f in fs]
+        fs = [GridFunction(exact=f.exact[:n]) for f in fs]
         want = oracles.naive_lambda([f.exact for f in fs], spec.a, n)
         assert lambda_exact(fs, spec) == want
 
@@ -150,7 +148,7 @@ class TestLambdaExact:
         rng = random.Random(12)
         spec = PatternSpec.ap(4)
         vals = [Fraction(rng.randint(0, 8), 8) for _ in range(20)]
-        exact_f = GridFunction(np.array([float(v) for v in vals]), vals)
+        exact_f = GridFunction(exact=vals)
         float_f = GridFunction(np.array([float(v) for v in vals]))
         assert float(lambda_exact(exact_f, spec)) == pytest.approx(
             lambda_exact(float_f, spec), rel=1e-12
@@ -178,10 +176,10 @@ class TestLambdaExact:
         n = f.N
         base = lambda_exact(f, spec)
         shifted_vals = [f.exact[(i + 7) % n] for i in range(n)]
-        shifted = GridFunction(np.array(shifted_vals, dtype=float), shifted_vals)
+        shifted = GridFunction(exact=shifted_vals)
         assert lambda_exact(shifted, spec) == base
         reflected_vals = [f.exact[(-i) % n] for i in range(n)]
-        reflected = GridFunction(np.array(reflected_vals, dtype=float), reflected_vals)
+        reflected = GridFunction(exact=reflected_vals)
         mirrored = PatternSpec(tuple(-a for a in reversed(spec.a)))
         assert lambda_exact(reflected, spec) == base
         assert lambda_exact(f, mirrored) == base
@@ -207,7 +205,7 @@ class TestSpectrum:
     def test_interval_indicator_closed_form(self):
         n, length = 60, 30
         vals = [1] * length + [0] * (n - length)
-        f = GridFunction(np.array(vals, dtype=float), vals)
+        f = GridFunction(exact=vals)
         rep = spectrum(f)
         # fhat(r) = (1 - w^length) / ((1 - w) n) with w = e(-r/n), r != 0
         closed = []
